@@ -308,9 +308,9 @@ def _conversion_doc(args, system, digest, report):
 
 
 def _print_fix(system, report):
-    sig = signature_matrix(system)
-    if sig.swp:
-        print(render_sigma(system, sig, canonical_offsets(sig)))
+    if report.initial_offsets is not None:
+        print(render_sigma(system, report.initial_signature,
+                           report.initial_offsets))
         print()
     before = system
     for st in report.steps:
@@ -401,10 +401,7 @@ def _parse_vector(text, system):
     return [parse_expr(p, system) for p in pieces]
 
 
-def _show_residual(system, vec, left):
-    sig = signature_matrix(system)
-    off = canonical_offsets(sig)
-    J = system_jacobian(system, sig, off)
+def _show_residual(system, J, vec, left):
     n = system.n
     for k in range(n):
         if left:
@@ -429,8 +426,8 @@ def cmd_trace(args) -> int:
                          formal=args.mode == "formal")
     except VectorRejected as ex:
         print("vector rejected: %s" % ex, file=sys.stderr)
-        if len(vec) == system.n:
-            _show_residual(system, [simplify(e) for e in vec],
+        if ex.jacobian is not None:
+            _show_residual(system, ex.jacobian, [simplify(e) for e in vec],
                            left=args.method == "lc")
         return EXIT_USAGE
     _print_fix(system, report)

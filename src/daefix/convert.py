@@ -15,25 +15,24 @@ fix_dae below is the driver: analyze, classify, pick a method, rewrite,
 repeat until the Jacobian is generically nonsingular or nothing applies.
 """
 
-import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import zip_longest
 
-from .expr import (Add, Const, DomainError, Expr, Mul, Neg, Param, Pow,
-                   StateDeriv, atoms, evaluate_ex, hod, simplify,
-                   total_derivative)
+from .expr import (Add, Const, Expr, Mul, Neg, Pow, StateDeriv, atoms,
+                   evaluate_ex, hod, simplify, total_derivative)
 from .jacobian import classify_jacobian, system_jacobian
 from .model import (DaeSystem, Substitution, append_equation_and_variable,
                     apply_substitutions, fresh_indexed, make_equation)
 from .nullspace import (EliminationStuck, cokernel_vector, kernel_vector,
                         normalize_candidates, verify_nullvector)
 from .structural import OffsetPair, canonical_offsets, signature_matrix
-from .zerotest import Prober
+from .zerotest import Prober, probe_points
 
 PROBE_POINTS = 5
-_MAX_REDRAWS = 10
+# null-vector basis indices tried per step before giving up
+_MAX_BASIS = 4
 _NUMERIC_GUARD = Fraction(1, 10 ** 9)
 
 
@@ -42,7 +41,15 @@ class ConvertError(RuntimeError):
 
 
 class VectorRejected(ConvertError):
-    """A forced vector is not a null vector of the System Jacobian."""
+    """A forced vector is not a null vector of the System Jacobian.
+
+    jacobian is the matrix the vector failed against, None when its length
+    was already wrong.
+    """
+
+    def __init__(self, message, jacobian=None):
+        super().__init__(message)
+        self.jacobian = jacobian
 
 
 class ConditionRejected(ConvertError):
@@ -123,9 +130,10 @@ def lc_apply(system: DaeSystem, analysis: LcAnalysis, pivot: int) -> LcApplicati
     for i in analysis.rows:
         fi = total_derivative(system.equations[i].expr, off.c[i] - analysis.c_under)
         terms.append(Mul((u[i], fi)))
-    raw = terms[0] if len(terms) == 1 else Add(tuple(terms))
+    combined = simplify(terms[0] if len(terms) == 1 else Add(tuple(terms)))
     old = system.equations[pivot]
-    new_eq = make_equation(old.name, raw, origin="lc_replaced", alias=old.alias)
+    new_eq = make_equation(old.name, combined, origin="lc_replaced",
+                           alias=old.alias)
     # the leading derivatives must have cancelled
     for j in range(system.n):
         if not hod(new_eq.expr, j, presimplify=False) < off.d[j] - analysis.c_under:
@@ -140,8 +148,7 @@ def lc_equivalence_probes(before: DaeSystem, app: LcApplication,
                           prober: Prober, points: int = PROBE_POINTS) -> int:
     """Numerically checks f_new = sum u_i f_i^(c_i-c) at random points.
 
-    Returns the number of points actually compared; exhausted redraws at a
-    point mark the prober uncertain and skip it.
+    Returns the number of points actually compared.
     """
     a = app.analysis
     new = app.system.equations[app.pivot].expr
@@ -151,18 +158,10 @@ def lc_equivalence_probes(before: DaeSystem, app: LcApplication,
     needed = set(atoms(new))
     for ui, fi in parts:
         needed |= atoms(ui) | atoms(fi)
-    rng = random.Random("%s:lc:%s:%d" % (prober.seed, before.name, app.pivot))
-    compared = 0
-    for _ in range(points):
-        got = _compare_point(rng, needed, before.param_values,
-                             lambda b: _eval_combination(new, parts, b))
-        if got is None:
-            prober.uncertain_seen = True
-            continue
-        compared += 1
-    if compared == 0:
-        prober.uncertain_seen = True
-    return compared
+    return _compare_points(
+        "%s:lc:%s:%d" % (prober.seed, before.name, app.pivot), needed,
+        before.param_values, lambda b: _eval_combination(new, parts, b),
+        prober, points)
 
 
 def _eval_combination(new, parts, b):
@@ -291,8 +290,8 @@ def es_apply(system: DaeSystem, sig, analysis: EsAnalysis, pivot: int,
         taken_vars.add(var_name)
         taken_eqs.add(eq_name)
         new_index = grown.n
-        raw = Add((Neg(StateDeriv(new_index, 0)), StateDeriv(j, r_j), Neg(q)))
-        g = make_equation(eq_name, raw, origin="es_appended",
+        row = Add((Neg(StateDeriv(new_index, 0)), StateDeriv(j, r_j), Neg(q)))
+        g = make_equation(eq_name, simplify(row), origin="es_appended",
                           alias="y%d" % (j + 1))
         grown = append_equation_and_variable(grown, var_name, g)
         renamed.append(Renaming(j, new_index, var_name, eq_name,
@@ -366,48 +365,34 @@ def es_equivalence_probes(before: DaeSystem, app: EsApplication,
             worst = max(worst, abs(Fraction(val)))
         return Fraction(0), worst, exact
 
-    rng = random.Random("%s:es:%s:%d" % (prober.seed, before.name, app.pivot))
-    compared = 0
-    for _ in range(points):
-        got = _compare_point(rng, base_atoms, before.param_values, check)
-        if got is None:
-            prober.uncertain_seen = True
-            continue
-        compared += 1
-    if compared == 0:
-        prober.uncertain_seen = True
-    return compared
+    return _compare_points(
+        "%s:es:%s:%d" % (prober.seed, before.name, app.pivot), base_atoms,
+        before.param_values, check, prober, points)
 
 
 # ---------------------------------------------------------------------------
 # shared probe-point machinery
 
-def _compare_point(rng, needed, param_values, check):
-    """Draws one binding and runs check(b) -> (lhs, rhs, exact).
+def _compare_points(key, needed, param_values, check, prober, points):
+    """Runs check(b) -> (lhs, rhs, exact) at up to `points` probe points.
 
-    Returns True on agreement, None when the domain kept rejecting draws,
-    raises ConvertError on a genuine mismatch.
+    Returns the number of points compared; when the sampler's redraws run
+    out first the prober is marked uncertain.  Raises ConvertError on a
+    genuine mismatch.
     """
-    ats = sorted(needed, key=repr)
-    for _ in range(_MAX_REDRAWS):
-        b = {}
-        for a in ats:
-            if isinstance(a, Param) and param_values.get(a.name) is not None:
-                b[a] = Fraction(param_values[a.name])
-            else:
-                b[a] = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
-        try:
-            lhs, rhs, exact = check(b)
-        except DomainError:
-            continue
+    compared = 0
+    for _, (lhs, rhs, exact) in probe_points(key, needed, check, points,
+                                             param_values):
         diff = abs(Fraction(lhs) - Fraction(rhs))
         if exact:
             if diff != 0:
                 raise ConvertError("rewrite is not equivalent at a probe point")
         elif diff > _NUMERIC_GUARD:
             raise ConvertError("rewrite drifted past the numeric guard")
-        return True
-    return None
+        compared += 1
+    if compared < points:
+        prober.uncertain_seen = True
+    return compared
 
 
 # ---------------------------------------------------------------------------
@@ -464,9 +449,15 @@ class StepRecord:
     vector: tuple
     grade: str            # "global" or "local"
     value_before: int
-    value_after: object   # int, or -inf when the step exposed ill-posedness
     application: object   # LcApplication or EsApplication
     system: DaeSystem
+    signature: object     # of the system after the step
+    offsets: object       # None when the step lost the transversal
+
+    @property
+    def value_after(self):
+        """int, or -inf when the step exposed ill-posedness."""
+        return _value(self.signature)
 
 
 @dataclass(frozen=True)
@@ -475,8 +466,8 @@ class FixReport:
     steps: tuple
     system: DaeSystem
     uncertain: bool
-    initial_value: object
-    final_value: object
+    initial_signature: object
+    initial_offsets: object   # None when the input has no transversal
     signature: object     # of the final system
     offsets: object       # None when the final system lost its transversal
     jacobian: object      # final JacobianReport, None when ill-posed
@@ -485,10 +476,30 @@ class FixReport:
     def ok(self) -> bool:
         return self.status is FixStatus.SUCCESS
 
+    @property
+    def initial_value(self):
+        """None when the input itself is ill posed."""
+        sig = self.initial_signature
+        return sig.value if sig.swp else None
+
+    @property
+    def final_value(self):
+        return _value(self.signature)
+
+
+def _value(sig):
+    return sig.value if sig.swp else float("-inf")
+
+
+def _analysis(system, formal):
+    """Signature matrix and canonical offsets, None without a transversal."""
+    sig = signature_matrix(system, formal=formal)
+    return sig, canonical_offsets(sig) if sig.swp else None
+
 
 def fix_dae(system: DaeSystem, prober: Prober = None, method: str = None,
             vector=None, pivot: int = None, max_steps: int = None,
-            max_basis: int = 4, formal: bool = False) -> FixReport:
+            formal: bool = False) -> FixReport:
     """Iterates conversion steps until the Jacobian is generically
     nonsingular.
 
@@ -496,7 +507,8 @@ def fix_dae(system: DaeSystem, prober: Prober = None, method: str = None,
     first step only (vector entries are used verbatim after verification).
     The step budget defaults to the initial signature value plus one,
     which the strict value decrease makes sufficient for any fixable
-    system.
+    system.  Each system visited is analysed once; a step's record keeps
+    the analysis of the system it produced.
     """
     if prober is None:
         prober = Prober()
@@ -506,65 +518,50 @@ def fix_dae(system: DaeSystem, prober: Prober = None, method: str = None,
         raise ValueError("method must be 'lc' or 'es'")
     current = system
     steps = []
-    initial_value = None
-    cap = max_steps
+    sig, off = initial = _analysis(system, formal)
+
+    # reads the loop's current system and analysis at the time of the call
+    def report(status, rep=None):
+        return FixReport(status, tuple(steps), current, prober.uncertain_seen,
+                         *initial, sig, off, rep)
+
+    if not sig.swp:
+        return report(FixStatus.ILL_POSED)
+    cap = sig.value + 1 if max_steps is None else max_steps
     while True:
-        sig = signature_matrix(current, formal=formal)
-        if not sig.swp:
-            return _report(FixStatus.ILL_POSED, steps, current, prober,
-                           initial_value, sig, None, None)
-        off = canonical_offsets(sig)
         value = sig.value
-        if initial_value is None:
-            initial_value = value
-            if cap is None:
-                cap = value + 1
         J = system_jacobian(current, sig, off)
         rep = classify_jacobian(J, prober)
         if not rep.singular:
-            return _report(FixStatus.SUCCESS, steps, current, prober,
-                           initial_value, sig, off, rep)
+            return report(FixStatus.SUCCESS, rep)
         if len(steps) >= cap:
-            return _report(FixStatus.ITERATION_CAP, steps, current, prober,
-                           initial_value, sig, off, rep)
-
-        forced = vector if not steps else None
-        found = None
-        if forced is not None:
-            found = _forced_candidate(current, sig, off, J, forced,
+            return report(FixStatus.ITERATION_CAP, rep)
+        if vector is not None and not steps:
+            found = _forced_candidate(current, sig, off, J, vector,
                                       pivot, method, prober)
         else:
-            found = _search_candidates(current, sig, off, J, method,
-                                       prober, max_basis)
+            found = _search_candidates(current, sig, off, J, method, prober)
         if found is None:
-            return _report(FixStatus.NO_METHOD, steps, current, prober,
-                           initial_value, sig, off, rep)
+            return report(FixStatus.NO_METHOD, rep)
         kind, analysis, chosen_pivot = found
         if kind is MethodKind.LC:
             app = lc_apply(current, analysis, chosen_pivot)
             lc_equivalence_probes(current, app, prober)
-            entry = analysis.u[chosen_pivot]
+            vec = analysis.u
         else:
             app = es_apply(current, sig, analysis, chosen_pivot, prober)
             es_equivalence_probes(current, app, prober)
-            entry = analysis.v[chosen_pivot]
-        after_sig = signature_matrix(app.system, formal=formal)
-        value_after = after_sig.value if after_sig.swp else float("-inf")
-        if not value_after < value:
+            vec = analysis.v
+        current = app.system
+        sig, off = _analysis(current, formal)
+        if not _value(sig) < value:
             raise ConvertError("conversion step did not decrease the "
                                "signature value")
-        grade = "global" if isinstance(entry, Const) else "local"
-        steps.append(StepRecord(len(steps) + 1, kind, chosen_pivot,
-                                analysis.u if kind is MethodKind.LC
-                                else analysis.v,
-                                grade, value, value_after, app, app.system))
-        current = app.system
-
-
-def _report(status, steps, system, prober, initial_value, sig, off, rep):
-    final = sig.value if sig.swp else float("-inf")
-    return FixReport(status, tuple(steps), system, prober.uncertain_seen,
-                     initial_value, final, sig, off, rep)
+        grade = "global" if isinstance(vec[chosen_pivot], Const) else "local"
+        steps.append(StepRecord(len(steps) + 1, kind, chosen_pivot, vec,
+                                grade, value, app, current, sig, off))
+        if not sig.swp:
+            return report(FixStatus.ILL_POSED)
 
 
 def _forced_candidate(system, sig, off, J, vector, pivot, method, prober):
@@ -575,7 +572,8 @@ def _forced_candidate(system, sig, off, J, vector, pivot, method, prober):
     left = method == "lc"
     if not verify_nullvector(J, vec, prober, left=left):
         raise VectorRejected("vector is not a %s null vector of the "
-                             "System Jacobian" % ("left" if left else "right"))
+                             "System Jacobian" % ("left" if left else "right"),
+                             J)
     if method == "lc":
         analysis = lc_analyze(system, off, vec, prober)
         if not analysis.condition_ok or not analysis.candidates:
@@ -602,9 +600,9 @@ def _forced_candidate(system, sig, off, J, vector, pivot, method, prober):
     return MethodKind.ES, analysis, pick
 
 
-def _search_candidates(system, sig, off, J, method, prober, max_basis):
+def _search_candidates(system, sig, off, J, method, prober):
     stuck = False
-    for basis_index in range(max_basis):
+    for basis_index in range(_MAX_BASIS):
         us = vs = ()
         if method != "es":
             try:

@@ -473,27 +473,36 @@ def _from_poly(p: dict) -> Expr:
 def total_derivative(e: Expr, k: int = 1) -> Expr:
     """k-th total time derivative; returns a raw (unsimplified) tree."""
     for _ in range(k):
-        e = _dt(e)
+        e = _derive(e, None)
     return e
 
 
-def _dt(e: Expr) -> Expr:
-    if isinstance(e, (Const, Param)):
+def partial(e: Expr, atom: Expr) -> Expr:
+    """Partial derivative with respect to one atom, all other atoms held fixed."""
+    return _derive(e, atom)
+
+
+def _derive(e: Expr, atom) -> Expr:
+    """The one table of derivative rules: the partial derivative by atom,
+    or the total time derivative when atom is None."""
+    if isinstance(e, (TimeVar, StateDeriv, DrivingFn, Param)):
+        if atom is not None:
+            return ONE if e == atom else ZERO
+        if isinstance(e, StateDeriv):
+            return StateDeriv(e.index, e.order + 1)
+        if isinstance(e, DrivingFn):
+            return DrivingFn(e.name, e.order + 1)
+        return ONE if isinstance(e, TimeVar) else ZERO
+    if isinstance(e, Const):
         return ZERO
-    if isinstance(e, TimeVar):
-        return ONE
-    if isinstance(e, StateDeriv):
-        return StateDeriv(e.index, e.order + 1)
-    if isinstance(e, DrivingFn):
-        return DrivingFn(e.name, e.order + 1)
     if isinstance(e, Neg):
-        return Neg(_dt(e.child))
+        return Neg(_derive(e.child, atom))
     if isinstance(e, Add):
-        return Add(tuple(_dt(c) for c in e.children))
+        return Add(tuple(_derive(c, atom) for c in e.children))
     if isinstance(e, Mul):
         terms = []
         for i, c in enumerate(e.children):
-            dc = _dt(c)
+            dc = _derive(c, atom)
             if dc == ZERO:
                 continue
             parts = list(e.children)
@@ -505,9 +514,12 @@ def _dt(e: Expr) -> Expr:
     if isinstance(e, Pow):
         if e.exponent == 0:
             return ZERO
-        return Mul((Const(Fraction(e.exponent)), Pow(e.base, e.exponent - 1), _dt(e.base)))
+        db = _derive(e.base, atom)
+        if db == ZERO:
+            return ZERO
+        return Mul((Const(Fraction(e.exponent)), Pow(e.base, e.exponent - 1), db))
     if isinstance(e, Func):
-        da = _dt(e.arg)
+        da = _derive(e.arg, atom)
         if da == ZERO:
             return ZERO
         if e.name == "sin":
@@ -519,53 +531,6 @@ def _dt(e: Expr) -> Expr:
         elif e.name == "ln":
             outer = Pow(e.arg, -1)
         else:  # sqrt
-            outer = Mul((Const(Fraction(1, 2)), Pow(e, -1)))
-        return Mul((outer, da))
-    raise TypeError("not an Expr: %r" % (e,))
-
-
-def partial(e: Expr, atom: Expr) -> Expr:
-    """Partial derivative with respect to one atom, all other atoms held fixed."""
-    if e == atom:
-        return ONE
-    if isinstance(e, (Const, TimeVar, StateDeriv, DrivingFn, Param)):
-        return ZERO
-    if isinstance(e, Neg):
-        return Neg(partial(e.child, atom))
-    if isinstance(e, Add):
-        return Add(tuple(partial(c, atom) for c in e.children))
-    if isinstance(e, Mul):
-        terms = []
-        for i, c in enumerate(e.children):
-            dc = partial(c, atom)
-            if dc == ZERO:
-                continue
-            parts = list(e.children)
-            parts[i] = dc
-            terms.append(Mul(tuple(parts)))
-        if not terms:
-            return ZERO
-        return terms[0] if len(terms) == 1 else Add(tuple(terms))
-    if isinstance(e, Pow):
-        if e.exponent == 0:
-            return ZERO
-        db = partial(e.base, atom)
-        if db == ZERO:
-            return ZERO
-        return Mul((Const(Fraction(e.exponent)), Pow(e.base, e.exponent - 1), db))
-    if isinstance(e, Func):
-        da = partial(e.arg, atom)
-        if da == ZERO:
-            return ZERO
-        if e.name == "sin":
-            outer: Expr = Func("cos", e.arg)
-        elif e.name == "cos":
-            outer = Neg(Func("sin", e.arg))
-        elif e.name == "exp":
-            outer = e
-        elif e.name == "ln":
-            outer = Pow(e.arg, -1)
-        else:
             outer = Mul((Const(Fraction(1, 2)), Pow(e, -1)))
         return Mul((outer, da))
     raise TypeError("not an Expr: %r" % (e,))

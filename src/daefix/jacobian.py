@@ -8,23 +8,21 @@ matrices, but they all share one determinant.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from .expr import (
-    Add, Const, DomainError, Expr, Mul, NEG_INF, Neg, StateDeriv, ZERO,
+    Add, Const, Expr, Mul, NEG_INF, Neg, StateDeriv, ZERO,
     atoms, evaluate_ex, partial, simplify,
 )
 from .model import DaeSystem
 from .structural import OffsetPair, SignatureMatrix, _assignment_max
-from .zerotest import Prober, Verdict
+from .zerotest import Prober, Verdict, probe_points
 
 DET_BOUND = 8
 _RANK_POINTS = 3
-_MAX_REDRAWS = 10
 
 
 class SizeExceeded(Exception):
@@ -139,19 +137,11 @@ def classify_jacobian(matrix: Sequence[Sequence[Expr]], prober: Prober,
 
 def _classify_by_rank(matrix, prober: Prober) -> JacobianReport:
     n = len(matrix)
-    ats = sorted({a for row in matrix for e in row for a in atoms(e)},
-                 key=lambda a: repr(a))
-    rng = random.Random("%s:rank:%r" % (prober.seed, matrix))
-    redraws = 0
-    points = 0
-    while points < _RANK_POINTS and redraws < _MAX_REDRAWS:
-        b = {a: Fraction(rng.randint(-50, 50), rng.randint(1, 50)) for a in ats}
-        try:
-            evals = [[evaluate_ex(e, b) for e in row] for row in matrix]
-        except DomainError:
-            redraws += 1
-            continue
-        points += 1
+    ats = {a for row in matrix for e in row for a in atoms(e)}
+    for _, evals in probe_points(
+            "%s:rank:%r" % (prober.seed, matrix), ats,
+            lambda b: [[evaluate_ex(e, b) for e in row] for row in matrix],
+            _RANK_POINTS):
         rows = [[v for v, _ in row] for row in evals]
         if _fraction_rank(rows) == n:
             if not all(ex for row in evals for _, ex in row):

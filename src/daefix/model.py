@@ -21,9 +21,10 @@ class ModelError(ValueError):
 class Equation:
     """One equation f = 0.
 
-    raw is the tree as written (or as combined/substituted during
-    conversion); expr is its normal form.  Signature entries read from raw
-    are the formal ones, entries read from expr the true ones.
+    raw is the tree as written and expr its normal form.  Signature
+    entries read from raw are the formal ones, entries read from expr the
+    true ones.  An equation written by a conversion step holds its normal
+    form in both, since that normal form is the equation daefix emits.
     """
 
     name: str
@@ -142,8 +143,9 @@ def apply_substitutions(system: DaeSystem,
                 raise ModelError("duplicate substitution for %r" % (key,))
             mapping[key] = s.replacement
         old = eqs[row]
-        raw = subst_atoms(old.expr, mapping)
-        eqs[row] = Equation(old.name, raw, simplify(raw), origin, old.alias)
+        eqs[row] = make_equation(old.name,
+                                 simplify(subst_atoms(old.expr, mapping)),
+                                 origin, old.alias)
     return system.with_equations(eqs)
 
 

@@ -105,7 +105,6 @@ def render_vector(vector, var_names) -> str:
 
 def render_step(step, before) -> str:
     """One conversion step: what was rewritten, with the resulting table."""
-    from .structural import canonical_offsets, signature_matrix
     app = step.application
     lines = ["step %d: %s, pivot %s, %s equivalence"
              % (step.index, step.kind.value,
@@ -128,10 +127,9 @@ def render_step(step, before) -> str:
             eq = after.equations[i]
             lines.append("  %s = %s   (rewritten)"
                          % (eq.name, format_expr(eq.expr, after.var_names)))
-    sig = signature_matrix(after)
-    if sig.swp:
-        off = canonical_offsets(sig)
-        lines.append(_indent(render_sigma(after, sig, off)))
+    if step.signature.swp:
+        lines.append(_indent(render_sigma(after, step.signature,
+                                          step.offsets)))
     else:
         lines.append("  signature lost its transversal: structurally ill posed")
     return "\n".join(lines)

@@ -5,6 +5,9 @@ PROVEN_NONZERO (a probe point evaluates to something nonzero), and
 PROBABLY_ZERO (a probe budget was spent without finding a nonzero value).
 Probing is deterministic: the RNG is keyed on the seed and on the normal form
 of the expression, so the same question always gets the same answer.
+
+probe_points is the one sampler every randomized check in the package draws
+its points from: zero tests, rank probes and equivalence probes.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .expr import (
-    Const, DomainError, Expr, _key, atoms, evaluate_ex, simplify,
+    Const, DomainError, Expr, Param, _key, atoms, evaluate_ex, simplify,
 )
 
 DEFAULT_BUDGET = 8
@@ -25,7 +28,39 @@ DEFAULT_SEED = "daefix"
 # below this magnitude an mpmath-tainted value counts as zero evidence
 NONZERO_GUARD = Fraction(1, 10 ** 40)
 
+# bindings rejected by a domain error before a probe run gives up
 _MAX_REDRAWS = 10
+
+
+def probe_points(key, needed, evaluate, points, param_values=None):
+    """Yields (binding, evaluate(binding)) for up to `points` random points.
+
+    The RNG is seeded with key.  Atoms are bound in _key order to rationals
+    p/q with -50 <= p <= 50 and 1 <= q <= 50, except parameters with a
+    value in param_values, which keep it.  A binding that evaluate rejects
+    with DomainError is redrawn; after _MAX_REDRAWS rejections over the
+    whole run the stream ends early, so fewer than `points` pairs come out.
+    """
+    rng = random.Random(key)
+    del key  # a rank probe's key spells out a whole matrix; free it early
+    ats = sorted(needed, key=_key)
+    pinned = param_values or {}
+    redraws = 0
+    while points > 0:
+        b = {}
+        for a in ats:
+            v = pinned.get(a.name) if isinstance(a, Param) else None
+            b[a] = (Fraction(v) if v is not None
+                    else Fraction(rng.randint(-50, 50), rng.randint(1, 50)))
+        try:
+            result = evaluate(b)
+        except DomainError:
+            redraws += 1
+            if redraws >= _MAX_REDRAWS:
+                return
+            continue
+        points -= 1
+        yield b, result
 
 
 class ZeroKind(Enum):
@@ -93,24 +128,14 @@ class Prober:
             if s.value == 0:
                 return Verdict(ZeroKind.PROVEN_ZERO)
             return Verdict(ZeroKind.PROVEN_NONZERO, value=s.value)
-        rng = random.Random("%s:%r" % (self.seed, s))
-        ats = sorted(atoms(s), key=_key)
         probes = 0
-        redraws = 0
-        warning = False
-        while probes < self.budget:
-            b = {a: Fraction(rng.randint(-50, 50), rng.randint(1, 50)) for a in ats}
-            try:
-                v, exact = evaluate_ex(s, b)
-            except DomainError:
-                redraws += 1
-                if redraws >= _MAX_REDRAWS:
-                    warning = True
-                    break
-                continue
+        for b, (v, exact) in probe_points("%s:%r" % (self.seed, s), atoms(s),
+                                          lambda b: evaluate_ex(s, b),
+                                          self.budget):
             if (exact and v != 0) or (not exact and abs(v) >= NONZERO_GUARD):
                 return Verdict(ZeroKind.PROVEN_NONZERO, value=v, witness=b,
                                probes=probes + 1)
             probes += 1
+        # a short run means the redraws ran out
         return Verdict(ZeroKind.PROBABLY_ZERO, probes=probes,
-                       domain_warning=warning)
+                       domain_warning=probes < self.budget)

@@ -1,7 +1,9 @@
 """End-to-end checks of the command-line frontend."""
 
 import json
+import re
 from importlib.resources import files
+from pathlib import Path
 
 import jsonschema
 
@@ -292,3 +294,83 @@ def test_trace_on_nonsingular_system(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "nothing to do" in out
+
+
+# ---------------------------------------------------------------------------
+# formal mode
+
+def _fix_doc(tmp_path, path, mode):
+    out_path = tmp_path / ("%s.json" % mode)
+    main(["fix", path, "--mode", mode, "--json", str(out_path)])
+    return json.loads(out_path.read_text())
+
+
+def test_fix_formal_and_true_modes_agree_on_corpus(tmp_path, capsys):
+    # rewritten equations are read in their normal form, so the formal
+    # signature of a converted system never counts cancelled derivatives
+    for name in corpus.names():
+        path = corpus_file(tmp_path, name)
+        true_doc = _fix_doc(tmp_path, path, "true")
+        formal_doc = _fix_doc(tmp_path, path, "formal")
+        for key in ("status", "initial_value", "final_value"):
+            assert formal_doc[key] == true_doc[key], (name, key)
+    capsys.readouterr()
+
+
+FORMAL_TRIG = ("dae formal_trig\n"
+               "vars x, y\n"
+               "input h1, h2\n"
+               "eq f1: x' + t*y' - h1(t) = 0\n"
+               "eq f2: x + t*y + sin(x')^2 + cos(x')^2 - h2(t) = 0\n")
+
+
+def _table_values(out):
+    """HVT sums of the signature tables printed in out, in order."""
+    sums = []
+    for line in out.splitlines():
+        if "c_i" in line:
+            sums.append(0)
+        elif "•" in line:
+            sums[-1] += sum(int(m) for m in
+                            re.findall(r"(-?\d+)\]?•", line))
+    return sums
+
+
+def test_formal_mode_tables_match_json(tmp_path, capsys):
+    # formally f2 holds x', which cancels: value 2 formally, 1 truly
+    path = write_dae(tmp_path, FORMAL_TRIG)
+    out_path = tmp_path / "out.json"
+    runs = (["fix"], ["trace", "--method", "lc", "--vector", "[0, 1]"])
+    for argv in runs:
+        rc = main(argv[:1] + [path] + argv[1:]
+                  + ["--mode", "formal", "--json", str(out_path)])
+        out = capsys.readouterr().out
+        assert rc == 0
+        doc = json.loads(out_path.read_text())
+        assert doc["initial_value"] == 2
+        values = [doc["initial_value"]] + [st["value_after"]
+                                           for st in doc["steps"]]
+        assert _table_values(out) == values, argv[0]
+
+
+def test_fix_analyses_each_system_once(tmp_path, capsys, monkeypatch):
+    import daefix.cli
+    import daefix.convert
+    import daefix.render
+    import daefix.structural
+    original = daefix.structural.signature_matrix
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].n)
+        return original(*args, **kwargs)
+
+    for mod in (daefix.cli, daefix.convert, daefix.render, daefix.structural):
+        if getattr(mod, "signature_matrix", None) is original:
+            monkeypatch.setattr(mod, "signature_matrix", counted)
+    path = write_dae(tmp_path, (Path(__file__).parent / "golden"
+                                / "brenan_x4.dae").read_text())
+    assert main(["fix", path]) == 0
+    # four combination steps: the input and each rewritten system, once
+    assert calls == [8] * 5
+    capsys.readouterr()

@@ -471,3 +471,24 @@ def test_combination_recovery_identity():
     b, rb = cases[0]
     checks.assert_lc_recovery(b, rb.steps[0].application)
     assert lc_equivalence_probes(b, rb.steps[0].application, Prober()) > 0
+
+
+def test_equivalence_probe_cut_short_by_redraws_is_uncertain():
+    # sqrt(t) leaves the domain for every negative t drawn, so the shared
+    # redraw limit ends a long probe run early
+    s = parse_dae("""
+dae rooted
+vars x, y
+input h1, h2
+eq f1: x' + t*y' - h1(t) = 0
+eq f2: x + t*y + sqrt(t) - h2(t) = 0
+""")
+    r = fix_dae(s)
+    assert r.status is FixStatus.SUCCESS and not r.uncertain
+    app = r.steps[0].application
+    short = Prober()
+    assert lc_equivalence_probes(s, app, short, points=5) == 5
+    assert not short.uncertain_seen
+    cut = Prober()
+    assert 0 < lc_equivalence_probes(s, app, cut, points=20) < 20
+    assert cut.uncertain_seen

@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from daefix.expr import (
-    NEG_INF, Add, Const, DomainError, DrivingFn, Func, MissingBinding, Mul,
-    Neg, Param, Pow, StateDeriv, TimeVar, atoms, con, evaluate, evaluate_ex,
-    format_expr, hod, partial, simplify, subst_atoms, total_derivative,
+    FUNCS, NEG_INF, Add, Const, DomainError, DrivingFn, Func, MissingBinding,
+    Mul, Neg, Param, Pow, StateDeriv, TimeVar, atoms, con, evaluate,
+    evaluate_ex, format_expr, hod, partial, simplify, subst_atoms,
+    total_derivative, walk,
 )
 
 x = StateDeriv(0)
@@ -166,6 +167,51 @@ def test_partial():
     assert simplify(partial(f2, xdd)) == simplify(-y * f2)
     # independent atoms: x and x' do not interact
     assert simplify(partial(x * xd, x)) == xd
+
+
+def _random_tree(rng, depth):
+    leaves = (t, x, xd, y, h, g, con(Fraction(2, 3)))
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(leaves)
+    kind = rng.choice(("neg", "add", "mul", "pow", "func"))
+    if kind == "neg":
+        return Neg(_random_tree(rng, depth - 1))
+    if kind == "pow":
+        return Pow(_random_tree(rng, depth - 1), rng.choice((-2, -1, 2, 3)))
+    if kind == "func":
+        return Func(rng.choice(FUNCS), _random_tree(rng, depth - 1))
+    node = Add if kind == "add" else Mul
+    return node(tuple(_random_tree(rng, depth - 1)
+                      for _ in range(rng.randint(2, 3))))
+
+
+def _atom_rate(a):
+    # d/dt of one atom, written out independently of the library's rules
+    if isinstance(a, StateDeriv):
+        return StateDeriv(a.index, a.order + 1)
+    if isinstance(a, DrivingFn):
+        return DrivingFn(a.name, a.order + 1)
+    return con(1) if isinstance(a, TimeVar) else con(0)
+
+
+def test_total_derivative_is_chain_rule_over_partials():
+    # d/dt e = sum over atoms a of (de/da) * (d/dt a)
+    rng = random.Random("chain-rule")
+    seen = set()
+    for _ in range(200):
+        e = _random_tree(rng, 3)
+        seen |= {n.name if isinstance(n, Func) else "negative power"
+                 for n in walk(e)
+                 if isinstance(n, Func) or (isinstance(n, Pow)
+                                            and n.exponent < 0)}
+        chain = Add(tuple(Mul((partial(e, a), _atom_rate(a)))
+                          for a in atoms(e)))
+        try:
+            diff = simplify(total_derivative(e) - chain)
+        except DomainError:  # a constant argument outside ln or sqrt
+            continue
+        assert diff == Const(0), format_expr(e, ["x", "y"])
+    assert seen == set(FUNCS) | {"negative power"}
 
 
 def test_subst_atoms_is_simultaneous():

@@ -1,7 +1,11 @@
 from fractions import Fraction
 
-from daefix.expr import Const, Func, Param, Pow, StateDeriv, TimeVar, simplify
-from daefix.zerotest import DEFAULT_BUDGET, Prober, ZeroKind
+import pytest
+
+from daefix.expr import (Const, DomainError, Func, Param, Pow, StateDeriv,
+                         TimeVar, simplify)
+from daefix.zerotest import (_MAX_REDRAWS, DEFAULT_BUDGET, Prober, ZeroKind,
+                             probe_points)
 
 x = StateDeriv(0)
 y = StateDeriv(1)
@@ -96,3 +100,36 @@ def test_is_zero_helper():
     p = Prober()
     assert p.is_zero(simplify(x - x))
     assert not p.is_zero(x + 2)
+
+
+def _bindings(key, needed, points, param_values=None):
+    return [b for b, _ in probe_points(key, needed, lambda b: None, points,
+                                       param_values)]
+
+
+def test_probe_points_repeat_per_key_and_pin_parameters():
+    g, h = Param("g"), Param("h")
+    first = _bindings("k", [x, g, h], 4, {"g": Fraction(9, 8), "h": None})
+    # the sampler fixes the atom order, not the caller
+    assert _bindings("k", [h, g, x], 4, {"g": Fraction(9, 8)}) == first
+    assert _bindings("other", [x, g, h], 4) != first
+    assert all(b[g] == Fraction(9, 8) for b in first)
+    assert len({b[h] for b in first}) > 1
+    for b in first:
+        assert -50 <= b[x] <= 50 and b[x].denominator <= 50
+
+
+@pytest.mark.parametrize("points", (3, 20))
+def test_probe_points_redraws_count_over_the_whole_run(points):
+    draws = []
+
+    def every_other(b):
+        draws.append(b)
+        if len(draws) % 2:
+            raise DomainError("rejected draw")
+        return len(draws)
+
+    got = [r for _, r in probe_points("k", {x}, every_other, points)]
+    # each rejection is redrawn, but the limit spans the run, not a point
+    assert len(got) == min(points, _MAX_REDRAWS - 1)
+    assert got == list(range(2, 2 * len(got) + 1, 2))
