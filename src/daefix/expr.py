@@ -211,12 +211,6 @@ def hod(e: Expr, index: int, presimplify: bool = True):
     return best
 
 
-def state_indices(e: Expr, presimplify: bool = False) -> set:
-    if presimplify:
-        e = simplify(e)
-    return {n.index for n in walk(e) if isinstance(n, StateDeriv)}
-
-
 # ---------------------------------------------------------------------------
 # normal form
 

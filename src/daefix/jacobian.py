@@ -117,7 +117,7 @@ def classify_jacobian(matrix: Sequence[Sequence[Expr]], prober: Prober,
     n = len(matrix)
     support = [[(0 if not prober.verdict(matrix[i][j]).proven_zero else NEG_INF)
                 for j in range(n)] for i in range(n)]
-    _, assign = _assignment_max(support)
+    _, assign, _ = _assignment_max(support)
     if assign is None:
         return JacobianReport(matrix, JacobianClass.STRUCTURALLY_SINGULAR,
                               ZERO, prober.verdict(ZERO))
@@ -139,7 +139,7 @@ def _classify_by_rank(matrix, prober: Prober) -> JacobianReport:
     n = len(matrix)
     ats = {a for row in matrix for e in row for a in atoms(e)}
     for _, evals in probe_points(
-            "%s:rank:%r" % (prober.seed, matrix), ats,
+            "%s:rank:%d" % (prober.seed, n), ats,
             lambda b: [[evaluate_ex(e, b) for e in row] for row in matrix],
             _RANK_POINTS):
         rows = [[v for v, _ in row] for row in evals]

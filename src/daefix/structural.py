@@ -2,17 +2,18 @@
 
 For each equation i and state j the signature entry is the highest derivative
 order of x_j in f_i (NEG_INF when absent).  A highest-value transversal (HVT)
-gives the structural value; the canonical offset pair (c; d) is the smallest
-valid one and drives the structural index, the degrees of freedom and the
-solution scheme.
+gives the structural value; the one kept is the lexicographically smallest,
+found from a single assignment solve and its dual potentials.  The canonical
+offset pair (c; d) is the smallest valid one and drives the structural
+index, the degrees of freedom and the solution scheme.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from .expr import NEG_INF, StateDeriv, hod, partial, simplify, ZERO
+from .expr import NEG_INF, StateDeriv, ZERO, atoms, partial, simplify
 from .model import DaeSystem
 
 _MAX_OFFSET_SWEEPS = 1000
@@ -46,29 +47,32 @@ def sigma_from_rows(rows: Sequence[Sequence]) -> SignatureMatrix:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise StructuralError("signature matrix must be square")
-    value, assign = _assignment_max(rows)
+    value, assign, tight = _assignment_max(rows)
     if assign is None:
         return SignatureMatrix(rows, NEG_INF, None)
-    hvt = _lex_smallest_hvt(rows, value)
-    return SignatureMatrix(rows, value, hvt)
+    return SignatureMatrix(rows, value, _lex_smallest_hvt(tight, assign))
 
 
 def signature_matrix(system: DaeSystem, formal: bool = False) -> SignatureMatrix:
-    """True signatures come from the normal form; formal ones from the raw
-    trees, where cancelled derivatives still count."""
+    """True signatures come from the normal form, formal ones from the raw
+    trees, where cancelled derivatives still count.  One walk per row: entry
+    j is hod(tree, j, presimplify=not formal), since expr = simplify(raw)."""
     rows = []
     for eq in system.equations:
-        tree = eq.raw if formal else eq.expr
-        rows.append(tuple(hod(tree, j, presimplify=not formal)
-                          for j in range(system.n)))
+        row = [NEG_INF] * system.n
+        for a in atoms(eq.raw if formal else eq.expr):
+            if isinstance(a, StateDeriv) and a.order > row[a.index]:
+                row[a.index] = a.order
+        rows.append(row)
     return sigma_from_rows(rows)
 
 
 # ---------------------------------------------------------------------------
 # max-weight assignment (Hungarian with potentials, exact integer arithmetic)
 
-def _hungarian_min(cost: List[List[int]]) -> List[int]:
-    """Minimum-cost perfect assignment; returns row -> column."""
+def _hungarian_min(cost: List[List[int]]):
+    """Minimum-cost perfect assignment row -> column, and potentials u, v with
+    cost[i][j] >= u[i] + v[j], equal on the assignment."""
     n = len(cost)
     INF = float("inf")
     u = [0] * (n + 1)
@@ -111,57 +115,60 @@ def _hungarian_min(cost: List[List[int]]) -> List[int]:
     assign = [0] * n
     for j in range(1, n + 1):
         assign[p[j] - 1] = j - 1
-    return assign
+    return assign, u[1:], v[1:]
 
 
-def _assignment_max(rows) -> Tuple[object, Optional[List[int]]]:
-    """Best transversal value and one witness; (NEG_INF, None) if every
-    transversal hits a NEG_INF entry."""
+def _assignment_max(rows):
+    """Best transversal value, one witness (None if every transversal hits a
+    NEG_INF entry) and each row's tight columns: finite entries of zero reduced
+    cost.  By complementary slackness the best transversals are exactly the
+    transversals of tight entries."""
     n = len(rows)
-    if n == 0:
-        return 0, []
     big = -(1 + sum(abs(w) for r in rows for w in r if w != NEG_INF))
     W = [[(w if w != NEG_INF else big) for w in r] for r in rows]
-    assign = _hungarian_min([[-w for w in r] for r in W])
+    assign, u, v = _hungarian_min([[-w for w in r] for r in W])
+    tight = [[j for j in range(n)
+              if rows[i][j] != NEG_INF and rows[i][j] + u[i] + v[j] == 0]
+             for i in range(n)]
     if any(rows[i][assign[i]] == NEG_INF for i in range(n)):
-        return NEG_INF, None
-    return sum(rows[i][assign[i]] for i in range(n)), assign
+        return NEG_INF, None, tight
+    return sum(rows[i][assign[i]] for i in range(n)), assign, tight
 
 
-def _best_completion(rows, start_row: int, used_cols: set):
-    """Best assignment value for rows start_row.. over unused columns."""
-    n = len(rows)
-    rest_rows = list(range(start_row, n))
-    rest_cols = [j for j in range(n) if j not in used_cols]
-    if not rest_rows:
-        return 0
-    sub = [[rows[i][j] for j in rest_cols] for i in rest_rows]
-    value, assign = _assignment_max(sub)
-    return value
-
-
-def _lex_smallest_hvt(rows, total) -> tuple:
+def _lex_smallest_hvt(tight, assign) -> tuple:
     """Among all transversals of maximal value, the one whose column sequence
-    (row by row) is lexicographically smallest."""
-    n = len(rows)
-    used: set = set()
-    picked = []
-    acc = 0
-    for i in range(n):
-        for j in range(n):
-            if j in used or rows[i][j] == NEG_INF:
-                continue
-            rest = _best_completion(rows, i + 1, used | {j})
-            if rest == NEG_INF:
-                continue
-            if acc + rows[i][j] + rest == total:
-                picked.append((i, j))
-                used.add(j)
-                acc += rows[i][j]
+    (row by row) is lexicographically smallest.  assign is a best transversal
+    and tight[i] the ascending tight columns of row i.  Rows are settled in
+    order: row i moves to its smallest tight column j whose holder can be
+    re-matched, over rows > i, onto the column row i gives up (one augmenting
+    path, Kuhn 1955)."""
+    assign = list(assign)
+    owner = [0] * len(assign)
+    for i, j in enumerate(assign):
+        owner[j] = i
+    for i in range(len(assign)):
+        for j in tight[i]:
+            if j == assign[i]:
                 break
-        else:
-            raise StructuralError("internal: could not extend transversal")
-    return tuple(picked)
+            if owner[j] > i and _reroute(tight, owner, assign, owner[j], i, {j}):
+                assign[i], owner[j] = j, i
+                break
+    return tuple(enumerate(assign))
+
+
+def _reroute(tight, owner, assign, r, i, seen) -> bool:
+    """Moves row r > i onto a tight column outside seen and not held by rows
+    < i, shifting holders along an alternating path that ends at row i's
+    column."""
+    for c in tight[r]:
+        h = owner[c]
+        if c in seen or h < i:
+            continue
+        seen.add(c)
+        if h == i or _reroute(tight, owner, assign, h, i, seen):
+            owner[c], assign[r] = r, c
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +223,7 @@ def validate_offsets(sig: SignatureMatrix, c: Sequence[int],
                 return False
             row.append(0 if d[j] - c[i] == s else NEG_INF)
         eq_rows.append(row)
-    value, assign = _assignment_max(eq_rows)
-    return assign is not None
+    return _assignment_max(eq_rows)[1] is not None
 
 
 def structural_index(off: OffsetPair) -> int:

@@ -42,7 +42,6 @@ def probe_points(key, needed, evaluate, points, param_values=None):
     whole run the stream ends early, so fewer than `points` pairs come out.
     """
     rng = random.Random(key)
-    del key  # a rank probe's key spells out a whole matrix; free it early
     ats = sorted(needed, key=_key)
     pinned = param_values or {}
     redraws = 0

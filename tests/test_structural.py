@@ -1,8 +1,12 @@
 import itertools
 import random
+from pathlib import Path
 
+import pytest
+
+from daefix import corpus, structural
 from daefix.dsl import parse_dae
-from daefix.expr import NEG_INF
+from daefix.expr import NEG_INF, hod
 from daefix.structural import (
     OffsetPair, SignatureMatrix, canonical_offsets, compare_signatures,
     degrees_of_freedom, sigma_from_rows, signature_matrix, solution_scheme,
@@ -93,15 +97,80 @@ def test_structurally_ill_posed():
 
 
 def test_hvt_against_exhaustive_search():
+    # tie-heavy (0..1) and wide entries, sparse and dense, n = 1..7
     rng = random.Random(42)
-    for _ in range(100):
-        n = rng.randint(2, 5)
-        rows = [[(rng.randint(0, 3) if rng.random() < 0.7 else NEG_INF)
+    for case in range(360):
+        n = 1 + case % 7
+        top = (1, 3, 9)[case // 7 % 3]
+        density = (0.35, 0.7, 1.0)[case // 21 % 3]
+        rows = [[(rng.randint(0, top) if rng.random() < density else NEG_INF)
                  for _ in range(n)] for _ in range(n)]
         sig = sigma_from_rows(rows)
         assert sig.value == brute_max_value(rows)
         expect = brute_lex_hvt(rows)
         assert sig.hvt == expect
+
+
+@pytest.mark.parametrize("solve_picks_shift", [False, True])
+def test_hvt_on_a_cycle(solve_picks_shift):
+    # sigma_ii = sigma_i,i+1 = 0: the identity and the shift are the only
+    # HVTs.  Weighting (0, 1) and (n-1, n-1) keeps both at value 1 but makes
+    # the solve return the shift, so row 0 must reroute through every row.
+    n = 40
+    rows = [[NEG_INF] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = rows[i][(i + 1) % n] = 0
+    if solve_picks_shift:
+        rows[0][1] = rows[n - 1][n - 1] = 1
+    first = structural._assignment_max(rows)[1]
+    assert first == ([(i + 1) % n for i in range(n)] if solve_picks_shift
+                     else list(range(n)))
+    sig = sigma_from_rows(rows)
+    assert sig.hvt == tuple((i, i) for i in range(n))
+    assert sig.value == (1 if solve_picks_shift else 0)
+
+
+def test_one_assignment_solve_per_signature_matrix(monkeypatch):
+    calls = []
+    solve = structural._hungarian_min
+
+    def counted(cost):
+        calls.append(len(cost))
+        return solve(cost)
+
+    monkeypatch.setattr(structural, "_hungarian_min", counted)
+    rng = random.Random(3)
+    for made in range(1, 41):
+        n = rng.randint(1, 12)
+        sigma_from_rows([[(rng.randint(0, 2) if rng.random() < 0.6
+                           else NEG_INF) for _ in range(n)] for _ in range(n)])
+        assert len(calls) == made
+
+
+def _chain(n):
+    xs = ["x%d" % i for i in range(1, n)]
+    eqs = ["eq e%d: x%d'' + x%d*lam%s = 0"
+           % (i, i, i, " - x%d" % (i - 1) if i > 1 else "")
+           for i in range(1, n)]
+    return "dae chain\nvars %s, lam\n%s\neq g: %s - 1 = 0\n" % (
+        ", ".join(xs), "\n".join(eqs), " + ".join(x + "^2" for x in xs))
+
+
+ROW_SYSTEMS = dict(
+    {name: corpus.source(name) for name in corpus.names()},
+    brenan_x4=(Path(__file__).parent / "golden" / "brenan_x4.dae").read_text(),
+    chain_16=_chain(16))
+
+
+@pytest.mark.parametrize("formal", [False, True])
+@pytest.mark.parametrize("name", sorted(ROW_SYSTEMS))
+def test_signature_rows_match_hod(name, formal):
+    s = parse_dae(ROW_SYSTEMS[name])
+    sig = signature_matrix(s, formal=formal)
+    for i, eq in enumerate(s.equations):
+        tree = eq.raw if formal else eq.expr
+        assert sig.rows[i] == tuple(hod(tree, j, presimplify=not formal)
+                                    for j in range(s.n))
 
 
 def test_offsets_are_valid_and_minimal():
