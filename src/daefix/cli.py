@@ -41,6 +41,17 @@ _EPILOG = """exit codes:
 """
 
 
+def _at_least(least):
+    """argparse type: an int no smaller than least."""
+    def parse(text):
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError("must be at least %d" % least)
+        return value
+    parse.__name__ = "int"  # argparse names it in "invalid int value: ..."
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="daefix",
@@ -55,8 +66,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--mode", choices=("true", "formal"), default="true",
                         help="signature source: simplified (true) or "
                              "as-written (formal) equations")
-    common.add_argument("--probe-budget", type=int, default=8, metavar="N",
-                        help="probe points per zero test")
+    common.add_argument("--probe-budget", type=_at_least(1), default=8,
+                        metavar="N", help="probe points per zero test")
     common.add_argument("--seed", default="daefix",
                         help="seed for the zero-test probes")
     common.add_argument("--json", metavar="OUT", dest="json_path",
@@ -70,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="repair an identically singular Jacobian")
     pf.add_argument("--method", choices=("lc", "es"),
                     help="restrict every step to one rewrite")
-    pf.add_argument("--max-steps", type=int, metavar="N",
+    pf.add_argument("--max-steps", type=_at_least(0), metavar="N",
                     help="step budget (default: initial value + 1)")
     pf.add_argument("--emit", metavar="OUT", help="write the converted "
                     "system in .dae format")
@@ -212,8 +223,8 @@ def cmd_analyze(args) -> int:
         print("no highest-value transversal: structurally ill posed")
         return EXIT_ILL_POSED
     off = canonical_offsets(sig)
-    scheme = solution_scheme(system, off)
     J = system_jacobian(system, sig, off)
+    scheme = solution_scheme(off, J)
     rep = classify_jacobian(J, prober)
     print()
     print(render_sigma(system, sig, off))

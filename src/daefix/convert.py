@@ -611,6 +611,10 @@ def _search_candidates(system, sig, off, J, method, prober):
                 u0, stuck = None, True
             if u0 is not None:
                 us = normalize_candidates(u0, J, prober, left=True)
+        first = lc_analyze(system, off, us[0], prober) if us else None
+        # a constant combination row wins whatever the kernel side holds
+        if first is not None and first.const_rows:
+            return MethodKind.LC, first, min(first.const_rows)
         if method != "lc":
             try:
                 v0 = kernel_vector(J, prober, basis_index)
@@ -620,8 +624,9 @@ def _search_candidates(system, sig, off, J, method, prober):
                 vs = normalize_candidates(v0, J, prober)
         if not us and not vs:
             break
-        for u_c, v_c in zip_longest(us, vs):
-            lc = lc_analyze(system, off, u_c, prober) if u_c else None
+        for idx, (u_c, v_c) in enumerate(zip_longest(us, vs)):
+            lc = first if idx == 0 else (
+                lc_analyze(system, off, u_c, prober) if u_c else None)
             es = es_analyze(system, sig, off, v_c, prober) if v_c else None
             choice = choose_method(lc, es, prober)
             if choice.kind is MethodKind.LC:

@@ -553,15 +553,11 @@ def subst_atoms(e: Expr, mapping: Mapping[Expr, Expr]) -> Expr:
 # evaluation
 
 def evaluate(e: Expr, bindings: Mapping[Expr, Fraction]) -> Fraction:
-    return _evaluate_ex(e, bindings)[0]
+    return evaluate_ex(e, bindings)[0]
 
 
-def evaluate_ex(e: Expr, bindings: Mapping[Expr, Fraction]):
+def evaluate_ex(e: Expr, b: Mapping[Expr, Fraction]):
     """Returns (value, exact) where exact is False once mpmath was involved."""
-    return _evaluate_ex(e, bindings)
-
-
-def _evaluate_ex(e: Expr, b: Mapping[Expr, Fraction]):
     if isinstance(e, Const):
         return e.value, True
     if isinstance(e, (TimeVar, StateDeriv, DrivingFn, Param)):
@@ -570,29 +566,29 @@ def _evaluate_ex(e: Expr, b: Mapping[Expr, Fraction]):
         except KeyError:
             raise MissingBinding(e) from None
     if isinstance(e, Neg):
-        v, ex = _evaluate_ex(e.child, b)
+        v, ex = evaluate_ex(e.child, b)
         return -v, ex
     if isinstance(e, Add):
         total, exact = Fraction(0), True
         for c in e.children:
-            v, ex = _evaluate_ex(c, b)
+            v, ex = evaluate_ex(c, b)
             total += v
             exact = exact and ex
         return total, exact
     if isinstance(e, Mul):
         total, exact = Fraction(1), True
         for c in e.children:
-            v, ex = _evaluate_ex(c, b)
+            v, ex = evaluate_ex(c, b)
             total *= v
             exact = exact and ex
         return total, exact
     if isinstance(e, Pow):
-        v, ex = _evaluate_ex(e.base, b)
+        v, ex = evaluate_ex(e.base, b)
         if v == 0 and e.exponent < 0:
             raise DomainError("zero raised to a negative power")
         return v ** e.exponent, ex
     if isinstance(e, Func):
-        v, ex = _evaluate_ex(e.arg, b)
+        v, ex = evaluate_ex(e.arg, b)
         if e.name == "sin":
             if v == 0:
                 return Fraction(0), ex

@@ -262,37 +262,24 @@ class SolutionScheme:
         return self.generic.linear
 
 
-def _stage_linear(system: DaeSystem, eqs, unknowns) -> bool:
-    """A stage is linear when every undifferentiated equation in it depends
-    jointly linearly on the stage unknowns.  Differentiated equations are
-    linear in their newest derivatives automatically."""
-    unknown_atoms = [StateDeriv(j, o) for j, o in unknowns]
-    for i, order in eqs:
-        if order > 0:
-            continue
-        f = system.equations[i].expr
-        for u in unknown_atoms:
-            first = simplify(partial(f, u))
-            if first == ZERO:
-                continue
-            for w in unknown_atoms:
-                if simplify(partial(first, w)) != ZERO:
-                    return False
-    return True
-
-
-def solution_scheme(system: DaeSystem, off: OffsetPair) -> SolutionScheme:
-    n = len(off.c)
+def solution_scheme(off: OffsetPair,
+                    jacobian: Sequence[Sequence]) -> SolutionScheme:
+    """Stage k solves the equations with c_i + k >= 0 for x_j^(k+d_j).
+    Only equation i's undifferentiated stage k = -c_i can be nonlinear, and
+    its first partials by that stage's unknowns are row i of the System
+    Jacobian (d_j - c_i >= sigma_ij leaves no others in f_i): the stage is
+    nonlinear when an entry of the row depends on one of those unknowns."""
+    nonlinear = {-off.c[i] for i, row in enumerate(jacobian)
+                 if any(isinstance(a, StateDeriv)
+                        and a.order == off.d[a.index] - off.c[i]
+                        and simplify(partial(e, a)) != ZERO
+                        for e in row for a in atoms(e))}
     stages = []
-    for k in range(-max(off.d), 0):
-        eqs = tuple((i, k + off.c[i]) for i in range(n) if k + off.c[i] >= 0)
-        unknowns = tuple((j, k + off.d[j]) for j in range(n) if k + off.d[j] >= 0)
-        stages.append(Stage(k, eqs, unknowns,
-                            _stage_linear(system, eqs, unknowns)))
-    eqs0 = tuple((i, off.c[i]) for i in range(n))
-    unk0 = tuple((j, off.d[j]) for j in range(n))
-    generic = Stage(0, eqs0, unk0, _stage_linear(system, eqs0, unk0))
-    return SolutionScheme(tuple(stages), generic)
+    for k in range(-max(off.d), 1):
+        eqs = tuple((i, k + c) for i, c in enumerate(off.c) if k + c >= 0)
+        unknowns = tuple((j, k + d) for j, d in enumerate(off.d) if k + d >= 0)
+        stages.append(Stage(k, eqs, unknowns, k not in nonlinear))
+    return SolutionScheme(tuple(stages[:-1]), stages[-1])
 
 
 # ---------------------------------------------------------------------------

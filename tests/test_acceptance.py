@@ -59,7 +59,7 @@ def test_criterion_1_pendulum():
     det = simplify(determinant(J))
     diff = simplify(det - pe("-2*(x^2 + y^2)", s))
     assert Prober().verdict(diff).proven_zero
-    scheme = solution_scheme(s, off)
+    scheme = solution_scheme(off, J)
     rows = [(st.k, st.equations, st.unknowns, st.linear)
             for st in scheme.stages]
     assert rows == [

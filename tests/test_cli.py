@@ -6,6 +6,7 @@ from importlib.resources import files
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 from daefix import corpus
 from daefix.cli import main
@@ -110,6 +111,26 @@ def test_usage_error_exit_one(capsys):
     assert main([]) == 1
     assert main(["trace", "whatever.dae", "--method", "lc"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--probe-budget", "0"],
+    ["fix", "--probe-budget", "-2"],
+    ["fix", "--max-steps", "-3"],
+])
+def test_bad_numbers_are_usage_errors(tmp_path, capsys, argv):
+    path = corpus_file(tmp_path, "brenan")
+    assert main(argv[:1] + [path] + argv[1:]) == 1
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert "must be at least" in err
+    assert "Traceback" not in err
+
+
+def test_zero_step_budget_is_valid(tmp_path, capsys):
+    assert main(["fix", corpus_file(tmp_path, "brenan"),
+                 "--max-steps", "0"]) == 2
+    assert "step budget exhausted after 0 steps" in capsys.readouterr().out
 
 
 def test_help_documents_exit_codes(capsys):

@@ -48,6 +48,26 @@ def test_output_matches_golden(name, command, tmp_path, capsys):
     assert doc == (GOLDEN / (stem + ".json")).read_text()
 
 
+def test_fix_chooses_constant_combination_without_kernel(tmp_path, capsys,
+                                                         monkeypatch):
+    # every Brenan step has a constant cokernel row, which wins outright
+    import daefix.convert
+    calls = []
+    original = daefix.convert.kernel_vector
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(daefix.convert, "kernel_vector", counted)
+    rc, doc = run_case("fix", "brenan_x4", tmp_path)
+    assert calls == []
+    assert rc == json.loads((GOLDEN / "exits.json").read_text())[
+        "brenan_x4.fix"]
+    assert capsys.readouterr().out == (GOLDEN / "brenan_x4.fix.out").read_text()
+    assert doc == (GOLDEN / "brenan_x4.fix.json").read_text()
+
+
 def _record():
     import contextlib
     import io

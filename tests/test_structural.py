@@ -6,7 +6,8 @@ import pytest
 
 from daefix import corpus, structural
 from daefix.dsl import parse_dae
-from daefix.expr import NEG_INF, hod
+from daefix.expr import NEG_INF, ZERO, StateDeriv, hod, partial, simplify
+from daefix.jacobian import system_jacobian
 from daefix.structural import (
     OffsetPair, SignatureMatrix, canonical_offsets, compare_signatures,
     degrees_of_freedom, sigma_from_rows, signature_matrix, solution_scheme,
@@ -224,7 +225,7 @@ def test_pendulum_scheme():
     s = parse_dae(PENDULUM)
     sig = signature_matrix(s)
     off = canonical_offsets(sig)
-    scheme = solution_scheme(s, off)
+    scheme = solution_scheme(off, system_jacobian(s, sig, off))
     ks = [st.k for st in scheme.stages]
     assert ks == [-2, -1]
     st0 = scheme.stages[0]
@@ -247,12 +248,120 @@ def test_scheme_nonlinear_generic():
            "eq f1: x1 + exp(-x1' - x2*x2'') + h1(t) = 0\n"
            "eq f2: x1 + x2*x2' + x2^2 + h2(t) = 0\n")
     s = parse_dae(src)
-    off = canonical_offsets(signature_matrix(s))
+    sig = signature_matrix(s)
+    off = canonical_offsets(sig)
     assert off.c == (0, 1)
     assert off.d == (1, 2)
-    scheme = solution_scheme(s, off)
+    scheme = solution_scheme(off, system_jacobian(s, sig, off))
     # f1 is undifferentiated at k=0 and exp(-x1'...) is nonlinear in x1'
     assert not scheme.generic_linear
+
+
+def _stage_linear_reference(system, eqs, unknowns):
+    """Stage linearity from scratch: every first partial of each
+    undifferentiated equation by every stage unknown, then every second
+    partial by every stage unknown."""
+    unknown_atoms = [StateDeriv(j, o) for j, o in unknowns]
+    for i, order in eqs:
+        if order > 0:
+            continue
+        f = system.equations[i].expr
+        for u in unknown_atoms:
+            first = simplify(partial(f, u))
+            if first == ZERO:
+                continue
+            for w in unknown_atoms:
+                if simplify(partial(first, w)) != ZERO:
+                    return False
+    return True
+
+
+def _scheme_linearity(s, formal):
+    """(scheme linearity, reference linearity) per stage, None when the
+    system has no transversal."""
+    sig = signature_matrix(s, formal=formal)
+    if not sig.swp:
+        return None
+    off = canonical_offsets(sig)
+    scheme = solution_scheme(off, system_jacobian(s, sig, off))
+    return [(st.linear,
+             _stage_linear_reference(s, st.equations, st.unknowns))
+            for st in scheme.stages + (scheme.generic,)]
+
+
+@pytest.mark.parametrize("formal", [False, True])
+@pytest.mark.parametrize("name", sorted(ROW_SYSTEMS))
+def test_scheme_linearity_matches_reference(name, formal):
+    pairs = _scheme_linearity(parse_dae(ROW_SYSTEMS[name]), formal)
+    assert pairs
+    assert all(got == want for got, want in pairs)
+
+
+def _random_term(rng, names, depth):
+    r = rng.random()
+    if depth == 0 or r < 0.3:
+        if rng.random() < 0.15:
+            return str(rng.randint(1, 3))
+        return rng.choice(names) + "'" * rng.randint(0, 2)
+    sub = _random_term(rng, names, depth - 1)
+    if r < 0.45:
+        return "(%s)^%d" % (sub, rng.randint(2, 3))
+    if r < 0.65:
+        return "%s*%s" % (sub, _random_term(rng, names, depth - 1))
+    if r < 0.8:
+        return "%s(%s)" % (rng.choice(("sin", "cos", "exp")), sub)
+    if r < 0.9:
+        # cancels in the normal form; formal signatures still see it
+        return "(%s - %s)" % (sub, sub)
+    # normal form keeps the atoms although the product is constant
+    return "exp(%s)*exp(-(%s))" % (sub, sub)
+
+
+def _random_system(rng):
+    n = rng.randint(1, 4)
+    names = ["x%d" % j for j in range(1, n + 1)]
+    eqs = ["eq f%d: %s = 0" % (i, " + ".join(
+        _random_term(rng, names, 2) for _ in range(rng.randint(1, 3))))
+        for i in range(1, n + 1)]
+    return parse_dae("dae r\nvars %s\n%s\n" % (", ".join(names),
+                                                 "\n".join(eqs)))
+
+
+def test_scheme_linearity_matches_reference_on_random_systems():
+    rng = random.Random(11)
+    seen = {True: 0, False: 0}
+    posed = 0
+    for _ in range(2000):
+        s = _random_system(rng)
+        for formal in (False, True):
+            pairs = _scheme_linearity(s, formal)
+            if pairs is None:
+                continue
+            posed += 1
+            for got, want in pairs:
+                assert got == want
+                seen[want] += 1
+    assert posed > 2000
+    assert min(seen.values()) > 500
+
+
+def test_scheme_differentiates_only_jacobian_entries(monkeypatch):
+    n = 64
+    s = parse_dae(_chain(n))
+    sig = signature_matrix(s)
+    off = canonical_offsets(sig)
+    J = system_jacobian(s, sig, off)
+    calls = []
+
+    def counted(e, atom):
+        calls.append(atom)
+        return partial(e, atom)
+
+    monkeypatch.setattr(structural, "partial", counted)
+    scheme = solution_scheme(off, J)
+    assert len(calls) <= 2 * n
+    assert [st.linear for st in scheme.stages] == [False, True]
+    assert scheme.generic_linear
 
 
 def test_compare_signatures():
