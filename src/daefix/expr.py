@@ -10,6 +10,11 @@ factors: an Add of terms, each term a Mul of a Fraction coefficient and
 sorted factor powers.  Products are always distributed over sums so that
 cancellation across rows of a linear combination actually happens; huge
 expansions are capped and the offending sum is kept as an opaque factor.
+
+Nodes are immutable, so each one computes three values at most once, on
+first use, and keeps them in a slot: its hash (the value the field-wise
+dataclass hash gives), its sort key `_key(e)`, and the frozenset of atoms
+that `atoms(e)` returns.  Equality stays field-wise; nodes are not interned.
 """
 
 from __future__ import annotations
@@ -47,7 +52,16 @@ Number = Union[int, Fraction]
 
 
 class Expr:
-    __slots__ = ()
+    # per-node caches, each filled on first use: hash, _key(e), atoms(e)
+    __slots__ = ("_hash", "_sort_key", "_atoms")
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = self._field_hash()
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __add__(self, other):
         return Add((self, _wrap(other)))
@@ -85,6 +99,14 @@ class Expr:
         return Mul((_wrap(other), Pow(self, -1)))
 
 
+def _node(cls):
+    """A frozen, slotted dataclass node whose field-wise hash is cached."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls._field_hash = cls.__hash__
+    cls.__hash__ = Expr.__hash__
+    return cls
+
+
 def _wrap(v) -> "Expr":
     if isinstance(v, Expr):
         return v
@@ -93,7 +115,7 @@ def _wrap(v) -> "Expr":
     raise TypeError("cannot use %r in an expression" % (v,))
 
 
-@dataclass(frozen=True)
+@_node
 class Const(Expr):
     value: Fraction
 
@@ -102,12 +124,12 @@ class Const(Expr):
             object.__setattr__(self, "value", Fraction(self.value))
 
 
-@dataclass(frozen=True)
+@_node
 class TimeVar(Expr):
     """The independent variable t."""
 
 
-@dataclass(frozen=True)
+@_node
 class StateDeriv(Expr):
     """order-th time derivative of state variable number `index` (0-based)."""
 
@@ -115,7 +137,7 @@ class StateDeriv(Expr):
     order: int = 0
 
 
-@dataclass(frozen=True)
+@_node
 class DrivingFn(Expr):
     """order-th derivative of a known driving (input) function of t."""
 
@@ -123,12 +145,12 @@ class DrivingFn(Expr):
     order: int = 0
 
 
-@dataclass(frozen=True)
+@_node
 class Param(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Add(Expr):
     children: tuple
 
@@ -136,7 +158,7 @@ class Add(Expr):
         object.__setattr__(self, "children", tuple(self.children))
 
 
-@dataclass(frozen=True)
+@_node
 class Mul(Expr):
     children: tuple
 
@@ -144,7 +166,7 @@ class Mul(Expr):
         object.__setattr__(self, "children", tuple(self.children))
 
 
-@dataclass(frozen=True)
+@_node
 class Pow(Expr):
     base: Expr
     exponent: int
@@ -154,12 +176,12 @@ class Pow(Expr):
             raise TypeError("Pow exponent must be int")
 
 
-@dataclass(frozen=True)
+@_node
 class Neg(Expr):
     child: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Func(Expr):
     name: str
     arg: Expr
@@ -168,6 +190,8 @@ class Func(Expr):
         if self.name not in FUNCS:
             raise ValueError("unknown function %r" % (self.name,))
 
+
+ATOM_TYPES = (TimeVar, StateDeriv, DrivingFn, Param)
 
 ZERO = Const(Fraction(0))
 ONE = Const(Fraction(1))
@@ -190,9 +214,31 @@ def walk(e: Expr) -> Iterator[Expr]:
         yield from walk(e.arg)
 
 
-def atoms(e: Expr) -> set:
+_NO_ATOMS: frozenset = frozenset()
+
+
+def atoms(e: Expr) -> frozenset:
     """All leaf atoms (TimeVar / StateDeriv / DrivingFn / Param) in e."""
-    return {n for n in walk(e) if isinstance(n, (TimeVar, StateDeriv, DrivingFn, Param))}
+    try:
+        return e._atoms
+    except AttributeError:
+        pass
+    if isinstance(e, ATOM_TYPES):
+        r = frozenset((e,))
+    elif isinstance(e, Const):
+        r = _NO_ATOMS
+    elif isinstance(e, (Add, Mul)):
+        r = _NO_ATOMS.union(*(atoms(c) for c in e.children))
+    elif isinstance(e, Pow):
+        r = atoms(e.base)
+    elif isinstance(e, Neg):
+        r = atoms(e.child)
+    elif isinstance(e, Func):
+        r = atoms(e.arg)
+    else:
+        raise TypeError("not an Expr: %r" % (e,))
+    object.__setattr__(e, "_atoms", r)
+    return r
 
 
 def hod(e: Expr, index: int, presimplify: bool = True):
@@ -230,27 +276,34 @@ def simplify(e: Expr) -> Expr:
 
 
 def _key(e: Expr):
+    try:
+        return e._sort_key
+    except AttributeError:
+        pass
     if isinstance(e, TimeVar):
-        return (0,)
-    if isinstance(e, StateDeriv):
-        return (1, e.index, e.order)
-    if isinstance(e, DrivingFn):
-        return (2, e.name, e.order)
-    if isinstance(e, Param):
-        return (3, e.name)
-    if isinstance(e, Func):
-        return (4, e.name, _key(e.arg))
-    if isinstance(e, Pow):
-        return (5, _key(e.base), e.exponent)
-    if isinstance(e, Mul):
-        return (6, tuple(_key(c) for c in e.children))
-    if isinstance(e, Add):
-        return (7, tuple(_key(c) for c in e.children))
-    if isinstance(e, Neg):
-        return (8, _key(e.child))
-    if isinstance(e, Const):
-        return (9, e.value)
-    raise TypeError("not an Expr: %r" % (e,))
+        k = (0,)
+    elif isinstance(e, StateDeriv):
+        k = (1, e.index, e.order)
+    elif isinstance(e, DrivingFn):
+        k = (2, e.name, e.order)
+    elif isinstance(e, Param):
+        k = (3, e.name)
+    elif isinstance(e, Func):
+        k = (4, e.name, _key(e.arg))
+    elif isinstance(e, Pow):
+        k = (5, _key(e.base), e.exponent)
+    elif isinstance(e, Mul):
+        k = (6, tuple(_key(c) for c in e.children))
+    elif isinstance(e, Add):
+        k = (7, tuple(_key(c) for c in e.children))
+    elif isinstance(e, Neg):
+        k = (8, _key(e.child))
+    elif isinstance(e, Const):
+        k = (9, e.value)
+    else:
+        raise TypeError("not an Expr: %r" % (e,))
+    object.__setattr__(e, "_sort_key", k)
+    return k
 
 
 def _mono_key(m):
@@ -263,7 +316,7 @@ def _mono_key(m):
 def _poly(e: Expr) -> dict:
     if isinstance(e, Const):
         return {(): e.value} if e.value else {}
-    if isinstance(e, (TimeVar, StateDeriv, DrivingFn, Param)):
+    if isinstance(e, ATOM_TYPES):
         return {((e, 1),): Fraction(1)}
     if isinstance(e, Neg):
         return {m: -c for m, c in _poly(e.child).items()}
@@ -387,6 +440,12 @@ def _p_pow(p: dict, n: int) -> dict:
             inv = {mm: cc / c for mm, cc in inv.items()}
             return _p_pow(inv, -n)
         return {((_from_poly(p), n),): Fraction(1)}
+    if len(p) == 1:
+        # a monomial without exp/sqrt factors: no rewrite and no cap can
+        # fire, so the n-1 products reduce to scaling the exponents
+        ((m, c),) = p.items()
+        if not any(isinstance(f, Func) and f.name in ("exp", "sqrt") for f, _ in m):
+            return {tuple((f, k * n) for f, k in m): c ** n}
     out = dict(p)
     for _ in range(n - 1):
         out = _p_mul(out, p)
@@ -479,7 +538,9 @@ def partial(e: Expr, atom: Expr) -> Expr:
 def _derive(e: Expr, atom) -> Expr:
     """The one table of derivative rules: the partial derivative by atom,
     or the total time derivative when atom is None."""
-    if isinstance(e, (TimeVar, StateDeriv, DrivingFn, Param)):
+    if atom is not None and atom not in atoms(e):
+        return ZERO
+    if isinstance(e, ATOM_TYPES):
         if atom is not None:
             return ONE if e == atom else ZERO
         if isinstance(e, StateDeriv):
@@ -534,7 +595,7 @@ def subst_atoms(e: Expr, mapping: Mapping[Expr, Expr]) -> Expr:
     """Replace atom occurrences simultaneously; replacements are not re-scanned."""
     if e in mapping:
         return mapping[e]
-    if isinstance(e, (Const, TimeVar, StateDeriv, DrivingFn, Param)):
+    if isinstance(e, (Const, *ATOM_TYPES)):
         return e
     if isinstance(e, Add):
         return Add(tuple(subst_atoms(c, mapping) for c in e.children))
@@ -560,7 +621,7 @@ def evaluate_ex(e: Expr, b: Mapping[Expr, Fraction]):
     """Returns (value, exact) where exact is False once mpmath was involved."""
     if isinstance(e, Const):
         return e.value, True
-    if isinstance(e, (TimeVar, StateDeriv, DrivingFn, Param)):
+    if isinstance(e, ATOM_TYPES):
         try:
             return Fraction(b[e]), True
         except KeyError:

@@ -115,8 +115,9 @@ def classify_jacobian(matrix: Sequence[Sequence[Expr]], prober: Prober,
     """
     matrix = tuple(tuple(row) for row in matrix)
     n = len(matrix)
-    support = [[(0 if not prober.verdict(matrix[i][j]).proven_zero else NEG_INF)
-                for j in range(n)] for i in range(n)]
+    # system_jacobian puts the ZERO constant at every non-tight position
+    support = [[(NEG_INF if e == ZERO or prober.verdict(e).proven_zero else 0)
+                for e in row] for row in matrix]
     _, assign, _ = _assignment_max(support)
     if assign is None:
         return JacobianReport(matrix, JacobianClass.STRUCTURALLY_SINGULAR,

@@ -1,7 +1,8 @@
 """Deciding whether an expression is identically zero.
 
 Three outcomes: PROVEN_ZERO (normal form is the zero constant),
-PROVEN_NONZERO (a probe point evaluates to something nonzero), and
+PROVEN_NONZERO (the normal form is a nonzero constant or a nonzero Laurent
+monomial in the atoms, or a probe point evaluates to something nonzero), and
 PROBABLY_ZERO (a probe budget was spent without finding a nonzero value).
 Probing is deterministic: the RNG is keyed on the seed and on the normal form
 of the expression, so the same question always gets the same answer.
@@ -19,7 +20,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .expr import (
-    Const, DomainError, Expr, Param, _key, atoms, evaluate_ex, simplify,
+    ATOM_TYPES, Const, DomainError, Expr, Mul, Param, Pow, _key, atoms,
+    evaluate_ex, simplify,
 )
 
 DEFAULT_BUDGET = 8
@@ -127,6 +129,8 @@ class Prober:
             if s.value == 0:
                 return Verdict(ZeroKind.PROVEN_ZERO)
             return Verdict(ZeroKind.PROVEN_NONZERO, value=s.value)
+        if _nonzero_monomial(s):
+            return Verdict(ZeroKind.PROVEN_NONZERO)
         probes = 0
         for b, (v, exact) in probe_points("%s:%r" % (self.seed, s), atoms(s),
                                           lambda b: evaluate_ex(s, b),
@@ -138,3 +142,17 @@ class Prober:
         # a short run means the redraws ran out
         return Verdict(ZeroKind.PROBABLY_ZERO, probes=probes,
                        domain_warning=probes < self.budget)
+
+
+def _nonzero_monomial(s: Expr) -> bool:
+    """True for a normal form c * a1^k1 * ... * am^km with c != 0 and atoms
+    a_i: a nonzero Laurent monomial, so not identically zero."""
+    for f in (s.children if isinstance(s, Mul) else (s,)):
+        if isinstance(f, Pow):
+            f = f.base
+        if isinstance(f, Const):
+            if f.value == 0:
+                return False
+        elif not isinstance(f, ATOM_TYPES):
+            return False
+    return True

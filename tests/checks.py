@@ -2,7 +2,8 @@
 
 test_convert and test_acceptance both draw on these: random expression and
 system generators, the derivative-shift identity, the combination recovery
-identity, and the block-structure check for substitution rewrites.
+identity, and the block-structure check for substitution rewrites; and
+the pendulum chain that test_structural and test_jacobian grow to size n.
 """
 
 from fractions import Fraction
@@ -17,6 +18,16 @@ from daefix.structural import signature_matrix
 _FUNCS = ("sin", "cos", "exp")
 _ATOMS = (StateDeriv(0, 0), StateDeriv(0, 1), StateDeriv(1, 0),
           StateDeriv(1, 2), StateDeriv(2, 1), TimeVar(), DrivingFn("w"))
+
+
+def pendulum_chain(n):
+    """n - 1 masses x_i'' + x_i*lam - x_{i-1} = 0 tied by sum x_i^2 = 1."""
+    xs = ["x%d" % i for i in range(1, n)]
+    eqs = ["eq e%d: x%d'' + x%d*lam%s = 0"
+           % (i, i, i, " - x%d" % (i - 1) if i > 1 else "")
+           for i in range(1, n)]
+    return "dae chain\nvars %s, lam\n%s\neq g: %s - 1 = 0\n" % (
+        ", ".join(xs), "\n".join(eqs), " + ".join(x + "^2" for x in xs))
 
 
 def rand_expr(rng, depth=3):

@@ -2,6 +2,7 @@
 
 import json
 import re
+import time
 from importlib.resources import files
 from pathlib import Path
 
@@ -394,4 +395,34 @@ def test_fix_analyses_each_system_once(tmp_path, capsys, monkeypatch):
     assert main(["fix", path]) == 0
     # four combination steps: the input and each rewritten system, once
     assert calls == [8] * 5
+    capsys.readouterr()
+
+
+def _timed_analyze(tmp_path, text):
+    out_path = tmp_path / "report.json"
+    start = time.perf_counter()
+    rc = main(["analyze", write_dae(tmp_path, text), "--json", str(out_path)])
+    return rc, time.perf_counter() - start, json.loads(out_path.read_text())
+
+
+def test_analyze_huge_monomial_is_fast(tmp_path, capsys):
+    rc, took, doc = _timed_analyze(
+        tmp_path, "dae big\nvars x\neq f1: x^10000000 - 1 = 0\n")
+    assert rc == 0
+    assert doc["value"] == 0
+    assert doc["classification"] == "GenericallyNonsingular"
+    assert took < 1.0
+    capsys.readouterr()
+
+
+def test_analyze_collapsed_power_is_fast(tmp_path, capsys):
+    rc, took, doc = _timed_analyze(
+        tmp_path, "dae p60\nvars x, y\n"
+                  "eq f1: (x+y+1)^60 + x' = 0\neq f2: x - y' = 0\n")
+    assert rc == 0
+    assert doc["value"] == 2
+    assert doc["offsets"] == {"c": [0, 0], "d": [1, 1]}
+    assert doc["structural_index"] == 0
+    assert doc["classification"] == "GenericallyNonsingular"
+    assert took < 5.0
     capsys.readouterr()

@@ -1,13 +1,14 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
 from daefix.expr import (
-    FUNCS, NEG_INF, Add, Const, DomainError, DrivingFn, Func, MissingBinding,
-    Mul, Neg, Param, Pow, StateDeriv, TimeVar, atoms, con, evaluate,
-    evaluate_ex, format_expr, hod, partial, simplify, subst_atoms,
-    total_derivative, walk,
+    FUNCS, NEG_INF, ZERO, Add, Const, DomainError, DrivingFn, Func,
+    MissingBinding, Mul, Neg, Param, Pow, StateDeriv, TimeVar, _key, _p_mul,
+    _p_pow, atoms, con, evaluate, evaluate_ex, format_expr, hod, partial,
+    simplify, subst_atoms, total_derivative, walk,
 )
 
 x = StateDeriv(0)
@@ -296,3 +297,87 @@ def test_format_expr_structure():
 def test_format_negative_coefficient_inside_product():
     s = format_expr(simplify(-2 * x * y), ["x", "y"])
     assert s == "-2*x*y"
+
+
+# ---------------------------------------------------------------------------
+# per-node caches and the monomial shortcuts
+
+
+def _repeated_mul(p, n):
+    # the n-1 products _p_pow made before it had a monomial shortcut
+    out = dict(p)
+    for _ in range(n - 1):
+        out = _p_mul(out, p)
+    return out
+
+
+def _random_monomial(rng, pool):
+    factors = rng.sample(pool, rng.randint(0, 4))
+    m = tuple(sorted(((f, 1 if isinstance(f, Func) and f.name in ("exp", "sqrt")
+                       else rng.choice((-3, -2, -1, 1, 2, 3)))
+                      for f in factors), key=lambda fk: _key(fk[0])))
+    c = Fraction(rng.choice((-7, -2, -1, 1, 3, 5)), rng.choice((1, 2, 9)))
+    return {m: c}
+
+
+def test_monomial_power_equals_repeated_products():
+    rng = random.Random("monomial-power")
+    collapsed = (simplify(x + y + 1), simplify(xd - g * t))
+    trig = (Func("sin", x), Func("cos", x + y), Func("ln", t))
+    pool = [x, xd, y, t, g, h, *collapsed, *trig]
+    for _ in range(300):
+        p = _random_monomial(rng, pool)
+        n = rng.randint(1, 7)
+        assert _p_pow(p, n) == _repeated_mul(p, n)
+
+
+def test_exp_and_sqrt_monomial_powers_keep_their_rewrites():
+    rng = random.Random("monomial-power-rewrites")
+    pool = [x, y, g, Func("sin", t), simplify(x + y + 1),
+            Func("exp", x), Func("exp", simplify(y - t)),
+            Func("sqrt", x), Func("sqrt", simplify(x + g))]
+    seen = 0
+    for _ in range(300):
+        p = _random_monomial(rng, pool)
+        n = rng.randint(1, 6)
+        assert _p_pow(p, n) == _repeated_mul(p, n)
+        seen += any(isinstance(f, Func) and f.name in ("exp", "sqrt")
+                    for m in p for f, _ in m)
+    assert seen > 100
+    # the rewrites fire, so scaling the exponents would be wrong here
+    ex = Func("exp", x)
+    assert _p_pow({((ex, 1),): Fraction(1)}, 3) != {((ex, 3),): Fraction(1)}
+    assert _p_pow({((Func("sqrt", x), 1),): Fraction(2)}, 4) == \
+        {((x, 2),): Fraction(16)}
+
+
+def test_partial_by_an_absent_atom_is_the_zero_constant():
+    rng = random.Random("absent-atom")
+    pool = (t, x, xd, xdd, y, yd, h, g, DrivingFn("h", 1))
+    absent = 0
+    for _ in range(300):
+        e = _random_tree(rng, 4)
+        for a in pool:
+            if a not in atoms(e):
+                absent += 1
+                assert partial(e, a) is ZERO
+    assert absent > 1000
+
+
+def test_separately_built_trees_share_hash_and_key():
+    for seed in range(100):
+        a = Neg(_random_tree(random.Random(seed), 4))
+        b = Neg(_random_tree(random.Random(seed), 4))
+        assert a == b and a is not b
+        assert hash(a) == hash(b)
+        assert _key(a) == _key(b)
+        assert atoms(a) == atoms(b)
+        for n in walk(a):
+            fields = tuple(getattr(n, f.name) for f in dataclasses.fields(n))
+            assert hash(n) == hash(fields)
+
+
+def test_nodes_keep_no_instance_dict():
+    for n in (x, g, h, t, con(2), x + y, x * y, Pow(x, 2), Neg(x),
+              Func("sin", x)):
+        assert not hasattr(n, "__dict__")

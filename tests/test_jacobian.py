@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from checks import pendulum_chain
 from daefix.dsl import parse_dae
 from daefix.expr import (
     Add, Const, Func, Mul, Neg, Param, Pow, StateDeriv, TimeVar, ZERO,
@@ -255,3 +256,19 @@ def test_derivative_shifts_leading_partial():
         rhs = simplify(partial(f, StateDeriv(j, int(s))))
         assert simplify(lhs - rhs) == ZERO
         checked += 1
+
+
+def test_classify_zero_tests_only_nonzero_entries():
+    n = 64
+    s = parse_dae(pendulum_chain(n))
+    sig = signature_matrix(s)
+    J = system_jacobian(s, sig, canonical_offsets(sig))
+    prober = Prober()
+    calls = []
+    verdict = prober.verdict
+    prober.verdict = lambda e: calls.append(e) or verdict(e)
+    report = classify_jacobian(J, prober)
+    assert report.klass is JacobianClass.GENERICALLY_NONSINGULAR
+    nonzero = sum(e != ZERO for row in J for e in row)
+    assert 0 < nonzero < n * n // 8
+    assert len(calls) <= nonzero + 1

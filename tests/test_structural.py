@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from checks import pendulum_chain
 from daefix import corpus, structural
 from daefix.dsl import parse_dae
 from daefix.expr import NEG_INF, ZERO, StateDeriv, hod, partial, simplify
@@ -148,19 +149,10 @@ def test_one_assignment_solve_per_signature_matrix(monkeypatch):
         assert len(calls) == made
 
 
-def _chain(n):
-    xs = ["x%d" % i for i in range(1, n)]
-    eqs = ["eq e%d: x%d'' + x%d*lam%s = 0"
-           % (i, i, i, " - x%d" % (i - 1) if i > 1 else "")
-           for i in range(1, n)]
-    return "dae chain\nvars %s, lam\n%s\neq g: %s - 1 = 0\n" % (
-        ", ".join(xs), "\n".join(eqs), " + ".join(x + "^2" for x in xs))
-
-
 ROW_SYSTEMS = dict(
     {name: corpus.source(name) for name in corpus.names()},
     brenan_x4=(Path(__file__).parent / "golden" / "brenan_x4.dae").read_text(),
-    chain_16=_chain(16))
+    chain_16=pendulum_chain(16))
 
 
 @pytest.mark.parametrize("formal", [False, True])
@@ -347,7 +339,7 @@ def test_scheme_linearity_matches_reference_on_random_systems():
 
 def test_scheme_differentiates_only_jacobian_entries(monkeypatch):
     n = 64
-    s = parse_dae(_chain(n))
+    s = parse_dae(pendulum_chain(n))
     sig = signature_matrix(s)
     off = canonical_offsets(sig)
     J = system_jacobian(s, sig, off)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from daefix.expr import (Const, DomainError, Func, Param, Pow, StateDeriv,
-                         TimeVar, simplify)
+                         TimeVar, con, simplify)
 from daefix.zerotest import (_MAX_REDRAWS, DEFAULT_BUDGET, Prober, ZeroKind,
                              probe_points)
 
@@ -133,3 +133,21 @@ def test_probe_points_redraws_count_over_the_whole_run(points):
     # each rejection is redrawn, but the limit spans the run, not a point
     assert len(got) == min(points, _MAX_REDRAWS - 1)
     assert got == list(range(2, 2 * len(got) + 1, 2))
+
+
+def test_nonzero_monomials_are_proven_without_probes():
+    p = Prober()
+    for e in (3 * Pow(x, 10000000), x * Pow(y, -2), t * Param("p")):
+        v = p.verdict(e)
+        assert v.kind is ZeroKind.PROVEN_NONZERO
+        assert v.probes == 0
+    assert not p.uncertain_seen
+
+
+def test_sums_and_functions_still_probe():
+    p = Prober()
+    for e in (x + 1, Func("sin", x), con(2) * Func("ln", x) * y):
+        v = p.verdict(e)
+        assert v.proven_nonzero
+        assert v.probes >= 1 and v.witness is not None
+    assert not p.uncertain_seen
