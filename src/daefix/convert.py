@@ -25,8 +25,8 @@ from .expr import (Add, Const, Expr, Mul, Neg, Pow, StateDeriv, atoms,
 from .jacobian import classify_jacobian, system_jacobian
 from .model import (DaeSystem, Substitution, append_equation_and_variable,
                     apply_substitutions, fresh_indexed, make_equation)
-from .nullspace import (EliminationStuck, cokernel_vector, kernel_vector,
-                        normalize_candidates, verify_nullvector)
+from .nullspace import (EliminationStuck, kernel_basis, normalize_candidates,
+                        verify_nullvector)
 from .structural import OffsetPair, canonical_offsets, signature_matrix
 from .zerotest import Prober, probe_points
 
@@ -602,26 +602,26 @@ def _forced_candidate(system, sig, off, J, vector, pivot, method, prober):
 
 def _search_candidates(system, sig, off, J, method, prober):
     stuck = False
-    for basis_index in range(_MAX_BASIS):
-        us = vs = ()
-        if method != "es":
-            try:
-                u0 = cokernel_vector(J, prober, basis_index)
-            except EliminationStuck:
-                u0, stuck = None, True
-            if u0 is not None:
-                us = normalize_candidates(u0, J, prober, left=True)
+
+    def basis(left, wanted):
+        nonlocal stuck
+        try:
+            return kernel_basis(J, prober, left=left) if wanted else iter(())
+        except EliminationStuck:
+            stuck = True
+            return iter(())
+    lefts, rights = basis(True, method != "es"), None
+    for _ in range(_MAX_BASIS):
+        u0 = next(lefts, None)
+        us = normalize_candidates(u0, J, prober, left=True) if u0 else ()
         first = lc_analyze(system, off, us[0], prober) if us else None
         # a constant combination row wins whatever the kernel side holds
         if first is not None and first.const_rows:
             return MethodKind.LC, first, min(first.const_rows)
-        if method != "lc":
-            try:
-                v0 = kernel_vector(J, prober, basis_index)
-            except EliminationStuck:
-                v0, stuck = None, True
-            if v0 is not None:
-                vs = normalize_candidates(v0, J, prober)
+        if rights is None:   # eliminated once a step first needs it
+            rights = basis(False, method != "lc")
+        v0 = next(rights, None)
+        vs = normalize_candidates(v0, J, prober) if v0 else ()
         if not us and not vs:
             break
         for idx, (u_c, v_c) in enumerate(zip_longest(us, vs)):

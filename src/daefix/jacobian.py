@@ -138,14 +138,20 @@ def classify_jacobian(matrix: Sequence[Sequence[Expr]], prober: Prober,
 
 def _classify_by_rank(matrix, prober: Prober) -> JacobianReport:
     n = len(matrix)
-    ats = {a for row in matrix for e in row for a in atoms(e)}
+    # a ZERO entry is the exact value 0 at every point: only the rest are
+    # evaluated, in row-major order
+    entries = [(i, j, e) for i, row in enumerate(matrix)
+               for j, e in enumerate(row) if e != ZERO]
+    ats = {a for _, _, e in entries for a in atoms(e)}
     for _, evals in probe_points(
             "%s:rank:%d" % (prober.seed, n), ats,
-            lambda b: [[evaluate_ex(e, b) for e in row] for row in matrix],
+            lambda b: [evaluate_ex(e, b) for _, _, e in entries],
             _RANK_POINTS):
-        rows = [[v for v, _ in row] for row in evals]
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for (i, j, _), (v, _) in zip(entries, evals):
+            rows[i][j] = v
         if _fraction_rank(rows) == n:
-            if not all(ex for row in evals for _, ex in row):
+            if not all(ex for _, ex in evals):
                 prober.uncertain_seen = True
             return JacobianReport(matrix,
                                   JacobianClass.GENERICALLY_NONSINGULAR,
@@ -158,25 +164,22 @@ def _fraction_rank(rows: List[List[Fraction]]) -> int:
     m = [row[:] for row in rows]
     n_rows = len(m)
     n_cols = len(m[0]) if m else 0
-    rank = 0
-    r = 0
+    r = 0   # the rank so far, and the next pivot row
     for c in range(n_cols):
-        pivot = None
-        for i in range(r, n_rows):
-            if m[i][c] != 0:
-                pivot = i
-                break
+        pivot = next((i for i in range(r, n_rows) if m[i][c] != 0), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
         pv = m[r][c]
+        # the pivot row's nonzeros; its columns before c hold 0 already
+        nonzero = [(jj, x) for jj, x in enumerate(m[r][c:], c) if x]
         for i in range(r + 1, n_rows):
             if m[i][c]:
                 f = m[i][c] / pv
-                for jj in range(c, n_cols):
-                    m[i][jj] -= f * m[r][jj]
+                row = m[i]
+                for jj, x in nonzero:
+                    row[jj] -= f * x
         r += 1
-        rank += 1
         if r == n_rows:
             break
-    return rank
+    return r

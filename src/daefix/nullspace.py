@@ -2,15 +2,18 @@
 
 Fraction-free Gauss-Jordan: a pivot never divides, it cross-multiplies
 (row_r <- pivot * row_r - entry * row_p), so entries stay in the expression
-ring.  Pivot choice consults the zero tester; a column whose only nonzero
-candidates are merely *probably* zero cannot be pivoted or skipped safely,
-which surfaces as EliminationStuck.
+ring.  One elimination per matrix side yields the whole basis; the literal
+ZERO entries a System Jacobian holds at its non-tight positions are never
+zero-tested, multiplied or simplified.  Pivot choice consults the zero
+tester; a column whose only nonzero candidates are merely *probably* zero
+cannot be pivoted or skipped safely, which surfaces as EliminationStuck.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from itertools import islice
+from typing import Iterator, List, Optional, Sequence
 
 from .expr import Add, Const, Expr, Mul, Neg, Pow, ZERO, simplify, walk
 from .zerotest import Prober
@@ -32,12 +35,14 @@ class EliminationStuck(NullspaceError):
 
 def _pivot_choice(entries, prober: Prober):
     """Among (row, expr) candidates pick the pivot: proven-nonzero constants
-    first, then proven-nonzero expressions, smallest row index deciding ties.
-    Returns (row, kind) where kind is 'pivot', 'free', or 'stuck'."""
+    first, then proven-nonzero expressions, smallest row index deciding ties;
+    ZERO is not asked.  Returns (row, kind), kind 'pivot', 'free' or 'stuck'."""
     const_rows = []
     expr_rows = []
     saw_probable = None
     for r, e in entries:
+        if e == ZERO:
+            continue
         v = prober.verdict(e)
         if v.proven_nonzero:
             if isinstance(e, Const):
@@ -55,14 +60,20 @@ def _pivot_choice(entries, prober: Prober):
     return None, "free"
 
 
-def kernel_vector(matrix: Sequence[Sequence[Expr]], prober: Prober,
-                  basis_index: int = 0) -> Optional[tuple]:
-    """basis_index-th kernel basis vector (free columns in ascending order),
-    or None when the kernel has no that-many dimensions."""
+def kernel_basis(matrix: Sequence[Sequence[Expr]], prober: Prober,
+                 left: bool = False) -> Iterator[tuple]:
+    """Kernel basis (cokernel with left=True), one vector per free column in
+    ascending order.
+
+    The elimination runs in this call, so EliminationStuck comes from it;
+    each vector is back-substituted and strictly verified only when the
+    returned iterator is advanced to it."""
     n = len(matrix)
-    m: List[List[Expr]] = [[simplify(e) for e in row] for row in matrix]
-    if any(len(row) != n for row in m):
+    if any(len(row) != n for row in matrix):
         raise NullspaceError("matrix must be square")
+    if left:
+        matrix = [[matrix[i][j] for i in range(n)] for j in range(n)]
+    m: List[List[Expr]] = [[simplify(e) for e in row] for row in matrix]
     pivots = []          # (row, col)
     pivot_rows = set()
     free_cols = []
@@ -75,62 +86,63 @@ def kernel_vector(matrix: Sequence[Sequence[Expr]], prober: Prober,
             free_cols.append(col)
             continue
         p = chosen
-        pv = m[p][col]
+        pv, prow = m[p][col], m[p]
         for r in range(n):
-            if r == p:
-                continue
             e = m[r][col]
-            if prober.verdict(e).proven_zero:
+            if r == p or e == ZERO or prober.verdict(e).proven_zero:
                 continue
-            m[r] = [simplify(Mul((pv, m[r][k])) - Mul((e, m[p][k])))
-                    for k in range(n)]
+            m[r] = [ZERO if x == ZERO and y == ZERO
+                    else simplify(Mul((pv, x)) - Mul((e, y)))
+                    for x, y in zip(m[r], prow)]
             m[r][col] = ZERO  # exact by construction; mask any residue
         pivots.append((p, col))
         pivot_rows.add(p)
-    if basis_index >= len(free_cols):
-        return None
-    fc = free_cols[basis_index]
-    v: List[Expr] = [ZERO] * n
+    return (_basis_vector(matrix, m, pivots, free_cols, fc, prober)
+            for fc in free_cols)
+
+
+def _basis_vector(matrix, m, pivots, free_cols, fc, prober) -> tuple:
+    v: List[Expr] = [ZERO] * len(m)
     v[fc] = Const(Fraction(1))
     for p, col in reversed(pivots):
         # pivot columns hold a single nonzero entry, so only free columns
         # feed the numerator
         num = [Mul((m[p][k], v[k])) for k in free_cols
                if m[p][k] != ZERO and v[k] != ZERO]
-        if not num:
-            v[col] = ZERO
-            continue
-        total = num[0] if len(num) == 1 else _sum(num)
-        v[col] = simplify(Mul((Neg(total), Pow(m[p][col], -1))))
-    vec = tuple(v)
-    verify_nullvector(matrix, vec, prober, left=False, strict=True)
-    return vec
+        if num:
+            v[col] = simplify(Mul((Neg(_sum(num)), Pow(m[p][col], -1))))
+    verify_nullvector(matrix, v, prober, strict=True)
+    return tuple(v)
+
+
+def kernel_vector(matrix: Sequence[Sequence[Expr]], prober: Prober,
+                  basis_index: int = 0) -> Optional[tuple]:
+    """basis_index-th vector of kernel_basis, or None when the kernel has
+    no that-many dimensions."""
+    return next(islice(kernel_basis(matrix, prober), basis_index, None), None)
+
+
+def cokernel_vector(matrix: Sequence[Sequence[Expr]], prober: Prober,
+                    basis_index: int = 0) -> Optional[tuple]:
+    return next(islice(kernel_basis(matrix, prober, left=True), basis_index,
+                       None), None)
 
 
 def _sum(terms):
     return terms[0] if len(terms) == 1 else Add(tuple(terms))
 
 
-def cokernel_vector(matrix: Sequence[Sequence[Expr]], prober: Prober,
-                    basis_index: int = 0) -> Optional[tuple]:
-    n = len(matrix)
-    transpose = [[matrix[i][j] for i in range(n)] for j in range(n)]
-    return kernel_vector(transpose, prober, basis_index)
-
-
 def verify_nullvector(matrix, vec, prober: Prober, left: bool = False,
                       strict: bool = False) -> bool:
     """vec must not be all zeros and the residual must zero-test clean.
+    Each residual entry sums only the products of two non-ZERO factors.
     With strict=True a failure raises instead of returning False."""
-    n = len(matrix)
-    ok = any(prober.verdict(e).proven_nonzero for e in vec)
+    ok = any(e != ZERO and prober.verdict(e).proven_nonzero for e in vec)
     if ok:
-        for i in range(n):
-            if left:
-                dot = _sum([Mul((vec[k], matrix[k][i])) for k in range(n)])
-            else:
-                dot = _sum([Mul((matrix[i][k], vec[k])) for k in range(n)])
-            if prober.verdict(dot).proven_nonzero:
+        for row in (zip(*matrix) if left else matrix):
+            terms = [Mul((a, x)) for a, x in zip(row, vec)
+                     if a != ZERO and x != ZERO]
+            if terms and prober.verdict(_sum(terms)).proven_nonzero:
                 ok = False
                 break
     if not ok and strict:
@@ -143,22 +155,16 @@ def constant_mask(vec) -> tuple:
     return tuple(isinstance(e, Const) and e.value != 0 for e in vec)
 
 
-def _denominator_bases(e: Expr):
-    out = []
-    for node in walk(simplify(e)):
-        if isinstance(node, Pow) and node.exponent < 0:
-            out.append(node.base)
-    return out
-
-
 def normalize_candidates(vec, matrix, prober: Prober,
                          left: bool = False) -> list:
-    """Orderly list of rescalings of a null vector.
+    """Orderly list of rescalings of a verified null vector.
 
     The original, then the vector divided by each proven-nonzero entry
-    (constant 1 excepted), then a cleared-denominator form.  Duplicates drop,
-    every survivor is re-verified against the matrix, and candidates with
-    more constant entries sort first (stable, so the original leads ties)."""
+    (constant 1 excepted), then a cleared-denominator form.  A rescaling by
+    a proven-nonzero scalar is a null vector too, so only a cleared form
+    whose multiplier is not proven nonzero is verified against the matrix.
+    Duplicates drop, and candidates with more constant entries sort first
+    (stable, so the original leads ties)."""
     base = tuple(simplify(e) for e in vec)
     cands = [base]
     for e in base:
@@ -168,23 +174,14 @@ def normalize_candidates(vec, matrix, prober: Prober,
             inv = Pow(e, -1) if not isinstance(e, Const) \
                 else Const(Fraction(1) / e.value)
             cands.append(tuple(simplify(Mul((x, inv))) for x in base))
-    bases = []
-    seen_b = set()
-    for e in base:
-        for b in _denominator_bases(e):
-            if b not in seen_b:
-                seen_b.add(b)
-                bases.append(b)
+    bases = list(dict.fromkeys(node.base for e in base for node in walk(e)
+                               if isinstance(node, Pow) and node.exponent < 0))
     if bases:
         clear = bases[0] if len(bases) == 1 else Mul(tuple(bases))
-        cands.append(tuple(simplify(Mul((x, clear))) for x in base))
-    out = []
-    seen = set()
-    for c in cands:
-        if c in seen:
-            continue
-        seen.add(c)
-        if verify_nullvector(matrix, c, prober, left=left):
-            out.append(c)
+        cleared = tuple(simplify(Mul((x, clear))) for x in base)
+        if prober.verdict(clear).proven_nonzero or verify_nullvector(
+                matrix, cleared, prober, left=left):
+            cands.append(cleared)
+    out = list(dict.fromkeys(cands))
     out.sort(key=lambda c: -sum(1 for f in constant_mask(c) if f))
     return out

@@ -2,17 +2,21 @@
 
 test_convert and test_acceptance both draw on these: random expression and
 system generators, the derivative-shift identity, the combination recovery
-identity, and the block-structure check for substitution rewrites; and
-the pendulum chain that test_structural and test_jacobian grow to size n.
+identity, and the block-structure check for substitution rewrites; the
+pendulum chain that test_structural and test_jacobian grow to size n, and
+the Brenan blocks that test_convert and test_cli grow; and the dense
+elimination and rank references that test_nullspace and test_jacobian
+hold the sparse ones to.
 """
 
 from fractions import Fraction
 
 from daefix.expr import (NEG_INF, ZERO, Add, Const, DomainError, DrivingFn,
-                         Func, Mul, Neg, Pow, StateDeriv, TimeVar, hod,
+                         Func, Mul, Neg, Param, Pow, StateDeriv, TimeVar, hod,
                          partial, simplify, total_derivative)
 from daefix.model import (DaeSystem, append_equation_and_variable,
                           fresh_indexed, make_equation)
+from daefix.nullspace import EliminationStuck
 from daefix.structural import signature_matrix
 
 _FUNCS = ("sin", "cos", "exp")
@@ -28,6 +32,19 @@ def pendulum_chain(n):
            for i in range(1, n)]
     return "dae chain\nvars %s, lam\n%s\neq g: %s - 1 = 0\n" % (
         ", ".join(xs), "\n".join(eqs), " + ".join(x + "^2" for x in xs))
+
+
+def brenan_blocks(k):
+    """k decoupled copies of the Brenan system: 2k equations, value k,
+    one combination step per block."""
+    eqs, xs, hs = [], [], []
+    for b in range(1, k + 1):
+        xs += ["x%d" % b, "y%d" % b]
+        hs += ["h%d" % (2 * b - 1), "h%d" % (2 * b)]
+        eqs += ["eq a%d: x%d' + t*y%d' - h%d(t) = 0" % (b, b, b, 2 * b - 1),
+                "eq b%d: x%d + t*y%d - h%d(t) = 0" % (b, b, b, 2 * b)]
+    return "dae brenan_x%d\nvars %s\ninput %s\n%s\n" % (
+        k, ", ".join(xs), ", ".join(hs), "\n".join(eqs))
 
 
 def rand_expr(rng, depth=3):
@@ -193,3 +210,157 @@ def assert_es_block_structure(before: DaeSystem, app):
                     assert s <= lim, (i, j)
             else:
                 assert s == (0 if j == i else NEG_INF), (i, j)
+
+
+# ---------------------------------------------------------------------------
+# dense references for the sparse elimination and rank probe
+
+# a hidden zero: the normal form keeps it apart, every probe reads 0
+HIDDEN_ZERO = simplify(Func("sin", 2 * Param("a"))
+                       - 2 * Func("sin", Param("a")) * Func("cos", Param("a")))
+_ENTRY_ATOMS = (StateDeriv(0, 0), StateDeriv(1, 1), TimeVar(), Param("a"))
+
+
+def rand_sparse_matrix(rng, n, density):
+    """n x n: each entry nonzero with probability density.  Two of them
+    (one above n = 4) are symbolic: an atom, its reciprocal, a multiple of
+    it, or, up to n = 4, a sum of two atoms; the rest are small constants,
+    which keeps fraction-free elimination small.  A scaled copy of another
+    row now and then gives kernels of several dimensions.  Zeros are the
+    ZERO constant, as in a System Jacobian."""
+    def symbolic_entry():
+        a = rng.choice(_ENTRY_ATOMS)
+        k = rng.randrange(4 if n <= 4 else 3)
+        if k == 0:
+            return a
+        if k == 1:
+            return Pow(a, -1)
+        if k == 2:
+            return Mul((Const(rng.choice((-2, 3))), a))
+        return Add((a, rng.choice(_ENTRY_ATOMS + (Const(1),))))
+    cells = [(i, j) for i in range(n) for j in range(n)
+             if rng.random() < density]
+    marked = set(rng.sample(cells, min(2 if n <= 4 else 1, len(cells))))
+    rows = [[ZERO] * n for _ in range(n)]
+    for i, j in cells:
+        rows[i][j] = simplify(symbolic_entry() if (i, j) in marked
+                              else Const(rng.choice((-1, 1, 2))))
+    if n > 1 and rng.random() < 0.5:
+        src, dst = rng.sample(range(n), 2)
+        rows[dst] = [simplify(Mul((Const(-2), e))) for e in rows[src]]
+    return rows
+
+
+def _dense_pivot_choice(entries, prober):
+    const_rows = []
+    expr_rows = []
+    saw_probable = None
+    for r, e in entries:
+        v = prober.verdict(e)
+        if v.proven_nonzero:
+            if isinstance(e, Const):
+                const_rows.append(r)
+            else:
+                expr_rows.append(r)
+        elif v.probably_zero and saw_probable is None:
+            saw_probable = e
+    if const_rows:
+        return const_rows[0], "pivot"
+    if expr_rows:
+        return expr_rows[0], "pivot"
+    if saw_probable is not None:
+        return saw_probable, "stuck"
+    return None, "free"
+
+
+def dense_kernel_vector(matrix, prober, basis_index=0):
+    """The elimination as it stood before it skipped structural zeros: one
+    full fraction-free Gauss-Jordan over every entry per basis index."""
+    n = len(matrix)
+    m = [[simplify(e) for e in row] for row in matrix]
+    pivots = []
+    pivot_rows = set()
+    free_cols = []
+    for col in range(n):
+        cands = [(r, m[r][col]) for r in range(n) if r not in pivot_rows]
+        chosen, kind = _dense_pivot_choice(cands, prober)
+        if kind == "stuck":
+            raise EliminationStuck(col, chosen)
+        if kind == "free":
+            free_cols.append(col)
+            continue
+        p = chosen
+        pv = m[p][col]
+        for r in range(n):
+            if r == p:
+                continue
+            e = m[r][col]
+            if prober.verdict(e).proven_zero:
+                continue
+            m[r] = [simplify(Mul((pv, m[r][k])) - Mul((e, m[p][k])))
+                    for k in range(n)]
+            m[r][col] = ZERO
+        pivots.append((p, col))
+        pivot_rows.add(p)
+    if basis_index >= len(free_cols):
+        return None
+    fc = free_cols[basis_index]
+    v = [ZERO] * n
+    v[fc] = Const(Fraction(1))
+    for p, col in reversed(pivots):
+        num = [Mul((m[p][k], v[k])) for k in free_cols
+               if m[p][k] != ZERO and v[k] != ZERO]
+        if not num:
+            v[col] = ZERO
+            continue
+        total = num[0] if len(num) == 1 else Add(tuple(num))
+        v[col] = simplify(Mul((Neg(total), Pow(m[p][col], -1))))
+    vec = tuple(v)
+    if not dense_verify_nullvector(matrix, vec, prober):
+        raise AssertionError("dense reference vector fails verification")
+    return vec
+
+
+def dense_verify_nullvector(matrix, vec, prober, left=False):
+    """The residual check over every product, ZERO factors included."""
+    n = len(matrix)
+    if not any(prober.verdict(e).proven_nonzero for e in vec):
+        return False
+    for i in range(n):
+        if left:
+            terms = [Mul((vec[k], matrix[k][i])) for k in range(n)]
+        else:
+            terms = [Mul((matrix[i][k], vec[k])) for k in range(n)]
+        dot = terms[0] if n == 1 else Add(tuple(terms))
+        if prober.verdict(dot).proven_nonzero:
+            return False
+    return True
+
+
+def dense_fraction_rank(rows):
+    """Row-echelon rank over every entry of a rectangular Fraction matrix."""
+    m = [row[:] for row in rows]
+    n_rows = len(m)
+    n_cols = len(m[0]) if m else 0
+    rank = 0
+    r = 0
+    for c in range(n_cols):
+        pivot = None
+        for i in range(r, n_rows):
+            if m[i][c] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        pv = m[r][c]
+        for i in range(r + 1, n_rows):
+            if m[i][c]:
+                f = m[i][c] / pv
+                for jj in range(c, n_cols):
+                    m[i][jj] -= f * m[r][jj]
+        r += 1
+        rank += 1
+        if r == n_rows:
+            break
+    return rank

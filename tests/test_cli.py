@@ -9,6 +9,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import checks
 from daefix import corpus
 from daefix.cli import main
 from daefix.dsl import parse_dae
@@ -398,10 +399,10 @@ def test_fix_analyses_each_system_once(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
-def _timed_analyze(tmp_path, text):
+def _timed_analyze(tmp_path, text, command="analyze"):
     out_path = tmp_path / "report.json"
     start = time.perf_counter()
-    rc = main(["analyze", write_dae(tmp_path, text), "--json", str(out_path)])
+    rc = main([command, write_dae(tmp_path, text), "--json", str(out_path)])
     return rc, time.perf_counter() - start, json.loads(out_path.read_text())
 
 
@@ -424,5 +425,16 @@ def test_analyze_collapsed_power_is_fast(tmp_path, capsys):
     assert doc["offsets"] == {"c": [0, 0], "d": [1, 1]}
     assert doc["structural_index"] == 0
     assert doc["classification"] == "GenericallyNonsingular"
+    assert took < 5.0
+    capsys.readouterr()
+
+
+def test_fix_brenan_x32_is_fast(tmp_path, capsys):
+    # 32 steps on a 64 x 64 Jacobian of 2 x 2 blocks: one cokernel
+    # elimination per step that passes over the structural zeros
+    rc, took, doc = _timed_analyze(tmp_path, checks.brenan_blocks(32), "fix")
+    assert rc in (0, 4)
+    assert doc["status"] == "success"
+    assert (doc["initial_value"], doc["final_value"]) == (32, 0)
     assert took < 5.0
     capsys.readouterr()

@@ -492,3 +492,33 @@ eq f2: x + t*y + sqrt(t) - h2(t) = 0
     cut = Prober()
     assert 0 < lc_equivalence_probes(s, app, cut, points=20) < 20
     assert cut.uncertain_seen
+
+
+def test_one_elimination_per_side_and_two_verifications_per_step(
+        monkeypatch):
+    import daefix.convert
+    import daefix.nullspace
+    eliminations = []
+    verifications = []
+    original_basis = daefix.convert.kernel_basis
+    original_verify = daefix.nullspace.verify_nullvector
+
+    def counted_basis(*args, **kwargs):
+        eliminations.append(kwargs.get("left", False))
+        return original_basis(*args, **kwargs)
+
+    def counted_verify(*args, **kwargs):
+        verifications.append(args[1])
+        return original_verify(*args, **kwargs)
+
+    monkeypatch.setattr(daefix.convert, "kernel_basis", counted_basis)
+    for mod in (daefix.convert, daefix.nullspace):
+        monkeypatch.setattr(mod, "verify_nullvector", counted_verify)
+    report = fix_dae(parse_dae(checks.brenan_blocks(8)), Prober())
+    assert report.status is FixStatus.SUCCESS
+    steps = len(report.steps)
+    assert steps == 8
+    # every step combines with a constant cokernel row: the kernel side is
+    # never eliminated, and the one cokernel vector is verified once
+    assert eliminations == [True] * steps
+    assert len(verifications) <= 2 * steps

@@ -53,15 +53,16 @@ def test_fix_chooses_constant_combination_without_kernel(tmp_path, capsys,
     # every Brenan step has a constant cokernel row, which wins outright
     import daefix.convert
     calls = []
-    original = daefix.convert.kernel_vector
+    original = daefix.convert.kernel_basis
 
     def counted(*args, **kwargs):
-        calls.append(args)
+        calls.append(kwargs.get("left", False))
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(daefix.convert, "kernel_vector", counted)
+    monkeypatch.setattr(daefix.convert, "kernel_basis", counted)
     rc, doc = run_case("fix", "brenan_x4", tmp_path)
-    assert calls == []
+    # one cokernel elimination per step, no kernel elimination
+    assert calls == [True] * 4
     assert rc == json.loads((GOLDEN / "exits.json").read_text())[
         "brenan_x4.fix"]
     assert capsys.readouterr().out == (GOLDEN / "brenan_x4.fix.out").read_text()

@@ -4,15 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from checks import pendulum_chain
+from checks import dense_fraction_rank, pendulum_chain
 from daefix.dsl import parse_dae
 from daefix.expr import (
     Add, Const, Func, Mul, Neg, Param, Pow, StateDeriv, TimeVar, ZERO,
     hod, partial, simplify, total_derivative,
 )
 from daefix.jacobian import (
-    DET_BOUND, JacobianClass, SizeExceeded, classify_jacobian, determinant,
-    system_jacobian,
+    DET_BOUND, JacobianClass, SizeExceeded, _fraction_rank, classify_jacobian,
+    determinant, system_jacobian,
 )
 from daefix.structural import (
     OffsetPair, canonical_offsets, signature_matrix, validate_offsets,
@@ -272,3 +272,24 @@ def test_classify_zero_tests_only_nonzero_entries():
     nonzero = sum(e != ZERO for row in J for e in row)
     assert 0 < nonzero < n * n // 8
     assert len(calls) <= nonzero + 1
+
+
+def test_fraction_rank_matches_dense_reference():
+    rng = random.Random(73)
+    ranks = set()
+    for _ in range(600):
+        n_rows, n_cols = rng.randint(1, 8), rng.randint(1, 8)
+        density = rng.uniform(0.2, 0.8)
+        rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                 if rng.random() < density else Fraction(0)
+                 for _ in range(n_cols)] for _ in range(n_rows)]
+        if n_rows > 1 and rng.random() < 0.5:
+            # a combination of two rows makes the rank fall short
+            a, b, dst = (rng.randrange(n_rows) for _ in range(3))
+            rows[dst] = [x + 2 * y for x, y in zip(rows[a], rows[b])]
+        before = [row[:] for row in rows]
+        rank = _fraction_rank(rows)
+        assert rank == dense_fraction_rank(rows)
+        assert rows == before
+        ranks.add((rank == min(n_rows, n_cols), rank))
+    assert {r for full, r in ranks if not full} >= {0, 1, 2, 3}

@@ -3,14 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+import checks
 from daefix.dsl import parse_dae
 from daefix.expr import (
-    Const, Func, Param, Pow, StateDeriv, TimeVar, ZERO, simplify,
+    Const, Func, Param, Pow, StateDeriv, TimeVar, ZERO, simplify, walk,
 )
 from daefix.jacobian import system_jacobian
 from daefix.nullspace import (
     EliminationStuck, NullspaceError, cokernel_vector, constant_mask,
-    kernel_vector, normalize_candidates, verify_nullvector,
+    kernel_basis, kernel_vector, normalize_candidates, verify_nullvector,
 )
 from daefix.structural import canonical_offsets, signature_matrix
 from daefix.zerotest import Prober
@@ -213,3 +214,94 @@ def test_normalize_skips_unit_entry_rescale():
     assert (Const(Fraction(1, 2)), Const(Fraction(1))) in cands
     # rescaling by the literal 1 would duplicate the original
     assert len([c for c in cands if c == v]) == 1
+
+
+def _basis_or_stuck(vectors):
+    """The list of vectors an iterator gives, or ("stuck", column)."""
+    try:
+        return list(vectors())
+    except EliminationStuck as e:
+        return ("stuck", e.col)
+
+
+def _dense_basis(matrix, prober):
+    """The dense reference at every basis index until it returns None."""
+    def vectors():
+        found = []
+        while (v := checks.dense_kernel_vector(matrix, prober,
+                                               len(found))) is not None:
+            found.append(v)
+        return found
+    return _basis_or_stuck(vectors)
+
+
+def test_kernel_basis_matches_dense_reference():
+    # n = randint(1, randint(1, 8)) favours small matrices: fraction-free
+    # elimination grows the entries, and n = 8 costs ten times n = 4
+    rng = random.Random(61)
+    seen = {"stuck": 0, "dims": set()}
+    for case in range(500):
+        n = rng.randint(1, rng.randint(1, 8))
+        m = checks.rand_sparse_matrix(rng, n, rng.uniform(0.2, 0.8))
+        if case % 25 == 0:
+            m[rng.randrange(n)][rng.randrange(n)] = checks.HIDDEN_ZERO
+        p = Prober()
+        for left in (False, True):
+            # one prober, so verdicts are shared; the flag is compared
+            p.uncertain_seen = False
+            got = _basis_or_stuck(lambda: kernel_basis(m, p, left=left))
+            sparse_uncertain, p.uncertain_seen = p.uncertain_seen, False
+            ref = _dense_basis([list(r) for r in zip(*m)] if left else m, p)
+            assert got == ref, (case, left)
+            assert sparse_uncertain == p.uncertain_seen, (case, left)
+            if isinstance(got, tuple):
+                seen["stuck"] += 1
+            else:
+                seen["dims"].add(len(got))
+    # the draw reaches stuck columns and kernels of several dimensions
+    assert seen["stuck"] >= 10
+    assert {0, 1, 2, 3} <= seen["dims"]
+
+
+def test_kernel_vector_wraps_kernel_basis():
+    rng = random.Random(67)
+    for _ in range(40):
+        m = checks.rand_sparse_matrix(rng, rng.randint(1, 5), 0.5)
+        p = Prober()
+        for left, wrapper in ((False, kernel_vector), (True, cokernel_vector)):
+            basis = list(kernel_basis(m, p, left=left))
+            for i in range(len(basis) + 1):
+                want = basis[i] if i < len(basis) else None
+                assert wrapper(m, p, basis_index=i) == want
+
+
+def jac_of(system):
+    sig = signature_matrix(system)
+    return system_jacobian(system, sig, canonical_offsets(sig))
+
+
+def test_normalize_candidates_are_null_vectors():
+    # stands in for the re-verification normalize_candidates no longer runs
+    rng = random.Random(71)
+    p = Prober()
+    checked = cleared = 0
+    for case in range(80):
+        if case % 2:
+            system = checks.singular_linear_system(rng, str(case))
+            J = jac_of(system)
+        else:
+            J = checks.rand_sparse_matrix(rng, rng.randint(2, 5),
+                                          rng.uniform(0.3, 0.8))
+        for left in (False, True):
+            try:
+                basis = list(kernel_basis(J, p, left=left))
+            except EliminationStuck:
+                continue
+            for vec in basis:
+                cleared += any(isinstance(e, Pow) and e.exponent < 0
+                               for x in vec for e in walk(x))
+                for cand in normalize_candidates(vec, J, p, left=left):
+                    assert verify_nullvector(J, cand, p, left=left), case
+                    checked += 1
+    # the draw reaches cleared-denominator forms
+    assert checked >= 150 and cleared >= 5
