@@ -17,14 +17,15 @@ import sys
 from .convert import (ConditionRejected, ConvertError, FixStatus, MethodKind,
                       PivotRejected, VectorRejected, fix_dae)
 from .dsl import ParseError, emit_dae, parse_dae, parse_expr
-from .expr import NEG_INF, ZERO, Add, Mul, format_expr, simplify
+from .expr import NEG_INF, ZERO, DomainError, format_expr, simplify
 from .jacobian import JacobianClass, classify_jacobian, system_jacobian
 from .model import ModelError
+from .nullspace import residual
 from .render import (CLASS_LABELS, render_equations, render_jacobian,
                      render_scheme, render_sigma, render_step)
 from .structural import (canonical_offsets, degrees_of_freedom,
                          signature_matrix, solution_scheme, structural_index)
-from .zerotest import Prober
+from .zerotest import DEFAULT_BUDGET, DEFAULT_SEED, Prober
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -66,9 +67,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--mode", choices=("true", "formal"), default="true",
                         help="signature source: simplified (true) or "
                              "as-written (formal) equations")
-    common.add_argument("--probe-budget", type=_at_least(1), default=8,
+    common.add_argument("--probe-budget", type=_at_least(1),
+                        default=DEFAULT_BUDGET,
                         metavar="N", help="probe points per zero test")
-    common.add_argument("--seed", default="daefix",
+    common.add_argument("--seed", default=DEFAULT_SEED,
                         help="seed for the zero-test probes")
     common.add_argument("--json", metavar="OUT", dest="json_path",
                         help="write a machine-readable report")
@@ -408,21 +410,19 @@ def _parse_vector(text, system):
         body = body[1:-1]
     pieces = [p for p in _split_top_level(body) if p]
     if not pieces:
-        raise ParseError("empty vector")
-    return [parse_expr(p, system) for p in pieces]
+        raise ParseError("empty vector", 1, 1)
+    try:
+        return [simplify(parse_expr(p, system)) for p in pieces]
+    except DomainError as err:
+        raise ParseError(str(err), 1, 1) from err
 
 
 def _show_residual(system, J, vec, left):
-    n = system.n
-    for k in range(n):
-        if left:
-            terms = [Mul((vec[i], J[i][k])) for i in range(n)]
-        else:
-            terms = [Mul((J[k][j], vec[j])) for j in range(n)]
-        r = simplify(terms[0] if len(terms) == 1 else Add(tuple(terms)))
+    for k, r in enumerate(residual(J, vec, left), 1):
+        r = ZERO if r is None else simplify(r)
         if r != ZERO:
             print("  residual[%d] = %s"
-                  % (k + 1, format_expr(r, system.var_names)),
+                  % (k, format_expr(r, system.var_names)),
                   file=sys.stderr)
 
 
@@ -438,7 +438,7 @@ def cmd_trace(args) -> int:
     except VectorRejected as ex:
         print("vector rejected: %s" % ex, file=sys.stderr)
         if ex.jacobian is not None:
-            _show_residual(system, ex.jacobian, [simplify(e) for e in vec],
+            _show_residual(system, ex.jacobian, vec,
                            left=args.method == "lc")
         return EXIT_USAGE
     _print_fix(system, report)

@@ -100,7 +100,7 @@ def lc_analyze(system: DaeSystem, off: OffsetPair, u, prober: Prober) -> LcAnaly
     ok = True
     n = len(system.var_names)
     for j in range(n):
-        ho = max(hod(u[i], j, presimplify=False) for i in rows)
+        ho = max(hod(u[i], j) for i in rows)
         if not ho < off.d[j] - c_under:
             ok = False
             break
@@ -136,7 +136,7 @@ def lc_apply(system: DaeSystem, analysis: LcAnalysis, pivot: int) -> LcApplicati
                            alias=old.alias)
     # the leading derivatives must have cancelled
     for j in range(system.n):
-        if not hod(new_eq.expr, j, presimplify=False) < off.d[j] - analysis.c_under:
+        if not hod(new_eq.expr, j) < off.d[j] - analysis.c_under:
             raise ConvertError("combination kept a leading derivative of %s"
                                % system.var_names[j])
     eqs = list(system.equations)
@@ -212,7 +212,7 @@ def es_analyze(system: DaeSystem, sig, off: OffsetPair, v,
     c_over = max(off.c[i] for i in rows)
     ok = True
     for j in range(system.n):
-        ho = max(hod(v[k], j, presimplify=False) for k in cols)
+        ho = max(hod(v[k], j) for k in cols)
         lim = off.d[j] - c_over
         if j in cols and not (ho < lim and lim >= 0):
             ok = False
@@ -473,10 +473,6 @@ class FixReport:
     jacobian: object      # final JacobianReport, None when ill-posed
 
     @property
-    def ok(self) -> bool:
-        return self.status is FixStatus.SUCCESS
-
-    @property
     def initial_value(self):
         """None when the input itself is ill posed."""
         sig = self.initial_signature
@@ -574,41 +570,31 @@ def _forced_candidate(system, sig, off, J, vector, pivot, method, prober):
         raise VectorRejected("vector is not a %s null vector of the "
                              "System Jacobian" % ("left" if left else "right"),
                              J)
-    if method == "lc":
+    if left:
         analysis = lc_analyze(system, off, vec, prober)
         if not analysis.condition_ok or not analysis.candidates:
             raise ConditionRejected("combination order condition fails")
-        if pivot is None:
-            pick = min(analysis.const_rows) if analysis.const_rows \
-                else min(analysis.candidates)
-        else:
-            pick = pivot
-        return MethodKind.LC, analysis, pick
-    analysis = es_analyze(system, sig, off, vec, prober)
-    if not analysis.usable:
-        raise ConditionRejected("substitution order condition fails")
-    if pivot is None:
-        if analysis.const_cols:
-            pick = min(analysis.const_cols)
-        else:
-            pick = next((j for j in analysis.cols
-                         if prober.verdict(analysis.v[j]).proven_nonzero), None)
-            if pick is None:
-                raise PivotRejected("no entry of the vector is proven nonzero")
+        pair = (analysis, None)
     else:
-        pick = pivot
-    return MethodKind.ES, analysis, pick
+        analysis = es_analyze(system, sig, off, vec, prober)
+        if not analysis.usable:
+            raise ConditionRejected("substitution order condition fails")
+        pair = (None, analysis)
+    if pivot is None:
+        choice = choose_method(*pair, prober)
+        if choice.kind is MethodKind.NEITHER:
+            raise PivotRejected("no entry of the vector is proven nonzero")
+        pivot = choice.pivot
+    return (MethodKind.LC if left else MethodKind.ES), analysis, pivot
 
 
 def _search_candidates(system, sig, off, J, method, prober):
-    stuck = False
-
     def basis(left, wanted):
-        nonlocal stuck
+        # a stuck elimination met a PROBABLY_ZERO verdict, which already
+        # marked the prober uncertain
         try:
             return kernel_basis(J, prober, left=left) if wanted else iter(())
         except EliminationStuck:
-            stuck = True
             return iter(())
     lefts, rights = basis(True, method != "es"), None
     for _ in range(_MAX_BASIS):
@@ -633,6 +619,4 @@ def _search_candidates(system, sig, off, J, method, prober):
                 return MethodKind.LC, lc, choice.pivot
             if choice.kind is MethodKind.ES:
                 return MethodKind.ES, es, choice.pivot
-    if stuck:
-        prober.uncertain_seen = True
     return None

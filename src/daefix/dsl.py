@@ -20,8 +20,8 @@ from fractions import Fraction
 from typing import List, Optional
 
 from .expr import (
-    FUNCS, Add, Const, DrivingFn, Expr, Func, Mul, Neg, Param, Pow,
-    StateDeriv, TimeVar, format_expr, total_derivative,
+    FUNCS, Add, Const, DomainError, DrivingFn, Expr, Func, Mul, Neg, Param,
+    Pow, StateDeriv, TimeVar, format_expr, total_derivative,
 )
 from .model import RESERVED, DaeSystem, ModelError, make_equation
 
@@ -334,7 +334,10 @@ def parse_dae(text: str) -> DaeSystem:
                 raw = lhs
             else:
                 raw = Add((lhs, Neg(rhs)))
-            equations.append(make_equation(eq_name, raw))
+            try:
+                equations.append(make_equation(eq_name, raw))
+            except DomainError as err:
+                raise ParseError(str(err), line_no, toks[2].col) from err
             continue
         raise ParseError("unknown directive %r" % head, line_no, 1)
     if sys_name is None:

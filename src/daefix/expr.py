@@ -241,15 +241,9 @@ def atoms(e: Expr) -> frozenset:
     return r
 
 
-def hod(e: Expr, index: int, presimplify: bool = True):
-    """Highest derivative order of state `index` in e; NEG_INF when absent.
-
-    With presimplify=True the tree is brought to normal form first, so
-    occurrences that cancel symbolically do not count.  presimplify=False
-    reads the tree as written (formal signature).
-    """
-    if presimplify:
-        e = simplify(e)
+def hod(e: Expr, index: int):
+    """Highest derivative order of state `index` in e as written (the formal
+    signature entry); NEG_INF when absent.  Pass simplify(e) for the true one."""
     best = NEG_INF
     for n in walk(e):
         if isinstance(n, StateDeriv) and n.index == index and n.order > best:
@@ -345,26 +339,31 @@ def _poly(e: Expr) -> dict:
 def _func_poly(name: str, arg: Expr) -> dict:
     """Poly for name(arg), arg already canonical; folds exact constant cases."""
     if isinstance(arg, Const):
-        v = arg.value
-        if name == "sin" and v == 0:
-            return {}
-        if name == "cos" and v == 0:
-            return {(): Fraction(1)}
-        if name == "exp" and v == 0:
-            return {(): Fraction(1)}
-        if name == "ln":
-            if v <= 0:
-                raise DomainError("ln of nonpositive constant %s" % v)
-            if v == 1:
-                return {}
-        if name == "sqrt":
-            if v < 0:
-                raise DomainError("sqrt of negative constant %s" % v)
-            rn = math.isqrt(v.numerator)
-            rd = math.isqrt(v.denominator)
-            if rn * rn == v.numerator and rd * rd == v.denominator:
-                return {(): Fraction(rn, rd)} if rn else {}
+        r = _exact_func(name, arg.value)
+        if r is not None:
+            return {(): r} if r else {}
     return {((Func(name, arg), 1),): Fraction(1)}
+
+
+def _exact_func(name: str, v: Fraction) -> Optional[Fraction]:
+    """name(v) when the table knows it is rational, else None: sin 0 = 0,
+    cos 0 = exp 0 = 1, ln 1 = 0, and the square root of a rational square.
+    DomainError for ln of v <= 0 and sqrt of v < 0."""
+    if name == "ln":
+        if v <= 0:
+            raise DomainError("ln of nonpositive value %s" % v)
+        return Fraction(0) if v == 1 else None
+    if name == "sqrt":
+        if v < 0:
+            raise DomainError("sqrt of negative value %s" % v)
+        rn = math.isqrt(v.numerator)
+        rd = math.isqrt(v.denominator)
+        if rn * rn == v.numerator and rd * rd == v.denominator:
+            return Fraction(rn, rd)
+        return None
+    if v == 0:  # sin, cos, exp
+        return Fraction(0 if name == "sin" else 1)
+    return None
 
 
 def _collapse(p: dict) -> dict:
@@ -650,27 +649,9 @@ def evaluate_ex(e: Expr, b: Mapping[Expr, Fraction]):
         return v ** e.exponent, ex
     if isinstance(e, Func):
         v, ex = evaluate_ex(e.arg, b)
-        if e.name == "sin":
-            if v == 0:
-                return Fraction(0), ex
-        elif e.name == "cos":
-            if v == 0:
-                return Fraction(1), ex
-        elif e.name == "exp":
-            if v == 0:
-                return Fraction(1), ex
-        elif e.name == "ln":
-            if v <= 0:
-                raise DomainError("ln of nonpositive value %s" % v)
-            if v == 1:
-                return Fraction(0), ex
-        else:  # sqrt
-            if v < 0:
-                raise DomainError("sqrt of negative value %s" % v)
-            rn = math.isqrt(v.numerator)
-            rd = math.isqrt(v.denominator)
-            if rn * rn == v.numerator and rd * rd == v.denominator:
-                return Fraction(rn, rd), ex
+        r = _exact_func(e.name, v)
+        if r is not None:
+            return r, ex
         return _mp_call(e.name, v), False
     raise TypeError("not an Expr: %r" % (e,))
 

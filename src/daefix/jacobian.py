@@ -25,10 +25,6 @@ DET_BOUND = 8
 _RANK_POINTS = 3
 
 
-class SizeExceeded(Exception):
-    """Symbolic determinant expansion was declined; matrix too large."""
-
-
 def system_jacobian(system: DaeSystem, sig: SignatureMatrix,
                     off: OffsetPair) -> tuple:
     n = system.n
@@ -46,11 +42,9 @@ def system_jacobian(system: DaeSystem, sig: SignatureMatrix,
     return tuple(out)
 
 
-def determinant(matrix: Sequence[Sequence[Expr]], bound: int = DET_BOUND) -> Expr:
+def determinant(matrix: Sequence[Sequence[Expr]]) -> Expr:
     """Exact determinant by memoized cofactor expansion (division-free)."""
     n = len(matrix)
-    if n > bound:
-        raise SizeExceeded(n)
     if n == 0:
         return Const(Fraction(1))
     memo: dict = {}
@@ -99,18 +93,14 @@ class JacobianReport:
     def singular(self) -> bool:
         return self.klass is not JacobianClass.GENERICALLY_NONSINGULAR
 
-    @property
-    def uncertain(self) -> bool:
-        return self.klass is JacobianClass.PROBABLY_SINGULAR
 
-
-def classify_jacobian(matrix: Sequence[Sequence[Expr]], prober: Prober,
-                      bound: int = DET_BOUND) -> JacobianReport:
+def classify_jacobian(matrix: Sequence[Sequence[Expr]],
+                      prober: Prober) -> JacobianReport:
     """Sort the matrix into one of four kinds.
 
     Structural singularity is decided first: if the not-provenly-zero
     positions admit no transversal, every determinant term dies.  Otherwise
-    the determinant is expanded and zero-tested; above the size bound three
+    the determinant is expanded and zero-tested; above DET_BOUND rows three
     rational rank probes stand in for it.
     """
     matrix = tuple(tuple(row) for row in matrix)
@@ -122,10 +112,9 @@ def classify_jacobian(matrix: Sequence[Sequence[Expr]], prober: Prober,
     if assign is None:
         return JacobianReport(matrix, JacobianClass.STRUCTURALLY_SINGULAR,
                               ZERO, prober.verdict(ZERO))
-    try:
-        det = determinant(matrix, bound)
-    except SizeExceeded:
+    if n > DET_BOUND:
         return _classify_by_rank(matrix, prober)
+    det = determinant(matrix)
     v = prober.verdict(det)
     if v.proven_nonzero:
         klass = JacobianClass.GENERICALLY_NONSINGULAR

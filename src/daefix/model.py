@@ -119,7 +119,7 @@ class Substitution:
     def __post_init__(self):
         if self.order < 0:
             raise ModelError("substitution order must be nonnegative")
-        if hod(self.replacement, self.var_index, presimplify=False) >= self.order:
+        if hod(self.replacement, self.var_index) >= self.order:
             raise ModelError(
                 "substitution for state %d order %d would reintroduce an "
                 "equal or higher derivative of the same state"

@@ -132,19 +132,23 @@ def _sum(terms):
     return terms[0] if len(terms) == 1 else Add(tuple(terms))
 
 
+def residual(matrix, vec, left: bool = False):
+    """Yields each entry of vec^T matrix (left) or matrix vec, unsimplified:
+    the sum of the products of two non-ZERO factors, or None when there is
+    no such product."""
+    for row in (zip(*matrix) if left else matrix):
+        terms = [Mul((a, x)) for a, x in zip(row, vec)
+                 if a != ZERO and x != ZERO]
+        yield _sum(terms) if terms else None
+
+
 def verify_nullvector(matrix, vec, prober: Prober, left: bool = False,
                       strict: bool = False) -> bool:
     """vec must not be all zeros and the residual must zero-test clean.
-    Each residual entry sums only the products of two non-ZERO factors.
     With strict=True a failure raises instead of returning False."""
-    ok = any(e != ZERO and prober.verdict(e).proven_nonzero for e in vec)
-    if ok:
-        for row in (zip(*matrix) if left else matrix):
-            terms = [Mul((a, x)) for a, x in zip(row, vec)
-                     if a != ZERO and x != ZERO]
-            if terms and prober.verdict(_sum(terms)).proven_nonzero:
-                ok = False
-                break
+    ok = any(e != ZERO and prober.verdict(e).proven_nonzero for e in vec) \
+        and not any(r is not None and prober.verdict(r).proven_nonzero
+                    for r in residual(matrix, vec, left))
     if not ok and strict:
         raise NullspaceError("candidate vector fails residual verification")
     return ok

@@ -56,7 +56,7 @@ def sigma_from_rows(rows: Sequence[Sequence]) -> SignatureMatrix:
 def signature_matrix(system: DaeSystem, formal: bool = False) -> SignatureMatrix:
     """True signatures come from the normal form, formal ones from the raw
     trees, where cancelled derivatives still count.  One walk per row: entry
-    j is hod(tree, j, presimplify=not formal), since expr = simplify(raw)."""
+    j is hod(tree, j) for the tree of the mode, since expr = simplify(raw)."""
     rows = []
     for eq in system.equations:
         row = [NEG_INF] * system.n
@@ -257,10 +257,6 @@ class SolutionScheme:
     stages: tuple      # k = -max(d) .. -1
     generic: Stage     # the k = 0 stage, same shape for every k >= 0
 
-    @property
-    def generic_linear(self) -> bool:
-        return self.generic.linear
-
 
 def solution_scheme(off: OffsetPair,
                     jacobian: Sequence[Sequence]) -> SolutionScheme:
@@ -280,32 +276,3 @@ def solution_scheme(off: OffsetPair,
         unknowns = tuple((j, k + d) for j, d in enumerate(off.d) if k + d >= 0)
         stages.append(Stage(k, eqs, unknowns, k not in nonlinear))
     return SolutionScheme(tuple(stages[:-1]), stages[-1])
-
-
-# ---------------------------------------------------------------------------
-# formal vs true signatures
-
-@dataclass(frozen=True)
-class SignatureComparison:
-    formal: SignatureMatrix
-    true: SignatureMatrix
-
-    @property
-    def value_equal(self) -> bool:
-        return self.formal.value == self.true.value
-
-    @property
-    def mismatches(self) -> tuple:
-        out = []
-        for i in range(self.formal.n):
-            for j in range(self.formal.n):
-                a = self.formal.rows[i][j]
-                b = self.true.rows[i][j]
-                if a != b:
-                    out.append((i, j, a, b))
-        return tuple(out)
-
-
-def compare_signatures(system: DaeSystem) -> SignatureComparison:
-    return SignatureComparison(signature_matrix(system, formal=True),
-                               signature_matrix(system, formal=False))

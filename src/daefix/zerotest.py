@@ -90,11 +90,6 @@ class Verdict:
     def probably_zero(self) -> bool:
         return self.kind is ZeroKind.PROBABLY_ZERO
 
-    @property
-    def is_zero(self) -> bool:
-        """Zero for decision purposes; PROBABLY_ZERO keeps uncertainty alive."""
-        return self.kind is not ZeroKind.PROVEN_NONZERO
-
 
 class Prober:
     """Zero-tests expressions with a fixed budget of rational probe points.
@@ -120,9 +115,6 @@ class Prober:
         if v.probably_zero:
             self.uncertain_seen = True
         return v
-
-    def is_zero(self, e: Expr) -> bool:
-        return self.verdict(e).is_zero
 
     def _decide(self, s: Expr) -> Verdict:
         if isinstance(s, Const):

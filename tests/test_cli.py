@@ -12,7 +12,11 @@ import pytest
 import checks
 from daefix import corpus
 from daefix.cli import main
-from daefix.dsl import parse_dae
+from daefix.convert import choose_method, es_analyze, lc_analyze
+from daefix.dsl import parse_dae, parse_expr
+from daefix.expr import simplify
+from daefix.structural import canonical_offsets, signature_matrix
+from daefix.zerotest import Prober
 
 
 def corpus_file(tmp_path, name):
@@ -292,6 +296,64 @@ def test_trace_vector_parse_error(tmp_path, capsys):
                "--method", "lc", "--vector", "[1, +]"])
     assert rc == 1
     capsys.readouterr()
+
+
+def test_trace_empty_vector_is_parse_error(tmp_path, capsys):
+    rc = main(["trace", corpus_file(tmp_path, "brenan"),
+               "--method", "lc", "--vector", "[]"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == "error: line 1, col 1: empty vector\n"
+
+
+@pytest.mark.parametrize("name,method,vector", [
+    ("lc_example", "lc", "[x2, x1, 1, -1]"),
+    ("pendulum_mod", "es", "[1, -1, 1]"),
+    ("brenan", "es", "[t, -1]"),
+    ("brenan", "es", "[t^2, -t]"),
+])
+def test_trace_default_pivot_follows_choose_method(tmp_path, capsys, name,
+                                                   method, vector):
+    out_path = tmp_path / "trace.json"
+    path = corpus_file(tmp_path, name)
+    assert main(["trace", path, "--method", method, "--vector", vector,
+                 "--json", str(out_path)]) == 0
+    capsys.readouterr()
+    system = parse_dae(corpus.source(name))
+    vec = [simplify(parse_expr(p, system)) for p in vector[1:-1].split(",")]
+    sig = signature_matrix(system)
+    off = canonical_offsets(sig)
+    prober = Prober()
+    if method == "lc":
+        choice = choose_method(lc_analyze(system, off, vec, prober), None,
+                               prober)
+    else:
+        choice = choose_method(None, es_analyze(system, sig, off, vec, prober),
+                               prober)
+    assert choice.kind.value == method
+    assert json.loads(out_path.read_text())["steps"][0]["pivot"] \
+        == choice.pivot + 1
+
+
+@pytest.mark.parametrize("expr", [
+    "ln(-1) + x'", "sqrt(-4) + x'", "x' + 1/(2-2)", "(x - x)^(-1) + x'",
+    "x' + ln(0)",
+])
+def test_domain_error_in_equation_exits_one(tmp_path, capsys, expr):
+    path = write_dae(tmp_path, "dae d\nvars x\neq f: %s = 0\n" % expr)
+    rc = main(["analyze", path])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: line 3, col 7: ")
+    assert "Traceback" not in err
+
+
+def test_domain_error_in_vector_exits_one(tmp_path, capsys):
+    rc = main(["trace", corpus_file(tmp_path, "brenan"),
+               "--method", "lc", "--vector", "[ln(-1), 1]"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == "error: line 1, col 1: ln of nonpositive value -1\n"
 
 
 def test_trace_condition_rejection(tmp_path, capsys):

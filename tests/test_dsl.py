@@ -50,7 +50,7 @@ def test_rhs_literal_zero_keeps_lhs_as_raw():
 def test_primes_and_diff():
     s = parse_dae("dae d\nvars x\neq f1: x''' + diff(x,4) + diff(x'',3) = 0\n")
     e = s.equations[0].raw
-    assert hod(e, 0, presimplify=False) == 5
+    assert hod(e, 0) == 5
 
 
 def test_diff_of_compound_applies_total_derivative():
@@ -59,7 +59,7 @@ def test_diff_of_compound_applies_total_derivative():
     assert simplify(raw) == simplify(
         StateDeriv(0, 1) * StateDeriv(1) + StateDeriv(0) * StateDeriv(1, 1))
     # the raw tree keeps both product-rule terms even if one later cancels
-    assert hod(raw, 0, presimplify=False) == 1
+    assert hod(raw, 0) == 1
 
 
 def test_driving_function_forms():
@@ -78,6 +78,13 @@ def test_unknown_name_rejected():
     with pytest.raises(ParseError) as ei:
         parse_dae("dae d\nvars x\neq f1: x + z = 0\n")
     assert "unknown name" in str(ei.value)
+
+
+def test_domain_error_is_parse_error_at_its_line():
+    with pytest.raises(ParseError) as ei:
+        parse_dae("dae d\nvars x\n\neq f1: x' + ln(-1) = 0\n")
+    assert (ei.value.line, ei.value.col) == (4, 8)
+    assert "ln of nonpositive value -1" in str(ei.value)
 
 
 def test_too_many_primes():

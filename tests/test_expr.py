@@ -123,11 +123,11 @@ def test_simplify_idempotent():
 
 def test_hod_true_vs_formal():
     e = xd + y - xd  # x' cancels
-    assert hod(e, 0, presimplify=False) == 1
-    assert hod(e, 0) == NEG_INF
-    assert hod(e, 1) == 0
-    assert hod(x * yd ** 2 + xdd, 0) == 2
-    assert hod(con(5), 0) == NEG_INF
+    assert hod(e, 0) == 1
+    assert hod(simplify(e), 0) == NEG_INF
+    assert hod(simplify(e), 1) == 0
+    assert hod(simplify(x * yd ** 2 + xdd), 0) == 2
+    assert hod(simplify(con(5)), 0) == NEG_INF
 
 
 def test_total_derivative_basics():
@@ -244,6 +244,23 @@ def test_evaluate_domain_errors():
         evaluate(Func("sqrt", x), {x: Fraction(-1)})
     with pytest.raises(DomainError):
         evaluate(Pow(x, -1), {x: Fraction(0)})
+
+
+@pytest.mark.parametrize("name", FUNCS)
+def test_exact_values_agree_with_constant_folding(name):
+    # evaluation and the normal form read one table of exact values
+    for v in (0, 1, -1, 4, Fraction(9, 4), 2, -4, Fraction(1, 3)):
+        e = Func(name, con(v))
+        try:
+            value, exact = evaluate_ex(e, {})
+        except DomainError:
+            with pytest.raises(DomainError):
+                simplify(e)
+            continue
+        s = simplify(e)
+        assert isinstance(s, Const) == exact, (name, v)
+        if exact:
+            assert s.value == value
 
 
 def test_evaluate_transcendental_inexact_but_close():

@@ -2,8 +2,6 @@ import itertools
 import random
 from fractions import Fraction
 
-import pytest
-
 from checks import dense_fraction_rank, pendulum_chain
 from daefix.dsl import parse_dae
 from daefix.expr import (
@@ -11,7 +9,7 @@ from daefix.expr import (
     hod, partial, simplify, total_derivative,
 )
 from daefix.jacobian import (
-    DET_BOUND, JacobianClass, SizeExceeded, _fraction_rank, classify_jacobian,
+    DET_BOUND, JacobianClass, _fraction_rank, classify_jacobian,
     determinant, system_jacobian,
 )
 from daefix.structural import (
@@ -135,14 +133,6 @@ def test_determinant_against_permanent_expansion():
         assert simplify(got - acc) == ZERO
 
 
-def test_determinant_size_bound():
-    n = DET_BOUND + 1
-    eye = [[Const(Fraction(1 if i == j else 0)) for j in range(n)]
-           for i in range(n)]
-    with pytest.raises(SizeExceeded):
-        determinant(eye)
-
-
 def test_classify_by_rank_nonsingular():
     n = DET_BOUND + 1
     rng = random.Random(3)
@@ -248,7 +238,7 @@ def test_derivative_shifts_leading_partial():
     while checked < 200:
         f = rand_expr(rng.randint(1, 3))
         j = rng.choice([0, 1])
-        s = hod(f, j)
+        s = hod(simplify(f), j)
         if s == float("-inf"):
             continue
         p = rng.randint(1, 3)
