@@ -16,8 +16,8 @@ import sys
 
 from .convert import (ConditionRejected, ConvertError, FixStatus, MethodKind,
                       PivotRejected, VectorRejected, fix_dae)
-from .dsl import ParseError, emit_dae, parse_dae, parse_expr
-from .expr import NEG_INF, ZERO, DomainError, format_expr, simplify
+from .dsl import ParseError, emit_dae, parse_dae, parse_vector
+from .expr import NEG_INF, ZERO, format_expr, simplify
 from .jacobian import JacobianClass, classify_jacobian, system_jacobian
 from .model import ModelError
 from .nullspace import residual
@@ -388,35 +388,6 @@ def cmd_fix(args) -> int:
     return _fix_exit(report)
 
 
-def _split_top_level(text):
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return [p.strip() for p in parts]
-
-
-def _parse_vector(text, system):
-    body = text.strip()
-    if body.startswith("[") and body.endswith("]"):
-        body = body[1:-1]
-    pieces = [p for p in _split_top_level(body) if p]
-    if not pieces:
-        raise ParseError("empty vector", 1, 1)
-    try:
-        return [simplify(parse_expr(p, system)) for p in pieces]
-    except DomainError as err:
-        raise ParseError(str(err), 1, 1) from err
-
-
 def _show_residual(system, J, vec, left):
     for k, r in enumerate(residual(J, vec, left), 1):
         r = ZERO if r is None else simplify(r)
@@ -429,7 +400,7 @@ def _show_residual(system, J, vec, left):
 def cmd_trace(args) -> int:
     system, digest = _load(args.path)
     prober = _prober(args)
-    vec = _parse_vector(args.vector, system)
+    vec = parse_vector(args.vector, system)
     pivot = args.pivot - 1 if args.pivot is not None else None
     try:
         report = fix_dae(system, prober=prober, method=args.method,

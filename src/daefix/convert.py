@@ -20,11 +20,11 @@ from enum import Enum
 from fractions import Fraction
 from itertools import zip_longest
 
-from .expr import (Add, Const, Expr, Mul, Neg, Pow, StateDeriv, atoms,
+from .expr import (ZERO, Add, Const, Expr, Mul, Neg, Pow, StateDeriv, atoms,
                    evaluate_ex, hod, simplify, total_derivative)
 from .jacobian import classify_jacobian, system_jacobian
-from .model import (DaeSystem, Substitution, append_equation_and_variable,
-                    apply_substitutions, fresh_indexed, make_equation)
+from .model import (DaeSystem, Substitution, apply_substitutions,
+                    fresh_indexed, make_equation)
 from .nullspace import (EliminationStuck, kernel_basis, normalize_candidates,
                         verify_nullvector)
 from .structural import OffsetPair, canonical_offsets, signature_matrix
@@ -151,28 +151,13 @@ def lc_equivalence_probes(before: DaeSystem, app: LcApplication,
     Returns the number of points actually compared.
     """
     a = app.analysis
-    new = app.system.equations[app.pivot].expr
-    parts = [(a.u[i],
-              total_derivative(before.equations[i].expr, a.off.c[i] - a.c_under))
-             for i in a.rows]
-    needed = set(atoms(new))
-    for ui, fi in parts:
-        needed |= atoms(ui) | atoms(fi)
-    return _compare_points(
-        "%s:lc:%s:%d" % (prober.seed, before.name, app.pivot), needed,
-        before.param_values, lambda b: _eval_combination(new, parts, b),
-        prober, points)
-
-
-def _eval_combination(new, parts, b):
-    lhs, exact = evaluate_ex(new, b)
-    rhs = Fraction(0)
-    for ui, fi in parts:
-        vu, eu = evaluate_ex(ui, b)
-        vf, ef = evaluate_ex(fi, b)
-        rhs += vu * vf
-        exact = exact and eu and ef
-    return lhs, rhs, exact
+    combination = Add(tuple(
+        Mul((a.u[i], total_derivative(before.equations[i].expr,
+                                      a.off.c[i] - a.c_under)))
+        for i in a.rows))
+    return _certify("%s:lc:%s:%d" % (prober.seed, before.name, app.pivot),
+                    [(app.system.equations[app.pivot].expr, combination)],
+                    {}, before.param_values, prober, points)
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +257,11 @@ def es_apply(system: DaeSystem, sig, analysis: EsAnalysis, pivot: int,
     else:
         inv = Pow(v_l, -1)
 
-    grown = system
     taken_vars = set(system.var_names) | {p for p, _ in system.params} \
         | set(system.input_names)
     taken_eqs = {eq.name for eq in system.equations}
     renamed = []
+    new_eqs = []
     bases = {}
     for j in analysis.cols:
         if j == pivot:
@@ -289,15 +274,19 @@ def es_apply(system: DaeSystem, sig, analysis: EsAnalysis, pivot: int,
         eq_name = fresh_indexed("f", system.n + 1, taken_eqs)
         taken_vars.add(var_name)
         taken_eqs.add(eq_name)
-        new_index = grown.n
+        new_index = system.n + len(renamed)
         row = Add((Neg(StateDeriv(new_index, 0)), StateDeriv(j, r_j), Neg(q)))
-        g = make_equation(eq_name, simplify(row), origin="es_appended",
-                          alias="y%d" % (j + 1))
-        grown = append_equation_and_variable(grown, var_name, g)
+        new_eqs.append(make_equation(eq_name, simplify(row),
+                                     origin="es_appended",
+                                     alias="y%d" % (j + 1)))
         renamed.append(Renaming(j, new_index, var_name, eq_name,
                                 "y%d" % (j + 1), r_j, definition))
         # what x_j^(r_j) becomes: the fresh state plus the pivot share
         bases[j] = Add((StateDeriv(new_index, 0), q))
+    grown = DaeSystem(system.name,
+                      system.var_names + tuple(r.var_name for r in renamed),
+                      system.equations + tuple(new_eqs), system.params,
+                      system.input_names)
 
     per_row = {}
     for i in analysis.rows:
@@ -325,65 +314,57 @@ def es_equivalence_probes(before: DaeSystem, app: EsApplication,
     derivatives of those), so a rewritten row and its original must agree;
     appended rows must vanish.
     """
-    defs = {}
+    rows = app.system.equations
+    pairs = [(rows[i].expr, before.equations[i].expr) for i in app.rewritten]
+    pairs += [(rows[rec.new_index].expr, ZERO) for rec in app.renamed]
     max_order = {rec.new_index: 0 for rec in app.renamed}
-    exprs = [app.system.equations[i].expr
-             for i in app.rewritten + tuple(r.new_index for r in app.renamed)]
-    for e in exprs:
-        for a in atoms(e):
+    for new, _ in pairs:
+        for a in atoms(new):
             if isinstance(a, StateDeriv) and a.index in max_order:
                 max_order[a.index] = max(max_order[a.index], a.order)
-    base_atoms = set()
-    for rec in app.renamed:
-        for m in range(max_order[rec.new_index] + 1):
-            d = total_derivative(rec.definition, m)
-            defs[StateDeriv(rec.new_index, m)] = d
-            base_atoms |= atoms(d)
-    originals = [before.equations[i].expr for i in app.rewritten]
-    for e in originals:
-        base_atoms |= atoms(e)
-    for e in exprs:
-        base_atoms |= {a for a in atoms(e)
-                       if not (isinstance(a, StateDeriv) and a.index in max_order)}
+    defs = {StateDeriv(rec.new_index, m): total_derivative(rec.definition, m)
+            for rec in app.renamed
+            for m in range(max_order[rec.new_index] + 1)}
+    return _certify("%s:es:%s:%d" % (prober.seed, before.name, app.pivot),
+                    pairs, defs, before.param_values, prober, points)
+
+
+# ---------------------------------------------------------------------------
+# certification
+
+def _certify(key, pairs, defs, param_values, prober, points):
+    """Checks new == expected for each (new, expected) pair at up to
+    `points` probe points.
+
+    Each atom in defs is bound to the value of its definition when new is
+    evaluated; expected is evaluated at the drawn binding itself.  An
+    exact mismatch, or an inexact one past the numeric guard, raises
+    ConvertError.  Returns the number of points compared; when the
+    sampler's redraws run out first the prober is marked uncertain.
+    """
+    needed = set()
+    for d in defs.values():
+        needed |= atoms(d)
+    for new, expected in pairs:
+        needed |= atoms(new).difference(defs) | atoms(expected)
 
     def check(b):
         full = dict(b)
         exact = True
         for atom, d in defs.items():
-            val, ex = evaluate_ex(d, b)
-            full[atom] = val
+            full[atom], ex = evaluate_ex(d, b)
             exact = exact and ex
         worst = Fraction(0)
-        for i in app.rewritten:
-            lhs, e1 = evaluate_ex(app.system.equations[i].expr, full)
-            rhs, e2 = evaluate_ex(before.equations[i].expr, b)
+        for new, expected in pairs:
+            lhs, e1 = evaluate_ex(new, full)
+            rhs, e2 = evaluate_ex(expected, b)
             exact = exact and e1 and e2
-            worst = max(worst, abs(Fraction(lhs) - Fraction(rhs)))
-        for rec in app.renamed:
-            val, e3 = evaluate_ex(app.system.equations[rec.new_index].expr, full)
-            exact = exact and e3
-            worst = max(worst, abs(Fraction(val)))
-        return Fraction(0), worst, exact
+            worst = max(worst, abs(lhs - rhs))
+        return worst, exact
 
-    return _compare_points(
-        "%s:es:%s:%d" % (prober.seed, before.name, app.pivot), base_atoms,
-        before.param_values, check, prober, points)
-
-
-# ---------------------------------------------------------------------------
-# shared probe-point machinery
-
-def _compare_points(key, needed, param_values, check, prober, points):
-    """Runs check(b) -> (lhs, rhs, exact) at up to `points` probe points.
-
-    Returns the number of points compared; when the sampler's redraws run
-    out first the prober is marked uncertain.  Raises ConvertError on a
-    genuine mismatch.
-    """
     compared = 0
-    for _, (lhs, rhs, exact) in probe_points(key, needed, check, points,
-                                             param_values):
-        diff = abs(Fraction(lhs) - Fraction(rhs))
+    for _, (diff, exact) in probe_points(key, needed, check, points,
+                                         param_values):
         if exact:
             if diff != 0:
                 raise ConvertError("rewrite is not equivalent at a probe point")

@@ -21,7 +21,7 @@ from typing import List, Optional
 
 from .expr import (
     FUNCS, Add, Const, DomainError, DrivingFn, Expr, Func, Mul, Neg, Param,
-    Pow, StateDeriv, TimeVar, format_expr, total_derivative,
+    Pow, StateDeriv, TimeVar, format_expr, simplify, total_derivative,
 )
 from .model import RESERVED, DaeSystem, ModelError, make_equation
 
@@ -223,20 +223,46 @@ class _ExprParser:
         return self.peek().kind == "end"
 
 
-def _parse_expr_tokens(toks, line, var_names, param_names, input_names) -> Expr:
-    p = _ExprParser(toks, line, var_names, param_names, input_names)
+def _system_parser(text: str, system: DaeSystem, line: int,
+                   col0: int = 1) -> _ExprParser:
+    return _ExprParser(_tokenize(text, line, col0), line, system.var_names,
+                       [p for p, _ in system.params], system.input_names)
+
+
+def parse_expr(text: str, system: DaeSystem, line: int = 1) -> Expr:
+    """Parse a standalone expression in the naming environment of `system`."""
+    p = _system_parser(text, system, line)
     e = p.parse()
     if not p.at_end():
         p.fail("unexpected trailing input")
     return e
 
 
-def parse_expr(text: str, system: DaeSystem, line: int = 1) -> Expr:
-    """Parse a standalone expression in the naming environment of `system`."""
-    toks = _tokenize(text, line)
-    return _parse_expr_tokens(toks, line, system.var_names,
-                              [p for p, _ in system.params],
-                              system.input_names)
+def parse_vector(text: str, system: DaeSystem) -> List[Expr]:
+    """Parse a vector of expressions, e.g. "[x2, x1, 1, -1]", to normal form.
+
+    The brackets are optional and entries are separated by top-level
+    commas.  Error columns count from the first character of text.
+    """
+    body = text.strip()
+    col0 = len(text) - len(text.lstrip()) + 1
+    if body.startswith("[") and body.endswith("]"):
+        body, col0 = body[1:-1], col0 + 1
+    p = _system_parser(body, system, 1, col0)
+    if p.at_end():
+        raise ParseError("empty vector", 1, 1)
+    entries = []
+    while True:
+        start = p.peek()
+        try:
+            entries.append(simplify(p.parse()))
+        except DomainError as err:
+            raise ParseError(str(err), 1, start.col) from err
+        if p.at_end():
+            return entries
+        if p.peek().text != ",":
+            p.fail("unexpected trailing input")
+        p.next()
 
 
 _NAME_ONLY = re.compile(r"[A-Za-z_]\w*$")

@@ -19,7 +19,7 @@ from .expr import (
 )
 from .model import DaeSystem
 from .structural import OffsetPair, SignatureMatrix, _assignment_max
-from .zerotest import Prober, Verdict, probe_points
+from .zerotest import Prober, probe_points
 
 DET_BOUND = 8
 _RANK_POINTS = 3
@@ -87,7 +87,6 @@ class JacobianReport:
     matrix: tuple
     klass: JacobianClass
     det: Optional[Expr]            # None when expansion was skipped
-    det_verdict: Optional[Verdict]
 
     @property
     def singular(self) -> bool:
@@ -111,7 +110,7 @@ def classify_jacobian(matrix: Sequence[Sequence[Expr]],
     _, assign, _ = _assignment_max(support)
     if assign is None:
         return JacobianReport(matrix, JacobianClass.STRUCTURALLY_SINGULAR,
-                              ZERO, prober.verdict(ZERO))
+                              ZERO)
     if n > DET_BOUND:
         return _classify_by_rank(matrix, prober)
     det = determinant(matrix)
@@ -122,7 +121,7 @@ def classify_jacobian(matrix: Sequence[Sequence[Expr]],
         klass = JacobianClass.IDENTICALLY_SINGULAR
     else:
         klass = JacobianClass.PROBABLY_SINGULAR
-    return JacobianReport(matrix, klass, det, v)
+    return JacobianReport(matrix, klass, det)
 
 
 def _classify_by_rank(matrix, prober: Prober) -> JacobianReport:
@@ -144,9 +143,9 @@ def _classify_by_rank(matrix, prober: Prober) -> JacobianReport:
                 prober.uncertain_seen = True
             return JacobianReport(matrix,
                                   JacobianClass.GENERICALLY_NONSINGULAR,
-                                  None, None)
+                                  None)
     prober.uncertain_seen = True
-    return JacobianReport(matrix, JacobianClass.PROBABLY_SINGULAR, None, None)
+    return JacobianReport(matrix, JacobianClass.PROBABLY_SINGULAR, None)
 
 
 def _fraction_rank(rows: List[List[Fraction]]) -> int:

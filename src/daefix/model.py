@@ -149,18 +149,6 @@ def apply_substitutions(system: DaeSystem,
     return system.with_equations(eqs)
 
 
-def append_equation_and_variable(system: DaeSystem, var_name: str,
-                                 equation: Equation) -> DaeSystem:
-    """Grow the square system by one fresh variable and one equation."""
-    taken = set(system.var_names) | {p for p, _ in system.params} \
-        | set(system.input_names)
-    if var_name in taken or var_name in RESERVED:
-        raise ModelError("variable name %r is already in use" % var_name)
-    return DaeSystem(system.name, system.var_names + (var_name,),
-                     system.equations + (equation,), system.params,
-                     system.input_names)
-
-
 def fresh_indexed(prefix: str, start: int, taken) -> str:
     """First of prefix<start>, prefix<start+1>, ... not in `taken`."""
     k = start

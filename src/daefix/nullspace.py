@@ -111,7 +111,8 @@ def _basis_vector(matrix, m, pivots, free_cols, fc, prober) -> tuple:
                if m[p][k] != ZERO and v[k] != ZERO]
         if num:
             v[col] = simplify(Mul((Neg(_sum(num)), Pow(m[p][col], -1))))
-    verify_nullvector(matrix, v, prober, strict=True)
+    if not verify_nullvector(matrix, v, prober):
+        raise NullspaceError("candidate vector fails residual verification")
     return tuple(v)
 
 
@@ -142,16 +143,12 @@ def residual(matrix, vec, left: bool = False):
         yield _sum(terms) if terms else None
 
 
-def verify_nullvector(matrix, vec, prober: Prober, left: bool = False,
-                      strict: bool = False) -> bool:
-    """vec must not be all zeros and the residual must zero-test clean.
-    With strict=True a failure raises instead of returning False."""
-    ok = any(e != ZERO and prober.verdict(e).proven_nonzero for e in vec) \
+def verify_nullvector(matrix, vec, prober: Prober,
+                      left: bool = False) -> bool:
+    """vec must not be all zeros and the residual must zero-test clean."""
+    return any(e != ZERO and prober.verdict(e).proven_nonzero for e in vec) \
         and not any(r is not None and prober.verdict(r).proven_nonzero
                     for r in residual(matrix, vec, left))
-    if not ok and strict:
-        raise NullspaceError("candidate vector fails residual verification")
-    return ok
 
 
 def constant_mask(vec) -> tuple:

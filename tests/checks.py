@@ -14,8 +14,7 @@ from fractions import Fraction
 from daefix.expr import (NEG_INF, ZERO, Add, Const, DomainError, DrivingFn,
                          Func, Mul, Neg, Param, Pow, StateDeriv, TimeVar, hod,
                          partial, simplify, total_derivative)
-from daefix.model import (DaeSystem, append_equation_and_variable,
-                          fresh_indexed, make_equation)
+from daefix.model import DaeSystem, fresh_indexed, make_equation
 from daefix.nullspace import EliminationStuck
 from daefix.structural import signature_matrix
 
@@ -177,7 +176,8 @@ def assert_es_block_structure(before: DaeSystem, app):
     raw = Add((Neg(StateDeriv(yl_index, 0)), StateDeriv(l, off.d[l] - c_bar)))
     gl = make_equation(gl_name, raw, origin="es_appended",
                        alias="y%d" % (l + 1))
-    aug = append_equation_and_variable(conv, yl_name, gl)
+    aug = DaeSystem(conv.name, conv.var_names + (yl_name,),
+                    conv.equations + (gl,), conv.params, conv.input_names)
     sig = signature_matrix(aug)
 
     jset = set(a.cols)

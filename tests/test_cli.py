@@ -294,8 +294,31 @@ def test_trace_wrong_vector_shows_residual(tmp_path, capsys):
 def test_trace_vector_parse_error(tmp_path, capsys):
     rc = main(["trace", corpus_file(tmp_path, "brenan"),
                "--method", "lc", "--vector", "[1, +]"])
+    err = capsys.readouterr().err
     assert rc == 1
+    # columns count from the first character of the vector text
+    assert err == "error: line 1, col 6: expected an expression\n"
+
+
+@pytest.mark.parametrize("vector,col", [("[1,,-1]", 4), ("[-1, 1,]", 8)])
+def test_trace_empty_vector_entry_is_parse_error(tmp_path, capsys, vector,
+                                                 col):
+    rc = main(["trace", corpus_file(tmp_path, "brenan"),
+               "--method", "lc", "--vector", vector])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == "error: line 1, col %d: expected an expression\n" % col
+
+
+def test_trace_vector_entry_keeps_nested_comma(tmp_path, capsys):
+    out_path = tmp_path / "trace.json"
+    rc = main(["trace", corpus_file(tmp_path, "brenan"),
+               "--method", "lc", "--vector", "[diff(t, 1) - 2, 1]",
+               "--json", str(out_path)])
     capsys.readouterr()
+    assert rc == 0
+    assert json.loads(out_path.read_text())["steps"][0]["vector"] \
+        == ["-1", "1"]
 
 
 def test_trace_empty_vector_is_parse_error(tmp_path, capsys):
@@ -353,7 +376,7 @@ def test_domain_error_in_vector_exits_one(tmp_path, capsys):
                "--method", "lc", "--vector", "[ln(-1), 1]"])
     err = capsys.readouterr().err
     assert rc == 1
-    assert err == "error: line 1, col 1: ln of nonpositive value -1\n"
+    assert err == "error: line 1, col 2: ln of nonpositive value -1\n"
 
 
 def test_trace_condition_rejection(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from daefix.dsl import parse_dae, parse_expr
 from daefix.expr import (NEG_INF, ZERO, Add, Const, Neg, StateDeriv, hod,
                          evaluate, simplify)
 from daefix.jacobian import determinant, system_jacobian
+from daefix.model import make_equation
 from daefix.structural import OffsetPair, canonical_offsets, signature_matrix
 from daefix.zerotest import Prober
 
@@ -522,3 +524,63 @@ def test_one_elimination_per_side_and_two_verifications_per_step(
     # never eliminated, and the one cokernel vector is verified once
     assert eliminations == [True] * steps
     assert len(verifications) <= 2 * steps
+
+
+def _plus(system, row, amount):
+    """system with `amount` added to equation `row`."""
+    eqs = list(system.equations)
+    old = eqs[row]
+    eqs[row] = make_equation(old.name, Add((old.expr, Const(amount))),
+                             old.origin, old.alias)
+    return system.with_equations(eqs)
+
+
+def test_tampered_combination_row_is_not_equivalent():
+    s = load("brenan")
+    app = fix_dae(s).steps[0].application
+    bad = dataclasses.replace(app, system=_plus(app.system, app.pivot, 1))
+    with pytest.raises(ConvertError, match="not equivalent"):
+        lc_equivalence_probes(s, bad, Prober())
+
+
+@pytest.mark.parametrize("which", ["rewritten", "appended"])
+def test_tampered_substitution_row_is_not_equivalent(which):
+    s = load("pendulum_mod")
+    r = fix_dae(s, method="es", vector=vec(s, "1", "-1", "1"), pivot=0)
+    app = r.steps[0].application
+    row = app.rewritten[0] if which == "rewritten" else app.renamed[0].new_index
+    bad = dataclasses.replace(app, system=_plus(app.system, row, 1))
+    with pytest.raises(ConvertError, match="not equivalent"):
+        es_equivalence_probes(s, bad, Prober())
+
+
+def _inexact_combination():
+    # exp(t) cancels from the combination row but not from the rows it was
+    # built from, so every probe point compares an mpmath value
+    s = parse_dae("""
+dae inexact
+vars x, y
+input h1, h2
+eq f1: x' + t*y' - h1(t) + exp(t) = 0
+eq f2: x + t*y - h2(t) + exp(t) = 0
+""")
+    r = fix_dae(s, method="lc")
+    assert r.steps[0].kind is MethodKind.LC
+    return s, r.steps[0].application
+
+
+def test_inexact_drift_past_the_guard_fails():
+    s, app = _inexact_combination()
+    bad = dataclasses.replace(
+        app, system=_plus(app.system, app.pivot, Fraction(1, 10 ** 6)))
+    with pytest.raises(ConvertError, match="drifted past the numeric guard"):
+        lc_equivalence_probes(s, bad, Prober())
+
+
+def test_inexact_drift_under_the_guard_passes():
+    s, app = _inexact_combination()
+    near = dataclasses.replace(
+        app, system=_plus(app.system, app.pivot, Fraction(1, 10 ** 12)))
+    prober = Prober()
+    assert lc_equivalence_probes(s, near, prober) == 5
+    assert not prober.uncertain_seen

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from daefix.dsl import ParseError, emit_dae, parse_dae, parse_expr
+from daefix.dsl import (ParseError, emit_dae, parse_dae, parse_expr,
+                        parse_vector)
 from daefix.expr import (
     Add, Const, DrivingFn, Neg, Param, Pow, StateDeriv, hod, simplify, walk,
 )
@@ -183,3 +184,22 @@ def test_parse_expr_standalone():
         2 * StateDeriv(0) + StateDeriv(1, 2) - Param("G"))
     with pytest.raises(ParseError):
         parse_expr("nope", s)
+
+
+def test_parse_vector_brackets_optional_and_nested_commas():
+    s = parse_dae(PENDULUM)
+    want = [simplify(StateDeriv(1)), Const(Fraction(1)), Const(Fraction(-1))]
+    assert parse_vector("[y, diff(x, 1) - x' + 1, -1]", s) == want
+    assert parse_vector("  y, 1, -1 ", s) == want
+
+
+@pytest.mark.parametrize("text,col,msg", [
+    ("  [1, 2 3]", 9, "unexpected trailing input"),
+    ("1, , 2", 4, "expected an expression"),
+    ("[1, ln(0)]", 5, "ln of nonpositive value 0"),
+    ("[ ]", 1, "empty vector"),
+])
+def test_parse_vector_error_columns(text, col, msg):
+    with pytest.raises(ParseError) as ei:
+        parse_vector(text, parse_dae(PENDULUM))
+    assert (ei.value.line, ei.value.col, ei.value.msg) == (1, col, msg)

@@ -3,8 +3,8 @@ import pytest
 from daefix.dsl import parse_dae
 from daefix.expr import Add, Neg, StateDeriv, simplify
 from daefix.model import (
-    DaeSystem, ModelError, Substitution, append_equation_and_variable,
-    apply_substitutions, fresh_indexed, make_equation,
+    DaeSystem, ModelError, Substitution, apply_substitutions, fresh_indexed,
+    make_equation,
 )
 
 x = StateDeriv(0)
@@ -71,15 +71,20 @@ def test_apply_substitutions_simultaneous():
     assert simplify(out.equations[0].expr) == simplify(x + 2 * StateDeriv(1, 1))
 
 
-def test_append_equation_and_variable():
+def test_grown_system_keeps_alias_and_rejects_taken_name():
     s = _sys2()
     eq = make_equation("f3", Add((StateDeriv(2), Neg(x))), origin="es_appended",
                        alias="y1")
-    s2 = append_equation_and_variable(s, "c", eq)
+
+    def grow(var_name):
+        return DaeSystem(s.name, s.var_names + (var_name,),
+                         s.equations + (eq,), s.params, s.input_names)
+
+    s2 = grow("c")
     assert s2.var_names == ("a", "b", "c")
     assert s2.equations[-1].alias == "y1"
     with pytest.raises(ModelError):
-        append_equation_and_variable(s, "a", eq)
+        grow("a")
 
 
 def test_fresh_indexed():

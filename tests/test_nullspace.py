@@ -10,8 +10,8 @@ from daefix.expr import (
 )
 from daefix.jacobian import system_jacobian
 from daefix.nullspace import (
-    EliminationStuck, NullspaceError, cokernel_vector, constant_mask,
-    kernel_basis, kernel_vector, normalize_candidates, verify_nullvector,
+    EliminationStuck, cokernel_vector, constant_mask, kernel_basis,
+    kernel_vector, normalize_candidates, verify_nullvector,
 )
 from daefix.structural import canonical_offsets, signature_matrix
 from daefix.zerotest import Prober
@@ -167,8 +167,6 @@ def test_verify_nullvector_rejects_junk():
     p = Prober()
     assert not verify_nullvector(m, (Const(Fraction(1)), ZERO), p)
     assert not verify_nullvector(m, (ZERO, ZERO), p)
-    with pytest.raises(NullspaceError):
-        verify_nullvector(m, (ZERO, ZERO), p, strict=True)
 
 
 def test_constant_mask():
