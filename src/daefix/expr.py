@@ -10,6 +10,9 @@ factors: an Add of terms, each term a Mul of a Fraction coefficient and
 sorted factor powers.  Products are always distributed over sums so that
 cancellation across rows of a linear combination actually happens; huge
 expansions are capped and the offending sum is kept as an opaque factor.
+A power of a sum is expanded by the multinomial theorem between those
+caps, in one pass per stretch rather than one product per factor, with
+the same result as the products (see `_p_pow`).
 
 Nodes are immutable, so each one computes three values at most once, on
 first use, and keeps them in a slot: its hash (the value the field-wise
@@ -428,6 +431,22 @@ def _mono_from_exps(exps: dict) -> dict:
 
 
 def _p_pow(p: dict, n: int) -> dict:
+    """p**n, equal as a mapping to the loop `out = p`, then n-1 times
+    `out = _p_mul(out, p)`, including wherever that loop hits _TERM_CAP.
+
+    A base with an exp or sqrt factor runs that loop: its power rewrites
+    depend on the path (exp(a)^3 becomes exp(a)*exp(2a)).  Without one, a
+    product of two monomials is one monomial, so a monomial base (or the
+    zero polynomial) only scales its exponents.  A base of t >= 2 terms is
+    raised in stretches: from a single monomial M, M*p^j has at most
+    comb(j+t-1, t-1) terms, so the loop cannot reach the cap while that
+    bound times t stays within it, and `_p_multinomial` gives the whole
+    stretch in one pass.  The first stretch starts from p itself, as the
+    loop does.  The next factor goes through `_p_mul`, which may collapse;
+    a single monomial starts the next stretch, anything else means merged
+    monomials made the bound loose, and the plain loop finishes.  Bases
+    whose stretches would be one product long (t > 54) run the loop.
+    """
     if n == 0:
         return {(): Fraction(1)}
     if n < 0:
@@ -439,15 +458,64 @@ def _p_pow(p: dict, n: int) -> dict:
             inv = {mm: cc / c for mm, cc in inv.items()}
             return _p_pow(inv, -n)
         return {((_from_poly(p), n),): Fraction(1)}
-    if len(p) == 1:
-        # a monomial without exp/sqrt factors: no rewrite and no cap can
-        # fire, so the n-1 products reduce to scaling the exponents
-        ((m, c),) = p.items()
-        if not any(isinstance(f, Func) and f.name in ("exp", "sqrt") for f, _ in m):
-            return {tuple((f, k * n) for f, k in m): c ** n}
-    out = dict(p)
-    for _ in range(n - 1):
+    out, done = dict(p), 1
+    if not any(isinstance(f, Func) and f.name in ("exp", "sqrt") for m in p for f, _ in m):
+        if len(p) <= 1:
+            return {tuple((f, k * n) for f, k in m): c ** n for m, c in p.items()}
+        t, reach = len(p), 0  # reach: products from a monomial under the cap
+        while reach < n and math.comb(reach + t - 1, t - 1) * t <= _TERM_CAP:
+            reach += 1
+        if reach >= 2:
+            done = reach
+            out = _p_multinomial((), Fraction(1), p, done)
+            while done < n:
+                out = _p_mul(out, p)
+                done += 1
+                if len(out) != 1:
+                    break
+                ((m, c),) = out.items()
+                k = min(reach, n - done)
+                out = _p_multinomial(m, c, p, k)
+                done += k
+    for _ in range(n - done):
         out = _p_mul(out, p)
+    return out
+
+
+def _p_multinomial(m0, c0: Fraction, p: dict, j: int) -> dict:
+    """c0*m0*p**j by the multinomial theorem, for a monomial m0 and a
+    polynomial p without exp or sqrt factors: the sum over k_1+..+k_t = j
+    of j!/(k_1!..k_t!) * c0 * prod c_r^k_r at m0 * prod m_r^k_r."""
+    factors = sorted({f for m in (m0, *p) for f, _ in m}, key=_key)
+    col = {f: i for i, f in enumerate(factors)}
+
+    def exps(m):
+        v = [0] * len(factors)
+        for f, k in m:
+            v[col[f]] = k
+        return v
+
+    terms = [(exps(m), c) for m, c in p.items()]
+    last = len(terms) - 1
+    out: dict = {}
+
+    def spread(r, left, v, c):
+        # terms r.. take the `left` factors still to place
+        tv, tc = terms[r]
+        for k in range(left + 1) if r < last else (left,):
+            vk = [a + k * b for a, b in zip(v, tv)] if k else v
+            ck = c * math.comb(left, k) * tc ** k
+            if r < last and k < left:
+                spread(r + 1, left - k, vk, ck)
+                continue
+            m = tuple((f, e) for f, e in zip(factors, vk) if e)
+            s = out.get(m, 0) + ck
+            if s:
+                out[m] = s
+            else:
+                out.pop(m, None)
+
+    spread(0, j, exps(m0), c0)
     return out
 
 

@@ -510,7 +510,22 @@ def test_analyze_collapsed_power_is_fast(tmp_path, capsys):
     assert doc["offsets"] == {"c": [0, 0], "d": [1, 1]}
     assert doc["structural_index"] == 0
     assert doc["classification"] == "GenericallyNonsingular"
-    assert took < 5.0
+    assert took < 1.0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("power, bound", [
+    ("(x*y + 1)^1000 + x' - y", 1.0),  # one multinomial stretch
+    ("(x + y + 1)^200 + x'", 2.0),     # five stretches, four collapses
+])
+def test_analyze_power_of_a_sum_is_fast(tmp_path, capsys, power, bound):
+    rc, took, doc = _timed_analyze(
+        tmp_path, "dae p\nvars x, y\neq f1: %s = 0\neq f2: x - y' = 0\n" % power)
+    assert rc == 0
+    assert doc["value"] == 2
+    assert doc["offsets"] == {"c": [0, 0], "d": [1, 1]}
+    assert doc["classification"] == "GenericallyNonsingular"
+    assert took < bound
     capsys.readouterr()
 
 

@@ -5,7 +5,8 @@ import pytest
 from daefix.dsl import (ParseError, emit_dae, parse_dae, parse_expr,
                         parse_vector)
 from daefix.expr import (
-    Add, Const, DrivingFn, Neg, Param, Pow, StateDeriv, hod, simplify, walk,
+    Add, Const, DrivingFn, Neg, Param, Pow, StateDeriv, format_expr, hod,
+    simplify, walk,
 )
 
 PENDULUM = """\
@@ -110,6 +111,18 @@ def test_negative_exponent_forms():
     raw = s.equations[0].raw
     exps = {n.exponent for n in walk(raw) if isinstance(n, Pow)}
     assert exps == {-1, -2}
+
+
+def test_power_binds_tighter_than_minus_and_is_left_associative():
+    s = parse_dae("dae d\nvars x\neq f1: x = 0\n")
+    x = StateDeriv(0)
+    assert parse_expr("-x^2", s) == Neg(Pow(x, 2))
+    nested = parse_expr("x^2^3", s)
+    assert nested == Pow(Pow(x, 2), 3)
+    assert simplify(nested) == Pow(x, 6)
+    text = format_expr(nested, s.var_names)
+    assert text == "x^2^3"
+    assert parse_expr(text, s) == nested
 
 
 def test_division_semantics():

@@ -1,9 +1,11 @@
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from daefix import expr as expr_module
 from daefix.expr import (
     FUNCS, NEG_INF, ZERO, Add, Const, DomainError, DrivingFn, Func,
     MissingBinding, Mul, Neg, Param, Pow, StateDeriv, TimeVar, _key, _p_mul,
@@ -321,7 +323,7 @@ def test_format_negative_coefficient_inside_product():
 
 
 def _repeated_mul(p, n):
-    # the n-1 products _p_pow made before it had a monomial shortcut
+    # the loop _p_pow must equal: p, then n-1 products with p
     out = dict(p)
     for _ in range(n - 1):
         out = _p_mul(out, p)
@@ -366,6 +368,154 @@ def test_exp_and_sqrt_monomial_powers_keep_their_rewrites():
     assert _p_pow({((ex, 1),): Fraction(1)}, 3) != {((ex, 3),): Fraction(1)}
     assert _p_pow({((Func("sqrt", x), 1),): Fraction(2)}, 4) == \
         {((x, 2),): Fraction(16)}
+
+
+# ---------------------------------------------------------------------------
+# powers of sums: multinomial stretches between term-cap collapses
+
+
+def _loop_powers(p, ns):
+    # {n: _repeated_mul(p, n)} for every n in ns, from one run of the loop
+    out, want = dict(p), {}
+    for n in range(1, max(ns) + 1):
+        if n > 1:
+            out = _p_mul(out, p)
+        if n in ns:
+            want[n] = out
+    return want
+
+
+def _numbered(p, table):
+    # p with each factor replaced by a number that `table` gives to each
+    # distinct tree; a subtree object shared by many monomials, such as a
+    # collapsed sum, is numbered once, where field-wise == re-walks it per
+    # monomial (seconds on one nested collapse, more on each further one)
+    seen = {}
+
+    def number(e):
+        if id(e) not in seen:
+            if isinstance(e, (Add, Mul)):
+                sig = (type(e), tuple(number(c) for c in e.children))
+            elif isinstance(e, Pow):
+                sig = (Pow, number(e.base), e.exponent)
+            elif isinstance(e, Func):
+                sig = (Func, e.name, number(e.arg))
+            elif isinstance(e, Neg):
+                sig = (Neg, number(e.child))
+            else:
+                sig = e
+            seen[id(e)] = (table.setdefault(sig, len(table)), e)
+        return seen[id(e)][0]
+
+    return {tuple((number(f), k) for f, k in m): c for m, c in p.items()}
+
+
+def _same(p, q):
+    table = {}
+    return _numbered(p, table) == _numbered(q, table)
+
+
+def _poly_of(*terms):
+    # terms are (coefficient, ((factor, exponent), ...)) pairs
+    p = {}
+    for c, m in terms:
+        m = tuple(sorted(m, key=lambda fk: _key(fk[0])))
+        p[m] = p.get(m, 0) + Fraction(c)
+    return p
+
+
+def _count_products(monkeypatch):
+    calls = []
+
+    def counted(p, q):
+        calls.append((len(p), len(q)))
+        return _p_mul(p, q)
+
+    monkeypatch.setattr(expr_module, "_p_mul", counted)
+    return calls
+
+
+def test_power_of_a_sum_equals_repeated_products():
+    rng = random.Random("sum-power")
+    pool = [x, y, t, g, Func("sin", x), Func("cos", simplify(x + y)),
+            Func("ln", t)]
+    # (u + 2g - 2g^2/u)^2 has no g^2 term: (2g)^2 cancels 2*u*(-2g^2/u)
+    u = ((x, 1), (y, 1))
+    cancelling = _poly_of((1, u), (2, ((g, 1),)),
+                          (-2, ((x, -1), (y, -1), (g, 2))))
+    assert ((g, 2),) not in _p_pow(cancelling, 2)
+    merged = 0
+    for trial in range(80):
+        p = {}
+        for _ in range(rng.randint(2, 6)):
+            (m, c), = _random_monomial(rng, pool[:rng.randint(4, 7)]).items()
+            p[m] = c
+        if trial % 3 == 0:
+            p.update(cancelling)
+        n = rng.randint(1, 8)
+        got = _p_pow(p, n)
+        assert _same(got, _repeated_mul(p, n))
+        merged += 2 <= n <= 7 and len(p) <= 6 and \
+            0 < len(got) < math.comb(n + len(p) - 1, len(p) - 1)
+    assert merged > 5
+
+
+def test_power_of_a_sum_across_stretch_boundaries(monkeypatch):
+    # (x+y+1)^j has comb(j+2, 2) terms: the loop collapses at j = 45 and
+    # again at 90, where the product has 1035 * 3 > 3000 terms
+    p = _poly_of((1, ((x, 1),)), (1, ((y, 1),)), (1, ()))
+    ns = (1, 2, 44, 45, 46, 60, 89, 90, 91)
+    want = _loop_powers(p, ns)
+    calls = _count_products(monkeypatch)
+    for n in ns:
+        assert _same(_p_pow(p, n), want[n])
+    # one collapsing product per stretch boundary crossed, none inside
+    assert calls == [(1035, 3)] * 8
+    assert len(want[44]) == 1035 and len(want[45]) == 1
+    assert len(want[90]) == 1 and len(want[91]) == 3
+
+    z = StateDeriv(2)
+    p4 = _poly_of((1, ((x, 1),)), (1, ((y, 1),)), (1, ((z, 1),)), (1, ()))
+    want = _loop_powers(p4, (16, 17, 18))
+    del calls[:]
+    for n in (16, 17, 18):
+        assert _same(_p_pow(p4, n), want[n])
+    assert calls == [(816, 4)] * 3 and len(want[16]) == 1
+
+
+def test_power_of_a_sum_whose_terms_merge_finishes_with_the_loop():
+    # (1+x)^j (1+y)^j has (j+1)^2 terms, far fewer than the bound: the
+    # first stretch ends at j = 15 without a collapse, and the loop goes on
+    # until 28^2 * 4 > 3000
+    p = _poly_of((1, ((x, 1),)), (1, ((x, 1), (y, 1))), (1, ((y, 1),)), (1, ()))
+    want = _loop_powers(p, (16, 27, 28, 30, 45))
+    for n in (30, 45):
+        assert _same(_p_pow(p, n), want[n])
+    assert len(want[16]) == 17 ** 2 and len(want[27]) == 28 ** 2
+    assert len(want[28]) == 1
+
+
+def test_power_of_a_sum_edge_cases():
+    assert _p_pow({}, 1) == {} and _p_pow({}, 5) == {}
+    p = _poly_of((3, ((x, 1),)), (Fraction(-1, 2), ((y, -2),)))
+    assert _p_pow(p, 1) == p
+    # 60 terms: the first product is already over the cap
+    wide = _poly_of(*((k + 1, ((x, k), (y, 1))) for k in range(60)))
+    sq = _p_pow(wide, 2)
+    assert sq == _repeated_mul(wide, 2)
+    assert list(sq.values()) == [1] and len(next(iter(sq))) == 1
+    # more terms than the cap: the loop starts from p itself, uncollapsed
+    over = _poly_of(*((1, ((x, k),)) for k in range(-1500, 1501)))
+    assert _p_pow(over, 1) == over
+    assert _p_pow(over, 2) == _repeated_mul(over, 2)
+
+
+def test_binomial_power_matches_its_closed_form():
+    # (x*y + 1)^1000 fits one stretch: 1001 terms, no collapse
+    p = _poly_of((1, ((x, 1), (y, 1))), (1, ()))
+    want = {((x, k), (y, k)) if k else (): Fraction(math.comb(1000, k))
+            for k in range(1001)}
+    assert _p_pow(p, 1000) == want
 
 
 def test_partial_by_an_absent_atom_is_the_zero_constant():
