@@ -21,8 +21,8 @@ from .expr import NEG_INF, ZERO, format_expr, simplify
 from .jacobian import JacobianClass, classify_jacobian, system_jacobian
 from .model import ModelError
 from .nullspace import residual
-from .render import (CLASS_LABELS, render_equations, render_jacobian,
-                     render_scheme, render_sigma, render_step)
+from .render import (render_equations, render_jacobian, render_scheme,
+                     render_sigma, render_step)
 from .structural import (canonical_offsets, degrees_of_freedom,
                          signature_matrix, solution_scheme, structural_index)
 from .zerotest import DEFAULT_BUDGET, DEFAULT_SEED, Prober
@@ -242,7 +242,7 @@ def cmd_analyze(args) -> int:
     det_str = _det_string(system, rep)
     if det_str is not None:
         print("det(J) = %s" % det_str)
-    print("classification: %s" % CLASS_LABELS[rep.klass])
+    print("classification: %s" % rep.klass.value)
     if prober.uncertain_seen:
         print("confidence: unverified (a zero test ran out of probe budget)")
     doc.update(
@@ -253,7 +253,7 @@ def cmd_analyze(args) -> int:
         scheme=_scheme_json(system, scheme),
         jacobian=_jacobian_json(system, J),
         determinant=det_str,
-        classification=CLASS_LABELS[rep.klass],
+        classification=rep.klass.value,
         uncertain=prober.uncertain_seen,
     )
     _write_json(args, doc)
@@ -298,7 +298,7 @@ def _conversion_doc(args, system, digest, report):
         steps.append(entry)
         before = st.system
     final = {
-        "classification": (CLASS_LABELS[report.jacobian.klass]
+        "classification": (report.jacobian.klass.value
                            if report.jacobian else "StructurallyIllPosed"),
         "determinant": _det_string(report.system, report.jacobian),
         "offsets": ({"c": list(report.offsets.c), "d": list(report.offsets.d)}

@@ -21,10 +21,9 @@ from fractions import Fraction
 from itertools import zip_longest
 
 from .expr import (ZERO, Add, Const, Expr, Mul, Neg, Pow, StateDeriv, atoms,
-                   evaluate_ex, hod, simplify, total_derivative)
+                   evaluate_ex, hod, simplify, subst_atoms, total_derivative)
 from .jacobian import classify_jacobian, system_jacobian
-from .model import (DaeSystem, Substitution, apply_substitutions,
-                    fresh_indexed, make_equation)
+from .model import DaeSystem, fresh_indexed, make_equation
 from .nullspace import (EliminationStuck, kernel_basis, normalize_candidates,
                         verify_nullvector)
 from .structural import OffsetPair, canonical_offsets, signature_matrix
@@ -116,6 +115,7 @@ class LcApplication:
     system: DaeSystem
     analysis: LcAnalysis
     pivot: int
+    combination: Expr   # sum u_i f_i^(c_i-c) before its normal form
 
 
 def lc_apply(system: DaeSystem, analysis: LcAnalysis, pivot: int) -> LcApplication:
@@ -130,10 +130,10 @@ def lc_apply(system: DaeSystem, analysis: LcAnalysis, pivot: int) -> LcApplicati
     for i in analysis.rows:
         fi = total_derivative(system.equations[i].expr, off.c[i] - analysis.c_under)
         terms.append(Mul((u[i], fi)))
-    combined = simplify(terms[0] if len(terms) == 1 else Add(tuple(terms)))
+    combination = terms[0] if len(terms) == 1 else Add(tuple(terms))
     old = system.equations[pivot]
-    new_eq = make_equation(old.name, combined, origin="lc_replaced",
-                           alias=old.alias)
+    new_eq = make_equation(old.name, simplify(combination),
+                           origin="lc_replaced", alias=old.alias)
     # the leading derivatives must have cancelled
     for j in range(system.n):
         if not hod(new_eq.expr, j) < off.d[j] - analysis.c_under:
@@ -141,22 +141,19 @@ def lc_apply(system: DaeSystem, analysis: LcAnalysis, pivot: int) -> LcApplicati
                                % system.var_names[j])
     eqs = list(system.equations)
     eqs[pivot] = new_eq
-    return LcApplication(system.with_equations(eqs), analysis, pivot)
+    return LcApplication(system.with_equations(eqs), analysis, pivot,
+                         combination)
 
 
 def lc_equivalence_probes(before: DaeSystem, app: LcApplication,
                           prober: Prober, points: int = PROBE_POINTS) -> int:
-    """Numerically checks f_new = sum u_i f_i^(c_i-c) at random points.
+    """Numerically checks f_new = sum u_i f_i^(c_i-c), as lc_apply built
+    it, at random points.
 
     Returns the number of points actually compared.
     """
-    a = app.analysis
-    combination = Add(tuple(
-        Mul((a.u[i], total_derivative(before.equations[i].expr,
-                                      a.off.c[i] - a.c_under)))
-        for i in a.rows))
     return _certify("%s:lc:%s:%d" % (prober.seed, before.name, app.pivot),
-                    [(app.system.equations[app.pivot].expr, combination)],
+                    [(app.system.equations[app.pivot].expr, app.combination)],
                     {}, before.param_values, prober, points)
 
 
@@ -231,13 +228,15 @@ class EsApplication:
     rewritten: tuple   # row indices that were substituted into
 
 
-def es_apply(system: DaeSystem, sig, analysis: EsAnalysis, pivot: int,
+def es_apply(system: DaeSystem, analysis: EsAnalysis, pivot: int,
              prober: Prober) -> EsApplication:
     """Substitutes the kernel relation through the tight rows.
 
-    Each non-pivot column j gets a fresh state for
-    x_j^(d_j-c) - (v_j/v_l) x_l^(d_l-c); occurrences of x_j at that order
-    and above are rewritten in terms of it.
+    Each non-pivot column j gets a fresh state y for
+    x_j^(r_j) - (v_j/v_l) x_l^(d_l-c), where r_j = d_j - c.  One mapping
+    sends each x_j^(k), k >= r_j, to the (k - r_j)-th derivative of y plus
+    the pivot share; the tight rows holding one of those atoms are
+    rewritten through it, and the converted system is built once.
     """
     if not analysis.condition_ok:
         raise ConditionRejected("substitution order condition fails")
@@ -252,6 +251,9 @@ def es_apply(system: DaeSystem, sig, analysis: EsAnalysis, pivot: int,
     off = analysis.off
     c_bar = analysis.c_over
     r_l = off.d[pivot] - c_bar
+    # row i holds x_j only up to order d_j - c_i, so the replacements
+    # stop at d_j - c_min
+    c_min = min(off.c[i] for i in analysis.rows)
     if isinstance(v_l, Const):
         inv = Const(Fraction(1) / v_l.value)
     else:
@@ -262,7 +264,7 @@ def es_apply(system: DaeSystem, sig, analysis: EsAnalysis, pivot: int,
     taken_eqs = {eq.name for eq in system.equations}
     renamed = []
     new_eqs = []
-    bases = {}
+    mapping = {}
     for j in analysis.cols:
         if j == pivot:
             continue
@@ -274,36 +276,38 @@ def es_apply(system: DaeSystem, sig, analysis: EsAnalysis, pivot: int,
         eq_name = fresh_indexed("f", system.n + 1, taken_eqs)
         taken_vars.add(var_name)
         taken_eqs.add(eq_name)
-        new_index = system.n + len(renamed)
-        row = Add((Neg(StateDeriv(new_index, 0)), StateDeriv(j, r_j), Neg(q)))
-        new_eqs.append(make_equation(eq_name, simplify(row),
-                                     origin="es_appended",
+        y = StateDeriv(system.n + len(renamed), 0)
+        row = simplify(Add((Neg(y), definition)))
+        new_eqs.append(make_equation(eq_name, row, origin="es_appended",
                                      alias="y%d" % (j + 1)))
-        renamed.append(Renaming(j, new_index, var_name, eq_name,
+        renamed.append(Renaming(j, y.index, var_name, eq_name,
                                 "y%d" % (j + 1), r_j, definition))
         # what x_j^(r_j) becomes: the fresh state plus the pivot share
-        bases[j] = Add((StateDeriv(new_index, 0), q))
-    grown = DaeSystem(system.name,
-                      system.var_names + tuple(r.var_name for r in renamed),
-                      system.equations + tuple(new_eqs), system.params,
-                      system.input_names)
+        base = Add((y, q))
+        for k in range(r_j, off.d[j] - c_min + 1):
+            rep = total_derivative(base, k - r_j)
+            if not hod(rep, j) < k:
+                raise ConvertError(
+                    "substitution for %s at order %d would reintroduce an "
+                    "equal or higher derivative of it"
+                    % (system.var_names[j], k))
+            mapping[StateDeriv(j, k)] = rep
 
-    per_row = {}
+    eqs = list(system.equations)
+    rewritten = []
     for i in analysis.rows:
-        present = atoms(system.equations[i].expr)
-        subs = []
-        for rec in renamed:
-            for k in range(rec.order, off.d[rec.col] - off.c[i] + 1):
-                if StateDeriv(rec.col, k) not in present:
-                    continue
-                subs.append(Substitution(rec.col, k,
-                                         total_derivative(bases[rec.col],
-                                                          k - rec.order)))
-        if subs:
-            per_row[i] = tuple(subs)
-    converted = apply_substitutions(grown, per_row, origin="es_rewritten")
+        old = eqs[i]
+        if atoms(old.expr).isdisjoint(mapping):
+            continue
+        eqs[i] = make_equation(old.name,
+                               simplify(subst_atoms(old.expr, mapping)),
+                               origin="es_rewritten", alias=old.alias)
+        rewritten.append(i)
+    names = system.var_names + tuple(r.var_name for r in renamed)
+    converted = DaeSystem(system.name, names, tuple(eqs + new_eqs),
+                          system.params, system.input_names)
     return EsApplication(converted, analysis, pivot, tuple(renamed),
-                         tuple(sorted(per_row)))
+                         tuple(rewritten))
 
 
 def es_equivalence_probes(before: DaeSystem, app: EsApplication,
@@ -526,7 +530,7 @@ def fix_dae(system: DaeSystem, prober: Prober = None, method: str = None,
             lc_equivalence_probes(current, app, prober)
             vec = analysis.u
         else:
-            app = es_apply(current, sig, analysis, chosen_pivot, prober)
+            app = es_apply(current, analysis, chosen_pivot, prober)
             es_equivalence_probes(current, app, prober)
             vec = analysis.v
         current = app.system

@@ -176,7 +176,7 @@ class _ExprParser:
         if name == "t":
             return TimeVar()
         if name == "diff":
-            return self.diff_call(t)
+            return self.diff_call()
         if name in FUNCS:
             self.expect_op("(")
             arg = self.parse()
@@ -203,7 +203,7 @@ class _ExprParser:
             return Param(name)
         self.fail("unknown name %r" % name, t)
 
-    def diff_call(self, t: _Tok) -> Expr:
+    def diff_call(self) -> Expr:
         self.expect_op("(")
         inner = self.parse()
         self.expect_op(",")

@@ -76,10 +76,10 @@ def determinant(matrix: Sequence[Sequence[Expr]]) -> Expr:
 
 
 class JacobianClass(Enum):
-    GENERICALLY_NONSINGULAR = "generically_nonsingular"
-    STRUCTURALLY_SINGULAR = "structurally_singular"
-    IDENTICALLY_SINGULAR = "identically_singular"
-    PROBABLY_SINGULAR = "probably_singular"
+    GENERICALLY_NONSINGULAR = "GenericallyNonsingular"
+    STRUCTURALLY_SINGULAR = "StructurallySingular"
+    IDENTICALLY_SINGULAR = "IdenticallySingular"
+    PROBABLY_SINGULAR = "ProbablySingular"
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,15 @@
-"""DAE system model: named equations over named state variables."""
+"""DAE system model: named equations over named state variables.
+
+A DaeSystem is immutable and validated when it is built.  The conversion
+rewrites in convert build each converted system in one construction.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
-from .expr import (
-    DrivingFn, Expr, Param, StateDeriv, hod, simplify, subst_atoms, walk,
-)
+from .expr import DrivingFn, Expr, Param, StateDeriv, simplify, walk
 
 RESERVED = {"t", "dae", "vars", "params", "input", "eq",
             "sin", "cos", "exp", "ln", "sqrt", "diff"}
@@ -106,47 +108,6 @@ class DaeSystem:
     def with_equations(self, equations: Sequence[Equation]) -> "DaeSystem":
         return DaeSystem(self.name, self.var_names, tuple(equations),
                          self.params, self.input_names)
-
-
-@dataclass(frozen=True)
-class Substitution:
-    """Replace the atom d^order x_{var_index}/dt^order by `replacement`."""
-
-    var_index: int
-    order: int
-    replacement: Expr
-
-    def __post_init__(self):
-        if self.order < 0:
-            raise ModelError("substitution order must be nonnegative")
-        if hod(self.replacement, self.var_index) >= self.order:
-            raise ModelError(
-                "substitution for state %d order %d would reintroduce an "
-                "equal or higher derivative of the same state"
-                % (self.var_index, self.order))
-
-
-def apply_substitutions(system: DaeSystem,
-                        per_row: Mapping[int, Sequence[Substitution]],
-                        origin: str = "es_rewritten") -> DaeSystem:
-    """Rewrite the given rows, each with its own simultaneous substitution set."""
-    eqs = list(system.equations)
-    for row, subs in per_row.items():
-        if not 0 <= row < len(eqs):
-            raise ModelError("row %d out of range" % row)
-        if not subs:
-            continue
-        mapping = {}
-        for s in subs:
-            key = StateDeriv(s.var_index, s.order)
-            if key in mapping:
-                raise ModelError("duplicate substitution for %r" % (key,))
-            mapping[key] = s.replacement
-        old = eqs[row]
-        eqs[row] = make_equation(old.name,
-                                 simplify(subst_atoms(old.expr, mapping)),
-                                 origin, old.alias)
-    return system.with_equations(eqs)
 
 
 def fresh_indexed(prefix: str, start: int, taken) -> str:

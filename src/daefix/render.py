@@ -7,14 +7,6 @@ offsets in the right and bottom margins.
 """
 
 from .expr import NEG_INF, ZERO, format_expr
-from .jacobian import JacobianClass
-
-CLASS_LABELS = {
-    JacobianClass.GENERICALLY_NONSINGULAR: "GenericallyNonsingular",
-    JacobianClass.STRUCTURALLY_SINGULAR: "StructurallySingular",
-    JacobianClass.IDENTICALLY_SINGULAR: "IdenticallySingular",
-    JacobianClass.PROBABLY_SINGULAR: "ProbablySingular",
-}
 
 
 def _grid(headers, rows) -> str:
@@ -135,5 +127,5 @@ def render_step(step, before) -> str:
     return "\n".join(lines)
 
 
-def _indent(text: str, by: str = "  ") -> str:
-    return "\n".join(by + ln for ln in text.splitlines())
+def _indent(text: str) -> str:
+    return "\n".join("  " + ln for ln in text.splitlines())

@@ -11,12 +11,12 @@ from daefix.convert import (ConditionRejected, ConvertError, EsAnalysis,
                             es_analyze, es_apply, es_equivalence_probes,
                             fix_dae, lc_analyze, lc_apply,
                             lc_equivalence_probes)
-from daefix.corpus import load
+from daefix.corpus import load, names as corpus_names
 from daefix.dsl import parse_dae, parse_expr
 from daefix.expr import (NEG_INF, ZERO, Add, Const, Neg, StateDeriv, hod,
                          evaluate, simplify)
 from daefix.jacobian import determinant, system_jacobian
-from daefix.model import make_equation
+from daefix.model import DaeSystem, make_equation
 from daefix.structural import OffsetPair, canonical_offsets, signature_matrix
 from daefix.zerotest import Prober
 
@@ -301,7 +301,54 @@ def test_es_pivot_outside_support():
     a = es_analyze(s, sig, off, vec(s, "t", "-1"), Prober())
     assert a.usable
     with pytest.raises(PivotRejected):
-        es_apply(s, sig, a, 5, Prober())
+        es_apply(s, a, 5, Prober())
+
+
+def test_es_apply_guards_against_reintroduction():
+    # a ratio v_j/v_l holding x_j at the captured order r_j would make
+    # x_j^(r_j) stand for an expression in itself; the order condition
+    # rules it out, so the analysis is built by hand
+    s = load("brenan")
+    sig, off, J = analyze(s)
+    a = EsAnalysis((StateDeriv(0), Const(1)), (0, 1), (0, 1), 1, (1,), True,
+                   off)
+    with pytest.raises(ConvertError, match="reintroduce"):
+        es_apply(s, a, 1, Prober())
+
+
+_THREE_BLOCK = """
+dae b3
+vars x, y, z
+input h1, h2, h3
+eq f1: x' + t*y' - h1(t) = 0
+eq f2: x + t*y - h2(t) = 0
+eq f3: z - x - h3(t) = 0
+"""
+
+
+def test_es_leaves_untouched_rows_as_they_were():
+    runs = [(load(name), {}) for name in ("es_example", "pendulum_mod")]
+    b3 = parse_dae(_THREE_BLOCK)
+    runs.append((b3, dict(method="es", vector=vec(b3, "-t", "1", "0"),
+                          pivot=0)))
+    untouched = 0
+    for system, kwargs in runs:
+        before = system
+        for st in fix_dae(system, **kwargs).steps:
+            assert st.kind is MethodKind.ES
+            app = st.application
+            assert app.rewritten
+            for i, old in enumerate(before.equations):
+                new = app.system.equations[i]
+                if i in app.rewritten:
+                    assert new.origin == "es_rewritten"
+                    assert (new.name, new.alias) == (old.name, old.alias)
+                else:
+                    assert new is old
+                    untouched += 1
+            before = st.system
+    # f3 of the three-block system is not tight in the kernel columns
+    assert untouched == 1
 
 
 def test_es_rejects_unusable_kernel():
@@ -524,6 +571,73 @@ def test_one_elimination_per_side_and_two_verifications_per_step(
     # never eliminated, and the one cokernel vector is verified once
     assert eliminations == [True] * steps
     assert len(verifications) <= 2 * steps
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Every DaeSystem constructed from here on, in order."""
+    systems = []
+    validate = DaeSystem._validate
+
+    def recorded(self):
+        systems.append(self)
+        validate(self)
+
+    monkeypatch.setattr(DaeSystem, "_validate", recorded)
+    return systems
+
+
+def test_one_system_built_per_substitution_step(built):
+    systems = [load(name) for name in ("es_example", "pendulum_mod")]
+    built.clear()
+    for system in systems:
+        report = fix_dae(system)
+        assert [st.kind for st in report.steps] == [MethodKind.ES]
+        assert built == [report.system]
+        built.clear()
+
+
+def test_combination_is_derived_once_per_row(monkeypatch):
+    import daefix.convert
+    derived = []
+    original = daefix.convert.total_derivative
+
+    def counted(*args, **kwargs):
+        derived.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(daefix.convert, "total_derivative", counted)
+    s = parse_dae(checks.brenan_blocks(8))
+    report = fix_dae(s, Prober())
+    assert report.status is FixStatus.SUCCESS
+    assert all(st.kind is MethodKind.LC for st in report.steps)
+    # lc_apply derives each combined row once; the probes reuse its sum
+    assert len(derived) == sum(len(st.application.analysis.rows)
+                               for st in report.steps) == 16
+    derived.clear()
+    before = s
+    for st in report.steps:
+        assert lc_equivalence_probes(before, st.application, Prober()) > 0
+        before = st.system
+    assert derived == []
+
+
+@pytest.mark.parametrize("formal", [False, True])
+def test_rewritten_rows_hold_their_normal_form(built, formal):
+    # every system a conversion builds is recorded, so a run that fails at
+    # a later step (pendulum_mod under "lc") is still checked up to there
+    for name in corpus_names():
+        for method in (None, "lc", "es"):
+            try:
+                fix_dae(load(name), method=method, formal=formal)
+            except ConvertError:
+                pass
+    rewritten = [eq for s in built for eq in s.equations
+                 if eq.origin != "original"]
+    assert {eq.origin for eq in rewritten} \
+        == {"lc_replaced", "es_rewritten", "es_appended"}
+    for eq in rewritten:
+        assert eq.raw == eq.expr, eq.name
 
 
 def _plus(system, row, amount):

@@ -1,11 +1,8 @@
 import pytest
 
 from daefix.dsl import parse_dae
-from daefix.expr import Add, Neg, StateDeriv, simplify
-from daefix.model import (
-    DaeSystem, ModelError, Substitution, apply_substitutions, fresh_indexed,
-    make_equation,
-)
+from daefix.expr import Add, Neg, StateDeriv
+from daefix.model import DaeSystem, ModelError, fresh_indexed, make_equation
 
 x = StateDeriv(0)
 y = StateDeriv(1)
@@ -39,36 +36,6 @@ def test_with_equations_keeps_shape():
     assert [e.name for e in s2.equations] == ["g1", "g2"]
     with pytest.raises(ModelError):
         s.with_equations([make_equation("g1", x)])
-
-
-def test_substitution_guards_against_reintroduction():
-    # replacing a by an expression containing a' is a cycle
-    with pytest.raises(ModelError):
-        Substitution(0, 0, StateDeriv(0, 1) + y)
-    # same order is just as bad
-    with pytest.raises(ModelError):
-        Substitution(0, 1, StateDeriv(0, 1))
-    # lower orders of the same state are fine
-    Substitution(0, 2, StateDeriv(0, 1) + y)
-
-
-def test_apply_substitutions_one_pass():
-    s = _sys2()
-    # a -> b, applied to row 1 only
-    out = apply_substitutions(s, {1: [Substitution(0, 0, y)]})
-    assert simplify(out.equations[1].expr) == simplify(2 * y)
-    # row 0 untouched
-    assert out.equations[0].expr == s.equations[0].expr
-    assert out.equations[1].origin == "es_rewritten"
-
-
-def test_apply_substitutions_simultaneous():
-    s = parse_dae("dae m\nvars a, b\neq f1: a + b' = 0\neq f2: b = 0\n")
-    # a -> 2*b' at the same time as b' -> a: replacements are not chained
-    out = apply_substitutions(
-        s, {0: [Substitution(0, 0, 2 * StateDeriv(1, 1)),
-                Substitution(1, 1, x)]})
-    assert simplify(out.equations[0].expr) == simplify(x + 2 * StateDeriv(1, 1))
 
 
 def test_grown_system_keeps_alias_and_rejects_taken_name():
