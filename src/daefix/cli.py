@@ -15,16 +15,16 @@ import json
 import sys
 
 from .convert import (ConditionRejected, ConvertError, FixStatus, MethodKind,
-                      PivotRejected, VectorRejected, fix_dae)
+                      PivotRejected, VectorRejected, analyze, fix_dae)
 from .dsl import ParseError, emit_dae, parse_dae, parse_vector
 from .expr import NEG_INF, ZERO, format_expr, simplify
-from .jacobian import JacobianClass, classify_jacobian, system_jacobian
+from .jacobian import JacobianClass
 from .model import ModelError
 from .nullspace import residual
 from .render import (render_equations, render_jacobian, render_scheme,
                      render_sigma, render_step)
-from .structural import (canonical_offsets, degrees_of_freedom,
-                         signature_matrix, solution_scheme, structural_index)
+from .structural import (degrees_of_freedom, signature_matrix,
+                         solution_scheme, structural_index)
 from .zerotest import DEFAULT_BUDGET, DEFAULT_SEED, Prober
 
 EXIT_OK = 0
@@ -87,18 +87,19 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="step budget (default: initial value + 1)")
     pf.add_argument("--emit", metavar="OUT", help="write the converted "
                     "system in .dae format")
-    pf.set_defaults(func=cmd_fix)
+    pf.set_defaults(func=cmd_fix, vector=None, pivot=None)
 
     pt = sub.add_parser("trace", parents=[common],
                         help="apply exactly one forced conversion step")
     pt.add_argument("--method", choices=("lc", "es"), required=True)
     pt.add_argument("--vector", required=True,
                     help="null vector, e.g. \"[x2, x1, 1, -1]\"")
-    pt.add_argument("--pivot", type=int, metavar="L",
+    pt.add_argument("--pivot", type=_at_least(1), metavar="L",
                     help="1-based pivot equation (lc) or variable (es)")
     pt.add_argument("--emit", metavar="OUT", help="write the converted "
                     "system in .dae format")
-    pt.set_defaults(func=cmd_trace)
+    # trace is fix with one forced step
+    pt.set_defaults(func=cmd_fix, max_steps=1)
     return parser
 
 
@@ -112,9 +113,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except (OSError, ParseError, ModelError) as ex:
         print("error: %s" % ex, file=sys.stderr)
-        return EXIT_USAGE
-    except VectorRejected as ex:
-        print("vector rejected: %s" % ex, file=sys.stderr)
         return EXIT_USAGE
     except (ConditionRejected, PivotRejected) as ex:
         print("step rejected: %s" % ex, file=sys.stderr)
@@ -190,10 +188,15 @@ def _jacobian_json(system, matrix):
              for e in row] for row in matrix]
 
 
-def _det_string(system, rep):
-    if rep is None or rep.det is None:
+def _offsets_json(off):
+    return None if off is None else {"c": list(off.c), "d": list(off.d)}
+
+
+def _det_string(system, jac):
+    """The determinant's normal form, None when it was not expanded."""
+    if jac is None or jac.det is None:
         return None
-    return format_expr(simplify(rep.det), system.var_names)
+    return format_expr(jac.det, system.var_names)
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +205,10 @@ def _det_string(system, rep):
 def cmd_analyze(args) -> int:
     system, digest = _load(args.path)
     prober = _prober(args)
-    true_sig = signature_matrix(system)
-    formal_sig = signature_matrix(system, formal=True)
-    sig = formal_sig if args.mode == "formal" else true_sig
+    formal = args.mode == "formal"
+    a = analyze(system, prober, formal)
+    sig, other = a.signature, signature_matrix(system, formal=not formal)
+    true_sig, formal_sig = (other, sig) if formal else (sig, other)
     doc = {
         "kind": "analysis",
         "name": system.name,
@@ -216,7 +220,7 @@ def cmd_analyze(args) -> int:
         "sigma_formal": _sigma_json(formal_sig),
     }
     print("system %s: %d equations" % (system.name, system.n))
-    if not sig.swp:
+    if a.jacobian is None:
         doc.update(classification="StructurallyIllPosed", offsets=None,
                    value=None, structural_index=None, dof=None, scheme=None,
                    jacobian=None, determinant=None,
@@ -224,10 +228,8 @@ def cmd_analyze(args) -> int:
         _write_json(args, doc)
         print("no highest-value transversal: structurally ill posed")
         return EXIT_ILL_POSED
-    off = canonical_offsets(sig)
-    J = system_jacobian(system, sig, off)
-    scheme = solution_scheme(off, J)
-    rep = classify_jacobian(J, prober)
+    off, rep = a.offsets, a.jacobian
+    scheme = solution_scheme(off, rep.matrix)
     print()
     print(render_sigma(system, sig, off))
     print()
@@ -238,7 +240,7 @@ def cmd_analyze(args) -> int:
     print(render_scheme(system, scheme))
     print()
     print("System Jacobian:")
-    print(render_jacobian(system, J))
+    print(render_jacobian(system, rep.matrix))
     det_str = _det_string(system, rep)
     if det_str is not None:
         print("det(J) = %s" % det_str)
@@ -246,12 +248,12 @@ def cmd_analyze(args) -> int:
     if prober.uncertain_seen:
         print("confidence: unverified (a zero test ran out of probe budget)")
     doc.update(
-        offsets={"c": list(off.c), "d": list(off.d)},
+        offsets=_offsets_json(off),
         value=sig.value,
         structural_index=structural_index(off),
         dof=degrees_of_freedom(off),
         scheme=_scheme_json(system, scheme),
-        jacobian=_jacobian_json(system, J),
+        jacobian=_jacobian_json(system, rep.matrix),
         determinant=det_str,
         classification=rep.klass.value,
         uncertain=prober.uncertain_seen,
@@ -297,12 +299,12 @@ def _conversion_doc(args, system, digest, report):
                                   for i in app.rewritten]
         steps.append(entry)
         before = st.system
+    jac = report.final.jacobian
     final = {
-        "classification": (report.jacobian.klass.value
-                           if report.jacobian else "StructurallyIllPosed"),
-        "determinant": _det_string(report.system, report.jacobian),
-        "offsets": ({"c": list(report.offsets.c), "d": list(report.offsets.d)}
-                    if report.offsets else None),
+        "classification": (jac.klass.value if jac
+                           else "StructurallyIllPosed"),
+        "determinant": _det_string(report.system, jac),
+        "offsets": _offsets_json(report.final.offsets),
         "value": _num(report.final_value),
     }
     return {
@@ -321,9 +323,9 @@ def _conversion_doc(args, system, digest, report):
 
 
 def _print_fix(system, report):
-    if report.initial_offsets is not None:
-        print(render_sigma(system, report.initial_signature,
-                           report.initial_offsets))
+    initial = report.initial
+    if initial.offsets is not None:
+        print(render_sigma(system, initial.signature, initial.offsets))
         print()
     before = system
     for st in report.steps:
@@ -338,7 +340,7 @@ def _print_fix(system, report):
         else:
             print("nothing to do: System Jacobian already generically "
                   "nonsingular")
-        det_str = _det_string(report.system, report.jacobian)
+        det_str = _det_string(report.system, report.final.jacobian)
         if det_str is not None:
             print("det(J) = %s" % det_str)
     elif report.status is FixStatus.ILL_POSED:
@@ -362,64 +364,39 @@ def _print_fix(system, report):
         print("confidence: unverified (a zero test ran out of probe budget)")
 
 
-def _emit(args, report):
-    if getattr(args, "emit", None):
-        with open(args.emit, "w") as fh:
-            fh.write(emit_dae(report.system))
-
-
-def _fix_exit(report) -> int:
-    if report.status is FixStatus.SUCCESS:
-        return EXIT_UNVERIFIED if report.uncertain else EXIT_OK
-    if report.status is FixStatus.ILL_POSED:
-        return EXIT_ILL_POSED
-    return EXIT_SINGULAR
-
-
 def cmd_fix(args) -> int:
     system, digest = _load(args.path)
     prober = _prober(args)
-    report = fix_dae(system, prober=prober, method=args.method,
-                     max_steps=args.max_steps,
-                     formal=args.mode == "formal")
-    _print_fix(system, report)
-    _write_json(args, _conversion_doc(args, system, digest, report))
-    _emit(args, report)
-    return _fix_exit(report)
-
-
-def _show_residual(system, J, vec, left):
-    for k, r in enumerate(residual(J, vec, left), 1):
-        r = ZERO if r is None else simplify(r)
-        if r != ZERO:
-            print("  residual[%d] = %s"
-                  % (k, format_expr(r, system.var_names)),
-                  file=sys.stderr)
-
-
-def cmd_trace(args) -> int:
-    system, digest = _load(args.path)
-    prober = _prober(args)
-    vec = parse_vector(args.vector, system)
-    pivot = args.pivot - 1 if args.pivot is not None else None
+    vec = None if args.vector is None else parse_vector(args.vector, system)
     try:
         report = fix_dae(system, prober=prober, method=args.method,
-                         vector=vec, pivot=pivot, max_steps=1,
+                         vector=vec,
+                         pivot=None if args.pivot is None else args.pivot - 1,
+                         max_steps=args.max_steps,
                          formal=args.mode == "formal")
     except VectorRejected as ex:
         print("vector rejected: %s" % ex, file=sys.stderr)
         if ex.jacobian is not None:
-            _show_residual(system, ex.jacobian, vec,
-                           left=args.method == "lc")
+            for k, r in enumerate(residual(ex.jacobian, vec,
+                                           left=args.method == "lc"), 1):
+                r = ZERO if r is None else simplify(r)
+                if r != ZERO:
+                    print("  residual[%d] = %s"
+                          % (k, format_expr(r, system.var_names)),
+                          file=sys.stderr)
         return EXIT_USAGE
     _print_fix(system, report)
     _write_json(args, _conversion_doc(args, system, digest, report))
-    _emit(args, report)
+    if args.emit:
+        with open(args.emit, "w") as fh:
+            fh.write(emit_dae(report.system))
     if report.status is FixStatus.ILL_POSED:
         return EXIT_ILL_POSED
-    if not report.steps and report.status is not FixStatus.SUCCESS:
-        return EXIT_SINGULAR
-    return EXIT_UNVERIFIED if report.uncertain else EXIT_OK
+    # a forced step that was applied is done, even if J stays singular
+    if report.status is FixStatus.SUCCESS or (vec is not None
+                                              and report.steps):
+        return EXIT_UNVERIFIED if report.uncertain else EXIT_OK
+    return EXIT_SINGULAR
 
 
 if __name__ == "__main__":

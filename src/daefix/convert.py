@@ -19,14 +19,16 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import zip_longest
+from typing import Optional
 
 from .expr import (ZERO, Add, Const, Expr, Mul, Neg, Pow, StateDeriv, atoms,
                    evaluate_ex, hod, simplify, subst_atoms, total_derivative)
-from .jacobian import classify_jacobian, system_jacobian
+from .jacobian import JacobianReport, classify_jacobian, system_jacobian
 from .model import DaeSystem, fresh_indexed, make_equation
 from .nullspace import (EliminationStuck, kernel_basis, normalize_candidates,
                         verify_nullvector)
-from .structural import OffsetPair, canonical_offsets, signature_matrix
+from .structural import (OffsetPair, SignatureMatrix, canonical_offsets,
+                         signature_matrix)
 from .zerotest import Prober, probe_points
 
 PROBE_POINTS = 5
@@ -427,6 +429,35 @@ class FixStatus(Enum):
 
 
 @dataclass(frozen=True)
+class Analysis:
+    """The structural analysis of one system, as every later stage reads it.
+
+    offsets and jacobian (the classified System Jacobian) are None when the
+    signature matrix has no transversal.
+    """
+
+    signature: SignatureMatrix
+    offsets: Optional[OffsetPair]
+    jacobian: Optional[JacobianReport]
+
+    @property
+    def value(self):
+        """int, or -inf when the signature has no transversal."""
+        return self.signature.value if self.signature.swp else float("-inf")
+
+
+def analyze(system: DaeSystem, prober: Prober,
+            formal: bool = False) -> Analysis:
+    """Signature matrix, canonical offsets, System Jacobian and its class."""
+    sig = signature_matrix(system, formal=formal)
+    if not sig.swp:
+        return Analysis(sig, None, None)
+    off = canonical_offsets(sig)
+    J = system_jacobian(system, sig, off)
+    return Analysis(sig, off, classify_jacobian(J, prober))
+
+
+@dataclass(frozen=True)
 class StepRecord:
     index: int            # 1-based
     kind: MethodKind
@@ -436,13 +467,12 @@ class StepRecord:
     value_before: int
     application: object   # LcApplication or EsApplication
     system: DaeSystem
-    signature: object     # of the system after the step
-    offsets: object       # None when the step lost the transversal
+    after: Analysis       # of the system the step produced
 
     @property
     def value_after(self):
         """int, or -inf when the step exposed ill-posedness."""
-        return _value(self.signature)
+        return self.after.value
 
 
 @dataclass(frozen=True)
@@ -451,31 +481,17 @@ class FixReport:
     steps: tuple
     system: DaeSystem
     uncertain: bool
-    initial_signature: object
-    initial_offsets: object   # None when the input has no transversal
-    signature: object     # of the final system
-    offsets: object       # None when the final system lost its transversal
-    jacobian: object      # final JacobianReport, None when ill-posed
+    initial: Analysis     # of the input
+    final: Analysis       # of system
 
     @property
     def initial_value(self):
         """None when the input itself is ill posed."""
-        sig = self.initial_signature
-        return sig.value if sig.swp else None
+        return None if self.initial.offsets is None else self.initial.value
 
     @property
     def final_value(self):
-        return _value(self.signature)
-
-
-def _value(sig):
-    return sig.value if sig.swp else float("-inf")
-
-
-def _analysis(system, formal):
-    """Signature matrix and canonical offsets, None without a transversal."""
-    sig = signature_matrix(system, formal=formal)
-    return sig, canonical_offsets(sig) if sig.swp else None
+        return self.final.value
 
 
 def fix_dae(system: DaeSystem, prober: Prober = None, method: str = None,
@@ -499,31 +515,26 @@ def fix_dae(system: DaeSystem, prober: Prober = None, method: str = None,
         raise ValueError("method must be 'lc' or 'es'")
     current = system
     steps = []
-    sig, off = initial = _analysis(system, formal)
+    initial = now = analyze(system, prober, formal)
 
     # reads the loop's current system and analysis at the time of the call
-    def report(status, rep=None):
+    def report(status):
         return FixReport(status, tuple(steps), current, prober.uncertain_seen,
-                         *initial, sig, off, rep)
+                         initial, now)
 
-    if not sig.swp:
+    if now.jacobian is None:
         return report(FixStatus.ILL_POSED)
-    cap = sig.value + 1 if max_steps is None else max_steps
-    while True:
-        value = sig.value
-        J = system_jacobian(current, sig, off)
-        rep = classify_jacobian(J, prober)
-        if not rep.singular:
-            return report(FixStatus.SUCCESS, rep)
+    cap = now.value + 1 if max_steps is None else max_steps
+    while now.jacobian.singular:
         if len(steps) >= cap:
-            return report(FixStatus.ITERATION_CAP, rep)
+            return report(FixStatus.ITERATION_CAP)
         if vector is not None and not steps:
-            found = _forced_candidate(current, sig, off, J, vector,
-                                      pivot, method, prober)
+            found = _forced_candidate(current, now, vector, pivot, method,
+                                      prober)
         else:
-            found = _search_candidates(current, sig, off, J, method, prober)
+            found = _search_candidates(current, now, method, prober)
         if found is None:
-            return report(FixStatus.NO_METHOD, rep)
+            return report(FixStatus.NO_METHOD)
         kind, analysis, chosen_pivot = found
         if kind is MethodKind.LC:
             app = lc_apply(current, analysis, chosen_pivot)
@@ -534,18 +545,21 @@ def fix_dae(system: DaeSystem, prober: Prober = None, method: str = None,
             es_equivalence_probes(current, app, prober)
             vec = analysis.v
         current = app.system
-        sig, off = _analysis(current, formal)
-        if not _value(sig) < value:
+        after = analyze(current, prober, formal)
+        if not after.value < now.value:
             raise ConvertError("conversion step did not decrease the "
                                "signature value")
         grade = "global" if isinstance(vec[chosen_pivot], Const) else "local"
         steps.append(StepRecord(len(steps) + 1, kind, chosen_pivot, vec,
-                                grade, value, app, current, sig, off))
-        if not sig.swp:
+                                grade, now.value, app, current, after))
+        now = after
+        if now.jacobian is None:
             return report(FixStatus.ILL_POSED)
+    return report(FixStatus.SUCCESS)
 
 
-def _forced_candidate(system, sig, off, J, vector, pivot, method, prober):
+def _forced_candidate(system, now, vector, pivot, method, prober):
+    J = now.jacobian.matrix
     vec = tuple(simplify(e) for e in vector)
     if len(vec) != system.n:
         raise VectorRejected("vector has %d entries, system has %d"
@@ -556,12 +570,12 @@ def _forced_candidate(system, sig, off, J, vector, pivot, method, prober):
                              "System Jacobian" % ("left" if left else "right"),
                              J)
     if left:
-        analysis = lc_analyze(system, off, vec, prober)
+        analysis = lc_analyze(system, now.offsets, vec, prober)
         if not analysis.condition_ok or not analysis.candidates:
             raise ConditionRejected("combination order condition fails")
         pair = (analysis, None)
     else:
-        analysis = es_analyze(system, sig, off, vec, prober)
+        analysis = es_analyze(system, now.signature, now.offsets, vec, prober)
         if not analysis.usable:
             raise ConditionRejected("substitution order condition fails")
         pair = (None, analysis)
@@ -573,7 +587,9 @@ def _forced_candidate(system, sig, off, J, vector, pivot, method, prober):
     return (MethodKind.LC if left else MethodKind.ES), analysis, pivot
 
 
-def _search_candidates(system, sig, off, J, method, prober):
+def _search_candidates(system, now, method, prober):
+    sig, off, J = now.signature, now.offsets, now.jacobian.matrix
+
     def basis(left, wanted):
         # a stuck elimination met a PROBABLY_ZERO verdict, which already
         # marked the prober uncertain

@@ -97,15 +97,17 @@ def classify_jacobian(matrix: Sequence[Sequence[Expr]],
                       prober: Prober) -> JacobianReport:
     """Sort the matrix into one of four kinds.
 
-    Structural singularity is decided first: if the not-provenly-zero
-    positions admit no transversal, every determinant term dies.  Otherwise
+    Structural singularity is decided first: if the positions whose normal
+    form is not zero admit no transversal, every determinant term dies.  Otherwise
     the determinant is expanded and zero-tested; above DET_BOUND rows three
     rational rank probes stand in for it.
     """
     matrix = tuple(tuple(row) for row in matrix)
     n = len(matrix)
+    # a zero normal form is the only proven zero, so an entry that is only
+    # probably zero stays in the support and spends no verdict;
     # system_jacobian puts the ZERO constant at every non-tight position
-    support = [[(NEG_INF if e == ZERO or prober.verdict(e).proven_zero else 0)
+    support = [[NEG_INF if e == ZERO or simplify(e) == ZERO else 0
                 for e in row] for row in matrix]
     _, assign, _ = _assignment_max(support)
     if assign is None:

@@ -119,9 +119,9 @@ def render_step(step, before) -> str:
             eq = after.equations[i]
             lines.append("  %s = %s   (rewritten)"
                          % (eq.name, format_expr(eq.expr, after.var_names)))
-    if step.signature.swp:
-        lines.append(_indent(render_sigma(after, step.signature,
-                                          step.offsets)))
+    if step.after.offsets is not None:
+        lines.append(_indent(render_sigma(after, step.after.signature,
+                                          step.after.offsets)))
     else:
         lines.append("  signature lost its transversal: structurally ill posed")
     return "\n".join(lines)

@@ -123,6 +123,8 @@ def test_usage_error_exit_one(capsys):
     ["analyze", "--probe-budget", "0"],
     ["fix", "--probe-budget", "-2"],
     ["fix", "--max-steps", "-3"],
+    ["trace", "--method", "lc", "--vector", "[-1, 1]", "--pivot", "0"],
+    ["trace", "--method", "lc", "--vector", "[-1, 1]", "--pivot", "-1"],
 ])
 def test_bad_numbers_are_usage_errors(tmp_path, capsys, argv):
     path = corpus_file(tmp_path, "brenan")
@@ -461,26 +463,92 @@ def test_formal_mode_tables_match_json(tmp_path, capsys):
         assert _table_values(out) == values, argv[0]
 
 
+HIDDEN_ENTRY = ("dae hidden_entry\n"
+                "vars x, y\n"
+                "params a\n"
+                "eq f1: (sin(2*a) - 2*sin(a)*cos(a))*x + y = 0\n"
+                "eq f2: x - t = 0\n")
+
+
+def test_probably_zero_entry_leaves_proven_det_certain(tmp_path, capsys):
+    # J = [[sin(2a) - 2 sin(a) cos(a), 1], [1, 0]]: the entry is only
+    # probably zero, but det J = -1 is proven whatever it is
+    out_path = tmp_path / "out.json"
+    rc = main(["analyze", write_dae(tmp_path, HIDDEN_ENTRY),
+               "--json", str(out_path)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "det(J) = -1" in out
+    assert "unverified" not in out
+    assert json.loads(out_path.read_text())["uncertain"] is False
+
+
+@pytest.mark.parametrize("mode", ("true", "formal"))
+@pytest.mark.parametrize("name", corpus.names() + ("brenan_x2", "brenan_x4",
+                                                   "hidden_entry"))
+def test_analyze_and_zero_step_fix_agree(tmp_path, capsys, name, mode):
+    if name == "hidden_entry":
+        path = write_dae(tmp_path, HIDDEN_ENTRY)
+    elif name in corpus.names():
+        path = corpus_file(tmp_path, name)
+    else:
+        path = write_dae(tmp_path, (Path(__file__).parent / "golden"
+                                    / (name + ".dae")).read_text())
+    docs = []
+    for argv in (["analyze"], ["fix", "--max-steps", "0"]):
+        out_path = tmp_path / (argv[0] + ".json")
+        main(argv[:1] + [path] + argv[1:]
+             + ["--mode", mode, "--json", str(out_path)])
+        docs.append(json.loads(out_path.read_text()))
+    capsys.readouterr()
+    analysis, conversion = docs
+    for key in ("classification", "determinant", "offsets", "value"):
+        assert analysis[key] == conversion["final"][key], key
+    assert analysis["uncertain"] == conversion["uncertain"]
+
+
+def _count_analysis_calls(monkeypatch):
+    """Records the size n of each signature_matrix, system_jacobian and
+    classify_jacobian call through every daefix module namespace that
+    holds them."""
+    import importlib
+    names = ("signature_matrix", "system_jacobian", "classify_jacobian")
+    calls = {name: [] for name in names}
+    mods = [importlib.import_module("daefix." + m) for m in
+            ("cli", "convert", "jacobian", "nullspace", "render",
+             "structural")]
+    for name in names:
+        original = getattr(importlib.import_module(
+            "daefix.structural" if name == "signature_matrix"
+            else "daefix.jacobian"), name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            first = args[0]   # a system, or the matrix to classify
+            calls[_name].append(getattr(first, "n", None) or len(first))
+            return _original(*args, **kwargs)
+
+        for mod in mods:
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
 def test_fix_analyses_each_system_once(tmp_path, capsys, monkeypatch):
-    import daefix.cli
-    import daefix.convert
-    import daefix.render
-    import daefix.structural
-    original = daefix.structural.signature_matrix
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args[0].n)
-        return original(*args, **kwargs)
-
-    for mod in (daefix.cli, daefix.convert, daefix.render, daefix.structural):
-        if getattr(mod, "signature_matrix", None) is original:
-            monkeypatch.setattr(mod, "signature_matrix", counted)
+    calls = _count_analysis_calls(monkeypatch)
     path = write_dae(tmp_path, (Path(__file__).parent / "golden"
                                 / "brenan_x4.dae").read_text())
     assert main(["fix", path]) == 0
     # four combination steps: the input and each rewritten system, once
-    assert calls == [8] * 5
+    assert calls == dict.fromkeys(calls, [8] * 5)
+    capsys.readouterr()
+
+
+def test_analyze_classifies_once(tmp_path, capsys, monkeypatch):
+    calls = _count_analysis_calls(monkeypatch)
+    assert main(["analyze", corpus_file(tmp_path, "pendulum")]) == 0
+    # one signature per mode, for the JSON's two tables
+    assert calls == {"signature_matrix": [3, 3], "system_jacobian": [3],
+                     "classify_jacobian": [3]}
     capsys.readouterr()
 
 

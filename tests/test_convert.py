@@ -430,7 +430,7 @@ eq f2: x1' + x2 + b1(t) = 0
     assert r.status is FixStatus.ILL_POSED
     assert len(r.steps) == 1
     assert r.steps[0].value_after == float("-inf")
-    assert r.offsets is None and r.jacobian is None
+    assert r.final.offsets is None and r.final.jacobian is None
 
 
 def test_missing_variable_is_ill_posed():

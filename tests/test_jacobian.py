@@ -261,7 +261,8 @@ def test_classify_zero_tests_only_nonzero_entries():
     assert report.klass is JacobianClass.GENERICALLY_NONSINGULAR
     nonzero = sum(e != ZERO for row in J for e in row)
     assert 0 < nonzero < n * n // 8
-    assert len(calls) <= nonzero + 1
+    # only the determinant or rank decision may spend a zero test
+    assert len(calls) <= 1
 
 
 def test_fraction_rank_matches_dense_reference():
