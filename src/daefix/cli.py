@@ -23,7 +23,7 @@ from .model import ModelError
 from .nullspace import residual
 from .render import (render_equations, render_jacobian, render_scheme,
                      render_sigma, render_step)
-from .structural import (degrees_of_freedom, signature_matrix,
+from .structural import (degrees_of_freedom, sigma_from_rows, signature_rows,
                          solution_scheme, structural_index)
 from .zerotest import DEFAULT_BUDGET, DEFAULT_SEED, Prober
 
@@ -207,7 +207,10 @@ def cmd_analyze(args) -> int:
     prober = _prober(args)
     formal = args.mode == "formal"
     a = analyze(system, prober, formal)
-    sig, other = a.signature, signature_matrix(system, formal=not formal)
+    sig = a.signature
+    # the other mode's table, solved again only when its rows differ
+    rows = signature_rows(system, formal=not formal)
+    other = sig if rows == sig.rows else sigma_from_rows(rows)
     true_sig, formal_sig = (other, sig) if formal else (sig, other)
     doc = {
         "kind": "analysis",
@@ -366,6 +369,10 @@ def _print_fix(system, report):
 
 def cmd_fix(args) -> int:
     system, digest = _load(args.path)
+    if args.pivot is not None and args.pivot > system.n:
+        print("error: --pivot %d is above n = %d, the size of the system"
+              % (args.pivot, system.n), file=sys.stderr)
+        return EXIT_USAGE
     prober = _prober(args)
     vec = None if args.vector is None else parse_vector(args.vector, system)
     try:

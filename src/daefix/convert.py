@@ -564,6 +564,8 @@ def _forced_candidate(system, now, vector, pivot, method, prober):
     if len(vec) != system.n:
         raise VectorRejected("vector has %d entries, system has %d"
                              % (len(vec), system.n))
+    if all(e == ZERO for e in vec):
+        raise VectorRejected("vector is zero")
     left = method == "lc"
     if not verify_nullvector(J, vec, prober, left=left):
         raise VectorRejected("vector is not a %s null vector of the "

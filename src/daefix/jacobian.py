@@ -4,6 +4,15 @@ J_ij = d f_i / d x_j^(sigma_ij) where the offsets are tight (d_j - c_i equals
 sigma_ij); everywhere else the entry is zero, including the shaded positions
 where d_j - c_i > sigma_ij.  Different valid offset pairs can give different
 matrices, but they all share one determinant.
+
+Classification works block by block.  A perfect matching on the nonzero
+entries (augmenting paths, Kuhn 1955) exists or J is structurally
+singular; the strongly connected components of the matched digraph
+(Tarjan 1972) are the diagonal blocks of a block-triangular form, so
+det J is +-the product of the blocks' determinants (the split DAESA makes,
+Pryce, Nedialkov and Tan 2015).  A block of at most DET_BOUND rows is
+expanded exactly; a larger one is decided by rank probes at random
+rational points, which prove full rank but can only suspect singularity.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from .expr import (
     atoms, evaluate_ex, partial, simplify,
 )
 from .model import DaeSystem
-from .structural import OffsetPair, SignatureMatrix, _assignment_max
+from .structural import OffsetPair, SignatureMatrix, _blocks, _matching
 from .zerotest import Prober, probe_points
 
 DET_BOUND = 8
@@ -86,7 +95,8 @@ class JacobianClass(Enum):
 class JacobianReport:
     matrix: tuple
     klass: JacobianClass
-    det: Optional[Expr]            # None when expansion was skipped
+    # None when n > DET_BOUND, unless structurally singular (ZERO)
+    det: Optional[Expr]
 
     @property
     def singular(self) -> bool:
@@ -95,59 +105,100 @@ class JacobianReport:
 
 def classify_jacobian(matrix: Sequence[Sequence[Expr]],
                       prober: Prober) -> JacobianReport:
-    """Sort the matrix into one of four kinds.
+    """Sort the matrix into one of four kinds, block by block.
 
-    Structural singularity is decided first: if the positions whose normal
-    form is not zero admit no transversal, every determinant term dies.  Otherwise
-    the determinant is expanded and zero-tested; above DET_BOUND rows three
-    rational rank probes stand in for it.
+    The support (entries whose normal form is not zero) either admits no
+    perfect matching, and every determinant term dies, or its matched
+    digraph splits into strongly connected blocks under which the matrix is
+    block-triangular, so det J is +-the product of the blocks' determinants.
+    Blocks of at most DET_BOUND rows are expanded exactly: a zero normal
+    form settles IdenticallySingular before any zero test runs, and the
+    rest are zero-tested one at a time.  Only then is each larger block
+    rank-probed on its own.  The determinant is reported for n <= DET_BOUND.
     """
     matrix = tuple(tuple(row) for row in matrix)
     n = len(matrix)
     # a zero normal form is the only proven zero, so an entry that is only
     # probably zero stays in the support and spends no verdict;
-    # system_jacobian puts the ZERO constant at every non-tight position
-    support = [[NEG_INF if e == ZERO or simplify(e) == ZERO else 0
-                for e in row] for row in matrix]
-    _, assign, _ = _assignment_max(support)
-    if assign is None:
+    # system_jacobian puts the ZERO constant itself at every non-tight
+    # position, which the identity test skips without a comparison
+    support = [[j for j, e in enumerate(row)
+                 if e is not ZERO and simplify(e) != ZERO] for row in matrix]
+    match = _matching(support)
+    if match is None:
         return JacobianReport(matrix, JacobianClass.STRUCTURALLY_SINGULAR,
                               ZERO)
-    if n > DET_BOUND:
-        return _classify_by_rank(matrix, prober)
-    det = determinant(matrix)
-    v = prober.verdict(det)
-    if v.proven_nonzero:
-        klass = JacobianClass.GENERICALLY_NONSINGULAR
-    elif v.proven_zero:
-        klass = JacobianClass.IDENTICALLY_SINGULAR
-    else:
+    blocks = _blocks(support, match)
+    small, large = [], []
+    for rows, cols in blocks:
+        if len(rows) > DET_BOUND:
+            large.append((rows, cols))
+            continue
+        d = determinant([[matrix[i][j] for j in cols] for i in rows])
+        if d == ZERO:
+            return JacobianReport(matrix, JacobianClass.IDENTICALLY_SINGULAR,
+                                  ZERO if n <= DET_BOUND else None)
+        small.append(d)
+    det = None
+    if n <= DET_BOUND:
+        det = Mul(tuple(small))
+        det = simplify(Neg(det) if _odd(blocks, n) else det)
+    klass = JacobianClass.GENERICALLY_NONSINGULAR
+    if not all(prober.verdict(d).proven_nonzero for d in small):
+        klass = JacobianClass.PROBABLY_SINGULAR
+    elif not all(_full_rank(matrix, support, rows, cols, prober)
+                 for rows, cols in large):
         klass = JacobianClass.PROBABLY_SINGULAR
     return JacobianReport(matrix, klass, det)
 
 
-def _classify_by_rank(matrix, prober: Prober) -> JacobianReport:
+def _odd(blocks, n) -> bool:
+    """Parity of the permutation sending each block's sorted rows to its
+    sorted columns: the sign that relates det J to the blocks' product."""
+    perm = [0] * n
+    for rows, cols in blocks:
+        for r, c in zip(rows, cols):
+            perm[r] = c
+    seen = [False] * n
+    cycles = 0
+    for s in range(n):
+        if not seen[s]:
+            cycles += 1
+            while not seen[s]:
+                seen[s] = True
+                s = perm[s]
+    return (n - cycles) % 2 == 1
+
+
+def _full_rank(matrix, support, rows, cols, prober: Prober) -> bool:
+    """Rank probes on one diagonal block; False means probably singular.
+
+    A matrix that is a single block keeps the key of the whole-matrix probe.
+    """
     n = len(matrix)
-    # a ZERO entry is the exact value 0 at every point: only the rest are
-    # evaluated, in row-major order
-    entries = [(i, j, e) for i, row in enumerate(matrix)
-               for j, e in enumerate(row) if e != ZERO]
+    at_row = {i: k for k, i in enumerate(rows)}
+    at_col = {j: k for k, j in enumerate(cols)}
+    # an entry outside the support is the exact value 0 at every point:
+    # only the rest are evaluated, in row-major order
+    entries = [(at_row[i], at_col[j], matrix[i][j]) for i in rows
+               for j in support[i] if j in at_col]
     ats = {a for _, _, e in entries for a in atoms(e)}
+    key = "%s:rank:%d" % (prober.seed, n)
+    if len(rows) < n:
+        key += ":%d" % rows[0]
+    m = len(rows)
     for _, evals in probe_points(
-            "%s:rank:%d" % (prober.seed, n), ats,
-            lambda b: [evaluate_ex(e, b) for _, _, e in entries],
+            key, ats, lambda b: [evaluate_ex(e, b) for _, _, e in entries],
             _RANK_POINTS):
-        rows = [[Fraction(0)] * n for _ in range(n)]
+        block = [[Fraction(0)] * m for _ in range(m)]
         for (i, j, _), (v, _) in zip(entries, evals):
-            rows[i][j] = v
-        if _fraction_rank(rows) == n:
+            block[i][j] = v
+        if _fraction_rank(block) == m:
             if not all(ex for _, ex in evals):
                 prober.uncertain_seen = True
-            return JacobianReport(matrix,
-                                  JacobianClass.GENERICALLY_NONSINGULAR,
-                                  None)
+            return True
     prober.uncertain_seen = True
-    return JacobianReport(matrix, JacobianClass.PROBABLY_SINGULAR, None)
+    return False
 
 
 def _fraction_rank(rows: List[List[Fraction]]) -> int:

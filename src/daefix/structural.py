@@ -11,6 +11,7 @@ index, the degrees of freedom and the solution scheme.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from typing import List, Optional, Sequence
 
 from .expr import NEG_INF, StateDeriv, ZERO, atoms, partial, simplify
@@ -53,7 +54,7 @@ def sigma_from_rows(rows: Sequence[Sequence]) -> SignatureMatrix:
     return SignatureMatrix(rows, value, _lex_smallest_hvt(tight, assign))
 
 
-def signature_matrix(system: DaeSystem, formal: bool = False) -> SignatureMatrix:
+def signature_rows(system: DaeSystem, formal: bool = False) -> tuple:
     """True signatures come from the normal form, formal ones from the raw
     trees, where cancelled derivatives still count.  One walk per row: entry
     j is hod(tree, j) for the tree of the mode, since expr = simplify(raw)."""
@@ -63,8 +64,12 @@ def signature_matrix(system: DaeSystem, formal: bool = False) -> SignatureMatrix
         for a in atoms(eq.raw if formal else eq.expr):
             if isinstance(a, StateDeriv) and a.order > row[a.index]:
                 row[a.index] = a.order
-        rows.append(row)
-    return sigma_from_rows(rows)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def signature_matrix(system: DaeSystem, formal: bool = False) -> SignatureMatrix:
+    return sigma_from_rows(signature_rows(system, formal))
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +177,91 @@ def _reroute(tight, owner, assign, r, i, seen) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# perfect matchings and strong blocks of a sparsity pattern
+# (support[i] lists the columns of row i's nonzero entries)
+
+def _matching(support) -> Optional[list]:
+    """A perfect matching row -> column on the support, None when there is
+    none: one augmenting-path search per row (Kuhn 1955), iterative so
+    that long paths do not recurse."""
+    n = len(support)
+    match = [-1] * n
+    owner = [-1] * n
+    for root in range(n):
+        seen = set()
+        path_rows, path_cols, its = [root], [], [iter(support[root])]
+        while its:
+            c = next((c for c in its[-1] if c not in seen), None)
+            if c is None:
+                # a dead end: drop the row and the column that reached it
+                path_rows.pop()
+                its.pop()
+                if path_cols:
+                    path_cols.pop()
+                continue
+            seen.add(c)
+            path_cols.append(c)
+            if owner[c] < 0:
+                for r, c in zip(path_rows, path_cols):
+                    match[r], owner[c] = c, r
+                break
+            path_rows.append(owner[c])
+            its.append(iter(support[owner[c]]))
+        else:
+            return None
+    return match
+
+
+def _blocks(support, match) -> list:
+    """The strongly connected components of the matched digraph, where row
+    i points at the row matched to each column of its support (Tarjan 1972,
+    iterative), as (rows, cols) pairs of ascending indices."""
+    n = len(support)
+    owner = [0] * n
+    for r, c in enumerate(match):
+        owner[c] = r
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: List[int] = []
+    work = []       # the depth-first path: (row, its unvisited edges)
+    order = count()
+    out = []
+
+    def visit(v):
+        index[v] = low[v] = next(order)
+        stack.append(v)
+        on_stack[v] = True
+        work.append((v, iter(support[v])))
+
+    for root in range(n):
+        if index[root] < 0:
+            visit(root)
+        while work:
+            v, edges = work[-1]
+            for c in edges:
+                w = owner[c]
+                if index[w] < 0:
+                    visit(w)
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while not comp or comp[-1] != v:
+                        comp.append(stack.pop())
+                        on_stack[comp[-1]] = False
+                    rows = tuple(sorted(comp))
+                    out.append((rows, tuple(sorted(match[r] for r in rows))))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # offsets
 
 @dataclass(frozen=True)
@@ -211,19 +301,19 @@ def validate_offsets(sig: SignatureMatrix, c: Sequence[int],
         return False
     if any(ci < 0 for ci in c) or any(dj < 0 for dj in d):
         return False
-    eq_rows = []
+    tight = []
     for i in range(n):
         row = []
         for j in range(n):
             s = sig.rows[i][j]
             if s == NEG_INF:
-                row.append(NEG_INF)
                 continue
             if d[j] - c[i] < s:
                 return False
-            row.append(0 if d[j] - c[i] == s else NEG_INF)
-        eq_rows.append(row)
-    return _assignment_max(eq_rows)[1] is not None
+            if d[j] - c[i] == s:
+                row.append(j)
+        tight.append(row)
+    return _matching(tight) is not None
 
 
 def structural_index(off: OffsetPair) -> int:

@@ -293,6 +293,27 @@ def test_trace_wrong_vector_shows_residual(tmp_path, capsys):
     assert "residual[2] = t" in err
 
 
+@pytest.mark.parametrize("method", ["lc", "es"])
+def test_trace_zero_vector_has_its_own_message(tmp_path, capsys, method):
+    path = write_dae(tmp_path, (Path(__file__).parent / "golden"
+                                / "brenan_x4.dae").read_text())
+    rc = main(["trace", path, "--method", method,
+               "--vector", "[0, 0, 0, 0, 0, 0, 0, 0]"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == "vector rejected: vector is zero\n"
+
+
+@pytest.mark.parametrize("method,pivot", [("lc", "9"), ("es", "3")])
+def test_trace_pivot_above_n_is_usage_error(tmp_path, capsys, method, pivot):
+    rc = main(["trace", corpus_file(tmp_path, "brenan"), "--method", method,
+               "--vector", "[-1, 1]", "--pivot", pivot])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == ("error: --pivot %s is above n = 2, the size of the "
+                   "system\n" % pivot)
+
+
 def test_trace_vector_parse_error(tmp_path, capsys):
     rc = main(["trace", corpus_file(tmp_path, "brenan"),
                "--method", "lc", "--vector", "[1, +]"])
@@ -546,9 +567,36 @@ def test_fix_analyses_each_system_once(tmp_path, capsys, monkeypatch):
 def test_analyze_classifies_once(tmp_path, capsys, monkeypatch):
     calls = _count_analysis_calls(monkeypatch)
     assert main(["analyze", corpus_file(tmp_path, "pendulum")]) == 0
-    # one signature per mode, for the JSON's two tables
-    assert calls == {"signature_matrix": [3, 3], "system_jacobian": [3],
+    # the formal table has the same rows, so its solve is the true one
+    assert calls == {"signature_matrix": [3], "system_jacobian": [3],
                      "classify_jacobian": [3]}
+    capsys.readouterr()
+
+
+def test_analyze_solves_the_other_mode_only_when_it_differs(
+        tmp_path, capsys, monkeypatch):
+    import daefix.cli
+    solved = []
+    original = daefix.cli.sigma_from_rows
+
+    def counted(rows):
+        solved.append(rows)
+        return original(rows)
+
+    monkeypatch.setattr(daefix.cli, "sigma_from_rows", counted)
+    out_path = tmp_path / "report.json"
+    path = write_dae(tmp_path, "dae m\nvars x1, x2\ninput h1\n"
+                     "eq f1: x1 + x2 + cos(x1')^2 + sin(x1')^2 = 0\n"
+                     "eq f2: x1 - h1(t) = 0\n")
+    for mode in ("true", "formal"):
+        main(["analyze", path, "--mode", mode, "--json", str(out_path)])
+        doc = json.loads(out_path.read_text())
+        assert doc["sigma_true"]["entries"] == [[0, 0], [0, None]]
+        assert doc["sigma_formal"]["entries"] == [[1, 0], [0, None]]
+    assert len(solved) == 2
+    solved.clear()
+    main(["analyze", corpus_file(tmp_path, "pendulum"), "--mode", "formal"])
+    assert solved == []
     capsys.readouterr()
 
 

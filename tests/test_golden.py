@@ -18,7 +18,7 @@ from daefix import corpus
 from daefix.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
-SYSTEMS = corpus.names() + ("brenan_x2", "brenan_x4")
+SYSTEMS = corpus.names() + ("brenan_x2", "brenan_x4", "brenan_x8")
 COMMANDS = ("analyze", "fix")
 
 

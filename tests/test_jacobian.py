@@ -5,15 +5,17 @@ from fractions import Fraction
 from checks import dense_fraction_rank, pendulum_chain
 from daefix.dsl import parse_dae
 from daefix.expr import (
-    Add, Const, Func, Mul, Neg, Param, Pow, StateDeriv, TimeVar, ZERO,
-    hod, partial, simplify, total_derivative,
+    Add, Const, Func, Mul, NEG_INF, Neg, Param, Pow, StateDeriv, TimeVar,
+    ZERO, hod, partial, simplify, total_derivative,
 )
+import daefix.jacobian
 from daefix.jacobian import (
-    DET_BOUND, JacobianClass, _fraction_rank, classify_jacobian,
-    determinant, system_jacobian,
+    DET_BOUND, JacobianClass, _fraction_rank, classify_jacobian, determinant,
+    system_jacobian,
 )
 from daefix.structural import (
-    OffsetPair, canonical_offsets, signature_matrix, validate_offsets,
+    OffsetPair, _assignment_max, _blocks, _matching, canonical_offsets,
+    signature_matrix, validate_offsets,
 )
 from daefix.zerotest import Prober
 
@@ -284,3 +286,198 @@ def test_fraction_rank_matches_dense_reference():
         assert rows == before
         ranks.add((rank == min(n_rows, n_cols), rank))
     assert {r for full, r in ranks if not full} >= {0, 1, 2, 3}
+
+
+# ---------------------------------------------------------------------------
+# block-triangular classification against the whole-matrix cofactor result
+
+_BLOCK_ATOMS = (StateDeriv(0), StateDeriv(1, 1), TimeVar(), Param("a"))
+
+
+def _block_entry(rng):
+    a = rng.choice(_BLOCK_ATOMS)
+    k = rng.randrange(5)
+    if k < 2:
+        return Const(Fraction(rng.choice((-2, -1, 1, 2, 3))))
+    if k == 2:
+        return simplify(a)
+    if k == 3:
+        return simplify(Const(Fraction(rng.choice((-2, 3)))) * a)
+    return simplify(a + Const(Fraction(rng.choice((-1, 1)))))
+
+
+def _shuffled_block_triangular(rng, n):
+    """n x n, block upper triangular in random diagonal blocks of up to 4
+    rows, some of them with a row that is a scaled copy of another, then
+    with rows and columns shuffled.  Zeros are the ZERO constant."""
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(rng.randint(1, min(4, n - sum(sizes))))
+    rows = [[ZERO] * n for _ in range(n)]
+    start = 0
+    for size in sizes:
+        block = range(start, start + size)
+        for i in block:
+            for j in range(start, n):
+                if rng.random() < (0.7 if j < start + size else 0.3):
+                    rows[i][j] = _block_entry(rng)
+        if size > 1 and rng.random() < 0.25:
+            src, dst = rng.sample(block, 2)
+            scale = rng.choice((Const(Fraction(-2)), TimeVar()))
+            for j in block:
+                rows[dst][j] = simplify(scale * rows[src][j])
+        start += size
+    pr = rng.sample(range(n), n)
+    pc = rng.sample(range(n), n)
+    return tuple(tuple(rows[pr[i]][pc[j]] for j in range(n))
+                 for i in range(n))
+
+
+def _cofactor_report(matrix, prober):
+    """The class and determinant by one cofactor expansion of the whole
+    matrix, after a structural check by the assignment solve."""
+    support = [[NEG_INF if simplify(e) == ZERO else 0 for e in row]
+               for row in matrix]
+    if _assignment_max(support)[1] is None:
+        return JacobianClass.STRUCTURALLY_SINGULAR, ZERO
+    det = determinant(matrix)
+    v = prober.verdict(det)
+    if v.proven_nonzero:
+        return JacobianClass.GENERICALLY_NONSINGULAR, det
+    if v.proven_zero:
+        return JacobianClass.IDENTICALLY_SINGULAR, det
+    return JacobianClass.PROBABLY_SINGULAR, det
+
+
+def test_block_determinant_matches_cofactor_expansion():
+    rng = random.Random(2015)
+    seen = set()
+    for _ in range(500):
+        m = _shuffled_block_triangular(rng, rng.randint(1, DET_BOUND))
+        rep = classify_jacobian(m, Prober())
+        klass, det = _cofactor_report(m, Prober())
+        assert rep.klass is klass
+        assert rep.det == det
+        seen.add(klass)
+    assert seen == {JacobianClass.GENERICALLY_NONSINGULAR,
+                    JacobianClass.IDENTICALLY_SINGULAR,
+                    JacobianClass.STRUCTURALLY_SINGULAR}
+
+
+def test_blocks_make_the_matrix_block_triangular():
+    rng = random.Random(41)
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        m = _shuffled_block_triangular(rng, n)
+        support = [[j for j, e in enumerate(row) if e != ZERO] for row in m]
+        match = _matching(support)
+        if match is None:
+            continue
+        blocks = _blocks(support, match)
+        assert sorted(i for rows, _ in blocks for i in rows) == list(range(n))
+        assert sorted(j for _, cols in blocks for j in cols) == list(range(n))
+        row_block = {i: k for k, (rows, _) in enumerate(blocks) for i in rows}
+        col_block = {j: k for k, (_, cols) in enumerate(blocks) for j in cols}
+        # components come out in reverse topological order: block lower
+        # triangular in that order
+        assert all(col_block[j] <= row_block[i]
+                   for i in range(n) for j in support[i])
+
+
+def _hidden_zero_block():
+    a = Param("a")
+    one = Const(Fraction(1))
+    return ((simplify(Func("sin", 2 * a)), one),
+            (simplify(2 * Func("sin", a) * Func("cos", a)), one))
+
+
+def _block_diagonal(blocks):
+    n = sum(len(b) for b in blocks)
+    rows = [[ZERO] * n for _ in range(n)]
+    start = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            for j, e in enumerate(row):
+                rows[start + i][start + j] = e
+        start += len(b)
+    return tuple(tuple(r) for r in rows)
+
+
+def test_zero_block_settles_before_a_hidden_zero_block():
+    t, one = simplify(TimeVar()), Const(Fraction(1))
+    zero_block = ((one, t), (one, t))
+    for blocks in ((_hidden_zero_block(), zero_block),
+                   (zero_block, _hidden_zero_block())):
+        p = Prober()
+        rep = classify_jacobian(_block_diagonal(blocks), p)
+        assert rep.klass is JacobianClass.IDENTICALLY_SINGULAR
+        assert rep.det == ZERO
+        assert not p.uncertain_seen
+    # alone, the hidden zero still rests on the zero test
+    p = Prober()
+    rep = classify_jacobian(_block_diagonal((_hidden_zero_block(),) * 2), p)
+    assert rep.klass is JacobianClass.PROBABLY_SINGULAR
+    assert p.uncertain_seen
+
+
+def test_many_small_blocks_with_one_singular_are_certain():
+    t, one = simplify(TimeVar()), Const(Fraction(1))
+    fine = ((one, t), (Const(Fraction(2)), t))
+    blocks = [fine] * 20
+    blocks[13] = ((one, t), (one, t))
+    p = Prober()
+    rep = classify_jacobian(_block_diagonal(blocks), p)
+    assert rep.klass is JacobianClass.IDENTICALLY_SINGULAR
+    assert rep.det is None          # n = 40 is above DET_BOUND
+    assert not p.uncertain_seen
+    p = Prober()
+    rep = classify_jacobian(_block_diagonal([fine] * 20), p)
+    assert rep.klass is JacobianClass.GENERICALLY_NONSINGULAR
+    assert rep.det is None
+    assert not p.uncertain_seen
+
+
+def test_only_the_large_block_is_rank_probed(monkeypatch):
+    n = DET_BOUND + 2
+    big = [[Const(Fraction((i * 7 + j * 3) % 5 - 2)) for j in range(n)]
+           for i in range(n)]
+    for i in range(n):
+        big[i][i] = Const(Fraction(50))
+        big[i][(i + 1) % n] = simplify(TimeVar())
+    t, one = simplify(TimeVar()), Const(Fraction(1))
+    small = ((one, t), (Const(Fraction(2)), t))
+    m = [list(r) for r in _block_diagonal([small, big, small])]
+    # entries above the diagonal blocks couple them without merging them
+    m[0][3] = one
+    m[2][n + 3] = t
+    sizes = []
+    rank = daefix.jacobian._fraction_rank
+
+    def counted(rows):
+        sizes.append(len(rows))
+        return rank(rows)
+
+    monkeypatch.setattr(daefix.jacobian, "_fraction_rank", counted)
+    p = Prober()
+    rep = classify_jacobian(m, p)
+    assert rep.klass is JacobianClass.GENERICALLY_NONSINGULAR
+    assert rep.det is None
+    assert not p.uncertain_seen
+    assert sizes == [n]
+
+
+def test_matching_and_blocks_do_not_recurse():
+    # greedy takes column i + 1 for row i, so the last row's augmenting
+    # path runs back through every row; column 0 then closes one cycle
+    # through all of them, one strong component of 2000 rows
+    n = 2000
+    support = [[i + 1, i] for i in range(n - 1)] + [[n - 1, 0]]
+    match = _matching(support)
+    assert sorted(match) == list(range(n))
+    blocks = _blocks(support, match)
+    assert blocks == [(tuple(range(n)), tuple(range(n)))]
+    # without column 0 every row is its own block
+    support[-1] = [n - 1]
+    match = _matching(support)
+    assert match == list(range(n))
+    assert len(_blocks(support, match)) == n
