@@ -73,7 +73,9 @@ def kernel_basis(matrix: Sequence[Sequence[Expr]], prober: Prober,
         raise NullspaceError("matrix must be square")
     if left:
         matrix = [[matrix[i][j] for i in range(n)] for j in range(n)]
-    m: List[List[Expr]] = [[simplify(e) for e in row] for row in matrix]
+    # a zero normal form is the ZERO object itself, so `is` tests it
+    m: List[List[Expr]] = [[e if e is ZERO else simplify(e) for e in row]
+                           for row in matrix]
     pivots = []          # (row, col)
     pivot_rows = set()
     free_cols = []
@@ -89,9 +91,9 @@ def kernel_basis(matrix: Sequence[Sequence[Expr]], prober: Prober,
         pv, prow = m[p][col], m[p]
         for r in range(n):
             e = m[r][col]
-            if r == p or e == ZERO or prober.verdict(e).proven_zero:
+            if r == p or e is ZERO or prober.verdict(e).proven_zero:
                 continue
-            m[r] = [ZERO if x == ZERO and y == ZERO
+            m[r] = [ZERO if x is ZERO and y is ZERO
                     else simplify(Mul((pv, x)) - Mul((e, y)))
                     for x, y in zip(m[r], prow)]
             m[r][col] = ZERO  # exact by construction; mask any residue
@@ -137,9 +139,11 @@ def residual(matrix, vec, left: bool = False):
     """Yields each entry of vec^T matrix (left) or matrix vec, unsimplified:
     the sum of the products of two non-ZERO factors, or None when there is
     no such product."""
-    for row in (zip(*matrix) if left else matrix):
-        terms = [Mul((a, x)) for a, x in zip(row, vec)
-                 if a != ZERO and x != ZERO]
+    support = [k for k, x in enumerate(vec) if x != ZERO]
+    for i in range(len(matrix)):
+        pairs = ((matrix[k][i] if left else matrix[i][k], vec[k])
+                 for k in support)
+        terms = [Mul((a, x)) for a, x in pairs if a != ZERO]
         yield _sum(terms) if terms else None
 
 

@@ -3,14 +3,18 @@
 For each equation i and state j the signature entry is the highest derivative
 order of x_j in f_i (NEG_INF when absent).  A highest-value transversal (HVT)
 gives the structural value; the one kept is the lexicographically smallest,
-found from a single assignment solve and its dual potentials.  The canonical
-offset pair (c; d) is the smallest valid one and drives the structural
-index, the degrees of freedom and the solution scheme.
+found from a single sparse assignment solve over the finite entries and its
+dual potentials.  The canonical offset pair (c; d) is the smallest valid one
+and drives the structural index, the degrees of freedom and the solution
+scheme.  One iterative augmenting-path routine serves every matching here:
+moving the solve's transversal to the smallest HVT, checking a transversal
+of tight entries, and matching a System Jacobian's support.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import count
 from typing import List, Optional, Sequence
 
@@ -73,71 +77,65 @@ def signature_matrix(system: DaeSystem, formal: bool = False) -> SignatureMatrix
 
 
 # ---------------------------------------------------------------------------
-# max-weight assignment (Hungarian with potentials, exact integer arithmetic)
-
-def _hungarian_min(cost: List[List[int]]):
-    """Minimum-cost perfect assignment row -> column, and potentials u, v with
-    cost[i][j] >= u[i] + v[j], equal on the assignment."""
-    n = len(cost)
-    INF = float("inf")
-    u = [0] * (n + 1)
-    v = [0] * (n + 1)
-    p = [0] * (n + 1)      # p[j] = row matched to column j (1-based, 0 = none)
-    way = [0] * (n + 1)
-    for i in range(1, n + 1):
-        p[0] = i
-        j0 = 0
-        minv = [INF] * (n + 1)
-        used = [False] * (n + 1)
-        while True:
-            used[j0] = True
-            i0 = p[j0]
-            delta = INF
-            j1 = -1
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
-                cur = cost[i0 - 1][j - 1] - u[i0] - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if p[j0] == 0:
-                break
-        while j0:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-    assign = [0] * n
-    for j in range(1, n + 1):
-        assign[p[j] - 1] = j - 1
-    return assign, u[1:], v[1:]
-
+# max-weight assignment and augmenting paths
+# (support[i] lists the columns of row i's finite or nonzero entries)
 
 def _assignment_max(rows):
     """Best transversal value, one witness (None if every transversal hits a
-    NEG_INF entry) and each row's tight columns: finite entries of zero reduced
-    cost.  By complementary slackness the best transversals are exactly the
-    transversals of tight entries."""
+    NEG_INF entry) and each row's tight columns: finite entries of zero
+    reduced cost -sigma_ij - u_i - v_j.  Successive shortest augmenting
+    paths over the finite entries, on exact integers (Jonker and Volgenant
+    1987): one Dijkstra search per row keeps every reduced cost >= 0 and
+    makes the entries of its path tight.  By complementary slackness the
+    best transversals are exactly the transversals of tight entries."""
     n = len(rows)
-    big = -(1 + sum(abs(w) for r in rows for w in r if w != NEG_INF))
-    W = [[(w if w != NEG_INF else big) for w in r] for r in rows]
-    assign, u, v = _hungarian_min([[-w for w in r] for r in W])
-    tight = [[j for j in range(n)
-              if rows[i][j] != NEG_INF and rows[i][j] + u[i] + v[j] == 0]
-             for i in range(n)]
-    if any(rows[i][assign[i]] == NEG_INF for i in range(n)):
+    support = [[j for j, w in enumerate(r) if w != NEG_INF] for r in rows]
+    u = [-max((r[j] for j in s), default=0) for r, s in zip(rows, support)]
+    v = [0] * n
+    assign, owner = [-1] * n, [-1] * n
+    for root in range(n):
+        path = _cheapest_path(rows, support, u, v, owner, root)
+        if path is None:
+            break
+        d, j, done, way = path
+        for k, dk in done.items():
+            v[k] -= d - dk
+            if owner[k] >= 0:
+                u[owner[k]] += d - dk
+        u[root] += d
+        while j >= 0:
+            i = way[j]
+            owner[j], assign[i], j = i, j, assign[i]
+    tight = [[j for j in s if rows[i][j] + u[i] + v[j] == 0]
+             for i, s in enumerate(support)]
+    if -1 in assign:
         return NEG_INF, None, tight
     return sum(rows[i][assign[i]] for i in range(n)), assign, tight
+
+
+def _cheapest_path(rows, support, u, v, owner, root):
+    """Dijkstra from row root over reduced costs to the nearest free column
+    j: (its distance, j, the settled columns' distances, the row each
+    column was reached from), None when no free column is reachable.  Among
+    columns at equal distance a free one is settled first, which ends the
+    search."""
+    best, way, done, heap = {}, {}, {}, []
+    i, d = root, 0
+    while True:
+        for j in support[i]:
+            cost = d - rows[i][j] - u[i] - v[j]
+            if j not in done and cost < best.get(j, cost + 1):
+                best[j], way[j] = cost, i
+                heappush(heap, (cost, owner[j] >= 0, j))
+        while heap and heap[0][2] in done:
+            heappop(heap)
+        if not heap:
+            return None
+        d, _, j = heappop(heap)
+        done[j] = d
+        if owner[j] < 0:
+            return d, j, done, way
+        i = owner[j]
 
 
 def _lex_smallest_hvt(tight, assign) -> tuple:
@@ -145,8 +143,7 @@ def _lex_smallest_hvt(tight, assign) -> tuple:
     (row by row) is lexicographically smallest.  assign is a best transversal
     and tight[i] the ascending tight columns of row i.  Rows are settled in
     order: row i moves to its smallest tight column j whose holder can be
-    re-matched, over rows > i, onto the column row i gives up (one augmenting
-    path, Kuhn 1955)."""
+    re-matched, over rows > i, onto the column row i gives up."""
     assign = list(assign)
     owner = [0] * len(assign)
     for i, j in enumerate(assign):
@@ -155,59 +152,53 @@ def _lex_smallest_hvt(tight, assign) -> tuple:
         for j in tight[i]:
             if j == assign[i]:
                 break
-            if owner[j] > i and _reroute(tight, owner, assign, owner[j], i, {j}):
-                assign[i], owner[j] = j, i
-                break
+            if owner[j] > i:
+                owner[assign[i]] = -1
+                if _augment(tight, owner, assign, owner[j], {j}, i + 1):
+                    assign[i], owner[j] = j, i
+                    break
+                owner[assign[i]] = i
     return tuple(enumerate(assign))
 
 
-def _reroute(tight, owner, assign, r, i, seen) -> bool:
-    """Moves row r > i onto a tight column outside seen and not held by rows
-    < i, shifting holders along an alternating path that ends at row i's
-    column."""
-    for c in tight[r]:
-        h = owner[c]
-        if c in seen or h < i:
+def _augment(support, owner, match, root, seen, lo) -> bool:
+    """Moves row root onto a free column (owner -1) along one augmenting
+    path (Kuhn 1955), shifting each holder on the path to the next column;
+    columns in seen and columns held by rows below lo are passed over.
+    Iterative, so that long paths do not recurse; match and owner change
+    only on success."""
+    path_rows, path_cols, its = [root], [], [iter(support[root])]
+    while its:
+        c = next((c for c in its[-1]
+                  if c not in seen and not 0 <= owner[c] < lo), None)
+        if c is None:
+            # a dead end: drop the row and the column that reached it
+            path_rows.pop()
+            its.pop()
+            if path_cols:
+                path_cols.pop()
             continue
         seen.add(c)
-        if h == i or _reroute(tight, owner, assign, h, i, seen):
-            owner[c], assign[r] = r, c
+        path_cols.append(c)
+        if owner[c] < 0:
+            for r, c in zip(path_rows, path_cols):
+                match[r], owner[c] = c, r
             return True
+        path_rows.append(owner[c])
+        its.append(iter(support[owner[c]]))
     return False
 
 
 # ---------------------------------------------------------------------------
 # perfect matchings and strong blocks of a sparsity pattern
-# (support[i] lists the columns of row i's nonzero entries)
 
 def _matching(support) -> Optional[list]:
     """A perfect matching row -> column on the support, None when there is
-    none: one augmenting-path search per row (Kuhn 1955), iterative so
-    that long paths do not recurse."""
+    none: one augmenting path per row."""
     n = len(support)
-    match = [-1] * n
-    owner = [-1] * n
+    match, owner = [-1] * n, [-1] * n
     for root in range(n):
-        seen = set()
-        path_rows, path_cols, its = [root], [], [iter(support[root])]
-        while its:
-            c = next((c for c in its[-1] if c not in seen), None)
-            if c is None:
-                # a dead end: drop the row and the column that reached it
-                path_rows.pop()
-                its.pop()
-                if path_cols:
-                    path_cols.pop()
-                continue
-            seen.add(c)
-            path_cols.append(c)
-            if owner[c] < 0:
-                for r, c in zip(path_rows, path_cols):
-                    match[r], owner[c] = c, r
-                break
-            path_rows.append(owner[c])
-            its.append(iter(support[owner[c]]))
-        else:
+        if not _augment(support, owner, match, root, set(), 0):
             return None
     return match
 

@@ -4,13 +4,14 @@ A constant change of variables x = T y with det T != 0 keeps the solution
 set, so when the Sigma-method succeeds on the transformed system it must
 report the degrees of freedom of the original (Pryce, BIT 41, 2001: on
 success, dof = val Sigma).  pendulum_mod in the corpus is one such case.
+Mixing the equations by a constant matrix of determinant 1 keeps it too.
 """
 
 import random
 
 import pytest
 
-from daefix.convert import FixStatus, fix_dae
+from daefix.convert import ConvertError, FixStatus, fix_dae
 from daefix.dsl import parse_dae
 
 PENDULUM_DOF = 2
@@ -22,20 +23,37 @@ def _combination(row, names):
     for c, name in zip(row, names):
         if c:
             sign = "-" if c < 0 else ("+" if text else "")
-            text += (" %s " % sign if text else sign) + name
+            scale = "" if abs(c) == 1 else "%d*" % abs(c)
+            text += (" %s " % sign if text else sign) + scale + name
     return "(%s)" % text
+
+
+def _pendulum_residuals(T):
+    """The pendulum's left-hand sides with (x, y, lambda) = T (x1, x2, x3)."""
+    x, y, lam = (_combination(row, ("x1", "x2", "x3")) for row in T)
+    return ("diff(%s, 2) + %s*%s" % (x, x, lam),
+            "diff(%s, 2) + %s*%s - G" % (y, y, lam),
+            "%s^2 + %s^2 - L^2" % (x, y))
+
+
+def _pendulum_text(residuals):
+    return ("dae pendulum_T\n"
+            "vars x1, x2, x3\n"
+            "params G = 9.8, L = 1\n"
+            + "".join("eq f%d: %s = 0\n" % (i, e)
+                      for i, e in enumerate(residuals, 1)))
 
 
 def pendulum_after_change_of_variables(T):
     """The pendulum with (x, y, lambda) = T (x1, x2, x3)."""
-    x, y, lam = (_combination(row, ("x1", "x2", "x3")) for row in T)
-    return ("dae pendulum_T\n"
-            "vars x1, x2, x3\n"
-            "params G = 9.8, L = 1\n"
-            "eq f1: diff(%s, 2) + %s*%s = 0\n"
-            "eq f2: diff(%s, 2) + %s*%s - G = 0\n"
-            "eq f3: %s^2 + %s^2 - L^2 = 0\n"
-            % (x, x, lam, y, y, lam, x, y))
+    return _pendulum_text(_pendulum_residuals(T))
+
+
+def pendulum_after_mixing(T, M):
+    """pendulum_after_change_of_variables(T) with its equations f
+    replaced by M f."""
+    f = ["(%s)" % e for e in _pendulum_residuals(T)]
+    return _pendulum_text(_combination(row, f) for row in M)
 
 
 def _det3(T):
@@ -63,3 +81,38 @@ def test_change_of_variables_keeps_pendulum_dof(formal):
         assert r.status is FixStatus.SUCCESS, text
         assert r.final_value == PENDULUM_DOF, text
         assert not r.uncertain, text
+
+
+def unit_triangular_mixes(count, seed):
+    """count products L U of a unit lower and a unit upper triangular 3x3
+    matrix with off-diagonal entries in {-1, 0, 1}, so det(L U) = 1."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        L = [[1 if i == j else (rng.choice((-1, 0, 1)) if j < i else 0)
+              for j in range(3)] for i in range(3)]
+        U = [[1 if i == j else (rng.choice((-1, 0, 1)) if j > i else 0)
+              for j in range(3)] for i in range(3)]
+        out.append(tuple(tuple(sum(L[i][k] * U[k][j] for k in range(3))
+                               for j in range(3)) for i in range(3)))
+    return out
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 2: an LC row built "
+                   "from a cokernel vector with denominators keeps a leading "
+                   "derivative that only a rational normal form cancels")
+@pytest.mark.parametrize("formal", (False, True))
+def test_mixing_the_equations_keeps_pendulum_dof(formal):
+    failures = []
+    for T, M in zip(nonsingular_transforms(60, seed=13),
+                    unit_triangular_mixes(60, seed=17)):
+        text = pendulum_after_mixing(T, M)
+        try:
+            r = fix_dae(parse_dae(text), formal=formal)
+        except ConvertError as ex:
+            failures.append((text, str(ex)))
+            continue
+        if r.status is not FixStatus.SUCCESS or r.final_value != PENDULUM_DOF:
+            failures.append((text, r.status, r.final_value))
+    assert failures == []

@@ -117,8 +117,9 @@ def test_hvt_against_exhaustive_search():
 def test_hvt_on_a_cycle(solve_picks_shift):
     # sigma_ii = sigma_i,i+1 = 0: the identity and the shift are the only
     # HVTs.  Weighting (0, 1) and (n-1, n-1) keeps both at value 1 but makes
-    # the solve return the shift, so row 0 must reroute through every row.
-    n = 40
+    # the solve return the shift, so row 0 must reroute through every row,
+    # a path longer than the default recursion limit.
+    n = 1500
     rows = [[NEG_INF] * n for _ in range(n)]
     for i in range(n):
         rows[i][i] = rows[i][(i + 1) % n] = 0
@@ -132,15 +133,45 @@ def test_hvt_on_a_cycle(solve_picks_shift):
     assert sig.value == (1 if solve_picks_shift else 0)
 
 
+def test_lex_smallest_hvt_does_not_recurse():
+    # row i is tight at columns i and i + 1 mod n and the solve handed over
+    # the shift: row 0 takes column 0 by one path through all 3000 rows
+    n = 3000
+    tight = [sorted((i, (i + 1) % n)) for i in range(n)]
+    shift = [(i + 1) % n for i in range(n)]
+    assert structural._lex_smallest_hvt(tight, shift) == tuple(
+        (i, i) for i in range(n))
+
+
+def test_offsets_are_dual_to_the_hvt_beyond_brute_force():
+    # max over transversals = min over valid offsets (Pryce 2001), at sizes
+    # no permutation search reaches
+    rng = random.Random(1987)
+    checked = 0
+    while checked < 60:
+        n = rng.randint(8, 80)
+        density = rng.choice((0.05, 0.15, 0.4))
+        rows = [[(rng.randint(0, 4) if rng.random() < density else NEG_INF)
+                 for _ in range(n)] for _ in range(n)]
+        sig = sigma_from_rows(rows)
+        if not sig.swp:
+            continue
+        off = canonical_offsets(sig)
+        assert off.value == sig.value
+        assert validate_offsets(sig, off.c, off.d)
+        assert all(off.d[j] - off.c[i] == rows[i][j] for i, j in sig.hvt)
+        checked += 1
+
+
 def test_one_assignment_solve_per_signature_matrix(monkeypatch):
     calls = []
-    solve = structural._hungarian_min
+    solve = structural._assignment_max
 
-    def counted(cost):
-        calls.append(len(cost))
-        return solve(cost)
+    def counted(rows):
+        calls.append(len(rows))
+        return solve(rows)
 
-    monkeypatch.setattr(structural, "_hungarian_min", counted)
+    monkeypatch.setattr(structural, "_assignment_max", counted)
     rng = random.Random(3)
     for made in range(1, 41):
         n = rng.randint(1, 12)
