@@ -10,9 +10,10 @@ factors: an Add of terms, each term a Mul of a Fraction coefficient and
 sorted factor powers.  Products are always distributed over sums so that
 cancellation across rows of a linear combination actually happens; huge
 expansions are capped and the offending sum is kept as an opaque factor.
-A power of a sum is expanded by the multinomial theorem between those
-caps, in one pass per stretch rather than one product per factor, with
-the same result as the products (see `_p_pow`).
+All exp factors of a monomial merge into one, so exp(a)*exp(-a) is 1 and
+no rewrite depends on the order of the products.  A power is formed in
+one step: a monomial scales its exponents, and a sum is expanded in one
+multinomial pass or, past the cap, kept whole (see `_p_pow`).
 
 Nodes are immutable, so each one computes three values at most once, on
 first use, and keeps them in a slot: its hash (the value the field-wise
@@ -318,8 +319,9 @@ def _poly(e: Expr) -> dict:
     if isinstance(e, Neg):
         return {m: -c for m, c in _poly(e.child).items()}
     if isinstance(e, Add):
-        out: dict = {}
-        for ch in e.children:
+        # every _poly result is a fresh dict: grow the first child's in place
+        out = _poly(e.children[0]) if e.children else {}
+        for ch in e.children[1:]:
             for m, c in _poly(ch).items():
                 c2 = out.get(m, 0) + c
                 if c2:
@@ -402,19 +404,22 @@ def _p_mul(p: dict, q: dict) -> dict:
 def _mono_from_exps(exps: dict) -> dict:
     """Rebuild a monomial from a factor->exponent map, applying power rewrites.
 
-    exp(a)**k -> exp(k*a); sqrt(u)**(2m+r) -> u**m * sqrt(u)**r.  Rewrites can
-    cascade (merged exp factors colliding, sqrt bases expanding), so this may
-    recurse; every step shrinks the rewritten material.
+    All exp factors merge into one, exp(a)^j * exp(b)^k -> exp(j*a + k*b),
+    which folds to 1 when that sum is 0; sqrt(u)^(2m+r) -> u^m * sqrt(u)^r.
+    The rewritten parts are multiplied back in by _p_mul, which recurses
+    when u^m brings exp or sqrt factors of its own.
     """
+    ex = [(f, k) for f, k in exps.items()
+          if k and isinstance(f, Func) and f.name == "exp"]
+    merge = len(ex) > 1 or any(k != 1 for _, k in ex)
     plain: list = []
     extras: list = []
+    if merge:
+        total = Add(tuple(Mul((Const(Fraction(k)), f.arg)) for f, k in ex))
+        extras.append(_func_poly("exp", simplify(total)))
     for f in sorted(exps, key=_key):
         k = exps[f]
-        if k == 0:
-            continue
-        if isinstance(f, Func) and f.name == "exp" and k != 1:
-            arg2 = simplify(Mul((Const(Fraction(k)), f.arg)))
-            extras.append(_func_poly("exp", arg2))
+        if k == 0 or (merge and isinstance(f, Func) and f.name == "exp"):
             continue
         if isinstance(f, Func) and f.name == "sqrt" and not (0 <= k <= 1):
             half, rem = divmod(k, 2)
@@ -423,7 +428,6 @@ def _mono_from_exps(exps: dict) -> dict:
                 plain.append((f, 1))
             continue
         plain.append((f, k))
-    # collisions created by the rewrites are re-merged by _p_mul below
     out = {tuple(plain): Fraction(1)}
     for q in extras:
         out = _p_mul(out, q)
@@ -431,73 +435,55 @@ def _mono_from_exps(exps: dict) -> dict:
 
 
 def _p_pow(p: dict, n: int) -> dict:
-    """p**n, equal as a mapping to the loop `out = p`, then n-1 times
-    `out = _p_mul(out, p)`, including wherever that loop hits _TERM_CAP.
+    """p**n in one step.
 
-    A base with an exp or sqrt factor runs that loop: its power rewrites
-    depend on the path (exp(a)^3 becomes exp(a)*exp(2a)).  Without one, a
-    product of two monomials is one monomial, so a monomial base (or the
-    zero polynomial) only scales its exponents.  A base of t >= 2 terms is
-    raised in stretches: from a single monomial M, M*p^j has at most
-    comb(j+t-1, t-1) terms, so the loop cannot reach the cap while that
-    bound times t stays within it, and `_p_multinomial` gives the whole
-    stretch in one pass.  The first stretch starts from p itself, as the
-    loop does.  The next factor goes through `_p_mul`, which may collapse;
-    a single monomial starts the next stretch, anything else means merged
-    monomials made the bound loose, and the plain loop finishes.  Bases
-    whose stretches would be one product long (t > 54) run the loop.
+    A monomial scales its exponents (exp and sqrt factors rewritten).  A
+    sum of t terms is expanded by the multinomial theorem while the last
+    product p^(n-1)*p would fit _p_mul's cap, comb(n+t-2, t-1)*t terms;
+    otherwise, and for n < 0, it is kept whole as one factor, as _p_mul
+    keeps whole a product that would not fit.
     """
     if n == 0:
         return {(): Fraction(1)}
-    if n < 0:
-        if not p:
+    if not p:
+        if n < 0:
             raise DomainError("zero raised to a negative power")
-        if len(p) == 1:
-            ((m, c),) = p.items()
-            inv = _mono_from_exps({f: -k for f, k in m})
-            inv = {mm: cc / c for mm, cc in inv.items()}
-            return _p_pow(inv, -n)
-        return {((_from_poly(p), n),): Fraction(1)}
-    out, done = dict(p), 1
-    if not any(isinstance(f, Func) and f.name in ("exp", "sqrt") for m in p for f, _ in m):
-        if len(p) <= 1:
-            return {tuple((f, k * n) for f, k in m): c ** n for m, c in p.items()}
-        t, reach = len(p), 0  # reach: products from a monomial under the cap
-        while reach < n and math.comb(reach + t - 1, t - 1) * t <= _TERM_CAP:
-            reach += 1
-        if reach >= 2:
-            done = reach
-            out = _p_multinomial((), Fraction(1), p, done)
-            while done < n:
-                out = _p_mul(out, p)
-                done += 1
-                if len(out) != 1:
-                    break
-                ((m, c),) = out.items()
-                k = min(reach, n - done)
-                out = _p_multinomial(m, c, p, k)
-                done += k
-    for _ in range(n - done):
-        out = _p_mul(out, p)
-    return out
+        return {}
+    if n == 1:
+        return dict(p)
+    if len(p) == 1:
+        ((m, c),) = p.items()
+        mono = _mono_from_exps({f: k * n for f, k in m})
+        return {mm: cc * c ** n for mm, cc in mono.items()}
+    t = len(p)
+    if n >= 2 and math.comb(n + t - 2, t - 1) * t <= _TERM_CAP:
+        return _p_multinomial(p, n)
+    return {((_from_poly(p), n),): Fraction(1)}
 
 
-def _p_multinomial(m0, c0: Fraction, p: dict, j: int) -> dict:
-    """c0*m0*p**j by the multinomial theorem, for a monomial m0 and a
-    polynomial p without exp or sqrt factors: the sum over k_1+..+k_t = j
-    of j!/(k_1!..k_t!) * c0 * prod c_r^k_r at m0 * prod m_r^k_r."""
-    factors = sorted({f for m in (m0, *p) for f, _ in m}, key=_key)
+def _p_multinomial(p: dict, n: int) -> dict:
+    """p**n by the multinomial theorem: the sum over k_1+..+k_t = n of
+    n!/(k_1!..k_t!) * prod c_r^k_r at prod m_r^k_r.  The monomials of a
+    base with exp or sqrt factors go through _mono_from_exps."""
+    factors = sorted({f for m in p for f, _ in m}, key=_key)
     col = {f: i for i, f in enumerate(factors)}
-
-    def exps(m):
+    rewrite = any(isinstance(f, Func) and f.name in ("exp", "sqrt")
+                  for f in factors)
+    terms = []
+    for m, c in p.items():
         v = [0] * len(factors)
         for f, k in m:
             v[col[f]] = k
-        return v
-
-    terms = [(exps(m), c) for m, c in p.items()]
+        terms.append((v, c))
     last = len(terms) - 1
     out: dict = {}
+
+    def add(m, c):
+        s = out.get(m, 0) + c
+        if s:
+            out[m] = s
+        else:
+            out.pop(m, None)
 
     def spread(r, left, v, c):
         # terms r.. take the `left` factors still to place
@@ -507,15 +493,13 @@ def _p_multinomial(m0, c0: Fraction, p: dict, j: int) -> dict:
             ck = c * math.comb(left, k) * tc ** k
             if r < last and k < left:
                 spread(r + 1, left - k, vk, ck)
-                continue
-            m = tuple((f, e) for f, e in zip(factors, vk) if e)
-            s = out.get(m, 0) + ck
-            if s:
-                out[m] = s
+            elif rewrite:
+                for m, c3 in _mono_from_exps(dict(zip(factors, vk))).items():
+                    add(m, ck * c3)
             else:
-                out.pop(m, None)
+                add(tuple((f, e) for f, e in zip(factors, vk) if e), ck)
 
-    spread(0, j, exps(m0), c0)
+    spread(0, n, [0] * len(factors), Fraction(1))
     return out
 
 

@@ -170,17 +170,25 @@ def test_fix_nothing_to_do(tmp_path, capsys):
 
 
 def test_fix_uncertain_exit(tmp_path, capsys):
-    rc = main(["fix", corpus_file(tmp_path, "es_example")])
+    # every equivalence probe point has t < 60, outside sqrt's domain, so
+    # the probe run is cut short and the fixed system stays unverified
+    path = write_dae(tmp_path, "dae brenan\n"
+                               "vars x, y\n"
+                               "input h1, h2\n"
+                               "eq f1: x' + t*y' - h1(t) = 0\n"
+                               "eq f2: x + t*y - h2(t) + sqrt(t - 60) = 0\n")
+    rc = main(["fix", path])
     out = capsys.readouterr().out
     assert rc == 4
+    assert "fixed in 1 step" in out
     assert "unverified" in out
 
 
 def test_fix_no_method_names_stuck_step(tmp_path, capsys):
     path = write_dae(tmp_path, "dae stuck\n"
                                "vars x1, x2\n"
-                               "eq f1: x1'*(exp(x1)*exp(x2)"
-                               " - exp(x1 + x2)) + x2' = 0\n"
+                               "eq f1: x1'*(sin(2*x1)"
+                               " - 2*sin(x1)*cos(x1)) + x2' = 0\n"
                                "eq f2: x2' + x1 = 0\n")
     rc = main(["fix", path])
     out = capsys.readouterr().out
@@ -631,8 +639,8 @@ def test_analyze_collapsed_power_is_fast(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("power, bound", [
-    ("(x*y + 1)^1000 + x' - y", 1.0),  # one multinomial stretch
-    ("(x + y + 1)^200 + x'", 2.0),     # five stretches, four collapses
+    ("(x*y + 1)^1000 + x' - y", 1.0),  # one multinomial pass
+    ("(x + y + 1)^200 + x'", 2.0),     # over the term cap: kept whole
 ])
 def test_analyze_power_of_a_sum_is_fast(tmp_path, capsys, power, bound):
     rc, took, doc = _timed_analyze(
@@ -642,6 +650,21 @@ def test_analyze_power_of_a_sum_is_fast(tmp_path, capsys, power, bound):
     assert doc["offsets"] == {"c": [0, 0], "d": [1, 1]}
     assert doc["classification"] == "GenericallyNonsingular"
     assert took < bound
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("power, value", [
+    ("exp(x)^100000 + x' - y", 2),     # exp(100000*x)
+    ("sqrt(x)^200001 - 1 + y'", 1),    # x^100000*sqrt(x)
+    ("(x + y)^100000000 + x'", 2),     # kept whole
+])
+def test_analyze_huge_power_is_one_step(tmp_path, capsys, power, value):
+    rc, took, doc = _timed_analyze(
+        tmp_path, "dae p\nvars x, y\neq f1: %s = 0\neq f2: x - y' = 0\n" % power)
+    assert rc == 0
+    assert doc["value"] == value
+    assert doc["classification"] == "GenericallyNonsingular"
+    assert took < 2.0
     capsys.readouterr()
 
 

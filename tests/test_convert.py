@@ -164,9 +164,9 @@ def test_es_example_driver_substitutes():
     det, off = final_det(r)
     assert det == pe("2*exp(x2'^2 - x3')*(x2 + x2') - x2", fixed)
     assert (off.c, off.d) == ((0, 1, 0), (0, 1, 1))
-    # the driver inspected a combination candidate whose verification
-    # rests on unproven zeros, so the run is flagged
-    assert r.uncertain
+    # exp factors merge in the normal form, so the combination candidate's
+    # residual 1 - exp(a)*exp(-a) is an exact zero and nothing is unproven
+    assert not r.uncertain
 
 
 def test_es_example_forced_scaled_vector_same_rewrite():
@@ -401,8 +401,9 @@ def test_choice_substitution_needs_provable_divisor():
     p = Prober()
     es = _es((StateDeriv(0, 0), StateDeriv(1, 0)), cols=(0, 1), consts=())
     assert choose_method(None, es, p) == MethodChoice(MethodKind.ES, 0)
-    hidden = pe("exp(x1)*exp(x2) - exp(x1 + x2)",
+    hidden = pe("sin(2*x1) - 2*sin(x1)*cos(x1)",
                 parse_dae("dae h\nvars x1, x2\neq f1: x1 = 0\neq f2: x2 = 0"))
+    assert simplify(hidden) != ZERO  # a probable zero, not a proven one
     stuck = _es((hidden, hidden), cols=(0, 1), consts=())
     assert choose_method(None, stuck, p).kind is MethodKind.NEITHER
 
@@ -449,7 +450,7 @@ def test_hidden_zero_pivot_blocks_elimination():
     s = parse_dae("""
 dae hidden
 vars x1, x2
-eq f1: x1'*(exp(x1)*exp(x2) - exp(x1 + x2)) + x2' = 0
+eq f1: x1'*(sin(2*x1) - 2*sin(x1)*cos(x1)) + x2' = 0
 eq f2: x2' + x1 = 0
 """)
     r = fix_dae(s)

@@ -331,7 +331,10 @@ def _repeated_mul(p, n):
 
 
 def _random_monomial(rng, pool):
+    # a normal-form monomial: at most one exp factor, at exponent 1
     factors = rng.sample(pool, rng.randint(0, 4))
+    exps = [f for f in factors if isinstance(f, Func) and f.name == "exp"]
+    factors = [f for f in factors if f not in exps[1:]]
     m = tuple(sorted(((f, 1 if isinstance(f, Func) and f.name in ("exp", "sqrt")
                        else rng.choice((-3, -2, -1, 1, 2, 3)))
                       for f in factors), key=lambda fk: _key(fk[0])))
@@ -352,26 +355,46 @@ def test_monomial_power_equals_repeated_products():
 
 def test_exp_and_sqrt_monomial_powers_keep_their_rewrites():
     rng = random.Random("monomial-power-rewrites")
+    root_of_sum = Func("sqrt", simplify(x + g))
     pool = [x, y, g, Func("sin", t), simplify(x + y + 1),
             Func("exp", x), Func("exp", simplify(y - t)),
-            Func("sqrt", x), Func("sqrt", simplify(x + g))]
-    seen = 0
+            Func("sqrt", x), root_of_sum]
+    seen = inverted = 0
     for _ in range(300):
         p = _random_monomial(rng, pool)
         n = rng.randint(1, 6)
         assert _p_pow(p, n) == _repeated_mul(p, n)
         seen += any(isinstance(f, Func) and f.name in ("exp", "sqrt")
                     for m in p for f, _ in m)
-    assert seen > 100
+        # a negative power inverts, except where sqrt(u)^2 expands the sum
+        # u against its opaque reciprocal
+        if all(f != root_of_sum for m in p for f, _ in m):
+            assert _p_mul(_p_pow(p, n), _p_pow(p, -n)) == {(): Fraction(1)}
+            inverted += 1
+    assert seen > 100 and inverted > 100
     # the rewrites fire, so scaling the exponents would be wrong here
     ex = Func("exp", x)
-    assert _p_pow({((ex, 1),): Fraction(1)}, 3) != {((ex, 3),): Fraction(1)}
+    assert _p_pow({((ex, 1),): Fraction(1)}, 3) \
+        == {((Func("exp", simplify(3 * x)), 1),): Fraction(1)}
     assert _p_pow({((Func("sqrt", x), 1),): Fraction(2)}, 4) == \
         {((x, 2),): Fraction(16)}
+    # all exp factors of a monomial merge into one, whatever the order of
+    # the products, and cancel exactly
+    a = simplify(x * y - g)
+    forms = {simplify(Func("exp", a) ** 3),
+             simplify(Func("exp", a) * Func("exp", a) * Func("exp", a)),
+             simplify(Func("exp", 3 * a)),
+             simplify(Func("exp", 2 * a) * Func("exp", -a)
+                      * Func("exp", 2 * a))}
+    assert len(forms) == 1
+    assert simplify(Func("exp", a) * Func("exp", -a)) == con(1)
+    assert simplify(Func("exp", a) ** -2 * Func("exp", a) ** 2) == con(1)
+    assert simplify(Func("exp", x) * Func("exp", y)
+                    - Func("exp", x + y)) == ZERO
 
 
 # ---------------------------------------------------------------------------
-# powers of sums: multinomial stretches between term-cap collapses
+# powers of sums: one multinomial pass within the term cap, else kept whole
 
 
 def _loop_powers(p, ns):
@@ -383,36 +406,6 @@ def _loop_powers(p, ns):
         if n in ns:
             want[n] = out
     return want
-
-
-def _numbered(p, table):
-    # p with each factor replaced by a number that `table` gives to each
-    # distinct tree; a subtree object shared by many monomials, such as a
-    # collapsed sum, is numbered once, where field-wise == re-walks it per
-    # monomial (seconds on one nested collapse, more on each further one)
-    seen = {}
-
-    def number(e):
-        if id(e) not in seen:
-            if isinstance(e, (Add, Mul)):
-                sig = (type(e), tuple(number(c) for c in e.children))
-            elif isinstance(e, Pow):
-                sig = (Pow, number(e.base), e.exponent)
-            elif isinstance(e, Func):
-                sig = (Func, e.name, number(e.arg))
-            elif isinstance(e, Neg):
-                sig = (Neg, number(e.child))
-            else:
-                sig = e
-            seen[id(e)] = (table.setdefault(sig, len(table)), e)
-        return seen[id(e)][0]
-
-    return {tuple((number(f), k) for f, k in m): c for m, c in p.items()}
-
-
-def _same(p, q):
-    table = {}
-    return _numbered(p, table) == _numbered(q, table)
 
 
 def _poly_of(*terms):
@@ -435,64 +428,89 @@ def _count_products(monkeypatch):
     return calls
 
 
+def _within_cap(p, n):
+    # _p_mul's bound for the last product p^(n-1) * p
+    t = len(p)
+    return math.comb(n + t - 2, t - 1) * t <= expr_module._TERM_CAP
+
+
+def _kept_whole(p, n):
+    return {((expr_module._from_poly(p), n),): Fraction(1)}
+
+
 def test_power_of_a_sum_equals_repeated_products():
     rng = random.Random("sum-power")
+    # sqrt of atoms only: sqrt(u)^2 of a sum u is several terms, so the
+    # loop could reach the cap below the bound, which counts monomials
     pool = [x, y, t, g, Func("sin", x), Func("cos", simplify(x + y)),
-            Func("ln", t)]
+            Func("ln", t), Func("exp", x), Func("exp", simplify(y - g)),
+            Func("sqrt", x), Func("sqrt", g)]
     # (u + 2g - 2g^2/u)^2 has no g^2 term: (2g)^2 cancels 2*u*(-2g^2/u)
     u = ((x, 1), (y, 1))
     cancelling = _poly_of((1, u), (2, ((g, 1),)),
                           (-2, ((x, -1), (y, -1), (g, 2))))
     assert ((g, 2),) not in _p_pow(cancelling, 2)
-    merged = 0
-    for trial in range(80):
+    merged = rewritten = above = 0
+    for trial in range(50):
         p = {}
         for _ in range(rng.randint(2, 6)):
-            (m, c), = _random_monomial(rng, pool[:rng.randint(4, 7)]).items()
+            (m, c), = _random_monomial(rng, pool[:rng.randint(4, 11)]).items()
             p[m] = c
         if trial % 3 == 0:
             p.update(cancelling)
-        n = rng.randint(1, 8)
-        got = _p_pow(p, n)
-        assert _same(got, _repeated_mul(p, n))
-        merged += 2 <= n <= 7 and len(p) <= 6 and \
-            0 < len(got) < math.comb(n + len(p) - 1, len(p) - 1)
-    assert merged > 5
+        rewritten += any(isinstance(f, Func) and f.name in ("exp", "sqrt")
+                         for m in p for f, _ in m)
+        want = dict(p)
+        for n in range(1, 7):
+            if n > 1:
+                want = _p_mul(want, p)
+            got = _p_pow(p, n)
+            if not _within_cap(p, n):
+                assert got == _kept_whole(p, n)
+                above += 1
+                break
+            assert got == want
+            merged += n >= 2 and \
+                0 < len(got) < math.comb(n + len(p) - 1, len(p) - 1)
+        if len(p) > 1:
+            assert _p_pow(p, -2) == _kept_whole(p, -2)
+    assert merged > 5 and rewritten > 20 and above > 5
 
 
 def test_power_of_a_sum_across_stretch_boundaries(monkeypatch):
-    # (x+y+1)^j has comb(j+2, 2) terms: the loop collapses at j = 45 and
-    # again at 90, where the product has 1035 * 3 > 3000 terms
+    # (x+y+1)^j has comb(j+2, 2) terms: up to j = 44 the last product
+    # p^(j-1) * p fits the cap, at 45 it has 1035 * 3 > 3000 terms
     p = _poly_of((1, ((x, 1),)), (1, ((y, 1),)), (1, ()))
-    ns = (1, 2, 44, 45, 46, 60, 89, 90, 91)
-    want = _loop_powers(p, ns)
+    want = _loop_powers(p, (1, 2, 44))
     calls = _count_products(monkeypatch)
-    for n in ns:
-        assert _same(_p_pow(p, n), want[n])
-    # one collapsing product per stretch boundary crossed, none inside
-    assert calls == [(1035, 3)] * 8
-    assert len(want[44]) == 1035 and len(want[45]) == 1
-    assert len(want[90]) == 1 and len(want[91]) == 3
+    for n in (1, 2, 44):
+        assert _p_pow(p, n) == want[n]
+    assert len(want[44]) == 1035
+    for n in (45, 46, 60, 89, 90, 91):
+        assert _p_pow(p, n) == _kept_whole(p, n)
+    # one multinomial pass per power, no products
+    assert calls == []
 
     z = StateDeriv(2)
     p4 = _poly_of((1, ((x, 1),)), (1, ((y, 1),)), (1, ((z, 1),)), (1, ()))
-    want = _loop_powers(p4, (16, 17, 18))
-    del calls[:]
+    want = _loop_powers(p4, (15,))
+    assert _p_pow(p4, 15) == want[15] and len(want[15]) == 816
     for n in (16, 17, 18):
-        assert _same(_p_pow(p4, n), want[n])
-    assert calls == [(816, 4)] * 3 and len(want[16]) == 1
+        assert _p_pow(p4, n) == _kept_whole(p4, n)
+    assert calls == []
 
 
 def test_power_of_a_sum_whose_terms_merge_finishes_with_the_loop():
     # (1+x)^j (1+y)^j has (j+1)^2 terms, far fewer than the bound: the
-    # first stretch ends at j = 15 without a collapse, and the loop goes on
-    # until 28^2 * 4 > 3000
+    # bound counts terms as if none merged, so the power is expanded up to
+    # j = 15 and kept whole from 16 on, where the loop would run to 27
     p = _poly_of((1, ((x, 1),)), (1, ((x, 1), (y, 1))), (1, ((y, 1),)), (1, ()))
-    want = _loop_powers(p, (16, 27, 28, 30, 45))
-    for n in (30, 45):
-        assert _same(_p_pow(p, n), want[n])
-    assert len(want[16]) == 17 ** 2 and len(want[27]) == 28 ** 2
-    assert len(want[28]) == 1
+    want = _loop_powers(p, (2, 15))
+    for n in (2, 15):
+        assert _p_pow(p, n) == want[n]
+        assert len(want[n]) == (n + 1) ** 2
+    for n in (16, 27, 28, 45):
+        assert _p_pow(p, n) == _kept_whole(p, n)
 
 
 def test_power_of_a_sum_edge_cases():
