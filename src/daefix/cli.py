@@ -184,7 +184,7 @@ def _system_json(system):
 
 
 def _jacobian_json(system, matrix):
-    return [["0" if e == ZERO else format_expr(e, system.var_names)
+    return [["0" if e is ZERO else format_expr(e, system.var_names)
              for e in row] for row in matrix]
 
 

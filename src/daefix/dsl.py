@@ -66,16 +66,16 @@ def _tokenize(s: str, line: int, col0: int = 1) -> List[_Tok]:
 
 
 class _ExprParser:
-    """Precedence-climbing parser over one tokenized line."""
+    """Precedence-climbing parser over one tokenized line.
 
-    def __init__(self, toks: List[_Tok], line: int, var_names, param_names,
-                 input_names):
+    names is the (variable -> index, parameter set, input set) triple of
+    the names declared so far; the parser only reads it."""
+
+    def __init__(self, toks: List[_Tok], line: int, names):
         self.toks = toks
         self.i = 0
         self.line = line
-        self.vars = {nm: j for j, nm in enumerate(var_names)}
-        self.params = set(param_names)
-        self.inputs = set(input_names)
+        self.vars, self.params, self.inputs = names
 
     def peek(self) -> _Tok:
         return self.toks[self.i]
@@ -225,8 +225,9 @@ class _ExprParser:
 
 def _system_parser(text: str, system: DaeSystem, line: int,
                    col0: int = 1) -> _ExprParser:
-    return _ExprParser(_tokenize(text, line, col0), line, system.var_names,
-                       [p for p, _ in system.params], system.input_names)
+    names = ({nm: j for j, nm in enumerate(system.var_names)},
+             {p for p, _ in system.params}, set(system.input_names))
+    return _ExprParser(_tokenize(text, line, col0), line, names)
 
 
 def parse_expr(text: str, system: DaeSystem, line: int = 1) -> Expr:
@@ -281,6 +282,11 @@ def parse_dae(text: str) -> DaeSystem:
     params: list = []
     input_names: list = []
     equations: list = []
+    # the parser's name tables, grown with each declaration
+    var_table: dict = {}
+    param_table: set = set()
+    input_table: set = set()
+    names = (var_table, param_table, input_table)
     for line_no, raw_line in enumerate(text.splitlines(), 1):
         line = raw_line.split("#", 1)[0].rstrip()
         if not line.strip():
@@ -324,11 +330,15 @@ def parse_dae(text: str) -> DaeSystem:
                         v /= Fraction(toks[i].text)
                         i += 1
                     params.append((t.text, -v if negative else v))
+                    param_table.add(t.text)
                 elif head == "params":
                     params.append((t.text, None))
+                    param_table.add(t.text)
                 elif head == "vars":
+                    var_table[t.text] = len(var_names)
                     var_names.append(t.text)
                 else:
+                    input_table.add(t.text)
                     input_names.append(t.text)
                 if toks[i].kind == "op" and toks[i].text == ",":
                     i += 1
@@ -345,8 +355,7 @@ def parse_dae(text: str) -> DaeSystem:
             if toks[1].kind != "op" or toks[1].text != ":":
                 raise ParseError("expected ':' after equation name", line_no,
                                  toks[1].col)
-            p = _ExprParser(toks[2:], line_no, var_names,
-                            [nm for nm, _ in params], input_names)
+            p = _ExprParser(toks[2:], line_no, names)
             lhs = p.parse()
             eq_tok = p.next()
             if eq_tok.kind != "op" or eq_tok.text != "=":

@@ -206,16 +206,20 @@ def con(v: Number) -> Const:
 
 
 def walk(e: Expr) -> Iterator[Expr]:
-    yield e
-    if isinstance(e, (Add, Mul)):
-        for c in e.children:
-            yield from walk(c)
-    elif isinstance(e, Pow):
-        yield from walk(e.base)
-    elif isinstance(e, Neg):
-        yield from walk(e.child)
-    elif isinstance(e, Func):
-        yield from walk(e.arg)
+    """Every node of e in preorder.  Iterative: the parser nests sums to
+    the left, and a recursive walk would cost size times depth."""
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        yield e
+        if isinstance(e, (Add, Mul)):
+            stack.extend(reversed(e.children))
+        elif isinstance(e, Pow):
+            stack.append(e.base)
+        elif isinstance(e, Neg):
+            stack.append(e.child)
+        elif isinstance(e, Func):
+            stack.append(e.arg)
 
 
 _NO_ATOMS: frozenset = frozenset()
@@ -604,7 +608,9 @@ def _derive(e: Expr, atom) -> Expr:
     if isinstance(e, Neg):
         return Neg(_derive(e.child, atom))
     if isinstance(e, Add):
-        return Add(tuple(_derive(c, atom) for c in e.children))
+        # a summand without the atom contributes nothing
+        return Add(tuple(_derive(c, atom) for c in e.children
+                         if atom is None or atom in atoms(c)))
     if isinstance(e, Mul):
         terms = []
         for i, c in enumerate(e.children):
@@ -698,7 +704,11 @@ def evaluate_ex(e: Expr, b: Mapping[Expr, Fraction]):
         v, ex = evaluate_ex(e.base, b)
         if v == 0 and e.exponent < 0:
             raise DomainError("zero raised to a negative power")
-        return v ** e.exponent, ex
+        if ex:
+            return v ** e.exponent, True
+        # an inexact base carries _MP_DPS digits; its exact power would
+        # carry exponent times as many
+        return _mp_pow(v, e.exponent), False
     if isinstance(e, Func):
         v, ex = evaluate_ex(e.arg, b)
         r = _exact_func(e.name, v)
@@ -717,6 +727,14 @@ def _mp_call(name: str, v: Fraction) -> Fraction:
         r = _MP_FUNCS[name](mpmath.mpf(v.numerator) / mpmath.mpf(v.denominator))
         if not mpmath.isfinite(r):
             raise DomainError("%s(%s) is not finite" % (name, v))
+        return _mpf_to_fraction(r)
+
+
+def _mp_pow(v: Fraction, k: int) -> Fraction:
+    with mpmath.workdps(_MP_DPS):
+        r = (mpmath.mpf(v.numerator) / mpmath.mpf(v.denominator)) ** k
+        if not mpmath.isfinite(r):
+            raise DomainError("%s^%d is not finite" % (v, k))
         return _mpf_to_fraction(r)
 
 

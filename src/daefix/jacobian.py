@@ -3,7 +3,11 @@
 J_ij = d f_i / d x_j^(sigma_ij) where the offsets are tight (d_j - c_i equals
 sigma_ij); everywhere else the entry is zero, including the shaded positions
 where d_j - c_i > sigma_ij.  Different valid offset pairs can give different
-matrices, but they all share one determinant.
+matrices, but they all share one determinant.  J comes from one gradient
+walk per equation: the summands of its normal form are indexed by atom
+once, so each tight entry differentiates only the summands that hold its
+atom, and the work grows with the nonzeros, not with n times the
+equation's length.
 
 Classification works block by block.  A perfect matching on the nonzero
 entries (augmenting paths, Kuhn 1955) exists or J is structurally
@@ -13,6 +17,8 @@ det J is +-the product of the blocks' determinants (the split DAESA makes,
 Pryce, Nedialkov and Tan 2015).  A block of at most DET_BOUND rows is
 expanded exactly; a larger one is decided by rank probes at random
 rational points, which prove full rank but can only suspect singularity.
+A probe evaluates only the block's nonzero entries, into sparse rows
+{col: value}, and its elimination touches only nonzeros.
 """
 
 from __future__ import annotations
@@ -20,10 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from .expr import (
-    Add, Const, Expr, Mul, NEG_INF, Neg, StateDeriv, ZERO,
+    Add, Const, Expr, Mul, Neg, StateDeriv, ZERO,
     atoms, evaluate_ex, partial, simplify,
 )
 from .model import DaeSystem
@@ -36,17 +42,25 @@ _RANK_POINTS = 3
 
 def system_jacobian(system: DaeSystem, sig: SignatureMatrix,
                     off: OffsetPair) -> tuple:
-    n = system.n
+    """J as an n x n tuple of normal forms, the ZERO constant itself at
+    every position that is not tight.  Each entry equals the normal form of
+    partial(f_i, atom), which differentiates only the summands holding the
+    atom too; an atom the normal form lacks (a formal signature entry that
+    cancelled) gives the ZERO constant."""
     out = []
-    for i in range(n):
-        f = system.equations[i].expr
-        row = []
-        for j in range(n):
-            s = sig.rows[i][j]
-            if s == NEG_INF or off.d[j] - off.c[i] != s:
-                row.append(ZERO)
-            else:
-                row.append(simplify(partial(f, StateDeriv(j, int(s)))))
+    for i, eq in enumerate(system.equations):
+        f = eq.expr
+        holders: dict = {}
+        for t in f.children if isinstance(f, Add) else (f,):
+            for a in atoms(t):
+                holders.setdefault(a, []).append(t)
+        row = [ZERO] * system.n
+        for a, terms in holders.items():
+            if isinstance(a, StateDeriv) \
+                    and a.order == sig.rows[i][a.index] \
+                    == off.d[a.index] - off.c[i]:
+                row[a.index] = simplify(
+                    Add(tuple(partial(t, a) for t in terms)))
         out.append(tuple(row))
     return tuple(out)
 
@@ -190,9 +204,10 @@ def _full_rank(matrix, support, rows, cols, prober: Prober) -> bool:
     for _, evals in probe_points(
             key, ats, lambda b: [evaluate_ex(e, b) for _, _, e in entries],
             _RANK_POINTS):
-        block = [[Fraction(0)] * m for _ in range(m)]
+        block: List[Dict[int, Fraction]] = [{} for _ in range(m)]
         for (i, j, _), (v, _) in zip(entries, evals):
-            block[i][j] = v
+            if v:
+                block[i][j] = v
         if _fraction_rank(block) == m:
             if not all(ex for _, ex in evals):
                 prober.uncertain_seen = True
@@ -201,26 +216,25 @@ def _full_rank(matrix, support, rows, cols, prober: Prober) -> bool:
     return False
 
 
-def _fraction_rank(rows: List[List[Fraction]]) -> int:
-    m = [row[:] for row in rows]
-    n_rows = len(m)
-    n_cols = len(m[0]) if m else 0
-    r = 0   # the rank so far, and the next pivot row
-    for c in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        # the pivot row's nonzeros; its columns before c hold 0 already
-        nonzero = [(jj, x) for jj, x in enumerate(m[r][c:], c) if x]
-        for i in range(r + 1, n_rows):
-            if m[i][c]:
-                f = m[i][c] / pv
-                row = m[i]
-                for jj, x in nonzero:
-                    row[jj] -= f * x
-        r += 1
-        if r == n_rows:
-            break
-    return r
+def _fraction_rank(rows: List[Dict[int, Fraction]]) -> int:
+    """Rank of a matrix given as sparse rows {col: nonzero value}, which are
+    left as they are.  Each row is reduced by the rows kept so far, each
+    kept row stored under its leading column; the operations touch only
+    nonzeros, and a row that reduces to nothing adds no rank."""
+    kept: Dict[int, Dict[int, Fraction]] = {}
+    for row in rows:
+        row = dict(row)
+        while row:
+            lead = min(row)
+            pivot = kept.get(lead)
+            if pivot is None:
+                kept[lead] = row
+                break
+            f = row[lead] / pivot[lead]
+            for c, x in pivot.items():
+                v = row.get(c, 0) - f * x
+                if v:
+                    row[c] = v
+                else:
+                    del row[c]
+    return len(kept)

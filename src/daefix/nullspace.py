@@ -4,16 +4,18 @@ Fraction-free Gauss-Jordan: a pivot never divides, it cross-multiplies
 (row_r <- pivot * row_r - entry * row_p), so entries stay in the expression
 ring.  One elimination per matrix side yields the whole basis; the literal
 ZERO entries a System Jacobian holds at its non-tight positions are never
-zero-tested, multiplied or simplified.  Pivot choice consults the zero
-tester; a column whose only nonzero candidates are merely *probably* zero
-cannot be pivoted or skipped safely, which surfaces as EliminationStuck.
+zero-tested, multiplied or simplified: each row is kept as its nonzero
+entries, so a row update touches only the columns of the two rows it
+combines.  Pivot choice consults the zero tester; a column whose only
+nonzero candidates are merely *probably* zero cannot be pivoted or skipped
+safely, which surfaces as EliminationStuck.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
-from typing import Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from .expr import Add, Const, Expr, Mul, Neg, Pow, ZERO, simplify, walk
 from .zerotest import Prober
@@ -36,13 +38,12 @@ class EliminationStuck(NullspaceError):
 def _pivot_choice(entries, prober: Prober):
     """Among (row, expr) candidates pick the pivot: proven-nonzero constants
     first, then proven-nonzero expressions, smallest row index deciding ties;
-    ZERO is not asked.  Returns (row, kind), kind 'pivot', 'free' or 'stuck'."""
+    the candidates hold no ZERO.  Returns (row, kind), kind 'pivot', 'free'
+    or 'stuck'."""
     const_rows = []
     expr_rows = []
     saw_probable = None
     for r, e in entries:
-        if e == ZERO:
-            continue
         v = prober.verdict(e)
         if v.proven_nonzero:
             if isinstance(e, Const):
@@ -73,15 +74,24 @@ def kernel_basis(matrix: Sequence[Sequence[Expr]], prober: Prober,
         raise NullspaceError("matrix must be square")
     if left:
         matrix = [[matrix[i][j] for i in range(n)] for j in range(n)]
-    # a zero normal form is the ZERO object itself, so `is` tests it
-    m: List[List[Expr]] = [[e if e is ZERO else simplify(e) for e in row]
-                           for row in matrix]
+    # row r keeps its non-ZERO entries {col: normal form}, and holders[k]
+    # the rows with an entry in column k; a zero normal form is the ZERO
+    # object itself, so `is` tests it
+    m: List[Dict[int, Expr]] = []
+    holders: List[set] = [set() for _ in range(n)]
+    for r, row in enumerate(matrix):
+        m.append({})
+        for k, e in enumerate(row):
+            if e is not ZERO and (e := simplify(e)) is not ZERO:
+                m[r][k] = e
+                holders[k].add(r)
     pivots = []          # (row, col)
     pivot_rows = set()
     free_cols = []
     for col in range(n):
-        cands = [(r, m[r][col]) for r in range(n) if r not in pivot_rows]
-        chosen, kind = _pivot_choice(cands, prober)
+        rows = sorted(holders[col])
+        chosen, kind = _pivot_choice(
+            [(r, m[r][col]) for r in rows if r not in pivot_rows], prober)
         if kind == "stuck":
             raise EliminationStuck(col, chosen)
         if kind == "free":
@@ -89,14 +99,22 @@ def kernel_basis(matrix: Sequence[Sequence[Expr]], prober: Prober,
             continue
         p = chosen
         pv, prow = m[p][col], m[p]
-        for r in range(n):
+        for r in rows:
             e = m[r][col]
-            if r == p or e is ZERO or prober.verdict(e).proven_zero:
+            if r == p or prober.verdict(e).proven_zero:
                 continue
-            m[r] = [ZERO if x is ZERO and y is ZERO
-                    else simplify(Mul((pv, x)) - Mul((e, y)))
-                    for x, y in zip(m[r], prow)]
-            m[r][col] = ZERO  # exact by construction; mask any residue
+            # the pivot column cancels by construction and is dropped
+            row = {}
+            for k in (m[r].keys() | prow.keys()) - {col}:
+                x = simplify(Mul((pv, m[r].get(k, ZERO)))
+                             - Mul((e, prow.get(k, ZERO))))
+                if x is not ZERO:
+                    row[k] = x
+            for k in m[r]:
+                holders[k].discard(r)
+            for k in row:
+                holders[k].add(r)
+            m[r] = row
         pivots.append((p, col))
         pivot_rows.add(p)
     return (_basis_vector(matrix, m, pivots, free_cols, fc, prober)
@@ -110,7 +128,7 @@ def _basis_vector(matrix, m, pivots, free_cols, fc, prober) -> tuple:
         # pivot columns hold a single nonzero entry, so only free columns
         # feed the numerator
         num = [Mul((m[p][k], v[k])) for k in free_cols
-               if m[p][k] != ZERO and v[k] != ZERO]
+               if k in m[p] and v[k] != ZERO]
         if num:
             v[col] = simplify(Mul((Neg(_sum(num)), Pow(m[p][col], -1))))
     if not verify_nullvector(matrix, v, prober):

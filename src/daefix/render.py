@@ -10,10 +10,7 @@ from .expr import NEG_INF, ZERO, format_expr
 
 
 def _grid(headers, rows) -> str:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for k, cell in enumerate(row):
-            widths[k] = max(widths[k], len(cell))
+    widths = [max(map(len, col)) for col in zip(headers, *rows)]
     lines = ["  ".join(h.rjust(w) for h, w in zip(headers, widths)).rstrip()]
     for row in rows:
         lines.append("  ".join(c.rjust(w)
@@ -22,22 +19,21 @@ def _grid(headers, rows) -> str:
 
 
 def render_sigma(system, sig, off=None) -> str:
-    hvt = set(sig.hvt or ())
+    hvt = dict(sig.hvt or ())     # row -> its transversal column
     headers = [""] + list(system.var_names) + (["c_i"] if off else [])
     rows = []
-    for i, eq in enumerate(system.equations):
+    for i, (eq, sig_row) in enumerate(zip(system.equations, sig.rows)):
         cells = [eq.name]
-        for j in range(system.n):
-            s = sig.entry(i, j)
+        for j, s in enumerate(sig_row):
             if s == NEG_INF:
                 cell = "-"
             else:
                 cell = str(s)
                 if off is not None and off.d[j] - off.c[i] > s:
                     cell = "[%s]" % cell
-            if (i, j) in hvt:
-                cell += "•"
             cells.append(cell)
+        if i in hvt:
+            cells[hvt[i] + 1] += "•"
         if off is not None:
             cells.append(str(off.c[i]))
         rows.append(cells)
@@ -52,7 +48,7 @@ def render_jacobian(system, matrix) -> str:
     for i, eq in enumerate(system.equations):
         cells = [eq.name]
         for entry in matrix[i]:
-            cells.append("0" if entry == ZERO
+            cells.append("0" if entry is ZERO
                          else format_expr(entry, system.var_names))
         rows.append(cells)
     return _grid(headers, rows)

@@ -269,12 +269,16 @@ def canonical_offsets(sig: SignatureMatrix) -> OffsetPair:
     """Element-wise smallest valid offset pair, by fixed-point iteration."""
     if not sig.swp:
         raise StructuralError("system is structurally ill posed; no offsets")
-    n = sig.n
     hvt = sig.hvt
-    c = [0] * n
+    # each column's finite entries (i, sigma_ij), read by every sweep
+    cols: List[list] = [[] for _ in range(sig.n)]
+    for i, row in enumerate(sig.rows):
+        for j, s in enumerate(row):
+            if s != NEG_INF:
+                cols[j].append((i, s))
+    c = [0] * sig.n
     for _ in range(_MAX_OFFSET_SWEEPS):
-        d = [max(sig.rows[i][j] + c[i] for i in range(n)
-                 if sig.rows[i][j] != NEG_INF) for j in range(n)]
+        d = [max(s + c[i] for i, s in col) for col in cols]
         c2 = [d[j] - sig.rows[i][j] for i, j in hvt]
         # hvt pairs are (i, j) with i ascending, so c2 lines up with rows
         if c2 == c:

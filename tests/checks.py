@@ -4,13 +4,14 @@ test_convert and test_acceptance both draw on these: random expression and
 system generators, the derivative-shift identity, the combination recovery
 identity, and the block-structure check for substitution rewrites; the
 pendulum chain that test_structural and test_jacobian grow to size n, and
-the Brenan blocks that test_convert and test_cli grow; and the dense
-elimination and rank references that test_nullspace and test_jacobian
-hold the sparse ones to.
+the Brenan blocks that test_convert and test_cli grow; the entry-by-entry
+System Jacobian and the dense elimination and rank references that
+test_jacobian and test_nullspace hold the fast ones to.
 """
 
 from fractions import Fraction
 
+from daefix.dsl import parse_dae
 from daefix.expr import (NEG_INF, ZERO, Add, Const, DomainError, DrivingFn,
                          Func, Mul, Neg, Param, Pow, StateDeriv, TimeVar, hod,
                          partial, simplify, total_derivative)
@@ -83,6 +84,51 @@ def derivative_shift_holds(rng):
         return simplify(Add((lhs, Neg(rhs)))) == ZERO
     except DomainError:
         return None
+
+
+def reference_system_jacobian(system, sig, off):
+    """The System Jacobian entry by entry over all n^2 positions: the
+    normal form of the partial derivative of the whole equation at each
+    tight position, the ZERO constant elsewhere."""
+    n = system.n
+    return tuple(
+        tuple(simplify(partial(system.equations[i].expr,
+                               StateDeriv(j, int(sig.rows[i][j]))))
+              if sig.rows[i][j] != NEG_INF
+              and off.d[j] - off.c[i] == sig.rows[i][j] else ZERO
+              for j in range(n))
+        for i in range(n))
+
+
+def _factor_term(rng, names, depth):
+    r = rng.random()
+    if depth == 0 or r < 0.3:
+        return rng.choice(names) + "'" * rng.randint(0, 2)
+    sub = _factor_term(rng, names, depth - 1)
+    if r < 0.4:
+        return "(%s)^%d" % (sub, rng.randint(2, 3))
+    if r < 0.6:
+        return "%s*%s" % (sub, _factor_term(rng, names, depth - 1))
+    if r < 0.75:
+        return "%s(%s + %s)" % (rng.choice(("sin", "exp", "sqrt")), sub,
+                                _factor_term(rng, names, depth - 1))
+    if r < 0.9:
+        return "%s*%s(%s)" % (_factor_term(rng, names, depth - 1),
+                              rng.choice(("sin", "exp", "sqrt")), sub)
+    # cancels in the normal form; the formal signature still sees it
+    return "(%s - %s)" % (sub, sub)
+
+
+def rand_factor_system(rng):
+    """A square system of one to four equations, each a sum of up to four
+    products of state derivatives with sin, exp and sqrt factors."""
+    n = rng.randint(1, 4)
+    names = ["x%d" % j for j in range(1, n + 1)]
+    eqs = ["eq f%d: %s = 0" % (i, " + ".join(
+        _factor_term(rng, names, 3) for _ in range(rng.randint(1, 4))))
+        for i in range(1, n + 1)]
+    return parse_dae("dae r\nvars %s\n%s\n" % (", ".join(names),
+                                                 "\n".join(eqs)))
 
 
 # ---------------------------------------------------------------------------

@@ -668,6 +668,19 @@ def test_analyze_huge_power_is_one_step(tmp_path, capsys, power, value):
     capsys.readouterr()
 
 
+def test_analyze_power_of_an_inexact_value_is_fast(tmp_path, capsys):
+    # each probe raises a 70-digit sin value in mpmath, not as an exact
+    # Fraction with 100000 times as many digits; the values fall under the
+    # guard, so the verdict is unverified
+    rc, took, doc = _timed_analyze(
+        tmp_path, "dae s\nvars x\neq f: sin(x)^100000 - 1 = 0\n")
+    assert rc == 4
+    assert doc["value"] == 0
+    assert doc["classification"] == "ProbablySingular"
+    assert took < 2.0
+    capsys.readouterr()
+
+
 def test_fix_brenan_x32_is_fast(tmp_path, capsys):
     # 32 steps on a 64 x 64 Jacobian of 2 x 2 blocks: one cokernel
     # elimination per step that passes over the structural zeros

@@ -151,6 +151,19 @@ def test_duplicate_names_rejected():
         parse_dae("dae d\nvars x\nparams x\neq f1: x = 0\n")
 
 
+def test_an_equation_sees_the_names_declared_before_it():
+    s = parse_dae("dae d\nvars x\neq f1: x' + x = 0\nvars y\nparams a\n"
+                  "input u\neq f2: y' - a*x + u(t) = 0\n")
+    assert s.var_names == ("x", "y")
+    assert simplify(s.equations[1].raw) == simplify(
+        StateDeriv(1, 1) - Param("a") * StateDeriv(0) + DrivingFn("u"))
+    for late in ("vars y", "params y", "input y"):
+        with pytest.raises(ParseError, match="unknown name 'y'") as err:
+            parse_dae("dae d\nvars x\neq f1: x' + y = 0\n%s\n"
+                      "eq f2: x = 0\n" % late)
+        assert err.value.line == 3
+
+
 def test_reserved_names_rejected():
     with pytest.raises(ParseError):
         parse_dae("dae d\nvars sin\neq f1: sin = 0\n")

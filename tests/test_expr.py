@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from daefix import expr as expr_module
@@ -547,6 +548,70 @@ def test_partial_by_an_absent_atom_is_the_zero_constant():
                 absent += 1
                 assert partial(e, a) is ZERO
     assert absent > 1000
+
+
+def _preorder(e):
+    # the recursive walk the iterative one must match
+    out = [e]
+    for c in (e.children if isinstance(e, (Add, Mul)) else
+              (e.base,) if isinstance(e, Pow) else
+              (e.child,) if isinstance(e, Neg) else
+              (e.arg,) if isinstance(e, Func) else ()):
+        out += _preorder(c)
+    return out
+
+
+def test_walk_is_the_recursive_preorder():
+    rng = random.Random("walk")
+    for _ in range(300):
+        e = _random_tree(rng, 5)
+        assert [id(n) for n in walk(e)] == [id(n) for n in _preorder(e)]
+
+
+def test_walk_keeps_preorder_on_a_deep_left_nested_sum():
+    # the parser nests a + b + c + ... to the left
+    e = x
+    sums = []
+    for k in range(3000):
+        e = Add((e, con(k)))
+        sums.append(e)
+    got = list(walk(e))
+    assert len(got) == 6001
+    want = sums[::-1] + [x] + [s.children[1] for s in sums]
+    assert all(a is b for a, b in zip(got, want))
+
+
+def test_partial_of_a_sum_skips_summands_without_the_atom(monkeypatch):
+    e = Add((x * y, g, Func("sin", xd), Add((h, t)), x))
+    calls = []
+    derive = expr_module._derive
+
+    def counted(node, atom):
+        calls.append(node)
+        return derive(node, atom)
+
+    monkeypatch.setattr(expr_module, "_derive", counted)
+    d = partial(e, x)
+    assert isinstance(d, Add) and len(d.children) == 2
+    assert simplify(d) == simplify(y + 1)
+    # the sum, its two summands with x, and the product's two factors
+    assert len(calls) == 5
+
+
+def test_power_of_an_inexact_base_is_rounded_in_mpmath():
+    e = Pow(Func("sin", x), 100000)
+    v, exact = evaluate_ex(e, {x: Fraction(1)})
+    assert not exact
+    with mpmath.workdps(80):
+        want = mpmath.sin(1) ** 100000
+        got = mpmath.mpf(v.numerator) / v.denominator
+        assert abs(got / want - 1) < mpmath.mpf(10) ** -60
+    # an exact base keeps its exact power
+    assert evaluate_ex(Pow(x, -3), {x: Fraction(2, 3)}) == (Fraction(27, 8),
+                                                           True)
+    v2, exact2 = evaluate_ex(Pow(Func("exp", x), 3), {x: Fraction(1, 2)})
+    assert not exact2
+    assert abs(v2 - Fraction(math.exp(1.5))) < Fraction(1, 10 ** 12)
 
 
 def test_separately_built_trees_share_hash_and_key():
