@@ -98,32 +98,37 @@ class _ExprParser:
     _BP = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30}
 
     def parse(self, min_bp: int = 0) -> Expr:
-        lhs = self.unary()
+        """The expression at binding power min_bp and above.  A run of + and
+        - at one level becomes one n-ary Add, so a long sum is one node
+        deep; *, / and ^ bind tighter and act on the run's last term."""
+        terms = [self.unary()]
         while True:
             t = self.peek()
             if t.kind != "op" or t.text not in self._BP:
-                return lhs
+                break
             bp = self._BP[t.text]
             if bp < min_bp:
-                return lhs
+                break
             self.next()
             if t.text == "^":
-                lhs = Pow(lhs, self.integer_exponent())
+                terms[-1] = Pow(terms[-1], self.integer_exponent())
                 continue
             rhs = self.parse(bp + 1)
             if t.text == "+":
-                lhs = Add((lhs, rhs))
+                terms.append(rhs)
             elif t.text == "-":
-                lhs = Add((lhs, Neg(rhs)))
+                terms.append(Neg(rhs))
             elif t.text == "*":
-                lhs = Mul((lhs, rhs))
+                terms[-1] = Mul((terms[-1], rhs))
             else:
                 if isinstance(rhs, Const):
                     if rhs.value == 0:
                         self.fail("division by zero", t)
-                    lhs = Mul((lhs, Const(Fraction(1) / rhs.value)))
+                    rhs = Const(Fraction(1) / rhs.value)
                 else:
-                    lhs = Mul((lhs, Pow(rhs, -1)))
+                    rhs = Pow(rhs, -1)
+                terms[-1] = Mul((terms[-1], rhs))
+        return terms[0] if len(terms) == 1 else Add(tuple(terms))
 
     def integer_exponent(self) -> int:
         neg = False

@@ -739,11 +739,17 @@ def _mp_pow(v: Fraction, k: int) -> Fraction:
 
 
 def _mpf_to_fraction(r) -> Fraction:
+    """The exact value of a finite mpf.  A binary exponent too large for an
+    integer is a DomainError, so a probe draws another point."""
     sign, man, exp, _ = r._mpf_
     man = int(man)
     if man == 0:
         return Fraction(0)
-    v = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+    try:
+        v = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+    except OverflowError:
+        raise DomainError("%s has no exact value in range"
+                          % mpmath.nstr(r, 5)) from None
     return -v if sign else v
 
 

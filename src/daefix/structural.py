@@ -6,23 +6,24 @@ gives the structural value; the one kept is the lexicographically smallest,
 found from a single sparse assignment solve over the finite entries and its
 dual potentials.  The canonical offset pair (c; d) is the smallest valid one
 and drives the structural index, the degrees of freedom and the solution
-scheme.  One iterative augmenting-path routine serves every matching here:
+scheme.  It comes from the same solve's dual: under its potentials every
+edge of the offsets' longest-path problem has a nonnegative reduced cost,
+so the Dijkstra search that finds each augmenting path of the solve also
+finds the offsets, in one pass from every row.  One iterative
+augmenting-path routine serves every matching here:
 moving the solve's transversal to the smallest HVT, checking a transversal
 of tight entries, and matching a System Jacobian's support.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import count
 from typing import List, Optional, Sequence
 
 from .expr import NEG_INF, StateDeriv, ZERO, atoms, partial, simplify
 from .model import DaeSystem
-
-_MAX_OFFSET_SWEEPS = 1000
-
 
 class StructuralError(ValueError):
     pass
@@ -33,6 +34,9 @@ class SignatureMatrix:
     rows: tuple            # entries are int or NEG_INF
     value: object          # int, or NEG_INF when no finite transversal exists
     hvt: Optional[tuple]   # lexicographically smallest HVT as ((i, j), ...)
+    # the assignment solve's potentials (u, v): sigma_ij + u_i + v_j <= 0
+    # wherever finite, with equality on every HVT
+    dual: tuple = field(compare=False)
 
     @property
     def n(self) -> int:
@@ -52,10 +56,9 @@ def sigma_from_rows(rows: Sequence[Sequence]) -> SignatureMatrix:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise StructuralError("signature matrix must be square")
-    value, assign, tight = _assignment_max(rows)
-    if assign is None:
-        return SignatureMatrix(rows, NEG_INF, None)
-    return SignatureMatrix(rows, value, _lex_smallest_hvt(tight, assign))
+    value, assign, tight, dual = _assignment_max(rows)
+    hvt = None if assign is None else _lex_smallest_hvt(tight, assign)
+    return SignatureMatrix(rows, value, hvt, dual)
 
 
 def signature_rows(system: DaeSystem, formal: bool = False) -> tuple:
@@ -82,22 +85,23 @@ def signature_matrix(system: DaeSystem, formal: bool = False) -> SignatureMatrix
 
 def _assignment_max(rows):
     """Best transversal value, one witness (None if every transversal hits a
-    NEG_INF entry) and each row's tight columns: finite entries of zero
-    reduced cost -sigma_ij - u_i - v_j.  Successive shortest augmenting
-    paths over the finite entries, on exact integers (Jonker and Volgenant
-    1987): one Dijkstra search per row keeps every reduced cost >= 0 and
-    makes the entries of its path tight.  By complementary slackness the
-    best transversals are exactly the transversals of tight entries."""
+    NEG_INF entry), each row's tight columns (finite entries of zero reduced
+    cost -sigma_ij - u_i - v_j) and the potentials (u, v).  Successive
+    shortest augmenting paths over the finite entries, on exact integers
+    (Jonker and Volgenant 1987): one search per row keeps every reduced cost
+    >= 0 and makes the entries of its path tight.  By complementary
+    slackness the best transversals are exactly the transversals of tight
+    entries."""
     n = len(rows)
     support = [[j for j, w in enumerate(r) if w != NEG_INF] for r in rows]
     u = [-max((r[j] for j in s), default=0) for r, s in zip(rows, support)]
     v = [0] * n
     assign, owner = [-1] * n, [-1] * n
     for root in range(n):
-        path = _cheapest_path(rows, support, u, v, owner, root)
-        if path is None:
+        done, way, j = _search(rows, support, u, v, owner, {root: 0})
+        if j is None:
             break
-        d, j, done, way = path
+        d = done[j]
         for k, dk in done.items():
             v[k] -= d - dk
             if owner[k] >= 0:
@@ -109,33 +113,39 @@ def _assignment_max(rows):
     tight = [[j for j in s if rows[i][j] + u[i] + v[j] == 0]
              for i, s in enumerate(support)]
     if -1 in assign:
-        return NEG_INF, None, tight
-    return sum(rows[i][assign[i]] for i in range(n)), assign, tight
+        return NEG_INF, None, tight, (u, v)
+    return sum(rows[i][assign[i]] for i in range(n)), assign, tight, (u, v)
 
 
-def _cheapest_path(rows, support, u, v, owner, root):
-    """Dijkstra from row root over reduced costs to the nearest free column
-    j: (its distance, j, the settled columns' distances, the row each
-    column was reached from), None when no free column is reachable.  Among
-    columns at equal distance a free one is settled first, which ends the
-    search."""
+def _search(rows, support, u, v, owner, start):
+    """Dijkstra over the reduced costs -sigma_ij - u_i - v_j >= 0 from the
+    rows in start, each entering at its given distance.  A settled column
+    held by row owner[j] passes its distance on to that row when it is
+    smaller than the row's own.  Returns the settled columns' distances, the
+    row each column was reached from, and the first free column settled
+    (None when none is reachable): among columns at equal distance a free
+    one is settled first, which ends the search."""
     best, way, done, heap = {}, {}, {}, []
-    i, d = root, 0
-    while True:
+
+    def expand(i, d):
         for j in support[i]:
             cost = d - rows[i][j] - u[i] - v[j]
             if j not in done and cost < best.get(j, cost + 1):
                 best[j], way[j] = cost, i
                 heappush(heap, (cost, owner[j] >= 0, j))
-        while heap and heap[0][2] in done:
-            heappop(heap)
-        if not heap:
-            return None
-        d, _, j = heappop(heap)
+
+    for i, d in start.items():
+        expand(i, d)
+    while heap:
+        d, held, j = heappop(heap)
+        if j in done:
+            continue
         done[j] = d
-        if owner[j] < 0:
-            return d, j, done, way
-        i = owner[j]
+        if not held:
+            return done, way, j
+        if d < start.get(owner[j], d + 1):
+            expand(owner[j], d)
+    return done, way, None
 
 
 def _lex_smallest_hvt(tight, assign) -> tuple:
@@ -266,25 +276,24 @@ class OffsetPair:
 
 
 def canonical_offsets(sig: SignatureMatrix) -> OffsetPair:
-    """Element-wise smallest valid offset pair, by fixed-point iteration."""
+    """Element-wise smallest valid offset pair: the least c >= 0 with
+    c_i = max_k (c_k + sigma_{k,h(i)}) - sigma_{i,h(i)} over the HVT h, a
+    longest-path problem (Pryce 2001).  Reweighted by the solve's row
+    potentials, its edge k -> i costs the reduced cost of entry (k, h(i)),
+    which is >= 0, so one search from every row i at distance u_i gives
+    c_i = u_i - dist(h(i)) (Johnson 1977); row i's own entry, of reduced
+    cost 0, keeps dist(h(i)) <= u_i.  Then d_h(i) = c_i + sigma_{i,h(i)}."""
     if not sig.swp:
         raise StructuralError("system is structurally ill posed; no offsets")
-    hvt = sig.hvt
-    # each column's finite entries (i, sigma_ij), read by every sweep
-    cols: List[list] = [[] for _ in range(sig.n)]
-    for i, row in enumerate(sig.rows):
-        for j, s in enumerate(row):
-            if s != NEG_INF:
-                cols[j].append((i, s))
-    c = [0] * sig.n
-    for _ in range(_MAX_OFFSET_SWEEPS):
-        d = [max(s + c[i] for i, s in col) for col in cols]
-        c2 = [d[j] - sig.rows[i][j] for i, j in hvt]
-        # hvt pairs are (i, j) with i ascending, so c2 lines up with rows
-        if c2 == c:
-            return OffsetPair(tuple(c), tuple(d))
-        c = c2
-    raise StructuralError("offset iteration did not converge")
+    u, v = sig.dual
+    owner = [0] * sig.n
+    for i, j in sig.hvt:
+        owner[j] = i
+    support = [[j for j, s in enumerate(r) if s != NEG_INF] for r in sig.rows]
+    dist = _search(sig.rows, support, u, v, owner, dict(enumerate(u)))[0]
+    c = tuple(u[i] - dist[j] for i, j in sig.hvt)
+    d = tuple(c[i] + sig.rows[i][j] for j, i in enumerate(owner))
+    return OffsetPair(c, d)
 
 
 def validate_offsets(sig: SignatureMatrix, c: Sequence[int],

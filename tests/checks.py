@@ -3,10 +3,12 @@
 test_convert and test_acceptance both draw on these: random expression and
 system generators, the derivative-shift identity, the combination recovery
 identity, and the block-structure check for substitution rewrites; the
-pendulum chain that test_structural and test_jacobian grow to size n, and
-the Brenan blocks that test_convert and test_cli grow; the entry-by-entry
-System Jacobian and the dense elimination and rank references that
-test_jacobian and test_nullspace hold the fast ones to.
+pendulum chain that test_structural and test_jacobian grow to size n, the
+chain of differentiations whose index is its size, and the Brenan blocks
+that test_convert and test_cli grow; the entry-by-entry System Jacobian
+and the dense elimination and rank references that test_jacobian and
+test_nullspace hold the fast ones to; the fixed-point offsets that
+test_structural and test_generated hold the search to.
 """
 
 from fractions import Fraction
@@ -17,7 +19,7 @@ from daefix.expr import (NEG_INF, ZERO, Add, Const, DomainError, DrivingFn,
                          partial, simplify, total_derivative)
 from daefix.model import DaeSystem, fresh_indexed, make_equation
 from daefix.nullspace import EliminationStuck
-from daefix.structural import signature_matrix
+from daefix.structural import OffsetPair, signature_matrix
 
 _FUNCS = ("sin", "cos", "exp")
 _ATOMS = (StateDeriv(0, 0), StateDeriv(0, 1), StateDeriv(1, 0),
@@ -32,6 +34,14 @@ def pendulum_chain(n):
            for i in range(1, n)]
     return "dae chain\nvars %s, lam\n%s\neq g: %s - 1 = 0\n" % (
         ", ".join(xs), "\n".join(eqs), " + ".join(x + "^2" for x in xs))
+
+
+def index_chain(n):
+    """x1 = t and x_{i+1} = x_i' for i < n: structurally well posed, with
+    index n and no degrees of freedom."""
+    eqs = ["eq g%d: x%d - x%d' = 0" % (i, i + 1, i) for i in range(1, n)]
+    return "dae index_chain\nvars %s\neq g0: x1 - t = 0\n%s\n" % (
+        ", ".join("x%d" % i for i in range(1, n + 1)), "\n".join(eqs))
 
 
 def brenan_blocks(k):
@@ -98,6 +108,25 @@ def reference_system_jacobian(system, sig, off):
               and off.d[j] - off.c[i] == sig.rows[i][j] else ZERO
               for j in range(n))
         for i in range(n))
+
+
+def reference_offsets(sig):
+    """The canonical offsets by Pryce's fixed point, swept from c = 0 until
+    nothing moves: d_j = max_i (sigma_ij + c_i), then
+    c_i = d_h(i) - sigma_i,h(i) over the HVT h.  Each sweep moves the
+    offsets one step along a chain of differentiations."""
+    cols = [[] for _ in range(sig.n)]
+    for i, row in enumerate(sig.rows):
+        for j, s in enumerate(row):
+            if s != NEG_INF:
+                cols[j].append((i, s))
+    c = [0] * sig.n
+    while True:
+        d = [max(s + c[i] for i, s in col) for col in cols]
+        c2 = [d[j] - sig.rows[i][j] for i, j in sig.hvt]
+        if c2 == c:
+            return OffsetPair(tuple(c), tuple(d))
+        c = c2
 
 
 def _factor_term(rng, names, depth):

@@ -402,6 +402,25 @@ def test_domain_error_in_equation_exits_one(tmp_path, capsys, expr):
     assert "Traceback" not in err
 
 
+NESTED_EXP = (
+    "dae nested_exp\nvars x1, x2\n"
+    "eq f1: x2 + exp(x1'*x2^2*x2' + exp(x1 + exp(x2' + x2''))) "
+    "+ sin(x1 + x1')^2*sqrt(x2'^2*sin(x1'*x2')) = 0\n"
+    "eq f2: x1 + x2^2 = 0\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze"], ["analyze", "--mode", "formal"], ["fix"],
+    ["fix", "--mode", "formal"],
+])
+def test_probe_value_past_exact_range_draws_again(tmp_path, capsys, argv):
+    # at some probe points the nested exp has a binary exponent no integer
+    # holds; that point is a domain error, and the probe draws another
+    rc = main(argv + [write_dae(tmp_path, NESTED_EXP)])
+    assert rc == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_domain_error_in_vector_exits_one(tmp_path, capsys):
     rc = main(["trace", corpus_file(tmp_path, "brenan"),
                "--method", "lc", "--vector", "[ln(-1), 1]"])

@@ -2,12 +2,16 @@ from fractions import Fraction
 
 import pytest
 
+from checks import pendulum_chain
+from daefix.convert import analyze
 from daefix.dsl import (ParseError, emit_dae, parse_dae, parse_expr,
                         parse_vector)
 from daefix.expr import (
-    Add, Const, DrivingFn, Neg, Param, Pow, StateDeriv, format_expr, hod,
-    simplify, walk,
+    Add, Const, DrivingFn, Mul, Neg, Param, Pow, StateDeriv, format_expr,
+    hod, simplify, walk,
 )
+from daefix.jacobian import JacobianClass
+from daefix.zerotest import Prober
 
 PENDULUM = """\
 dae pendulum
@@ -123,6 +127,26 @@ def test_power_binds_tighter_than_minus_and_is_left_associative():
     text = format_expr(nested, s.var_names)
     assert text == "x^2^3"
     assert parse_expr(text, s) == nested
+
+
+def test_a_run_of_sums_is_one_flat_add():
+    # one node per run of + and -, so hashing and simplify go one level
+    # deep, not one level per summand; *, / and ^ bind to the last term
+    s = parse_dae(PENDULUM)
+    x, y = StateDeriv(0), StateDeriv(1)
+    assert parse_expr("x*y - x/2 + y^2 - (x + y)", s) == Add((
+        Mul((x, y)), Neg(Mul((x, Const(Fraction(1, 2))))), Pow(y, 2),
+        Neg(Add((x, y)))))
+    e = parse_expr(" + ".join("x - y'" for _ in range(2500)), s)
+    assert isinstance(e, Add) and len(e.children) == 5000
+    assert simplify(e) == simplify(2500 * x - 2500 * StateDeriv(1, 1))
+
+
+def test_a_constraint_of_511_summands_is_analysed():
+    # one flat sum, so no tree function recurses once per summand
+    a = analyze(parse_dae(pendulum_chain(512)), Prober())
+    assert a.value == 1020
+    assert a.jacobian.klass is JacobianClass.GENERICALLY_NONSINGULAR
 
 
 def test_division_semantics():

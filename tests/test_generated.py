@@ -5,14 +5,20 @@ set, so when the Sigma-method succeeds on the transformed system it must
 report the degrees of freedom of the original (Pryce, BIT 41, 2001: on
 success, dof = val Sigma).  pendulum_mod in the corpus is one such case.
 Mixing the equations by a constant matrix of determinant 1 keeps it too.
+Permuting the equations and the declared variables only permutes the rows
+and columns of every matrix, so no verdict may move.
 """
 
 import random
 
 import pytest
 
-from daefix.convert import ConvertError, FixStatus, fix_dae
+from checks import reference_offsets
+from daefix import corpus
+from daefix.convert import ConvertError, FixStatus, analyze, fix_dae
 from daefix.dsl import parse_dae
+from daefix.structural import canonical_offsets, signature_matrix
+from daefix.zerotest import Prober
 
 PENDULUM_DOF = 2
 
@@ -115,4 +121,71 @@ def test_mixing_the_equations_keeps_pendulum_dof(formal):
             continue
         if r.status is not FixStatus.SUCCESS or r.final_value != PENDULUM_DOF:
             failures.append((text, r.status, r.final_value))
+    assert failures == []
+
+
+@pytest.mark.parametrize("formal", (False, True))
+def test_offsets_equal_the_fixed_point(formal):
+    texts = [corpus.source(name) for name in corpus.names()]
+    texts += [pendulum_after_change_of_variables(T)
+              for T in nonsingular_transforms(40, seed=11)]
+    for text in texts:
+        sig = signature_matrix(parse_dae(text), formal=formal)
+        assert canonical_offsets(sig) == reference_offsets(sig), text
+
+
+def permuted(text, rng):
+    """text with its equations and its declared variables shuffled, and the
+    two permutations: row r of the result is equation eqs[r] of text, and
+    column k is variable cols[k]."""
+    lines = text.splitlines()
+    at = [k for k, line in enumerate(lines) if line.startswith("eq ")]
+    eqs = rng.sample(range(len(at)), len(at))
+    out = list(lines)
+    for k, r in zip(at, eqs):
+        out[k] = lines[at[r]]
+    v = next(k for k, line in enumerate(lines) if line.startswith("vars "))
+    names = lines[v][len("vars "):].split(", ")
+    cols = rng.sample(range(len(names)), len(names))
+    out[v] = "vars " + ", ".join(names[k] for k in cols)
+    return "\n".join(out) + "\n", eqs, cols
+
+
+def permuted_corpus(formal):
+    """Six shuffles of each corpus system."""
+    rng = random.Random(41 + formal)
+    for name in corpus.names():
+        text = corpus.source(name)
+        for _ in range(6):
+            yield (text,) + permuted(text, rng)
+
+
+@pytest.mark.parametrize("formal", (False, True))
+def test_permuting_keeps_the_analysis(formal):
+    for text, shuffled, eqs, cols in permuted_corpus(formal):
+        a = analyze(parse_dae(text), Prober(), formal)
+        b = analyze(parse_dae(shuffled), Prober(), formal)
+        assert b.value == a.value, shuffled
+        assert b.jacobian.klass is a.jacobian.klass, shuffled
+        assert b.offsets.c == tuple(a.offsets.c[r] for r in eqs), shuffled
+        assert b.offsets.d == tuple(a.offsets.d[k] for k in cols), shuffled
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1: some orderings of pendulum_mod "
+                   "meet a cokernel vector with denominators, whose LC row "
+                   "keeps a leading derivative that only a rational normal "
+                   "form cancels")
+@pytest.mark.parametrize("formal", (False, True))
+def test_permuting_keeps_the_fix(formal):
+    failures = []
+    for text, shuffled, _, _ in permuted_corpus(formal):
+        a = fix_dae(parse_dae(text), formal=formal)
+        try:
+            b = fix_dae(parse_dae(shuffled), formal=formal)
+        except ConvertError as ex:
+            failures.append((shuffled, str(ex)))
+            continue
+        if (b.status, b.final_value) != (a.status, a.final_value):
+            failures.append((shuffled, b.status, b.final_value))
     assert failures == []

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from checks import pendulum_chain
+from checks import index_chain, pendulum_chain, reference_offsets
 from daefix import corpus, structural
 from daefix.dsl import parse_dae
 from daefix.expr import NEG_INF, ZERO, StateDeriv, hod, partial, simplify
@@ -160,6 +160,7 @@ def test_offsets_are_dual_to_the_hvt_beyond_brute_force():
         assert off.value == sig.value
         assert validate_offsets(sig, off.c, off.d)
         assert all(off.d[j] - off.c[i] == rows[i][j] for i, j in sig.hvt)
+        assert off == reference_offsets(sig)
         checked += 1
 
 
@@ -241,6 +242,16 @@ def test_offsets_need_multiple_sweeps():
     assert off.c == (1, 0)
     assert off.d == (1, 0)
     assert validate_offsets(sig, off.c, off.d)
+
+
+def test_offsets_of_a_long_chain_of_differentiations():
+    # c_i = n - 1 - i: equation i is differentiated once per later link
+    n = 1100
+    sig = signature_matrix(parse_dae(index_chain(n)))
+    off = canonical_offsets(sig)
+    assert off.c == tuple(range(n - 1, -1, -1))
+    assert structural_index(off) == n
+    assert degrees_of_freedom(off) == 0
 
 
 def test_pendulum_scheme():
