@@ -9,10 +9,10 @@ Exit codes form a small contract for CI embedding:
   4  result rests on an unproven zero test (unverified)
 """
 
-import argparse
 import hashlib
 import json
 import sys
+from types import SimpleNamespace
 
 from .convert import (ConditionRejected, ConvertError, FixStatus, MethodKind,
                       PivotRejected, VectorRejected, analyze, fix_dae)
@@ -42,91 +42,18 @@ _EPILOG = """exit codes:
 """
 
 
-def _at_least(least):
-    """argparse type: an int no smaller than least."""
-    def parse(text):
-        value = int(text)
-        if value < least:
-            raise argparse.ArgumentTypeError("must be at least %d" % least)
-        return value
-    parse.__name__ = "int"  # argparse names it in "invalid int value: ..."
-    return parse
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="daefix",
-        description="Structural analysis of DAE systems with automatic "
-                    "repair of identically singular System Jacobians.",
-        epilog=_EPILOG,
-        formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("path", help="input system in .dae format")
-    common.add_argument("--mode", choices=("true", "formal"), default="true",
-                        help="signature source: simplified (true) or "
-                             "as-written (formal) equations")
-    common.add_argument("--probe-budget", type=_at_least(1),
-                        default=DEFAULT_BUDGET,
-                        metavar="N", help="probe points per zero test")
-    common.add_argument("--seed", default=DEFAULT_SEED,
-                        help="seed for the zero-test probes")
-    common.add_argument("--json", metavar="OUT", dest="json_path",
-                        help="write a machine-readable report")
-
-    pa = sub.add_parser("analyze", parents=[common],
-                        help="signature matrix, offsets, scheme, Jacobian")
-    pa.set_defaults(func=cmd_analyze)
-
-    pf = sub.add_parser("fix", parents=[common],
-                        help="repair an identically singular Jacobian")
-    pf.add_argument("--method", choices=("lc", "es"),
-                    help="restrict every step to one rewrite")
-    pf.add_argument("--max-steps", type=_at_least(0), metavar="N",
-                    help="step budget (default: initial value + 1)")
-    pf.add_argument("--emit", metavar="OUT", help="write the converted "
-                    "system in .dae format")
-    pf.set_defaults(func=cmd_fix, vector=None, pivot=None)
-
-    pt = sub.add_parser("trace", parents=[common],
-                        help="apply exactly one forced conversion step")
-    pt.add_argument("--method", choices=("lc", "es"), required=True)
-    pt.add_argument("--vector", required=True,
-                    help="null vector, e.g. \"[x2, x1, 1, -1]\"")
-    pt.add_argument("--pivot", type=_at_least(1), metavar="L",
-                    help="1-based pivot equation (lc) or variable (es)")
-    pt.add_argument("--emit", metavar="OUT", help="write the converted "
-                    "system in .dae format")
-    # trace is fix with one forced step
-    pt.set_defaults(func=cmd_fix, max_steps=1)
-    return parser
-
-
-def main(argv=None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as ex:
-        return EXIT_USAGE if ex.code else EXIT_OK
-    try:
-        return args.func(args)
-    except (OSError, ParseError, ModelError) as ex:
-        print("error: %s" % ex, file=sys.stderr)
-        return EXIT_USAGE
-    except (ConditionRejected, PivotRejected) as ex:
-        print("step rejected: %s" % ex, file=sys.stderr)
-        return EXIT_SINGULAR
-    except ConvertError as ex:
-        print("conversion failed: %s" % ex, file=sys.stderr)
-        return EXIT_SINGULAR
-
-
 def _load(path):
     with open(path, "rb") as fh:
         data = fh.read()
-    system = parse_dae(data.decode("utf-8"))
-    return system, hashlib.sha256(data).hexdigest()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as ex:
+        # the bytes before the first bad one decode; count from them
+        head = data[:ex.start]
+        col = len(head[head.rfind(b"\n") + 1:].decode("utf-8")) + 1
+        raise ParseError("not UTF-8: byte 0x%02x" % data[ex.start],
+                         head.count(b"\n") + 1, col) from None
+    return parse_dae(text), hashlib.sha256(data).hexdigest()
 
 
 def _prober(args) -> Prober:
@@ -404,6 +331,149 @@ def cmd_fix(args) -> int:
                                               and report.steps):
         return EXIT_UNVERIFIED if report.uncertain else EXIT_OK
     return EXIT_SINGULAR
+
+
+# ---------------------------------------------------------------------------
+# command line
+
+def _at_least(least):
+    """argparse type: an int no smaller than least."""
+    def parse(text):
+        value = int(text)
+        if value < least:
+            from argparse import ArgumentTypeError
+            raise ArgumentTypeError("must be at least %d" % least)
+        return value
+    parse.__name__ = "int"  # argparse names it in "invalid int value: ..."
+    return parse
+
+
+# command -> (help, set_defaults); trace is fix with one forced step
+_COMMANDS = {
+    "analyze": ("signature matrix, offsets, scheme, Jacobian",
+                {"func": cmd_analyze}),
+    "fix": ("repair an identically singular Jacobian",
+            {"func": cmd_fix, "vector": None, "pivot": None}),
+    "trace": ("apply exactly one forced conversion step",
+              {"func": cmd_fix, "max_steps": 1}),
+}
+
+# Every option once, in help order: (flag, commands that take it,
+# add_argument keywords).  _build_parser and _plain_args both read it.
+_ALL = tuple(_COMMANDS)
+_OPTIONS = (
+    ("path", _ALL, {"help": "input system in .dae format"}),
+    ("--mode", _ALL, {"choices": ("true", "formal"), "default": "true",
+                      "help": "signature source: simplified (true) or "
+                              "as-written (formal) equations"}),
+    ("--probe-budget", _ALL, {"type": _at_least(1), "default": DEFAULT_BUDGET,
+                              "metavar": "N",
+                              "help": "probe points per zero test"}),
+    ("--seed", _ALL, {"default": DEFAULT_SEED,
+                      "help": "seed for the zero-test probes"}),
+    ("--json", _ALL, {"metavar": "OUT", "dest": "json_path",
+                      "help": "write a machine-readable report"}),
+    ("--method", ("fix",), {"choices": ("lc", "es"),
+                            "help": "restrict every step to one rewrite"}),
+    ("--method", ("trace",), {"choices": ("lc", "es"), "required": True}),
+    ("--max-steps", ("fix",), {"type": _at_least(0), "metavar": "N",
+                               "help": "step budget (default: initial "
+                                       "value + 1)"}),
+    ("--vector", ("trace",), {"required": True,
+                              "help": "null vector, e.g. "
+                                      "\"[x2, x1, 1, -1]\""}),
+    ("--pivot", ("trace",), {"type": _at_least(1), "metavar": "L",
+                             "help": "1-based pivot equation (lc) or "
+                                     "variable (es)"}),
+    ("--emit", ("fix", "trace"), {"metavar": "OUT", "help": "write the "
+                                  "converted system in .dae format"}),
+)
+
+
+def _build_parser():
+    import argparse
+    parser = argparse.ArgumentParser(
+        prog="daefix",
+        description="Structural analysis of DAE systems with automatic "
+                    "repair of identically singular System Jacobians.",
+        epilog=_EPILOG,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (help_text, defaults) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for flag, commands, kwargs in _OPTIONS:
+            if command in commands:
+                p.add_argument(flag, **kwargs)
+        p.set_defaults(**defaults)
+    return parser
+
+
+def _plain_args(argv):
+    """The Namespace argparse makes of argv, read from _OPTIONS without
+    building a parser, or None unless argv is a command, one path and
+    exact flags, each with a value that does not start with '-'.
+
+    Everything else (help, abbreviations, --opt=value, values that fail
+    their type or choices, missing or extra arguments) is left to
+    argparse, which owns the messages and exit codes."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    command = argv[0]
+    defaults = _COMMANDS[command][1]
+    options = {flag: kwargs for flag, commands, kwargs in _OPTIONS
+               if command in commands}
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            if "path" in given:
+                return None
+            given["path"] = token
+            continue
+        kwargs = options.get(token)
+        text = next(tokens, "-")
+        if kwargs is None or text.startswith("-"):
+            return None
+        try:
+            value = kwargs.get("type", str)(text)
+        except Exception:  # argparse runs it again and reports the failure
+            return None
+        if value not in kwargs.get("choices", (value,)):
+            return None
+        given[token] = value
+    values = {"command": command}
+    for flag, kwargs in options.items():
+        if flag in given:
+            value = given[flag]
+        elif flag == "path" or kwargs.get("required"):
+            return None
+        else:
+            value = kwargs.get("default")
+        values[kwargs.get("dest", flag.lstrip("-").replace("-", "_"))] = value
+    values.update(defaults)
+    return SimpleNamespace(**values)
+
+
+def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _plain_args(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as ex:
+            return EXIT_USAGE if ex.code else EXIT_OK
+    try:
+        return args.func(args)
+    except (OSError, ParseError, ModelError) as ex:
+        print("error: %s" % ex, file=sys.stderr)
+        return EXIT_USAGE
+    except (ConditionRejected, PivotRejected) as ex:
+        print("step rejected: %s" % ex, file=sys.stderr)
+        return EXIT_SINGULAR
+    except ConvertError as ex:
+        print("conversion failed: %s" % ex, file=sys.stderr)
+        return EXIT_SINGULAR
 
 
 if __name__ == "__main__":

@@ -65,6 +65,10 @@ def _tokenize(s: str, line: int, col0: int = 1) -> List[_Tok]:
     return out
 
 
+def _product(factors: List[Expr]) -> Expr:
+    return factors[0] if len(factors) == 1 else Mul(tuple(factors))
+
+
 class _ExprParser:
     """Precedence-climbing parser over one tokenized line.
 
@@ -99,9 +103,11 @@ class _ExprParser:
 
     def parse(self, min_bp: int = 0) -> Expr:
         """The expression at binding power min_bp and above.  A run of + and
-        - at one level becomes one n-ary Add, so a long sum is one node
-        deep; *, / and ^ bind tighter and act on the run's last term."""
-        terms = [self.unary()]
+        - at one level becomes one n-ary Add, and a run of * and / one
+        n-ary Mul, so a long sum or product is one node deep; ^ binds
+        tighter and acts on the run's last factor."""
+        terms = []
+        factors = [self.unary()]
         while True:
             t = self.peek()
             if t.kind != "op" or t.text not in self._BP:
@@ -111,23 +117,21 @@ class _ExprParser:
                 break
             self.next()
             if t.text == "^":
-                terms[-1] = Pow(terms[-1], self.integer_exponent())
+                factors[-1] = Pow(factors[-1], self.integer_exponent())
                 continue
             rhs = self.parse(bp + 1)
-            if t.text == "+":
-                terms.append(rhs)
-            elif t.text == "-":
-                terms.append(Neg(rhs))
+            if t.text in "+-":
+                terms.append(_product(factors))
+                factors = [rhs if t.text == "+" else Neg(rhs)]
             elif t.text == "*":
-                terms[-1] = Mul((terms[-1], rhs))
+                factors.append(rhs)
+            elif isinstance(rhs, Const):
+                if rhs.value == 0:
+                    self.fail("division by zero", t)
+                factors.append(Const(Fraction(1) / rhs.value))
             else:
-                if isinstance(rhs, Const):
-                    if rhs.value == 0:
-                        self.fail("division by zero", t)
-                    rhs = Const(Fraction(1) / rhs.value)
-                else:
-                    rhs = Pow(rhs, -1)
-                terms[-1] = Mul((terms[-1], rhs))
+                factors.append(Pow(rhs, -1))
+        terms.append(_product(factors))
         return terms[0] if len(terms) == 1 else Add(tuple(terms))
 
     def integer_exponent(self) -> int:

@@ -1,7 +1,13 @@
 """End-to-end checks of the command-line frontend."""
 
+import contextlib
+import io
 import json
+import os
+import random
 import re
+import subprocess
+import sys
 import time
 from importlib.resources import files
 from pathlib import Path
@@ -10,7 +16,8 @@ import jsonschema
 import pytest
 
 import checks
-from daefix import corpus
+import daefix
+from daefix import cli, corpus
 from daefix.cli import main
 from daefix.convert import choose_method, es_analyze, lc_analyze
 from daefix.dsl import parse_dae, parse_expr
@@ -33,6 +40,18 @@ def write_dae(tmp_path, text, name="case.dae"):
 
 def schema(name):
     return json.loads(files("daefix.schemas").joinpath(name).read_text())
+
+
+def _no_parser():
+    raise AssertionError("argparse was built for a plain argv")
+
+
+@pytest.fixture(autouse=True)
+def _plain_argv_builds_no_parser(request, monkeypatch):
+    # every call in this module runs without argparse, except in the tests
+    # marked `usage`, whose argv only argparse reads
+    if request.node.get_closest_marker("usage") is None:
+        monkeypatch.setattr(cli, "_build_parser", _no_parser)
 
 
 # ---------------------------------------------------------------------------
@@ -113,12 +132,14 @@ def test_parse_errors_exit_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.usage
 def test_usage_error_exit_one(capsys):
     assert main([]) == 1
     assert main(["trace", "whatever.dae", "--method", "lc"]) == 1
     capsys.readouterr()
 
 
+@pytest.mark.usage
 @pytest.mark.parametrize("argv", [
     ["analyze", "--probe-budget", "0"],
     ["fix", "--probe-budget", "-2"],
@@ -141,12 +162,186 @@ def test_zero_step_budget_is_valid(tmp_path, capsys):
     assert "step budget exhausted after 0 steps" in capsys.readouterr().out
 
 
+@pytest.mark.usage
 def test_help_documents_exit_codes(capsys):
     rc = main(["--help"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "exit codes" in out
     assert "structurally ill posed" in out
+
+
+# ---------------------------------------------------------------------------
+# the command-line surface: help and usage errors are argparse's, byte for
+# byte; every other argv is read from the option table without a parser
+
+HELP = Path(__file__).parent / "golden" / "help"
+
+
+def _help(command):
+    return (HELP / (command + ".txt")).read_text()
+
+
+def _usage(command):
+    return _help(command).split("\n\n")[0] + "\n"
+
+
+@pytest.mark.usage
+@pytest.mark.parametrize("command", ["daefix", "analyze", "fix", "trace"])
+def test_help_text_is_unchanged(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = ["--help"] if command == "daefix" else [command, "--help"]
+    assert main(argv) == 0
+    assert capsys.readouterr() == (_help(command), "")
+
+
+@pytest.mark.usage
+@pytest.mark.parametrize("argv, command, message", [
+    ([], "daefix", "the following arguments are required: command"),
+    (["analyze", "system.dae", "--bogus"], "daefix",
+     "unrecognized arguments: --bogus"),
+    (["analyze", "system.dae", "--probe-budget", "0"], "analyze",
+     "argument --probe-budget: must be at least 1"),
+    (["trace", "system.dae", "--method", "lc", "--vector", "[-1, 1]",
+      "--pivot", "0"], "trace", "argument --pivot: must be at least 1"),
+    (["trace", "system.dae", "--method", "lc"], "trace",
+     "the following arguments are required: --vector"),
+])
+def test_usage_errors_are_unchanged(monkeypatch, capsys, argv, command,
+                                    message):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(argv) == 1
+    prog = "daefix" if command == "daefix" else "daefix " + command
+    assert capsys.readouterr() == (
+        "", _usage(command) + "%s: error: %s\n" % (prog, message))
+
+
+@pytest.mark.usage
+@pytest.mark.parametrize("flag", [["--js", "{}"], ["--json={}"]])
+def test_abbreviations_and_equals_forms_go_to_argparse(tmp_path, capsys,
+                                                       flag):
+    out = tmp_path / "report.json"
+    argv = (["analyze", corpus_file(tmp_path, "pendulum")]
+            + [f.format(out) for f in flag])
+    assert cli._plain_args(argv) is None
+    assert main(argv) == 0
+    assert json.loads(out.read_text())["dof"] == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["analyze", "fix"])
+def test_the_benchmark_call_builds_no_parser(tmp_path, capsys, command):
+    # [command, path, "--json", out], as bench/run.py calls main; the
+    # module's fixture makes building a parser fail
+    exits = json.loads((HELP.parent / "exits.json").read_text())
+    for name in corpus.names():
+        out = tmp_path / (name + ".json")
+        rc = main([command, corpus_file(tmp_path, name), "--json", str(out)])
+        assert rc == exits["%s.%s" % (name, command)]
+        assert json.loads(out.read_text())["name"] == name
+    capsys.readouterr()
+
+
+def test_a_plain_call_never_imports_argparse(tmp_path):
+    code = ("import sys\n"
+            "if 'argparse' in sys.modules: sys.exit(11)\n"
+            "from daefix.cli import main\n"
+            "rc = main(sys.argv[1:])\n"
+            "sys.exit(10 if 'argparse' in sys.modules else rc)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(daefix.__file__).parent.parent))
+    r = subprocess.run([sys.executable, "-c", code, "analyze",
+                        corpus_file(tmp_path, "pendulum")],
+                       env=env, capture_output=True)
+    if r.returncode == 11:
+        pytest.skip("the interpreter imports argparse at startup")
+    assert r.returncode == 0, r.stderr
+
+
+_COMMON = ("--mode", "--probe-budget", "--seed", "--json")
+_FLAGS = {"analyze": _COMMON,
+          "fix": _COMMON + ("--method", "--max-steps", "--emit"),
+          "trace": _COMMON + ("--method", "--vector", "--pivot", "--emit")}
+_VALUES = {"--mode": ("true", "formal"), "--probe-budget": ("1", "8", " 12"),
+           "--seed": ("7", "daefix"), "--json": ("out.json",),
+           "--method": ("lc", "es"), "--max-steps": ("0", "3"),
+           "--vector": ("[x2, x1, 1, -1]", "1, 1"), "--pivot": ("1", "4"),
+           "--emit": ("out.dae",)}
+_BAD_VALUES = ("-2", "0", "x", "1.5", "-x2", "-x2, 1", "", "lc,es",
+               "--json", "-h")
+_ODD_TOKENS = ("--bogus", "-h", "--help", "--", "-", "--js", "--probe",
+               "--meth", "more.dae", "fix", "--json=out.json",
+               "--probe-budget=3", "--mode=formal", "-1")
+
+
+def _mutate(rng, pairs, command):
+    """One change to the (flag, value) pairs that may or may not leave a
+    valid argv: an abbreviation, an = form, a bad or repeated or missing
+    value, an odd token, another command's flag, or a dropped pair."""
+    flagged = [p for p in pairs if len(p) == 2 and p[0] in _VALUES]
+    kind = rng.randrange(8)
+    if kind < 5 and not flagged:
+        kind = 5
+    if kind == 0:
+        p = rng.choice(flagged)
+        p[0] = p[0][:rng.randrange(3, len(p[0]))]
+    elif kind == 1:
+        p = rng.choice(flagged)
+        p[:] = [p[0] + "=" + p[1]]
+    elif kind == 2:
+        rng.choice(flagged)[1] = rng.choice(_BAD_VALUES)
+    elif kind == 3:
+        flag = rng.choice(flagged)[0]
+        pairs.insert(rng.randrange(len(pairs) + 1),
+                     [flag, rng.choice(_VALUES[flag])])
+    elif kind == 4:
+        del rng.choice(flagged)[1:]
+    elif kind == 5:
+        pairs.insert(rng.randrange(len(pairs) + 1), [rng.choice(_ODD_TOKENS)])
+    elif kind == 6:
+        flag = rng.choice(sorted(set(_VALUES) - set(_FLAGS[command])))
+        pairs.append([flag, rng.choice(_VALUES[flag])])
+    elif pairs:
+        del pairs[rng.randrange(len(pairs))]
+
+
+def _draw_argv(rng):
+    command = rng.choice(sorted(_FLAGS))
+    pairs = [["system.dae"]]
+    for flag in _FLAGS[command]:
+        if rng.random() < 0.5 or (command == "trace"
+                                  and flag in ("--method", "--vector")):
+            pairs.append([flag, rng.choice(_VALUES[flag])])
+    rng.shuffle(pairs)
+    for _ in range(rng.choice((0, 0, 1, 1, 2, 3))):
+        _mutate(rng, pairs, command)
+    argv = [token for p in pairs for token in p]
+    return argv if rng.random() < 0.05 else [command] + argv
+
+
+@pytest.mark.usage
+def test_the_plain_pass_agrees_with_argparse():
+    # on every argv the plain pass either declines or makes argparse's
+    # namespace; both outcomes, and argparse reading what the plain pass
+    # declined, must each be common
+    rng = random.Random(17)
+    parser = cli._build_parser()
+    plain = declined = argparse_only = 0
+    for _ in range(2500):
+        argv = _draw_argv(rng)
+        got = cli._plain_args(argv)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                want = vars(parser.parse_args(argv))
+            except SystemExit:
+                want = None
+        if got is None:
+            declined += 1
+            argparse_only += want is not None
+        else:
+            plain += 1
+            assert vars(got) == want, argv
+    assert plain > 800 and declined > 800 and argparse_only > 100
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +616,21 @@ def test_probe_value_past_exact_range_draws_again(tmp_path, capsys, argv):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("data, line, col, byte", [
+    (b"dae u\nvars x\neq f: x\xe9 + 1 = 0\n", 3, 8, 0xe9),
+    # columns count characters, as the parser's do
+    (b"dae u\nvars x\n# caf\xc3\xa9 \xff\neq f: x = 0\n", 3, 8, 0xff),
+])
+def test_input_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, data,
+                                                 line, col, byte):
+    path = tmp_path / "latin1.dae"
+    path.write_bytes(data)
+    assert main(["analyze", str(path)]) == 1
+    assert capsys.readouterr() == (
+        "", "error: line %d, col %d: not UTF-8: byte 0x%02x\n"
+        % (line, col, byte))
+
+
 def test_domain_error_in_vector_exits_one(tmp_path, capsys):
     rc = main(["trace", corpus_file(tmp_path, "brenan"),
                "--method", "lc", "--vector", "[ln(-1), 1]"])
@@ -682,6 +892,18 @@ def test_analyze_huge_power_is_one_step(tmp_path, capsys, power, value):
         tmp_path, "dae p\nvars x, y\neq f1: %s = 0\neq f2: x - y' = 0\n" % power)
     assert rc == 0
     assert doc["value"] == value
+    assert doc["classification"] == "GenericallyNonsingular"
+    assert took < 2.0
+    capsys.readouterr()
+
+
+def test_a_product_of_3000_factors_is_analysed(tmp_path, capsys):
+    # one flat Mul, so no tree function recurses once per factor
+    rc, took, doc = _timed_analyze(
+        tmp_path, "dae p\nvars x, y\neq f1: %s + x' - y = 0\n"
+                  "eq f2: x - y' = 0\n" % "*".join(["x"] * 3000))
+    assert rc == 0
+    assert doc["value"] == 2
     assert doc["classification"] == "GenericallyNonsingular"
     assert took < 2.0
     capsys.readouterr()

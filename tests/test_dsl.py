@@ -131,7 +131,7 @@ def test_power_binds_tighter_than_minus_and_is_left_associative():
 
 def test_a_run_of_sums_is_one_flat_add():
     # one node per run of + and -, so hashing and simplify go one level
-    # deep, not one level per summand; *, / and ^ bind to the last term
+    # deep, not one level per summand; products bind tighter
     s = parse_dae(PENDULUM)
     x, y = StateDeriv(0), StateDeriv(1)
     assert parse_expr("x*y - x/2 + y^2 - (x + y)", s) == Add((
@@ -140,6 +140,22 @@ def test_a_run_of_sums_is_one_flat_add():
     e = parse_expr(" + ".join("x - y'" for _ in range(2500)), s)
     assert isinstance(e, Add) and len(e.children) == 5000
     assert simplify(e) == simplify(2500 * x - 2500 * StateDeriv(1, 1))
+
+
+def test_a_run_of_products_is_one_flat_mul():
+    # one node per run of * and /, and ^ binds to the last factor; a
+    # parenthesised product stays its own node
+    s = parse_dae(PENDULUM)
+    x, y = StateDeriv(0), StateDeriv(1)
+    assert parse_expr("-x*y/2*(x*y)^2/y", s) == Mul((
+        Neg(x), y, Const(Fraction(1, 2)), Pow(Mul((x, y)), 2), Pow(y, -1)))
+    assert parse_expr("x - y*x' + 2", s) == Add((
+        x, Neg(Mul((y, StateDeriv(0, 1)))), Const(Fraction(2))))
+    text = "*".join(["x"] * 5000)
+    e = parse_expr(text, s)
+    assert isinstance(e, Mul) and len(e.children) == 5000
+    assert format_expr(e, s.var_names) == text
+    assert format_expr(simplify(e), s.var_names) == "x^5000"
 
 
 def test_a_constraint_of_511_summands_is_analysed():
