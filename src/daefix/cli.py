@@ -2,7 +2,8 @@
 
 Exit codes form a small contract for CI embedding:
   0  Jacobian generically nonsingular / conversion succeeded
-  1  usage, parse, or file errors; a forced vector that fails verification
+  1  usage, parse, or file errors; a forced vector that fails verification;
+     an expression nested too deeply for the recursive tree functions
   2  singular Jacobian (analyze), no method applies, or a forced step
      rejected by a method condition
   3  structurally ill posed input, or a conversion exposed ill-posedness
@@ -474,6 +475,10 @@ def main(argv=None) -> int:
     except ConvertError as ex:
         print("conversion failed: %s" % ex, file=sys.stderr)
         return EXIT_SINGULAR
+    except RecursionError:
+        # parsing and the tree functions recurse once per nesting level
+        print("error: expression is nested too deeply", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -1,19 +1,24 @@
 """Expression trees for DAE equations.
 
 Everything is exact: constants are Fractions, arithmetic on trees never
-rounds.  Transcendental evaluation goes through mpmath at high precision and
-the caller is told the result is inexact.
+rounds.  evaluate_ex works on integer numerator/denominator pairs and makes
+one Fraction of the result; transcendental values go through mpmath at high
+precision, and the caller is told the result is inexact.
 
 The normal form produced by simplify() is an expanded polynomial over the
 atoms (time, state derivatives, driving functions, parameters) and function
-factors: an Add of terms, each term a Mul of a Fraction coefficient and
-sorted factor powers.  Products are always distributed over sums so that
-cancellation across rows of a linear combination actually happens; huge
-expansions are capped and the offending sum is kept as an opaque factor.
-All exp factors of a monomial merge into one, so exp(a)*exp(-a) is 1 and
-no rewrite depends on the order of the products.  A power is formed in
-one step: a monomial scales its exponents, and a sum is expanded in one
-multinomial pass or, past the cap, kept whole (see `_p_pow`).
+factors: an Add of terms, each term a Mul of a rational coefficient and
+sorted factor powers.  Inside the polynomial a coefficient is a plain int
+until a denominator appears, and a Fraction from then on; the Const nodes
+of the resulting tree hold Fractions either way, so trees, their repr and
+every printed form do not depend on it.  Products are always distributed
+over sums so that cancellation across rows of a linear combination
+actually happens; huge expansions are capped and the offending sum is kept
+as an opaque factor.  All exp factors of a monomial merge into one, so
+exp(a)*exp(-a) is 1 and no rewrite depends on the order of the products.
+A power is formed in one step: a monomial scales its exponents, and a sum
+is expanded in one multinomial pass or, past the cap, kept whole (see
+`_p_pow`).
 
 Nodes are immutable, so each one computes three values at most once, on
 first use, and keeps them in a slot: its hash (the value the field-wise
@@ -315,11 +320,16 @@ def _mono_key(m):
     return (0, tuple((_key(f), k) for f, k in m))
 
 
+def _coef(v: Fraction) -> Number:
+    """A polynomial coefficient: v as an int unless it has a denominator."""
+    return v.numerator if v.denominator == 1 else v
+
+
 def _poly(e: Expr) -> dict:
     if isinstance(e, Const):
-        return {(): e.value} if e.value else {}
+        return {(): _coef(e.value)} if e.value else {}
     if isinstance(e, ATOM_TYPES):
-        return {((e, 1),): Fraction(1)}
+        return {((e, 1),): 1}
     if isinstance(e, Neg):
         return {m: -c for m, c in _poly(e.child).items()}
     if isinstance(e, Add):
@@ -334,7 +344,7 @@ def _poly(e: Expr) -> dict:
                     out.pop(m, None)
         return out
     if isinstance(e, Mul):
-        out = {(): Fraction(1)}
+        out = {(): 1}
         for ch in e.children:
             out = _p_mul(out, _poly(ch))
         return out
@@ -350,8 +360,8 @@ def _func_poly(name: str, arg: Expr) -> dict:
     if isinstance(arg, Const):
         r = _exact_func(name, arg.value)
         if r is not None:
-            return {(): r} if r else {}
-    return {((Func(name, arg), 1),): Fraction(1)}
+            return {(): _coef(r)} if r else {}
+    return {((Func(name, arg), 1),): 1}
 
 
 def _exact_func(name: str, v: Fraction) -> Optional[Fraction]:
@@ -378,7 +388,13 @@ def _exact_func(name: str, v: Fraction) -> Optional[Fraction]:
 def _collapse(p: dict) -> dict:
     if len(p) <= 1:
         return p
-    return {((_from_poly(p), 1),): Fraction(1)}
+    return {((_from_poly(p), 1),): 1}
+
+
+def _rewrites(m) -> bool:
+    """True when m holds an exp or sqrt factor, whose products
+    _mono_from_exps rewrites."""
+    return any(isinstance(f, Func) and f.name in ("exp", "sqrt") for f, _ in m)
 
 
 def _p_mul(p: dict, q: dict) -> dict:
@@ -387,22 +403,43 @@ def _p_mul(p: dict, q: dict) -> dict:
     if len(p) * len(q) > _TERM_CAP:
         p = _collapse(p)
         q = _collapse(q)
+    qs = [(m2, c2, _rewrites(m2)) for m2, c2 in q.items()]
     out: dict = {}
     for m1, c1 in p.items():
-        for m2, c2 in q.items():
-            exps: dict = {}
-            for f, k in m1:
-                exps[f] = exps.get(f, 0) + k
-            for f, k in m2:
-                exps[f] = exps.get(f, 0) + k
-            for m3, c3 in _mono_from_exps(exps).items():
-                c = c1 * c2 * c3
+        r1 = _rewrites(m1)
+        for m2, c2, r2 in qs:
+            if r1 or r2:
+                exps: dict = dict(m1)
+                for f, k in m2:
+                    exps[f] = exps.get(f, 0) + k
+                prods = [(m3, c1 * c2 * c3)
+                         for m3, c3 in _mono_from_exps(exps).items()]
+            elif not m1:
+                prods = ((m2, c1 * c2),)
+            elif not m2:
+                prods = ((m1, c1 * c2),)
+            else:
+                # no rewrite: merge the exponent maps, dropping zeros
+                exps = dict(m1)
+                for f, k in m2:
+                    k += exps.get(f, 0)
+                    if k:
+                        exps[f] = k
+                    else:
+                        del exps[f]
+                prods = ((tuple(sorted(exps.items(), key=_factor_key)),
+                          c1 * c2),)
+            for m3, c in prods:
                 c4 = out.get(m3, 0) + c
                 if c4:
                     out[m3] = c4
                 else:
                     out.pop(m3, None)
     return out
+
+
+def _factor_key(fk):
+    return _key(fk[0])
 
 
 def _mono_from_exps(exps: dict) -> dict:
@@ -432,7 +469,7 @@ def _mono_from_exps(exps: dict) -> dict:
                 plain.append((f, 1))
             continue
         plain.append((f, k))
-    out = {tuple(plain): Fraction(1)}
+    out = {tuple(plain): 1}
     for q in extras:
         out = _p_mul(out, q)
     return out
@@ -448,7 +485,7 @@ def _p_pow(p: dict, n: int) -> dict:
     keeps whole a product that would not fit.
     """
     if n == 0:
-        return {(): Fraction(1)}
+        return {(): 1}
     if not p:
         if n < 0:
             raise DomainError("zero raised to a negative power")
@@ -458,11 +495,13 @@ def _p_pow(p: dict, n: int) -> dict:
     if len(p) == 1:
         ((m, c),) = p.items()
         mono = _mono_from_exps({f: k * n for f, k in m})
-        return {mm: cc * c ** n for mm, cc in mono.items()}
+        # an int to a negative power would be a float
+        cn = Fraction(c) ** n if n < 0 else c ** n
+        return {mm: cc * cn for mm, cc in mono.items()}
     t = len(p)
     if n >= 2 and math.comb(n + t - 2, t - 1) * t <= _TERM_CAP:
         return _p_multinomial(p, n)
-    return {((_from_poly(p), n),): Fraction(1)}
+    return {((_from_poly(p), n),): 1}
 
 
 def _p_multinomial(p: dict, n: int) -> dict:
@@ -503,12 +542,16 @@ def _p_multinomial(p: dict, n: int) -> dict:
             else:
                 add(tuple((f, e) for f, e in zip(factors, vk) if e), ck)
 
-    spread(0, n, [0] * len(factors), Fraction(1))
+    spread(0, n, [0] * len(factors), 1)
     return out
 
 
 def _trig_reduce(p: dict) -> dict:
-    """Collapse sin(a)^2 * R against a matching cos(a)^2 * R partner."""
+    """Collapse sin(a)^2 * R against a matching cos(a)^2 * R partner.
+    p itself comes back when no monomial holds sin(a)^k with k >= 2."""
+    if not any(k >= 2 and isinstance(f, Func) and f.name == "sin"
+               for m in p for f, k in m):
+        return p
     p = dict(p)
     changed = True
     while changed:
@@ -557,13 +600,13 @@ def _mono_adjusted(m, arg, sin_exp, cos_delta):
     return tuple(items)
 
 
-def _term_expr(m, c: Fraction) -> Expr:
+def _term_expr(m, c: Number) -> Expr:
     if not m:
-        return Const(c)
+        return Const(Fraction(c))
     factors = [f if k == 1 else Pow(f, k) for f, k in m]
     if c == 1:
         return factors[0] if len(factors) == 1 else Mul(tuple(factors))
-    return Mul((Const(c), *factors))
+    return Mul((Const(Fraction(c)), *factors))
 
 
 def _from_poly(p: dict) -> Expr:
@@ -676,45 +719,72 @@ def evaluate(e: Expr, bindings: Mapping[Expr, Fraction]) -> Fraction:
 
 def evaluate_ex(e: Expr, b: Mapping[Expr, Fraction]):
     """Returns (value, exact) where exact is False once mpmath was involved."""
+    n, d, exact = _eval(e, b)
+    return Fraction(n, d), exact
+
+
+def _eval(e: Expr, b) -> tuple:
+    """(numerator, denominator, exact) of e, the denominator positive and
+    the pair not necessarily reduced.  Integer arithmetic throughout; only
+    a function value and an inexact power pass through a Fraction."""
     if isinstance(e, Const):
-        return e.value, True
+        v = e.value
+        return v.numerator, v.denominator, True
     if isinstance(e, ATOM_TYPES):
         try:
-            return Fraction(b[e]), True
+            v = b[e]
         except KeyError:
             raise MissingBinding(e) from None
+        if not isinstance(v, Fraction):
+            v = Fraction(v)
+        return v.numerator, v.denominator, True
     if isinstance(e, Neg):
-        v, ex = evaluate_ex(e.child, b)
-        return -v, ex
+        n, d, ex = _eval(e.child, b)
+        return -n, d, ex
     if isinstance(e, Add):
-        total, exact = Fraction(0), True
+        # over the lcm of the denominators, as Fraction addition keeps it
+        n, d, exact = 0, 1, True
         for c in e.children:
-            v, ex = evaluate_ex(c, b)
-            total += v
+            n2, d2, ex = _eval(c, b)
+            if d2 == d:
+                n += n2
+            else:
+                g = math.gcd(d, d2)
+                n = n * (d2 // g) + n2 * (d // g)
+                d = d // g * d2
             exact = exact and ex
-        return total, exact
+        return n, d, exact
     if isinstance(e, Mul):
-        total, exact = Fraction(1), True
+        n, d, exact = 1, 1, True
         for c in e.children:
-            v, ex = evaluate_ex(c, b)
-            total *= v
+            n2, d2, ex = _eval(c, b)
+            n *= n2
+            d *= d2
             exact = exact and ex
-        return total, exact
+        return n, d, exact
     if isinstance(e, Pow):
-        v, ex = evaluate_ex(e.base, b)
-        if v == 0 and e.exponent < 0:
+        n, d, ex = _eval(e.base, b)
+        k = e.exponent
+        if n == 0 and k < 0:
             raise DomainError("zero raised to a negative power")
-        if ex:
-            return v ** e.exponent, True
-        # an inexact base carries _MP_DPS digits; its exact power would
-        # carry exponent times as many
-        return _mp_pow(v, e.exponent), False
+        if not ex:
+            # an inexact base carries _MP_DPS digits; its exact power would
+            # carry exponent times as many
+            v = _mp_pow(Fraction(n, d), k)
+            return v.numerator, v.denominator, False
+        # reduced first: a common factor would be raised to the power too
+        g = math.gcd(n, d)
+        n, d = n // g, d // g
+        if k < 0:
+            n, d, k = (-d, -n, -k) if n < 0 else (d, n, -k)
+        return n ** k, d ** k, True
     if isinstance(e, Func):
-        v, ex = evaluate_ex(e.arg, b)
+        n, d, ex = _eval(e.arg, b)
+        v = Fraction(n, d)
         r = _exact_func(e.name, v)
-        if r is not None:
-            return r, ex
-        return _mp_call(e.name, v), False
+        if r is None:
+            r, ex = _mp_call(e.name, v), False
+        return r.numerator, r.denominator, ex
     raise TypeError("not an Expr: %r" % (e,))
 
 

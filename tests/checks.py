@@ -8,15 +8,19 @@ chain of differentiations whose index is its size, and the Brenan blocks
 that test_convert and test_cli grow; the entry-by-entry System Jacobian
 and the dense elimination and rank references that test_jacobian and
 test_nullspace hold the fast ones to; the fixed-point offsets that
-test_structural and test_generated hold the search to.
+test_structural and test_generated hold the search to; the Fraction-only
+normal form and evaluation that test_expr holds the integer kernel to.
 """
 
+import math
 from fractions import Fraction
 
 from daefix.dsl import parse_dae
-from daefix.expr import (NEG_INF, ZERO, Add, Const, DomainError, DrivingFn,
-                         Func, Mul, Neg, Param, Pow, StateDeriv, TimeVar, hod,
-                         partial, simplify, total_derivative)
+from daefix.expr import (ATOM_TYPES, NEG_INF, ZERO, Add, Const, DomainError,
+                         DrivingFn, Func, Mul, Neg, Param, Pow, StateDeriv,
+                         TimeVar, _TERM_CAP, _exact_func, _key, _mono_adjusted,
+                         _mono_key, _mp_call, _mp_pow, hod, partial, simplify,
+                         total_derivative)
 from daefix.model import DaeSystem, fresh_indexed, make_equation
 from daefix.nullspace import EliminationStuck
 from daefix.structural import OffsetPair, signature_matrix
@@ -439,3 +443,255 @@ def dense_fraction_rank(rows):
         if r == n_rows:
             break
     return rank
+
+
+# ---------------------------------------------------------------------------
+# the normal form and evaluation on Fraction coefficients only, as they
+# stood before integral coefficients stayed int: simplify and evaluate_ex
+# must give the same trees and values
+
+def reference_simplify(e):
+    return _ref_from_poly(_ref_trig_reduce(_ref_poly(e)))
+
+
+def _ref_poly(e):
+    if isinstance(e, Const):
+        return {(): e.value} if e.value else {}
+    if isinstance(e, ATOM_TYPES):
+        return {((e, 1),): Fraction(1)}
+    if isinstance(e, Neg):
+        return {m: -c for m, c in _ref_poly(e.child).items()}
+    if isinstance(e, Add):
+        out = _ref_poly(e.children[0]) if e.children else {}
+        for ch in e.children[1:]:
+            for m, c in _ref_poly(ch).items():
+                c2 = out.get(m, 0) + c
+                if c2:
+                    out[m] = c2
+                else:
+                    out.pop(m, None)
+        return out
+    if isinstance(e, Mul):
+        out = {(): Fraction(1)}
+        for ch in e.children:
+            out = _ref_p_mul(out, _ref_poly(ch))
+        return out
+    if isinstance(e, Pow):
+        return _ref_p_pow(_ref_poly(e.base), e.exponent)
+    if isinstance(e, Func):
+        return _ref_func_poly(e.name, reference_simplify(e.arg))
+    raise TypeError("not an Expr: %r" % (e,))
+
+
+def _ref_func_poly(name, arg):
+    if isinstance(arg, Const):
+        r = _exact_func(name, arg.value)
+        if r is not None:
+            return {(): r} if r else {}
+    return {((Func(name, arg), 1),): Fraction(1)}
+
+
+def _ref_collapse(p):
+    if len(p) <= 1:
+        return p
+    return {((_ref_from_poly(p), 1),): Fraction(1)}
+
+
+def _ref_p_mul(p, q):
+    if not p or not q:
+        return {}
+    if len(p) * len(q) > _TERM_CAP:
+        p = _ref_collapse(p)
+        q = _ref_collapse(q)
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            exps = {}
+            for f, k in m1:
+                exps[f] = exps.get(f, 0) + k
+            for f, k in m2:
+                exps[f] = exps.get(f, 0) + k
+            for m3, c3 in _ref_mono_from_exps(exps).items():
+                c = c1 * c2 * c3
+                c4 = out.get(m3, 0) + c
+                if c4:
+                    out[m3] = c4
+                else:
+                    out.pop(m3, None)
+    return out
+
+
+def _ref_mono_from_exps(exps):
+    ex = [(f, k) for f, k in exps.items()
+          if k and isinstance(f, Func) and f.name == "exp"]
+    merge = len(ex) > 1 or any(k != 1 for _, k in ex)
+    plain = []
+    extras = []
+    if merge:
+        total = Add(tuple(Mul((Const(Fraction(k)), f.arg)) for f, k in ex))
+        extras.append(_ref_func_poly("exp", reference_simplify(total)))
+    for f in sorted(exps, key=_key):
+        k = exps[f]
+        if k == 0 or (merge and isinstance(f, Func) and f.name == "exp"):
+            continue
+        if isinstance(f, Func) and f.name == "sqrt" and not (0 <= k <= 1):
+            half, rem = divmod(k, 2)
+            extras.append(_ref_p_pow(_ref_poly(f.arg), half))
+            if rem:
+                plain.append((f, 1))
+            continue
+        plain.append((f, k))
+    out = {tuple(plain): Fraction(1)}
+    for q in extras:
+        out = _ref_p_mul(out, q)
+    return out
+
+
+def _ref_p_pow(p, n):
+    if n == 0:
+        return {(): Fraction(1)}
+    if not p:
+        if n < 0:
+            raise DomainError("zero raised to a negative power")
+        return {}
+    if n == 1:
+        return dict(p)
+    if len(p) == 1:
+        ((m, c),) = p.items()
+        mono = _ref_mono_from_exps({f: k * n for f, k in m})
+        return {mm: cc * c ** n for mm, cc in mono.items()}
+    t = len(p)
+    if n >= 2 and math.comb(n + t - 2, t - 1) * t <= _TERM_CAP:
+        return _ref_p_multinomial(p, n)
+    return {((_ref_from_poly(p), n),): Fraction(1)}
+
+
+def _ref_p_multinomial(p, n):
+    factors = sorted({f for m in p for f, _ in m}, key=_key)
+    col = {f: i for i, f in enumerate(factors)}
+    rewrite = any(isinstance(f, Func) and f.name in ("exp", "sqrt")
+                  for f in factors)
+    terms = []
+    for m, c in p.items():
+        v = [0] * len(factors)
+        for f, k in m:
+            v[col[f]] = k
+        terms.append((v, c))
+    last = len(terms) - 1
+    out = {}
+
+    def add(m, c):
+        s = out.get(m, 0) + c
+        if s:
+            out[m] = s
+        else:
+            out.pop(m, None)
+
+    def spread(r, left, v, c):
+        tv, tc = terms[r]
+        for k in range(left + 1) if r < last else (left,):
+            vk = [a + k * b for a, b in zip(v, tv)] if k else v
+            ck = c * math.comb(left, k) * tc ** k
+            if r < last and k < left:
+                spread(r + 1, left - k, vk, ck)
+            elif rewrite:
+                for m, c3 in _ref_mono_from_exps(
+                        dict(zip(factors, vk))).items():
+                    add(m, ck * c3)
+            else:
+                add(tuple((f, e) for f, e in zip(factors, vk) if e), ck)
+
+    spread(0, n, [0] * len(factors), Fraction(1))
+    return out
+
+
+def _ref_trig_reduce(p):
+    p = dict(p)
+    changed = True
+    while changed:
+        changed = False
+        for m in sorted(p, key=_mono_key):
+            c1 = p.get(m)
+            if c1 is None:
+                continue
+            hit = None
+            for f, k in m:
+                if isinstance(f, Func) and f.name == "sin" and k >= 2:
+                    hit = (f, k)
+                    break
+            if hit is None:
+                continue
+            f, k = hit
+            partner = _mono_adjusted(m, f.arg, k - 2, 2)
+            c2 = p.get(partner)
+            if c2 is None:
+                continue
+            target = _mono_adjusted(m, f.arg, k - 2, 0)
+            del p[m]
+            p.pop(partner, None)
+            tc = p.get(target, 0) + c1
+            if tc:
+                p[target] = tc
+            else:
+                p.pop(target, None)
+            if c2 != c1:
+                p[partner] = c2 - c1
+            changed = True
+            break
+    return p
+
+
+def _ref_from_poly(p):
+    if not p:
+        return ZERO
+    terms = [_ref_term_expr(m, p[m]) for m in sorted(p, key=_mono_key)]
+    if len(terms) == 1:
+        return terms[0]
+    return Add(tuple(terms))
+
+
+def _ref_term_expr(m, c):
+    if not m:
+        return Const(c)
+    factors = [f if k == 1 else Pow(f, k) for f, k in m]
+    if c == 1:
+        return factors[0] if len(factors) == 1 else Mul(tuple(factors))
+    return Mul((Const(c), *factors))
+
+
+def reference_evaluate_ex(e, b):
+    if isinstance(e, Const):
+        return e.value, True
+    if isinstance(e, ATOM_TYPES):
+        return Fraction(b[e]), True
+    if isinstance(e, Neg):
+        v, ex = reference_evaluate_ex(e.child, b)
+        return -v, ex
+    if isinstance(e, Add):
+        total, exact = Fraction(0), True
+        for c in e.children:
+            v, ex = reference_evaluate_ex(c, b)
+            total += v
+            exact = exact and ex
+        return total, exact
+    if isinstance(e, Mul):
+        total, exact = Fraction(1), True
+        for c in e.children:
+            v, ex = reference_evaluate_ex(c, b)
+            total *= v
+            exact = exact and ex
+        return total, exact
+    if isinstance(e, Pow):
+        v, ex = reference_evaluate_ex(e.base, b)
+        if v == 0 and e.exponent < 0:
+            raise DomainError("zero raised to a negative power")
+        if ex:
+            return v ** e.exponent, True
+        return _mp_pow(v, e.exponent), False
+    if isinstance(e, Func):
+        v, ex = reference_evaluate_ex(e.arg, b)
+        r = _exact_func(e.name, v)
+        if r is not None:
+            return r, ex
+        return _mp_call(e.name, v), False
+    raise TypeError("not an Expr: %r" % (e,))

@@ -931,3 +931,45 @@ def test_fix_brenan_x32_is_fast(tmp_path, capsys):
     assert (doc["initial_value"], doc["final_value"]) == (32, 0)
     assert took < 5.0
     capsys.readouterr()
+
+
+def _nested(kind, depth):
+    if kind == "minus":
+        return "-" * depth + "x"
+    opener = {"paren": "(", "neg": "-("}.get(kind, kind + "(")
+    return opener * depth + "x" + ")" * depth
+
+
+def _nested_dae(kind, depth):
+    return ("dae nested\nvars x, y\neq f1: %s + x' - y = 0\n"
+            "eq f2: x - y' = 0\n" % _nested(kind, depth))
+
+
+ANALYSES = [["analyze"], ["analyze", "--mode", "formal"], ["fix"],
+            ["fix", "--mode", "formal"]]
+
+
+@pytest.mark.parametrize("argv", ANALYSES)
+@pytest.mark.parametrize("kind, depth", [
+    ("sin", 250), ("exp", 250), ("neg", 200), ("paren", 500),
+    ("minus", 2000),
+])
+def test_too_deeply_nested_input_exits_one(tmp_path, capsys, argv, kind,
+                                           depth):
+    rc = main(argv + [write_dae(tmp_path, _nested_dae(kind, depth))])
+    assert rc == 1
+    assert capsys.readouterr() == (
+        "", "error: expression is nested too deeply\n")
+
+
+@pytest.mark.parametrize("argv", ANALYSES)
+@pytest.mark.parametrize("kind, depth", [
+    ("sin", 200), ("exp", 200), ("sqrt", 200), ("neg", 100), ("paren", 200),
+    ("minus", 200),
+])
+def test_nesting_200_levels_deep_is_analysed(tmp_path, capsys, argv, kind,
+                                             depth):
+    rc = main(argv + [write_dae(tmp_path, _nested_dae(kind, depth))])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    assert captured.err == ""

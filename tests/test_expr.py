@@ -6,11 +6,12 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+import checks
 from daefix import expr as expr_module
 from daefix.expr import (
     FUNCS, NEG_INF, ZERO, Add, Const, DomainError, DrivingFn, Func,
     MissingBinding, Mul, Neg, Param, Pow, StateDeriv, TimeVar, _key, _p_mul,
-    _p_pow, atoms, con, evaluate, evaluate_ex, format_expr, hod, partial,
+    _p_pow, _poly, atoms, con, evaluate, evaluate_ex, format_expr, hod, partial,
     simplify, subst_atoms, total_derivative, walk,
 )
 
@@ -631,3 +632,72 @@ def test_nodes_keep_no_instance_dict():
     for n in (x, g, h, t, con(2), x + y, x * y, Pow(x, 2), Neg(x),
               Func("sin", x)):
         assert not hasattr(n, "__dict__")
+
+
+def _trig_pair(rng, depth):
+    # c1*sin(a)^(k+2)*R + c2*sin(a)^k*cos(a)^2*R + rest: _trig_reduce's case
+    a = _random_tree(rng, depth - 2)
+    r = _random_tree(rng, depth - 2)
+    k = rng.randrange(3)
+    c1, c2 = (con(rng.choice((1, 2, -3, Fraction(1, 2)))) for _ in "12")
+    return Add((Mul((c1, Pow(Func("sin", a), k + 2), r)),
+                Mul((c2, Pow(Func("sin", a), k), Pow(Func("cos", a), 2), r)),
+                _random_tree(rng, depth - 2)))
+
+
+def _kernel_trees():
+    rng = random.Random("integer-kernel")
+    for _ in range(500):
+        yield checks.rand_expr(rng, 4)
+    for _ in range(500):
+        yield _random_tree(rng, 4)
+    for _ in range(200):
+        yield _trig_pair(rng, 4)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except DomainError:
+        return DomainError
+
+
+def test_integer_kernel_matches_the_fraction_reference():
+    # simplify and evaluate_ex on ints against the Fraction-only originals
+    rng = random.Random("integer-kernel-points")
+    seen = set()
+    trees = 0
+    for e in _kernel_trees():
+        trees += 1
+        for n in walk(e):
+            if isinstance(n, Pow) and n.exponent < 0:
+                seen.add(n.exponent)
+            elif isinstance(n, Func):
+                seen.add(n.name)
+        want = _outcome(checks.reference_simplify, e)
+        got = _outcome(simplify, e)
+        assert got == want and repr(got) == repr(want), repr(e)
+        if got is not DomainError:
+            for c in _poly(e).values():
+                assert type(c) in (int, Fraction), (repr(e), c)
+            assert all(type(n.value) is Fraction
+                       for n in walk(got) if isinstance(n, Const)), repr(e)
+        ats = sorted(atoms(e), key=_key)
+        for _ in range(5):
+            # small values, so zero bases and domain errors come up often
+            b = {a: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                 for a in ats}
+            want = _outcome(checks.reference_evaluate_ex, e, b)
+            got = _outcome(evaluate_ex, e, b)
+            assert got == want, (repr(e), b)
+            if got is not DomainError:
+                assert type(got[0]) is Fraction
+    assert trees >= 1000
+    assert {-2, -1, "exp", "sqrt", "sin", "cos"} <= seen
+
+
+def test_evaluate_with_int_bindings_returns_a_fraction():
+    v = evaluate(x * y + 1, {x: 2, y: 3})
+    assert type(v) is Fraction and v == 7
+    v, exact = evaluate_ex(Pow(x, -2) * y, {x: -2, y: 3})
+    assert type(v) is Fraction and v == Fraction(3, 4) and exact
