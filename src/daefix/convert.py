@@ -13,16 +13,23 @@ so iterating them terminates.
 
 fix_dae below is the driver: analyze, classify, pick a method, rewrite,
 repeat until the Jacobian is generically nonsingular or nothing applies.
+A combination step replaces one row, so the system it produced is
+analysed from the analysis before (see analyze): the kept rows carry
+their signature rows, the solve's dual and HVT entries, their Jacobian
+rows and the determinants of unchanged blocks, and only the replaced row
+is read, solved and differentiated anew.  A substitution step adds
+states, so the system after it is analysed from scratch.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import zip_longest
 from typing import Optional
 
 from .expr import (ZERO, Add, Const, Expr, Mul, Neg, Pow, StateDeriv, atoms,
-                   evaluate_ex, hod, simplify, subst_atoms, total_derivative)
+                   evaluate_ex, hod, highest_orders, simplify, subst_atoms,
+                   total_derivative)
 from .jacobian import JacobianReport, classify_jacobian, system_jacobian
 from .model import DaeSystem, fresh_indexed, make_equation
 from .nullspace import (EliminationStuck, kernel_basis, normalize_candidates,
@@ -98,18 +105,18 @@ def lc_analyze(system: DaeSystem, off: OffsetPair, u, prober: Prober) -> LcAnaly
     c_under = min(off.c[i] for i in rows)
     # order condition: u must not involve derivatives of x_j at or above
     # order d_j - c_under, otherwise the replacement breaks the offsets
-    ok = True
-    n = len(system.var_names)
-    for j in range(n):
-        ho = max(hod(u[i], j) for i in rows)
-        if not ho < off.d[j] - c_under:
-            ok = False
-            break
-    if not ok:
+    ho = _max_orders([u[i] for i in rows], system.n)
+    if not all(h < d - c_under for h, d in zip(ho, off.d)):
         return LcAnalysis(u, rows, c_under, (), (), False, off)
     candidates = tuple(i for i in rows if off.c[i] == c_under)
     const_rows = tuple(i for i in candidates if isinstance(u[i], Const))
     return LcAnalysis(u, rows, c_under, candidates, const_rows, True, off)
+
+
+def _max_orders(exprs, n) -> list:
+    """max_e hod(e, j) over exprs for each j < n, one pass per expression."""
+    rows = [highest_orders(e, n) for e in exprs]
+    return [max(col) for col in zip(*rows)]
 
 
 @dataclass(frozen=True)
@@ -118,6 +125,7 @@ class LcApplication:
     analysis: LcAnalysis
     pivot: int
     combination: Expr   # sum u_i f_i^(c_i-c) before its normal form
+    row: tuple          # the signature row of the new equation, either mode
 
 
 def lc_apply(system: DaeSystem, analysis: LcAnalysis, pivot: int) -> LcApplication:
@@ -136,15 +144,17 @@ def lc_apply(system: DaeSystem, analysis: LcAnalysis, pivot: int) -> LcApplicati
     old = system.equations[pivot]
     new_eq = make_equation(old.name, simplify(combination),
                            origin="lc_replaced", alias=old.alias)
-    # the leading derivatives must have cancelled
-    for j in range(system.n):
-        if not hod(new_eq.expr, j) < off.d[j] - analysis.c_under:
+    # the leading derivatives must have cancelled; raw is expr here, so
+    # this is the new row of Sigma in both modes
+    row = highest_orders(new_eq.expr, system.n)
+    for j, (h, d) in enumerate(zip(row, off.d)):
+        if not h < d - analysis.c_under:
             raise ConvertError("combination kept a leading derivative of %s"
                                % system.var_names[j])
     eqs = list(system.equations)
     eqs[pivot] = new_eq
     return LcApplication(system.with_equations(eqs), analysis, pivot,
-                         combination)
+                         combination, row)
 
 
 def lc_equivalence_probes(before: DaeSystem, app: LcApplication,
@@ -194,16 +204,10 @@ def es_analyze(system: DaeSystem, sig, off: OffsetPair, v,
     if not rows or len(cols) < 2:
         return EsAnalysis(v, cols, rows, 0, (), False, off)
     c_over = max(off.c[i] for i in rows)
-    ok = True
-    for j in range(system.n):
-        ho = max(hod(v[k], j) for k in cols)
-        lim = off.d[j] - c_over
-        if j in cols and not (ho < lim and lim >= 0):
-            ok = False
-            break
-        if j not in cols and not ho <= lim:
-            ok = False
-            break
+    ho = _max_orders([v[k] for k in cols], system.n)
+    ok = all(h < d - c_over and d - c_over >= 0 if j in cols
+             else h <= d - c_over
+             for j, (h, d) in enumerate(zip(ho, off.d)))
     const_cols = tuple(j for j in cols if isinstance(v[j], Const))
     return EsAnalysis(v, cols, rows, c_over, const_cols if ok else (), ok, off)
 
@@ -433,12 +437,16 @@ class Analysis:
     """The structural analysis of one system, as every later stage reads it.
 
     offsets and jacobian (the classified System Jacobian) are None when the
-    signature matrix has no transversal.
+    signature matrix has no transversal.  system and formal say what was
+    analysed, and in which mode, for a later analysis that carries this one.
     """
 
     signature: SignatureMatrix
     offsets: Optional[OffsetPair]
     jacobian: Optional[JacobianReport]
+    system: Optional[DaeSystem] = field(default=None, compare=False,
+                                        repr=False)
+    formal: bool = field(default=False, compare=False, repr=False)
 
     @property
     def value(self):
@@ -446,15 +454,32 @@ class Analysis:
         return self.signature.value if self.signature.swp else float("-inf")
 
 
-def analyze(system: DaeSystem, prober: Prober,
-            formal: bool = False) -> Analysis:
-    """Signature matrix, canonical offsets, System Jacobian and its class."""
-    sig = signature_matrix(system, formal=formal)
+def analyze(system: DaeSystem, prober: Prober, formal: bool = False,
+            prior: Optional[Analysis] = None, known=None) -> Analysis:
+    """Signature matrix, canonical offsets, System Jacobian and its class.
+
+    prior is the analysis, in the same mode, of the system this one came
+    from by a combination step, which replaces an equation in place; known
+    maps a replaced row to its signature row when the step has read it.
+    What the equations the two systems share determine is carried: their
+    signature rows with the solve's potentials and HVT entries, their
+    Jacobian rows where the offsets keep them tight in the same columns,
+    and the determinants of diagonal blocks whose entries are all carried.
+    The result equals a fresh analysis.  With no prior, or one that is ill
+    posed or has other states (a substitution step adds some), nothing is
+    carried and the same code analyses from scratch.
+    """
+    if prior is not None and (prior.offsets is None or prior.formal != formal
+                              or prior.system.n != system.n):
+        prior = None
+    sig = signature_matrix(system, formal, prior, known)
     if not sig.swp:
-        return Analysis(sig, None, None)
+        return Analysis(sig, None, None, system, formal)
     off = canonical_offsets(sig)
-    J = system_jacobian(system, sig, off)
-    return Analysis(sig, off, classify_jacobian(J, prober))
+    J = system_jacobian(system, sig, off, prior)
+    report = classify_jacobian(J, prober,
+                               None if prior is None else prior.jacobian)
+    return Analysis(sig, off, report, system, formal)
 
 
 @dataclass(frozen=True)
@@ -545,7 +570,10 @@ def fix_dae(system: DaeSystem, prober: Prober = None, method: str = None,
             es_equivalence_probes(current, app, prober)
             vec = analysis.v
         current = app.system
-        after = analyze(current, prober, formal)
+        # a combination step keeps every other row: carry them
+        after = analyze(current, prober, formal, now,
+                        {chosen_pivot: app.row} if kind is MethodKind.LC
+                        else None)
         if not after.value < now.value:
             raise ConvertError("conversion step did not decrease the "
                                "signature value")

@@ -264,6 +264,16 @@ def hod(e: Expr, index: int):
     return best
 
 
+def highest_orders(e: Expr, n: int) -> tuple:
+    """(hod(e, 0), ..., hod(e, n - 1)) from one pass over atoms(e), which
+    holds every state derivative the tree holds."""
+    row = [NEG_INF] * n
+    for a in atoms(e):
+        if isinstance(a, StateDeriv) and a.order > row[a.index]:
+            row[a.index] = a.order
+    return tuple(row)
+
+
 # ---------------------------------------------------------------------------
 # normal form
 

@@ -19,11 +19,19 @@ expanded exactly; a larger one is decided by rank probes at random
 rational points, which prove full rank but can only suspect singularity.
 A probe evaluates only the block's nonzero entries, into sparse rows
 {col: value}, and its elimination touches only nonzeros.
+
+After a combination step both carry what the rows the step kept
+determine.  Row i of J depends only on f_i and on which of its finite
+entries are tight, so a kept row whose tight columns did not move is the
+previous row itself.  The classification matches the support and splits
+the blocks again, keeping each carried row's support and the determinant
+of each block whose rows, columns and entries are unchanged; every zero
+test is still asked, in the same order, and hits the prober's cache.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
@@ -41,14 +49,24 @@ _RANK_POINTS = 3
 
 
 def system_jacobian(system: DaeSystem, sig: SignatureMatrix,
-                    off: OffsetPair) -> tuple:
+                    off: OffsetPair, prior=None) -> tuple:
     """J as an n x n tuple of normal forms, the ZERO constant itself at
     every position that is not tight.  Each entry equals the normal form of
     partial(f_i, atom), which differentiates only the summands holding the
     atom too; an atom the normal form lacks (a formal signature entry that
-    cancelled) gives the ZERO constant."""
+    cancelled) gives the ZERO constant.
+
+    Row i depends only on f_i and on which of its finite entries are
+    tight.  prior is the analysis of a system this one came from by
+    replacing equations in place (see signature_matrix): a row whose
+    equation it shares by identity, tight in the same columns under its
+    offsets, is its row, the very tuple."""
     out = []
     for i, eq in enumerate(system.equations):
+        if prior is not None and eq is prior.system.equations[i] \
+                and _tight(sig, off, i) == _tight(sig, prior.offsets, i):
+            out.append(prior.jacobian.matrix[i])
+            continue
         f = eq.expr
         holders: dict = {}
         for t in f.children if isinstance(f, Add) else (f,):
@@ -63,6 +81,11 @@ def system_jacobian(system: DaeSystem, sig: SignatureMatrix,
                     Add(tuple(partial(t, a) for t in terms)))
         out.append(tuple(row))
     return tuple(out)
+
+
+def _tight(sig, off, i) -> list:
+    """The finite columns j of row i with d_j - c_i = sigma_ij."""
+    return [j for j in sig.support[i] if off.d[j] - off.c[i] == sig.rows[i][j]]
 
 
 def determinant(matrix: Sequence[Sequence[Expr]]) -> Expr:
@@ -111,14 +134,20 @@ class JacobianReport:
     klass: JacobianClass
     # None when n > DET_BOUND, unless structurally singular (ZERO)
     det: Optional[Expr]
+    # the nonzero columns of each row, and the determinant of each small
+    # diagonal block expanded, under its (rows, cols): what a later report
+    # on a matrix sharing rows can reuse
+    support: tuple = field(default=(), compare=False, repr=False)
+    dets: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def singular(self) -> bool:
         return self.klass is not JacobianClass.GENERICALLY_NONSINGULAR
 
 
-def classify_jacobian(matrix: Sequence[Sequence[Expr]],
-                      prober: Prober) -> JacobianReport:
+def classify_jacobian(matrix: Sequence[Sequence[Expr]], prober: Prober,
+                      prior: Optional[JacobianReport] = None
+                      ) -> JacobianReport:
     """Sort the matrix into one of four kinds, block by block.
 
     The support (entries whose normal form is not zero) either admits no
@@ -129,29 +158,43 @@ def classify_jacobian(matrix: Sequence[Sequence[Expr]],
     form settles IdenticallySingular before any zero test runs, and the
     rest are zero-tested one at a time.  Only then is each larger block
     rank-probed on its own.  The determinant is reported for n <= DET_BOUND.
+
+    prior is the report on a matrix of the same size that this one shares
+    rows with.  A row it holds as the very tuple keeps its support, and a
+    small block with the same rows, columns and entry objects keeps its
+    determinant; the matching, the blocks and every zero test are done
+    again, so the verdicts are asked in the same order (cache hits).
     """
     matrix = tuple(tuple(row) for row in matrix)
     n = len(matrix)
+    was = prior.matrix if prior is not None else (None,) * n
     # a zero normal form is the only proven zero, so an entry that is only
     # probably zero stays in the support and spends no verdict;
     # system_jacobian puts the ZERO constant itself at every non-tight
     # position, which the identity test skips without a comparison
-    support = [[j for j, e in enumerate(row)
-                 if e is not ZERO and simplify(e) != ZERO] for row in matrix]
+    support = tuple(prior.support[i] if row is was[i] else
+                    tuple(j for j, e in enumerate(row)
+                          if e is not ZERO and simplify(e) != ZERO)
+                    for i, row in enumerate(matrix))
     match = _matching(support)
     if match is None:
         return JacobianReport(matrix, JacobianClass.STRUCTURALLY_SINGULAR,
-                              ZERO)
+                              ZERO, support)
     blocks = _blocks(support, match)
-    small, large = [], []
+    small, large, dets = [], [], {}
     for rows, cols in blocks:
         if len(rows) > DET_BOUND:
             large.append((rows, cols))
             continue
-        d = determinant([[matrix[i][j] for j in cols] for i in rows])
+        d = prior.dets.get((rows, cols)) if prior is not None else None
+        if d is None or any(matrix[i][j] is not was[i][j]
+                            for i in rows for j in cols):
+            d = determinant([[matrix[i][j] for j in cols] for i in rows])
+        dets[rows, cols] = d
         if d == ZERO:
             return JacobianReport(matrix, JacobianClass.IDENTICALLY_SINGULAR,
-                                  ZERO if n <= DET_BOUND else None)
+                                  ZERO if n <= DET_BOUND else None, support,
+                                  dets)
         small.append(d)
     det = None
     if n <= DET_BOUND:
@@ -163,7 +206,7 @@ def classify_jacobian(matrix: Sequence[Sequence[Expr]],
     elif not all(_full_rank(matrix, support, rows, cols, prober)
                  for rows, cols in large):
         klass = JacobianClass.PROBABLY_SINGULAR
-    return JacobianReport(matrix, klass, det)
+    return JacobianReport(matrix, klass, det, support, dets)
 
 
 def _odd(blocks, n) -> bool:

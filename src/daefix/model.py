@@ -57,14 +57,21 @@ class DaeSystem:
         self._validate()
 
     def _validate(self):
+        """Checks the system once, when it is built.  A system from
+        with_equations shares its declarations, and the equations it
+        keeps, with one already checked: only the equations it adds are
+        walked."""
+        # set by with_equations; a frozen instance's __dict__ is written
+        # directly
+        parent = self.__dict__.pop("_parent", None)
         if len(self.equations) != len(self.var_names):
             raise ModelError("system must be square: %d equations, %d variables"
                              % (len(self.equations), len(self.var_names)))
         if not self.var_names:
             raise ModelError("system has no variables")
-        names = list(self.var_names) + [p for p, _ in self.params] \
-            + list(self.input_names)
         seen = set()
+        names = () if parent else (list(self.var_names) + [
+            p for p, _ in self.params] + list(self.input_names))
         for nm in names:
             if nm in RESERVED:
                 raise ModelError("name %r is reserved" % nm)
@@ -76,10 +83,13 @@ class DaeSystem:
             if eq.name in eq_names:
                 raise ModelError("equation name %r declared twice" % eq.name)
             eq_names.add(eq.name)
+        kept = {id(eq) for eq in parent.equations} if parent else set()
         param_names = {p for p, _ in self.params}
         inputs = set(self.input_names)
         n = len(self.var_names)
         for eq in self.equations:
+            if id(eq) in kept:
+                continue
             for node in walk(eq.raw):
                 if isinstance(node, StateDeriv) and not 0 <= node.index < n:
                     raise ModelError("equation %s uses undeclared state %d"
@@ -106,8 +116,12 @@ class DaeSystem:
             raise ModelError("unknown variable %r" % name) from None
 
     def with_equations(self, equations: Sequence[Equation]) -> "DaeSystem":
-        return DaeSystem(self.name, self.var_names, tuple(equations),
-                         self.params, self.input_names)
+        """This system with other equations over the same declarations."""
+        new = object.__new__(DaeSystem)
+        new.__dict__.update(self.__dict__, equations=tuple(equations),
+                            _parent=self)
+        new._validate()
+        return new
 
 
 def fresh_indexed(prefix: str, start: int, taken) -> str:

@@ -13,6 +13,14 @@ finds the offsets, in one pass from every row.  One iterative
 augmenting-path routine serves every matching here:
 moving the solve's transversal to the smallest HVT, checking a transversal
 of tight entries, and matching a System Jacobian's support.
+
+A combination step replaces one equation, so its Sigma shares every other
+row with the one before.  Those rows are carried with their finite columns,
+their potentials and their HVT entries, and the solve is warm-started from
+the previous optimal dual: one search from the replaced row finishes it.
+The best transversals are the transversals of tight entries under any
+optimal dual, so the HVT, the value and the offsets are the ones a solve
+from scratch gives.
 """
 
 from __future__ import annotations
@@ -22,7 +30,8 @@ from heapq import heappop, heappush
 from itertools import count
 from typing import List, Optional, Sequence
 
-from .expr import NEG_INF, StateDeriv, ZERO, atoms, partial, simplify
+from .expr import (NEG_INF, StateDeriv, ZERO, atoms, highest_orders, partial,
+                   simplify)
 from .model import DaeSystem
 
 class StructuralError(ValueError):
@@ -37,6 +46,8 @@ class SignatureMatrix:
     # the assignment solve's potentials (u, v): sigma_ij + u_i + v_j <= 0
     # wherever finite, with equality on every HVT
     dual: tuple = field(compare=False)
+    # the ascending finite columns of each row
+    support: tuple = field(compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -51,53 +62,87 @@ class SignatureMatrix:
         return self.rows[i][j]
 
 
-def sigma_from_rows(rows: Sequence[Sequence]) -> SignatureMatrix:
+def sigma_from_rows(rows: Sequence[Sequence],
+                    prior: Optional[SignatureMatrix] = None) -> SignatureMatrix:
+    """The signature matrix of rows.  prior, a well-posed matrix of the same
+    size, carries over every row that rows holds as the very tuple prior
+    holds, with its finite columns, and warm-starts the solve (see
+    _assignment_max); the HVT and the value do not depend on it."""
     rows = tuple(tuple(r) for r in rows)
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise StructuralError("signature matrix must be square")
-    value, assign, tight, dual = _assignment_max(rows)
+    value, assign, tight, dual, support = _assignment_max(rows, prior)
     hvt = None if assign is None else _lex_smallest_hvt(tight, assign)
-    return SignatureMatrix(rows, value, hvt, dual)
+    return SignatureMatrix(rows, value, hvt, dual, support)
 
 
 def signature_rows(system: DaeSystem, formal: bool = False) -> tuple:
     """True signatures come from the normal form, formal ones from the raw
-    trees, where cancelled derivatives still count.  One walk per row: entry
-    j is hod(tree, j) for the tree of the mode, since expr = simplify(raw)."""
-    rows = []
-    for eq in system.equations:
-        row = [NEG_INF] * system.n
-        for a in atoms(eq.raw if formal else eq.expr):
-            if isinstance(a, StateDeriv) and a.order > row[a.index]:
-                row[a.index] = a.order
-        rows.append(tuple(row))
-    return tuple(rows)
+    trees, where cancelled derivatives still count.  One pass over each
+    row's atoms: entry j is hod(tree, j) for the tree of the mode, since
+    expr = simplify(raw)."""
+    return tuple(highest_orders(eq.raw if formal else eq.expr, system.n)
+                 for eq in system.equations)
 
 
-def signature_matrix(system: DaeSystem, formal: bool = False) -> SignatureMatrix:
-    return sigma_from_rows(signature_rows(system, formal))
+def signature_matrix(system: DaeSystem, formal: bool = False,
+                     prior=None, known=None) -> SignatureMatrix:
+    """Sigma of system.  prior is the analysis, in the same mode, of a
+    system with the same states that this one came from by replacing
+    equations in place (a combination step): each equation it shares by
+    identity keeps its row, and the solve starts from its dual.  known maps
+    a replaced row to its signature row when the caller has read it."""
+    if prior is None:
+        return sigma_from_rows(signature_rows(system, formal))
+    kept, old = prior.system.equations, prior.signature.rows
+    known = known or {}
+    rows = tuple(old[i] if eq is kept[i] else known[i] if i in known
+                 else highest_orders(eq.raw if formal else eq.expr, system.n)
+                 for i, eq in enumerate(system.equations))
+    return sigma_from_rows(rows, prior.signature)
 
 
 # ---------------------------------------------------------------------------
 # max-weight assignment and augmenting paths
 # (support[i] lists the columns of row i's finite or nonzero entries)
 
-def _assignment_max(rows):
+def _assignment_max(rows, prior=None):
     """Best transversal value, one witness (None if every transversal hits a
     NEG_INF entry), each row's tight columns (finite entries of zero reduced
-    cost -sigma_ij - u_i - v_j) and the potentials (u, v).  Successive
-    shortest augmenting paths over the finite entries, on exact integers
-    (Jonker and Volgenant 1987): one search per row keeps every reduced cost
-    >= 0 and makes the entries of its path tight.  By complementary
-    slackness the best transversals are exactly the transversals of tight
-    entries."""
+    cost -sigma_ij - u_i - v_j), the potentials (u, v) and each row's finite
+    columns.  Successive shortest augmenting paths over the finite entries,
+    on exact integers (Jonker and Volgenant 1987): one search per unmatched
+    row keeps every reduced cost >= 0 and makes the entries of its path
+    tight.  By complementary slackness the best transversals are exactly
+    the transversals of tight entries, under any optimal dual.
+
+    From scratch v = 0 and no row is matched.  With prior (see
+    sigma_from_rows) each row it shares keeps its potential and its HVT
+    entry, which stays tight, and v is prior's; so only the replaced rows
+    are searched.  Each row to search starts at u_i = -max_j (sigma_ij +
+    v_j), which makes its entries feasible."""
     n = len(rows)
-    support = [[j for j, w in enumerate(r) if w != NEG_INF] for r in rows]
-    u = [-max((r[j] for j in s), default=0) for r, s in zip(rows, support)]
-    v = [0] * n
-    assign, owner = [-1] * n, [-1] * n
+    if prior is None:
+        kept = [False] * n
+        u, v, assign = [0] * n, [0] * n, [-1] * n
+    else:
+        kept = [r is p for r, p in zip(rows, prior.rows)]
+        u, v = list(prior.dual[0]), list(prior.dual[1])
+        assign = [j if k else -1 for k, (_, j) in zip(kept, prior.hvt)]
+    support = tuple(prior.support[i] if k else
+                    tuple(j for j, w in enumerate(r) if w != NEG_INF)
+                    for i, (k, r) in enumerate(zip(kept, rows)))
+    owner = [-1] * n
+    for i, j in enumerate(assign):
+        if j >= 0:
+            owner[j] = i
+    for i, r in enumerate(rows):
+        if not kept[i]:
+            u[i] = -max((r[j] + v[j] for j in support[i]), default=0)
     for root in range(n):
+        if kept[root]:
+            continue
         done, way, j = _search(rows, support, u, v, owner, {root: 0})
         if j is None:
             break
@@ -113,8 +158,9 @@ def _assignment_max(rows):
     tight = [[j for j in s if rows[i][j] + u[i] + v[j] == 0]
              for i, s in enumerate(support)]
     if -1 in assign:
-        return NEG_INF, None, tight, (u, v)
-    return sum(rows[i][assign[i]] for i in range(n)), assign, tight, (u, v)
+        return NEG_INF, None, tight, (u, v), support
+    return (sum(rows[i][assign[i]] for i in range(n)), assign, tight, (u, v),
+            support)
 
 
 def _search(rows, support, u, v, owner, start):
@@ -289,8 +335,7 @@ def canonical_offsets(sig: SignatureMatrix) -> OffsetPair:
     owner = [0] * sig.n
     for i, j in sig.hvt:
         owner[j] = i
-    support = [[j for j, s in enumerate(r) if s != NEG_INF] for r in sig.rows]
-    dist = _search(sig.rows, support, u, v, owner, dict(enumerate(u)))[0]
+    dist = _search(sig.rows, sig.support, u, v, owner, dict(enumerate(u)))[0]
     c = tuple(u[i] - dist[j] for i, j in sig.hvt)
     d = tuple(c[i] + sig.rows[i][j] for j, i in enumerate(owner))
     return OffsetPair(c, d)

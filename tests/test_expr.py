@@ -11,8 +11,8 @@ from daefix import expr as expr_module
 from daefix.expr import (
     FUNCS, NEG_INF, ZERO, Add, Const, DomainError, DrivingFn, Func,
     MissingBinding, Mul, Neg, Param, Pow, StateDeriv, TimeVar, _key, _p_mul,
-    _p_pow, _poly, atoms, con, evaluate, evaluate_ex, format_expr, hod, partial,
-    simplify, subst_atoms, total_derivative, walk,
+    _p_pow, _poly, atoms, con, evaluate, evaluate_ex, format_expr, hod,
+    highest_orders, partial, simplify, subst_atoms, total_derivative, walk,
 )
 
 x = StateDeriv(0)
@@ -132,6 +132,19 @@ def test_hod_true_vs_formal():
     assert hod(simplify(e), 1) == 0
     assert hod(simplify(x * yd ** 2 + xdd), 0) == 2
     assert hod(simplify(con(5)), 0) == NEG_INF
+
+
+def test_highest_orders_is_hod_in_every_column():
+    rng = random.Random(19)
+    for _ in range(300):
+        trees = [checks.rand_expr(rng)]
+        try:
+            trees.append(simplify(trees[0]))
+        except DomainError:
+            pass
+        for tree in trees:
+            assert highest_orders(tree, 3) \
+                == tuple(hod(tree, j) for j in range(3))
 
 
 def test_total_derivative_basics():

@@ -4,7 +4,9 @@ A constant change of variables x = T y with det T != 0 keeps the solution
 set, so when the Sigma-method succeeds on the transformed system it must
 report the degrees of freedom of the original (Pryce, BIT 41, 2001: on
 success, dof = val Sigma).  pendulum_mod in the corpus is one such case.
-Mixing the equations by a constant matrix of determinant 1 keeps it too.
+Mixing the equations by a matrix of determinant 1 keeps it too, whether
+the matrix is constant or, as in the scaled class, its entries hold t and
+a state.
 Permuting the equations and the declared variables only permutes the rows
 and columns of every matrix, so no verdict may move.
 """
@@ -122,6 +124,104 @@ def test_mixing_the_equations_keeps_pendulum_dof(formal):
         if r.status is not FixStatus.SUCCESS or r.final_value != PENDULUM_DOF:
             failures.append((text, r.status, r.final_value))
     assert failures == []
+
+
+# the scales of a scaled mix's entries, as exponents of (t, x1): 1, t, x1
+_SCALES = ((0, 0), (1, 0), (0, 1))
+
+
+def scaled_mixes(count, seed):
+    """count products L U of a unit lower and a unit upper triangular 3x3
+    matrix whose off-diagonal entries are c*s, with c in {-1, 0, 1} and s
+    in {1, t, x1}: det(L U) = 1, so mixing by it keeps the solution set.
+    An entry of the product is {(i, k): coefficient of t^i x1^k}."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        factors = []
+        for lower in (True, False):
+            F = [[{(0, 0): 1} if i == j else {} for j in range(3)]
+                 for i in range(3)]
+            for i in range(3):
+                for j in range(3):
+                    if (j < i) if lower else (j > i):
+                        c, s = rng.choice((-1, 0, 1)), rng.choice(_SCALES)
+                        if c:
+                            F[i][j] = {s: c}
+            factors.append(F)
+        L, U = factors
+        M = []
+        for i in range(3):
+            row = []
+            for j in range(3):
+                entry = {}
+                for k in range(3):
+                    for (a, b), c in L[i][k].items():
+                        for (a2, b2), c2 in U[k][j].items():
+                            m = (a + a2, b + b2)
+                            entry[m] = entry.get(m, 0) + c * c2
+                row.append({m: c for m, c in entry.items() if c})
+            M.append(row)
+        out.append(M)
+    return out
+
+
+def _poly_text(p):
+    """{(i, k): c} as the .dae text of sum c t^i x1^k, in parentheses."""
+    text = ""
+    for (a, b), c in sorted(p.items()):
+        factors = ["t"] * a + ["x1"] * b
+        if abs(c) != 1 or not factors:
+            factors.insert(0, str(abs(c)))
+        sign = "-" if c < 0 else ("+" if text else "")
+        text += (" %s " % sign if text else sign) + "*".join(factors)
+    return "(%s)" % text
+
+
+def pendulum_after_scaled_mixing(T, M):
+    """pendulum_after_change_of_variables(T) with its equations f replaced
+    by M f, for M from scaled_mixes."""
+    f = ["(%s)" % e for e in _pendulum_residuals(T)]
+    return _pendulum_text(
+        " + ".join("%s*%s" % (_poly_text(m), fj)
+                   for m, fj in zip(row, f) if m) for row in M)
+
+
+# the draws of the scaled-mixing class that fail today, by the ROADMAP
+# item that mends them; the same draws fail in both modes
+_ITEM_1 = ("ROADMAP item 1: an LC row built from a cokernel vector with "
+           "denominators keeps a leading derivative that only a rational "
+           "normal form cancels")
+_ITEM_1_ES = ("ROADMAP item 1, the did-not-decrease class: an ES step leaves "
+              "a leading derivative whose coefficient is zero only over "
+              "(t - 1)^-1, which the normal form keeps opaque, so the "
+              "signature value does not drop")
+_ITEM_3 = ("ROADMAP item 3: SUCCESS with value 4, certain, while J is "
+           "singular on the solution set")
+_SCALED_FAILURES = dict(
+    [(n, (_ITEM_1, ConvertError)) for n in (
+        2, 3, 4, 11, 14, 25, 27, 29, 30, 40, 42, 43, 46, 48, 49, 52, 54, 55)]
+    + [(28, (_ITEM_1_ES, ConvertError))]
+    + [(n, (_ITEM_3, AssertionError)) for n in (13, 19, 22)])
+
+
+def _scaled_draws():
+    draws = zip(nonsingular_transforms(60, seed=23), scaled_mixes(60, seed=5))
+    for n, (T, M) in enumerate(draws):
+        reason, raises = _SCALED_FAILURES.get(n, (None, None))
+        marks = () if reason is None else pytest.mark.xfail(
+            strict=True, raises=raises, reason=reason)
+        yield pytest.param(T, M, id="draw%d" % n, marks=marks)
+
+
+@pytest.mark.parametrize("formal", (False, True))
+@pytest.mark.parametrize("T, M", _scaled_draws())
+def test_scaled_mixing_keeps_pendulum_dof(T, M, formal):
+    text = pendulum_after_scaled_mixing(T, M)
+    r = fix_dae(parse_dae(text), formal=formal)
+    assert r.status is FixStatus.SUCCESS, text
+    assert r.final_value == PENDULUM_DOF, text
+    assert not r.uncertain, text
 
 
 @pytest.mark.parametrize("formal", (False, True))

@@ -38,6 +38,47 @@ def test_with_equations_keeps_shape():
         s.with_equations([make_equation("g1", x)])
 
 
+def test_with_equations_walks_only_the_equations_it_adds(monkeypatch):
+    import daefix.model
+    s = parse_dae("dae m\nvars a, b\nparams k = 2\ninput h\n"
+                  "eq f1: a' + k*b - h(t) = 0\neq f2: a + b = 0\n")
+    walked = []
+    original = daefix.model.walk
+
+    def counted(e):
+        walked.append(e)
+        return original(e)
+
+    monkeypatch.setattr(daefix.model, "walk", counted)
+    new = make_equation("f2", Add((x, Neg(y))))
+    s2 = s.with_equations([s.equations[0], new])
+    assert walked == [new.raw]
+    assert s2.equations == (s.equations[0], new)
+    assert (s2.var_names, s2.params, s2.input_names) \
+        == (s.var_names, s.params, s.input_names)
+    assert "_parent" not in vars(s2)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("c' + a", "undeclared state"),
+    ("a + q", "undeclared parameter"),
+    ("a + g(t)", "undeclared input"),
+])
+def test_with_equations_checks_the_equations_it_adds(text, message):
+    s = _sys2()
+    wider = parse_dae("dae w\nvars a, b, c\nparams q\ninput g\n"
+                      "eq e1: %s = 0\neq e2: b = 0\neq e3: c = 0\n" % text)
+    with pytest.raises(ModelError, match=message):
+        s.with_equations([make_equation("f1", wider.equations[0].raw),
+                          s.equations[1]])
+
+
+def test_with_equations_rejects_a_taken_equation_name():
+    s = _sys2()
+    with pytest.raises(ModelError, match="declared twice"):
+        s.with_equations([s.equations[0], make_equation("f1", y)])
+
+
 def test_grown_system_keeps_alias_and_rejects_taken_name():
     s = _sys2()
     eq = make_equation("f3", Add((StateDeriv(2), Neg(x))), origin="es_appended",

@@ -164,13 +164,40 @@ def test_offsets_are_dual_to_the_hvt_beyond_brute_force():
         checked += 1
 
 
+def test_a_warm_started_solve_equals_a_fresh_one():
+    # replace one or two rows of a well-posed Sigma by rows that may be
+    # higher or lower anywhere: solved from the old dual and HVT, the value,
+    # the HVT and the offsets are those of a fresh solve
+    rng = random.Random(1987)
+    checked = 0
+    while checked < 400:
+        n = rng.randint(1, 9)
+        density = rng.choice((0.3, 0.6, 1.0))
+
+        def row():
+            return tuple(rng.randint(0, 4) if rng.random() < density
+                         else NEG_INF for _ in range(n))
+        prior = sigma_from_rows([row() for _ in range(n)])
+        if not prior.swp:
+            continue
+        rows = list(prior.rows)
+        for i in rng.sample(range(n), rng.randint(1, min(2, n))):
+            rows[i] = row()
+        got, fresh = sigma_from_rows(rows, prior), sigma_from_rows(rows)
+        assert (got.rows, got.value, got.hvt) \
+            == (fresh.rows, fresh.value, fresh.hvt)
+        if fresh.swp:
+            assert canonical_offsets(got) == canonical_offsets(fresh)
+        checked += 1
+
+
 def test_one_assignment_solve_per_signature_matrix(monkeypatch):
     calls = []
     solve = structural._assignment_max
 
-    def counted(rows):
+    def counted(rows, *prior):
         calls.append(len(rows))
-        return solve(rows)
+        return solve(rows, *prior)
 
     monkeypatch.setattr(structural, "_assignment_max", counted)
     rng = random.Random(3)
