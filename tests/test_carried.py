@@ -8,6 +8,8 @@ and once with nothing carried, and compares every analysis, the prober's
 uncertain flag after it, and how the run ended.
 """
 
+import random
+
 import pytest
 
 import checks
@@ -18,6 +20,7 @@ from daefix.convert import ConvertError, MethodKind, analyze, fix_dae
 from daefix.corpus import load, names as corpus_names
 from daefix.dsl import parse_dae
 from daefix.expr import ZERO, Add, StateDeriv
+from daefix.nullspace import NullspaceError
 from daefix.zerotest import Prober
 from test_generated import (nonsingular_transforms, pendulum_after_mixing,
                             pendulum_after_change_of_variables,
@@ -28,7 +31,7 @@ from test_generated import (nonsingular_transforms, pendulum_after_mixing,
 def _run(monkeypatch, system, method, formal, carry):
     """Every analysis fix_dae makes, each with the prober's uncertain flag
     right after it, and the outcome: (status, final value, uncertain) or
-    the message of the ConvertError that ended the run."""
+    the type and message of the error that ended the run."""
     log = []
     original = convert.analyze
 
@@ -44,8 +47,8 @@ def _run(monkeypatch, system, method, formal, carry):
         try:
             r = fix_dae(system, Prober(), method=method, formal=formal)
             end = (r.status, r.final_value, r.uncertain)
-        except ConvertError as ex:
-            end = str(ex)
+        except (ConvertError, NullspaceError) as ex:
+            end = (type(ex).__name__, str(ex))
     return log, end
 
 
@@ -182,3 +185,20 @@ def test_a_step_redoes_only_the_replaced_row(monkeypatch):
             ([[J[i][j] for j in cols] for i in rows],)
             for rows, cols in expanded]
         before = after
+
+
+@pytest.mark.parametrize("method", [None, "lc", "es"])
+def test_random_singular_linear_systems(monkeypatch, method):
+    rng = random.Random(1001)
+    for case in range(25):
+        _assert_carried_equals_fresh(
+            monkeypatch, checks.singular_linear_system(rng, str(case)),
+            method)
+
+
+@pytest.mark.parametrize("formal", [False, True])
+def test_random_nonlinear_systems(monkeypatch, formal):
+    rng = random.Random(1002)
+    for _ in range(60):
+        _assert_carried_equals_fresh(
+            monkeypatch, checks.rand_factor_system(rng), formal=formal)
