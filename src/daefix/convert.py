@@ -125,7 +125,6 @@ class LcApplication:
     analysis: LcAnalysis
     pivot: int
     combination: Expr   # sum u_i f_i^(c_i-c) before its normal form
-    row: tuple          # the signature row of the new equation, either mode
 
 
 def lc_apply(system: DaeSystem, analysis: LcAnalysis, pivot: int) -> LcApplication:
@@ -144,8 +143,7 @@ def lc_apply(system: DaeSystem, analysis: LcAnalysis, pivot: int) -> LcApplicati
     old = system.equations[pivot]
     new_eq = make_equation(old.name, simplify(combination),
                            origin="lc_replaced", alias=old.alias)
-    # the leading derivatives must have cancelled; raw is expr here, so
-    # this is the new row of Sigma in both modes
+    # the leading derivatives must have cancelled
     row = highest_orders(new_eq.expr, system.n)
     for j, (h, d) in enumerate(zip(row, off.d)):
         if not h < d - analysis.c_under:
@@ -154,7 +152,7 @@ def lc_apply(system: DaeSystem, analysis: LcAnalysis, pivot: int) -> LcApplicati
     eqs = list(system.equations)
     eqs[pivot] = new_eq
     return LcApplication(system.with_equations(eqs), analysis, pivot,
-                         combination, row)
+                         combination)
 
 
 def lc_equivalence_probes(before: DaeSystem, app: LcApplication,
@@ -437,8 +435,8 @@ class Analysis:
     """The structural analysis of one system, as every later stage reads it.
 
     offsets and jacobian (the classified System Jacobian) are None when the
-    signature matrix has no transversal.  system and formal say what was
-    analysed, and in which mode, for a later analysis that carries this one.
+    signature matrix has no transversal.  system is the system analysed,
+    for a later analysis that carries this one.
     """
 
     signature: SignatureMatrix
@@ -446,7 +444,6 @@ class Analysis:
     jacobian: Optional[JacobianReport]
     system: Optional[DaeSystem] = field(default=None, compare=False,
                                         repr=False)
-    formal: bool = field(default=False, compare=False, repr=False)
 
     @property
     def value(self):
@@ -455,31 +452,29 @@ class Analysis:
 
 
 def analyze(system: DaeSystem, prober: Prober, formal: bool = False,
-            prior: Optional[Analysis] = None, known=None) -> Analysis:
+            prior: Optional[Analysis] = None) -> Analysis:
     """Signature matrix, canonical offsets, System Jacobian and its class.
 
-    prior is the analysis, in the same mode, of the system this one came
-    from by a combination step, which replaces an equation in place; known
-    maps a replaced row to its signature row when the step has read it.
-    What the equations the two systems share determine is carried: their
-    signature rows with the solve's potentials and HVT entries, their
-    Jacobian rows where the offsets keep them tight in the same columns,
-    and the determinants of diagonal blocks whose entries are all carried.
-    The result equals a fresh analysis.  With no prior, or one that is ill
-    posed or has other states (a substitution step adds some), nothing is
-    carried and the same code analyses from scratch.
+    prior is the analysis, in the same mode and with a transversal, of the
+    system this one came from by a combination step, which replaces an
+    equation in place.  What the equations the two systems share determine
+    is carried: their signature rows with the solve's potentials and HVT
+    entries, their Jacobian rows where the offsets keep them tight in the
+    same columns, and the determinants of diagonal blocks whose entries
+    are all carried.  The result equals a fresh analysis.  With no prior
+    (from the input, or after a substitution step, which adds states)
+    the same code analyses from scratch.
     """
-    if prior is not None and (prior.offsets is None or prior.formal != formal
-                              or prior.system.n != system.n):
-        prior = None
-    sig = signature_matrix(system, formal, prior, known)
+    assert prior is None or (prior.offsets is not None
+                             and prior.system.n == system.n)
+    sig = signature_matrix(system, formal, prior)
     if not sig.swp:
-        return Analysis(sig, None, None, system, formal)
+        return Analysis(sig, None, None, system)
     off = canonical_offsets(sig)
     J = system_jacobian(system, sig, off, prior)
     report = classify_jacobian(J, prober,
                                None if prior is None else prior.jacobian)
-    return Analysis(sig, off, report, system, formal)
+    return Analysis(sig, off, report, system)
 
 
 @dataclass(frozen=True)
@@ -571,9 +566,8 @@ def fix_dae(system: DaeSystem, prober: Prober = None, method: str = None,
             vec = analysis.v
         current = app.system
         # a combination step keeps every other row: carry them
-        after = analyze(current, prober, formal, now,
-                        {chosen_pivot: app.row} if kind is MethodKind.LC
-                        else None)
+        after = analyze(current, prober, formal,
+                        now if kind is MethodKind.LC else None)
         if not after.value < now.value:
             raise ConvertError("conversion step did not decrease the "
                                "signature value")

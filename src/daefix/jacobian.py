@@ -23,10 +23,10 @@ A probe evaluates only the block's nonzero entries, into sparse rows
 After a combination step both carry what the rows the step kept
 determine.  Row i of J depends only on f_i and on which of its finite
 entries are tight, so a kept row whose tight columns did not move is the
-previous row itself.  The classification matches the support and splits
-the blocks again, keeping each carried row's support and the determinant
-of each block whose rows, columns and entries are unchanged; every zero
-test is still asked, in the same order, and hits the prober's cache.
+previous row itself.  The classification finds the support, matches it
+and splits the blocks again, keeping the determinant of each block whose
+rows, columns and entries are unchanged; every zero test is still asked,
+in the same order, and hits the prober's cache.
 """
 
 from __future__ import annotations
@@ -134,10 +134,8 @@ class JacobianReport:
     klass: JacobianClass
     # None when n > DET_BOUND, unless structurally singular (ZERO)
     det: Optional[Expr]
-    # the nonzero columns of each row, and the determinant of each small
-    # diagonal block expanded, under its (rows, cols): what a later report
-    # on a matrix sharing rows can reuse
-    support: tuple = field(default=(), compare=False, repr=False)
+    # the determinant of each small diagonal block expanded, under its
+    # (rows, cols): what a later report on a matrix sharing rows can reuse
     dets: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
@@ -160,26 +158,23 @@ def classify_jacobian(matrix: Sequence[Sequence[Expr]], prober: Prober,
     rank-probed on its own.  The determinant is reported for n <= DET_BOUND.
 
     prior is the report on a matrix of the same size that this one shares
-    rows with.  A row it holds as the very tuple keeps its support, and a
-    small block with the same rows, columns and entry objects keeps its
-    determinant; the matching, the blocks and every zero test are done
-    again, so the verdicts are asked in the same order (cache hits).
+    rows with.  A small block with the same rows, columns and entry objects
+    keeps its determinant; the support, the matching, the blocks and every
+    zero test are done again, so the verdicts are asked in the same order
+    (cache hits).
     """
     matrix = tuple(tuple(row) for row in matrix)
     n = len(matrix)
-    was = prior.matrix if prior is not None else (None,) * n
     # a zero normal form is the only proven zero, so an entry that is only
     # probably zero stays in the support and spends no verdict;
     # system_jacobian puts the ZERO constant itself at every non-tight
     # position, which the identity test skips without a comparison
-    support = tuple(prior.support[i] if row is was[i] else
-                    tuple(j for j, e in enumerate(row)
-                          if e is not ZERO and simplify(e) != ZERO)
-                    for i, row in enumerate(matrix))
+    support = [[j for j, e in enumerate(row)
+                 if e is not ZERO and simplify(e) != ZERO] for row in matrix]
     match = _matching(support)
     if match is None:
         return JacobianReport(matrix, JacobianClass.STRUCTURALLY_SINGULAR,
-                              ZERO, support)
+                              ZERO)
     blocks = _blocks(support, match)
     small, large, dets = [], [], {}
     for rows, cols in blocks:
@@ -187,14 +182,13 @@ def classify_jacobian(matrix: Sequence[Sequence[Expr]], prober: Prober,
             large.append((rows, cols))
             continue
         d = prior.dets.get((rows, cols)) if prior is not None else None
-        if d is None or any(matrix[i][j] is not was[i][j]
+        if d is None or any(matrix[i][j] is not prior.matrix[i][j]
                             for i in rows for j in cols):
             d = determinant([[matrix[i][j] for j in cols] for i in rows])
         dets[rows, cols] = d
         if d == ZERO:
             return JacobianReport(matrix, JacobianClass.IDENTICALLY_SINGULAR,
-                                  ZERO if n <= DET_BOUND else None, support,
-                                  dets)
+                                  ZERO if n <= DET_BOUND else None, dets)
         small.append(d)
     det = None
     if n <= DET_BOUND:
@@ -206,7 +200,7 @@ def classify_jacobian(matrix: Sequence[Sequence[Expr]], prober: Prober,
     elif not all(_full_rank(matrix, support, rows, cols, prober)
                  for rows, cols in large):
         klass = JacobianClass.PROBABLY_SINGULAR
-    return JacobianReport(matrix, klass, det, support, dets)
+    return JacobianReport(matrix, klass, det, dets)
 
 
 def _odd(blocks, n) -> bool:

@@ -56,22 +56,18 @@ class DaeSystem:
         object.__setattr__(self, "input_names", tuple(self.input_names))
         self._validate()
 
-    def _validate(self):
-        """Checks the system once, when it is built.  A system from
-        with_equations shares its declarations, and the equations it
-        keeps, with one already checked: only the equations it adds are
-        walked."""
-        # set by with_equations; a frozen instance's __dict__ is written
-        # directly
-        parent = self.__dict__.pop("_parent", None)
+    def _validate(self, kept=()):
+        """Checks the system once, when it is built.  kept holds equations
+        already checked against the same declarations (with_equations
+        passes its own): they are not walked again."""
         if len(self.equations) != len(self.var_names):
             raise ModelError("system must be square: %d equations, %d variables"
                              % (len(self.equations), len(self.var_names)))
         if not self.var_names:
             raise ModelError("system has no variables")
+        names = list(self.var_names) + [p for p, _ in self.params] \
+            + list(self.input_names)
         seen = set()
-        names = () if parent else (list(self.var_names) + [
-            p for p, _ in self.params] + list(self.input_names))
         for nm in names:
             if nm in RESERVED:
                 raise ModelError("name %r is reserved" % nm)
@@ -83,7 +79,7 @@ class DaeSystem:
             if eq.name in eq_names:
                 raise ModelError("equation name %r declared twice" % eq.name)
             eq_names.add(eq.name)
-        kept = {id(eq) for eq in parent.equations} if parent else set()
+        kept = {id(eq) for eq in kept}
         param_names = {p for p, _ in self.params}
         inputs = set(self.input_names)
         n = len(self.var_names)
@@ -118,9 +114,8 @@ class DaeSystem:
     def with_equations(self, equations: Sequence[Equation]) -> "DaeSystem":
         """This system with other equations over the same declarations."""
         new = object.__new__(DaeSystem)
-        new.__dict__.update(self.__dict__, equations=tuple(equations),
-                            _parent=self)
-        new._validate()
+        new.__dict__.update(self.__dict__, equations=tuple(equations))
+        new._validate(self.equations)
         return new
 
 

@@ -87,17 +87,15 @@ def signature_rows(system: DaeSystem, formal: bool = False) -> tuple:
 
 
 def signature_matrix(system: DaeSystem, formal: bool = False,
-                     prior=None, known=None) -> SignatureMatrix:
+                     prior=None) -> SignatureMatrix:
     """Sigma of system.  prior is the analysis, in the same mode, of a
     system with the same states that this one came from by replacing
     equations in place (a combination step): each equation it shares by
-    identity keeps its row, and the solve starts from its dual.  known maps
-    a replaced row to its signature row when the caller has read it."""
+    identity keeps its row, and the solve starts from its dual."""
     if prior is None:
         return sigma_from_rows(signature_rows(system, formal))
     kept, old = prior.system.equations, prior.signature.rows
-    known = known or {}
-    rows = tuple(old[i] if eq is kept[i] else known[i] if i in known
+    rows = tuple(old[i] if eq is kept[i]
                  else highest_orders(eq.raw if formal else eq.expr, system.n)
                  for i, eq in enumerate(system.equations))
     return sigma_from_rows(rows, prior.signature)

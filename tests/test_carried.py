@@ -35,10 +35,10 @@ def _run(monkeypatch, system, method, formal, carry):
     log = []
     original = convert.analyze
 
-    def logged(system, prober, formal=False, prior=None, known=None):
+    def logged(system, prober, formal=False, prior=None):
         if not carry:
-            prior = known = None
-        a = original(system, prober, formal, prior, known)
+            prior = None
+        a = original(system, prober, formal, prior)
         log.append((a, prober.uncertain_seen))
         return a
 

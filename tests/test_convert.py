@@ -580,9 +580,9 @@ def built(monkeypatch):
     systems = []
     validate = DaeSystem._validate
 
-    def recorded(self):
+    def recorded(self, *kept):
         systems.append(self)
-        validate(self)
+        validate(self, *kept)
 
     monkeypatch.setattr(DaeSystem, "_validate", recorded)
     return systems

@@ -56,7 +56,6 @@ def test_with_equations_walks_only_the_equations_it_adds(monkeypatch):
     assert s2.equations == (s.equations[0], new)
     assert (s2.var_names, s2.params, s2.input_names) \
         == (s.var_names, s.params, s.input_names)
-    assert "_parent" not in vars(s2)
 
 
 @pytest.mark.parametrize("text, message", [
