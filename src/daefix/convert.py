@@ -15,10 +15,10 @@ fix_dae below is the driver: analyze, classify, pick a method, rewrite,
 repeat until the Jacobian is generically nonsingular or nothing applies.
 A combination step replaces one row, so the system it produced is
 analysed from the analysis before (see analyze): the kept rows carry
-their signature rows, the solve's dual and HVT entries, their Jacobian
-rows and the determinants of unchanged blocks, and only the replaced row
-is read, solved and differentiated anew.  A substitution step adds
-states, so the system after it is analysed from scratch.
+their signature rows, the solve's dual and HVT entries and their Jacobian
+rows, and only the replaced row is read, solved and differentiated anew.
+A substitution step adds states, so the system after it is analysed from
+scratch.
 """
 
 from dataclasses import dataclass, field
@@ -32,7 +32,7 @@ from .expr import (ZERO, Add, Const, Expr, Mul, Neg, Pow, StateDeriv, atoms,
                    total_derivative)
 from .jacobian import JacobianReport, classify_jacobian, system_jacobian
 from .model import DaeSystem, fresh_indexed, make_equation
-from .nullspace import (EliminationStuck, kernel_basis, normalize_candidates,
+from .nullspace import (NullspaceError, kernel_basis, normalize_candidates,
                         verify_nullvector)
 from .structural import (OffsetPair, SignatureMatrix, canonical_offsets,
                          signature_matrix)
@@ -459,9 +459,8 @@ def analyze(system: DaeSystem, prober: Prober, formal: bool = False,
     system this one came from by a combination step, which replaces an
     equation in place.  What the equations the two systems share determine
     is carried: their signature rows with the solve's potentials and HVT
-    entries, their Jacobian rows where the offsets keep them tight in the
-    same columns, and the determinants of diagonal blocks whose entries
-    are all carried.  The result equals a fresh analysis.  With no prior
+    entries, and their Jacobian rows where the offsets keep them tight in
+    the same columns.  The result equals a fresh analysis.  With no prior
     (from the input, or after a substitution step, which adds states)
     the same code analyses from scratch.
     """
@@ -472,8 +471,7 @@ def analyze(system: DaeSystem, prober: Prober, formal: bool = False,
         return Analysis(sig, None, None, system)
     off = canonical_offsets(sig)
     J = system_jacobian(system, sig, off, prior)
-    report = classify_jacobian(J, prober,
-                               None if prior is None else prior.jacobian)
+    report = classify_jacobian(J, prober)
     return Analysis(sig, off, report, system)
 
 
@@ -615,12 +613,13 @@ def _search_candidates(system, now, method, prober):
     sig, off, J = now.signature, now.offsets, now.jacobian.matrix
 
     def basis(left, wanted):
-        # a stuck elimination met a PROBABLY_ZERO verdict, which already
-        # marked the prober uncertain
+        # the basis ends where the elimination sticks on a PROBABLY_ZERO
+        # verdict or a vector fails its strict check; either leaves the
+        # result unverified
         try:
-            return kernel_basis(J, prober, left=left) if wanted else iter(())
-        except EliminationStuck:
-            return iter(())
+            yield from kernel_basis(J, prober, left=left) if wanted else ()
+        except NullspaceError:
+            prober.uncertain_seen = True
     lefts, rights = basis(True, method != "es"), None
     for _ in range(_MAX_BASIS):
         u0 = next(lefts, None)

@@ -332,10 +332,14 @@ def parse_dae(text: str) -> DaeSystem:
                     v = Fraction(toks[i].text)
                     i += 1
                     if toks[i].kind == "op" and toks[i].text == "/":
+                        slash = toks[i]
                         i += 1
                         if toks[i].kind != "num" or not toks[i].text.isdigit():
                             raise ParseError("expected an integer denominator",
                                              line_no, toks[i].col)
+                        if not int(toks[i].text):
+                            raise ParseError("division by zero", line_no,
+                                             slash.col)
                         v /= Fraction(toks[i].text)
                         i += 1
                     params.append((t.text, -v if negative else v))

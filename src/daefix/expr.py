@@ -20,10 +20,13 @@ A power is formed in one step: a monomial scales its exponents, and a sum
 is expanded in one multinomial pass or, past the cap, kept whole (see
 `_p_pow`).
 
-Nodes are immutable, so each one computes three values at most once, on
-first use, and keeps them in a slot: its hash (the value the field-wise
-dataclass hash gives), its sort key `_key(e)`, and the frozenset of atoms
-that `atoms(e)` returns.  Equality stays field-wise; nodes are not interned.
+Nodes are interned (hash-consing, Filliatre and Conchon 2006): a node
+built equal to an earlier one, by class and normalised fields, is that
+one, so `==` and `hash` are identity.  The table is process-global.  Each
+node memoises, in slots filled on first use, its sort key `_key(e)`, its
+atoms `atoms(e)` and its normal form `simplify(e)`.  Set iteration follows
+addresses, so a set of nodes that reaches an output is sorted by `_key`
+or reduced in a way that ignores order.
 """
 
 from __future__ import annotations
@@ -60,17 +63,28 @@ class MissingBinding(KeyError):
 Number = Union[int, Fraction]
 
 
-class Expr:
-    # per-node caches, each filled on first use: hash, _key(e), atoms(e)
-    __slots__ = ("_hash", "_sort_key", "_atoms")
+# every node built so far, under its class and field values
+_INTERNED: dict = {}
 
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = self._field_hash()
-            object.__setattr__(self, "_hash", h)
-            return h
+
+class _Interning(type):
+    """Building a node equal to an interned one returns that one.  The
+    arguments as given are tried as the key first: a Const of an int finds
+    the Const of the equal Fraction, since the two hash and compare equal."""
+
+    def __call__(cls, *args, **kwargs):
+        node = None if kwargs else _INTERNED.get((cls, args))
+        if node is None:
+            node = super().__call__(*args, **kwargs)
+            fields = tuple(getattr(node, f) for f in cls.__match_args__)
+            node = _INTERNED.setdefault((cls, fields), node)
+        return node
+
+
+class Expr(metaclass=_Interning):
+    # per-node caches, each filled on first use: _key(e), atoms(e),
+    # simplify(e)
+    __slots__ = ("_sort_key", "_atoms", "_normal")
 
     def __add__(self, other):
         return Add((self, _wrap(other)))
@@ -109,11 +123,8 @@ class Expr:
 
 
 def _node(cls):
-    """A frozen, slotted dataclass node whose field-wise hash is cached."""
-    cls = dataclass(frozen=True, slots=True)(cls)
-    cls._field_hash = cls.__hash__
-    cls.__hash__ = Expr.__hash__
-    return cls
+    """A frozen, slotted dataclass node, compared and hashed by identity."""
+    return dataclass(frozen=True, slots=True, eq=False)(cls)
 
 
 def _wrap(v) -> "Expr":
@@ -163,16 +174,10 @@ class Param(Expr):
 class Add(Expr):
     children: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "children", tuple(self.children))
-
 
 @_node
 class Mul(Expr):
     children: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "children", tuple(self.children))
 
 
 @_node
@@ -280,15 +285,14 @@ def highest_orders(e: Expr, n: int) -> tuple:
 # a polynomial is {monomial: coefficient}; a monomial is a sorted tuple of
 # (factor, int exponent) pairs; factors are canonical non-Const subtrees
 
-_SIMPLIFY_CACHE: dict = {}
-
-
 def simplify(e: Expr) -> Expr:
-    r = _SIMPLIFY_CACHE.get(e)
-    if r is None:
-        r = _from_poly(_trig_reduce(_poly(e)))
-        _SIMPLIFY_CACHE[e] = r
-        _SIMPLIFY_CACHE[r] = r
+    try:
+        return e._normal
+    except AttributeError:
+        pass
+    r = _from_poly(_trig_reduce(_poly(e)))
+    object.__setattr__(e, "_normal", r)
+    object.__setattr__(r, "_normal", r)
     return r
 
 

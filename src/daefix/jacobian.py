@@ -20,18 +20,19 @@ rational points, which prove full rank but can only suspect singularity.
 A probe evaluates only the block's nonzero entries, into sparse rows
 {col: value}, and its elimination touches only nonzeros.
 
-After a combination step both carry what the rows the step kept
+After a combination step J carries what the rows the step kept
 determine.  Row i of J depends only on f_i and on which of its finite
 entries are tight, so a kept row whose tight columns did not move is the
-previous row itself.  The classification finds the support, matches it
-and splits the blocks again, keeping the determinant of each block whose
-rows, columns and entries are unchanged; every zero test is still asked,
-in the same order, and hits the prober's cache.
+previous row itself.  The classification carries nothing: it finds the
+support, matches it, splits the blocks and expands each small block
+again.  Nodes are interned, so expanding a block whose entries did not
+change rebuilds the very nodes it built before and finds their normal
+forms memoised, and every zero test hits the prober's cache.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
@@ -134,18 +135,14 @@ class JacobianReport:
     klass: JacobianClass
     # None when n > DET_BOUND, unless structurally singular (ZERO)
     det: Optional[Expr]
-    # the determinant of each small diagonal block expanded, under its
-    # (rows, cols): what a later report on a matrix sharing rows can reuse
-    dets: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def singular(self) -> bool:
         return self.klass is not JacobianClass.GENERICALLY_NONSINGULAR
 
 
-def classify_jacobian(matrix: Sequence[Sequence[Expr]], prober: Prober,
-                      prior: Optional[JacobianReport] = None
-                      ) -> JacobianReport:
+def classify_jacobian(matrix: Sequence[Sequence[Expr]],
+                      prober: Prober) -> JacobianReport:
     """Sort the matrix into one of four kinds, block by block.
 
     The support (entries whose normal form is not zero) either admits no
@@ -157,11 +154,9 @@ def classify_jacobian(matrix: Sequence[Sequence[Expr]], prober: Prober,
     rest are zero-tested one at a time.  Only then is each larger block
     rank-probed on its own.  The determinant is reported for n <= DET_BOUND.
 
-    prior is the report on a matrix of the same size that this one shares
-    rows with.  A small block with the same rows, columns and entry objects
-    keeps its determinant; the support, the matching, the blocks and every
-    zero test are done again, so the verdicts are asked in the same order
-    (cache hits).
+    Nothing is carried from an earlier classification: a block whose
+    entries are the nodes of a block expanded before rebuilds the same
+    interned nodes and finds their normal forms memoised.
     """
     matrix = tuple(tuple(row) for row in matrix)
     n = len(matrix)
@@ -176,19 +171,15 @@ def classify_jacobian(matrix: Sequence[Sequence[Expr]], prober: Prober,
         return JacobianReport(matrix, JacobianClass.STRUCTURALLY_SINGULAR,
                               ZERO)
     blocks = _blocks(support, match)
-    small, large, dets = [], [], {}
+    small, large = [], []
     for rows, cols in blocks:
         if len(rows) > DET_BOUND:
             large.append((rows, cols))
             continue
-        d = prior.dets.get((rows, cols)) if prior is not None else None
-        if d is None or any(matrix[i][j] is not prior.matrix[i][j]
-                            for i in rows for j in cols):
-            d = determinant([[matrix[i][j] for j in cols] for i in rows])
-        dets[rows, cols] = d
+        d = determinant([[matrix[i][j] for j in cols] for i in rows])
         if d == ZERO:
             return JacobianReport(matrix, JacobianClass.IDENTICALLY_SINGULAR,
-                                  ZERO if n <= DET_BOUND else None, dets)
+                                  ZERO if n <= DET_BOUND else None)
         small.append(d)
     det = None
     if n <= DET_BOUND:
@@ -200,7 +191,7 @@ def classify_jacobian(matrix: Sequence[Sequence[Expr]], prober: Prober,
     elif not all(_full_rank(matrix, support, rows, cols, prober)
                  for rows, cols in large):
         klass = JacobianClass.PROBABLY_SINGULAR
-    return JacobianReport(matrix, klass, det, dets)
+    return JacobianReport(matrix, klass, det)
 
 
 def _odd(blocks, n) -> bool:

@@ -2,18 +2,19 @@
 
 fix_dae analyses the system each step produced from the analysis before
 it: the rows the step kept carry their signature rows, the assignment's
-potentials and HVT entries, their Jacobian rows and the determinants of
-the blocks they alone make up.  Each test here runs fix_dae once as it is
-and once with nothing carried, and compares every analysis, the prober's
-uncertain flag after it, and how the run ended.
+potentials and HVT entries and their Jacobian rows.  Each test here runs
+fix_dae once as it is and once with nothing carried, and compares every
+analysis, the prober's uncertain flag after it, and how the run ended.
 """
 
 import random
+import re
 
 import pytest
 
 import checks
 import daefix.convert as convert
+import daefix.expr as expr
 import daefix.jacobian as jacobian
 import daefix.structural as structural
 from daefix.convert import ConvertError, MethodKind, analyze, fix_dae
@@ -133,11 +134,15 @@ def test_scaled_mixing(monkeypatch, formal):
 
 
 def test_a_step_redoes_only_the_replaced_row(monkeypatch):
-    """On Brenan x16, each analysis after the first runs one assignment
-    search and the offsets search, and differentiates only the replaced
-    row's tight entries.  It expands only blocks the analysis before did
-    not: those the replaced row now makes up, and the singular block the
-    classification stops at."""
+    """On 16 Brenan blocks whose coefficient t is b*t in block b, so that
+    no two blocks share an entry, each analysis after the first runs one
+    assignment search and the offsets search, and differentiates only the
+    replaced row's tight entries.  Its classification expands every small
+    block again but builds normal forms (_from_poly calls) only in blocks
+    the classification before did not expand with the same entries: those
+    the replaced row now makes up, and the singular block it stops at.  A
+    block expanded before rebuilds the same interned nodes and finds their
+    normal forms memoised."""
     calls = []
 
     def counting(module, name):
@@ -149,23 +154,56 @@ def test_a_step_redoes_only_the_replaced_row(monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     for module, name in ((convert, "analyze"), (structural, "_search"),
-                         (jacobian, "partial"), (jacobian, "determinant")):
+                         (jacobian, "partial")):
         counting(module, name)
+    # per classification, each small block expanded: its entries and the
+    # normal forms built while expanding it
+    classified, queue, current = [], [], []
+    original = (convert.classify_jacobian, jacobian._blocks,
+                jacobian.determinant, expr._from_poly)
+
+    def classify(matrix, prober):
+        classified.append({})
+        try:
+            return original[0](matrix, prober)
+        finally:
+            current.clear()
+
+    def blocks(support, match):
+        found = original[1](support, match)
+        queue[:] = [b for b in found if len(b[0]) <= jacobian.DET_BOUND]
+        return found
+
+    def determinant(block):
+        current[:] = [queue.pop(0)]
+        classified[-1][current[0]] = [block, 0]
+        return original[2](block)
+
+    def from_poly(p):
+        if current:
+            classified[-1][current[0]][1] += 1
+        return original[3](p)
+    for module, name, f in ((convert, "classify_jacobian", classify),
+                            (jacobian, "_blocks", blocks),
+                            (jacobian, "determinant", determinant),
+                            (expr, "_from_poly", from_poly)):
+        monkeypatch.setattr(module, name, f)
     k = 16
-    report = fix_dae(parse_dae(checks.brenan_blocks(k)), Prober())
+    text = re.sub(r"t\*y(\d+)", r"\1*t*y\1", checks.brenan_blocks(k))
+    report = fix_dae(parse_dae(text), Prober())
     assert len(report.steps) == k
     runs, run = [], None
     for name, args in calls:
         if name == "analyze":
-            run = {"_search": [], "partial": [], "determinant": []}
+            run = {"_search": [], "partial": []}
             runs.append(run)
         elif run is not None:
             run[name].append(args)
-    assert len(runs) == k + 1
+    assert len(runs) == len(classified) == k + 1
     # from scratch: one search per row and the offsets search
     assert len(runs[0]["_search"]) == 2 * k + 1
-    before = report.initial
-    for step, run in zip(report.steps, runs[1:]):
+    for step, run, before, now in zip(report.steps, runs[1:], classified,
+                                      classified[1:]):
         assert step.kind is MethodKind.LC
         p, after = step.pivot, step.after
         J = after.jacobian.matrix
@@ -176,14 +214,15 @@ def test_a_step_redoes_only_the_replaced_row(monkeypatch):
                  for j in range(2 * k) if J[p][j] is not ZERO}
         assert {a for _, a in run["partial"]} == tight
         assert all(t in terms for t, _ in run["partial"])
-        expanded = [b for b in after.jacobian.dets
-                    if p in b[0] or b not in before.jacobian.dets]
-        assert [len(b[0]) for b in expanded] == (
+        fresh = {b for b, (block, _) in now.items()
+                 if b not in before or before[b][0] != block}
+        # the replaced row's block split in two, and the next singular
+        # block, where the classification stops
+        assert sorted(len(b[0]) for b in fresh) == (
             [1, 1, 2] if step.index < k else [1, 1])
-        assert run["determinant"] == [
-            ([[J[i][j] for j in cols] for i in rows],)
-            for rows, cols in expanded]
-        before = after
+        assert any(b[0] == (p,) for b in fresh)
+        assert {b for b, (_, count) in now.items() if count} == {
+            b for b in fresh if len(b[0]) == 2}
 
 
 @pytest.mark.parametrize("method", [None, "lc", "es"])

@@ -17,11 +17,11 @@ import pytest
 
 import checks
 import daefix
-from daefix import cli, corpus
+from daefix import cli, convert, corpus
 from daefix.cli import main
 from daefix.convert import choose_method, es_analyze, lc_analyze
 from daefix.dsl import parse_dae, parse_expr
-from daefix.expr import simplify
+from daefix.expr import ONE, ZERO, StateDeriv, simplify
 from daefix.structural import canonical_offsets, signature_matrix
 from daefix.zerotest import Prober
 
@@ -614,6 +614,78 @@ def test_probe_value_past_exact_range_draws_again(tmp_path, capsys, argv):
     rc = main(argv + [write_dae(tmp_path, NESTED_EXP)])
     assert rc == 0
     assert "Traceback" not in capsys.readouterr().err
+
+
+# draw 28 of checks.rand_factor_system(random.Random(1002)); in the formal
+# mode a kernel basis vector fails its strict check
+FAILED_CHECK = (
+    "dae r\nvars x1, x2, x3, x4\n"
+    "eq f1: (exp(x2 + x1')*x2''*x1)^3 + sin(x1''*sin(x4'')*sin(x4*sqrt(x4'))"
+    " + sin(exp(x1'' + x2) + x1)) + (x3 - x3)*x2'*exp(x1')"
+    "*sin((x1'*x2'' - x1'*x2'')) = 0\n"
+    "eq f2: x1'' = 0\n"
+    "eq f3: sqrt(x3 + x3'') + x3'' + x3'' + x4''*exp(x3')*sqrt((x1'')^2)"
+    "*sqrt(x1''*(x2' - x2')) = 0\n"
+    "eq f4: x4''*(x2'*x2' - x2'*x2') + x4' + (x3'')^3*exp((x4)^3)*x3''"
+    " + sqrt(exp(x1 + x3*x4) + (x3'')^2) = 0\n")
+
+
+@pytest.mark.parametrize("mode, rc, status, uncertain", [
+    ("true", 0, "success", False), ("formal", 2, "no_method", True)])
+def test_a_basis_vector_failing_its_check_ends_the_search(
+        tmp_path, capsys, mode, rc, status, uncertain):
+    out_path = tmp_path / "out.json"
+    got = main(["fix", write_dae(tmp_path, FAILED_CHECK), "--mode", mode,
+                "--json", str(out_path)])
+    assert got == rc
+    assert "Traceback" not in capsys.readouterr().err
+    doc = json.loads(out_path.read_text())
+    assert (doc["status"], doc["uncertain"]) == (status, uncertain)
+
+
+def test_param_over_zero_exits_one(tmp_path, capsys):
+    rc = main(["analyze", write_dae(
+        tmp_path, "dae d\nvars x\nparams k = 1/0\neq f1: x' - k = 0\n")])
+    assert rc == 1
+    assert capsys.readouterr() == (
+        "", "error: line 3, col 13: division by zero\n")
+
+
+# lc_example and es_example side by side, es_example's states and inputs
+# renamed
+TWO_BLOCKS = (
+    "dae two_blocks\nvars x1, x2, x3, x4, y1, y2\ninput g1, g2, h1, h2\n"
+    "eq f1: -x1' + x3 = 0\neq f2: -x2' + x4 = 0\n"
+    "eq f3: x1*x2 + g1(t) = 0\neq f4: x1*x4 + x2*x3 + x1 + x2 + g2(t) = 0\n"
+    "eq f5: y1 + exp(-y1' - y2*y2'') + h1(t) = 0\n"
+    "eq f6: y1 + y2*y2' + y2^2 + h2(t) = 0\n")
+
+
+def test_a_step_won_at_the_second_kernel_vector(tmp_path, capsys,
+                                                monkeypatch):
+    # lc_example's kernel vector comes first and fails the substitution
+    # order test in every rescaling; es_example's, the second, wins
+    drawn = []
+    basis = convert.kernel_basis
+
+    def counted(matrix, prober, left=False):
+        for v in basis(matrix, prober, left):
+            drawn.append(v)
+            yield v
+    monkeypatch.setattr(convert, "kernel_basis", counted)
+    out_path = tmp_path / "out.json"
+    rc = main(["fix", write_dae(tmp_path, TWO_BLOCKS), "--method", "es",
+               "--json", str(out_path)])
+    assert rc == 2
+    assert "no method applies at step 2" in capsys.readouterr().out
+    (step,) = json.loads(out_path.read_text())["steps"]
+    assert (step["method"], step["pivot"], step["vector"],
+            step["value_before"], step["value_after"]) == (
+        "es", 6, ["0", "0", "0", "0", "-y2", "1"], 3, 2)
+    # step 2 draws one vector, lc_example's again
+    assert len(drawn) == 3
+    assert drawn[0][4:] == (ZERO, ZERO) and drawn[2][4:] == (ZERO,) * 3
+    assert drawn[1] == (ZERO,) * 4 + (simplify(-StateDeriv(5)), ONE)
 
 
 @pytest.mark.parametrize("data, line, col, byte", [

@@ -45,6 +45,21 @@ def test_param_without_value_and_negative_value():
     assert s.param_values == {"a": None, "b": Fraction(-5, 2)}
 
 
+@pytest.mark.parametrize("head", ["params k", "params a, k"])
+@pytest.mark.parametrize("denominator", ["0", "00"])
+def test_param_over_zero_is_a_parse_error(head, denominator):
+    # raised at the slash, as an equation's 1/0 is
+    for text in ("%s = 1/%s" % (head, denominator),
+                 "%s = -1/%s" % (head, denominator)):
+        with pytest.raises(ParseError) as ei:
+            parse_dae("dae d\nvars x\n%s\neq f1: x' - k = 0\n" % text)
+        err = ei.value
+        assert "division by zero" in str(err)
+        assert (err.line, err.col) == (3, text.index("/") + 1)
+    with pytest.raises(ParseError, match="division by zero"):
+        parse_dae("dae d\nvars x\neq f1: x' - 1/0 = 0\n")
+
+
 def test_rhs_literal_zero_keeps_lhs_as_raw():
     s = parse_dae("dae d\nvars x\neq f1: x' + x = 0\n")
     raw = s.equations[0].raw
