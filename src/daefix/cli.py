@@ -18,12 +18,12 @@ from types import SimpleNamespace
 from .convert import (ConditionRejected, ConvertError, FixStatus, MethodKind,
                       PivotRejected, VectorRejected, analyze, fix_dae)
 from .dsl import ParseError, emit_dae, parse_dae, parse_vector
-from .expr import NEG_INF, ZERO, format_expr, simplify
+from .expr import ZERO, format_expr, simplify
 from .jacobian import JacobianClass
 from .model import ModelError
 from .nullspace import residual
-from .render import (render_equations, render_jacobian, render_scheme,
-                     render_sigma, render_step)
+from .render import (jacobian_entries, render_equations, render_jacobian,
+                     render_scheme, render_sigma, render_step)
 from .structural import (degrees_of_freedom, sigma_from_rows, signature_rows,
                          solution_scheme, structural_index)
 from .zerotest import DEFAULT_BUDGET, DEFAULT_SEED, Prober
@@ -62,10 +62,69 @@ def _prober(args) -> Prober:
 
 
 def _write_json(args, doc):
+    """Writes the bytes of json.dump(doc, fh, indent=2) and a newline,
+    streamed: Python walks the dicts and the lists that hold containers,
+    and each list of scalars is one call of the C encoder, whose item
+    separator carries the line break and the indent of its depth.  The
+    keys of doc are str."""
     if args.json_path:
         with open(args.json_path, "w") as fh:
-            json.dump(doc, fh, indent=2)
+            _dump(doc, fh.write, {}, 0)
             fh.write("\n")
+
+
+# the exact types that json writes the same from C as from Python
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def _flat(items) -> bool:
+    """Whether items are all scalars.  The set of items is small where a
+    row repeats one value, and a list or dict in it cannot be hashed."""
+    try:
+        return _SCALARS.issuperset(map(type, set(items)))
+    except TypeError:
+        return False
+
+
+def _encoder(separator):
+    """json's text of a scalar or of a list of scalars, its items apart by
+    separator: the C encoder, made once.  JSONEncoder.encode would make a
+    new one per call, which costs more than a short list."""
+    if json.encoder.c_make_encoder is None:  # no C accelerator
+        return json.JSONEncoder(separators=(separator, ": ")).encode
+    encode = json.encoder.c_make_encoder(
+        None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+        None, ": ", separator, False, False, True)
+    return lambda value: "".join(encode(value, 0))
+
+
+def _dump(value, write, encoders, depth):
+    """json's indent=2 form of value at nesting depth, through write;
+    encoders holds one encoder per depth, made on first use."""
+    inner = "\n" + "  " * (depth + 1)
+    if isinstance(value, dict) and value:
+        sep = "{" + inner
+        for key, item in value.items():
+            write(sep + json.encoder.encode_basestring_ascii(key) + ": ")
+            _dump(item, write, encoders, depth + 1)
+            sep = "," + inner
+        write(inner[:-2] + "}")
+        return
+    if isinstance(value, (list, tuple)) and value and not _flat(value):
+        sep = "[" + inner
+        for item in value:
+            write(sep)
+            _dump(item, write, encoders, depth + 1)
+            sep = "," + inner
+        write(inner[:-2] + "]")
+        return
+    encode = encoders.get(depth)
+    if encode is None:
+        encode = encoders[depth] = _encoder("," + inner)
+    text = encode(value)
+    if isinstance(value, (list, tuple)) and value:
+        text = "[%s%s%s]" % (inner, text[1:-1], inner[:-2])
+    write(text)
 
 
 def _num(v):
@@ -75,9 +134,21 @@ def _num(v):
     return v
 
 
+def _dense(rows, n, fill):
+    """n-long lists from the {column: value} dicts rows, fill elsewhere."""
+    out = []
+    for row in rows:
+        cells = [fill] * n
+        for j, value in row.items():
+            cells[j] = value
+        out.append(cells)
+    return out
+
+
 def _sigma_json(sig):
-    entries = [[None if s == NEG_INF else s for s in row]
-               for row in sig.rows]
+    entries = _dense(({j: row[j] for j in cols}
+                      for row, cols in zip(sig.rows, sig.support)),
+                     sig.n, None)
     hvt = [[i + 1, j + 1] for i, j in sig.hvt] if sig.hvt else None
     return {"entries": entries, "hvt": hvt,
             "value": None if not sig.swp else sig.value}
@@ -109,11 +180,6 @@ def _system_json(system):
             "alias": eq.alias,
         } for eq in system.equations],
     }
-
-
-def _jacobian_json(system, matrix):
-    return [["0" if e is ZERO else format_expr(e, system.var_names)
-             for e in row] for row in matrix]
 
 
 def _offsets_json(off):
@@ -171,7 +237,8 @@ def cmd_analyze(args) -> int:
     print(render_scheme(system, scheme))
     print()
     print("System Jacobian:")
-    print(render_jacobian(system, rep.matrix))
+    jac_entries = jacobian_entries(system, sig, rep.matrix)
+    print(render_jacobian(system, jac_entries))
     det_str = _det_string(system, rep)
     if det_str is not None:
         print("det(J) = %s" % det_str)
@@ -184,7 +251,7 @@ def cmd_analyze(args) -> int:
         structural_index=structural_index(off),
         dof=degrees_of_freedom(off),
         scheme=_scheme_json(system, scheme),
-        jacobian=_jacobian_json(system, rep.matrix),
+        jacobian=_dense(jac_entries, system.n, "0"),
         determinant=det_str,
         classification=rep.klass.value,
         uncertain=prober.uncertain_seen,

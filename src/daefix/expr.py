@@ -44,6 +44,11 @@ FUNCS = ("sin", "cos", "exp", "ln", "sqrt")
 
 _MP_DPS = 70
 
+# the most bits (binary exponent plus mantissa) of an inexact value made
+# exact for a probe; past it the integer alone takes megabytes, and the
+# Fraction arithmetic after it seconds, so the probe draws another point
+_VALUE_BITS = 1 << 20
+
 # term-count ceiling when distributing products / expanding integer powers
 _TERM_CAP = 3000
 
@@ -823,17 +828,16 @@ def _mp_pow(v: Fraction, k: int) -> Fraction:
 
 
 def _mpf_to_fraction(r) -> Fraction:
-    """The exact value of a finite mpf.  A binary exponent too large for an
-    integer is a DomainError, so a probe draws another point."""
+    """The exact value of a finite mpf.  A value of more than _VALUE_BITS
+    bits is a DomainError, so a probe draws another point."""
     sign, man, exp, _ = r._mpf_
     man = int(man)
     if man == 0:
         return Fraction(0)
-    try:
-        v = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
-    except OverflowError:
+    if abs(exp) + man.bit_length() > _VALUE_BITS:
         raise DomainError("%s has no exact value in range"
-                          % mpmath.nstr(r, 5)) from None
+                          % mpmath.nstr(r, 5))
+    v = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
     return -v if sign else v
 
 

@@ -6,52 +6,72 @@ positions contribute a structural zero to the System Jacobian), with the
 offsets in the right and bottom margins.
 """
 
-from .expr import NEG_INF, ZERO, format_expr
+from .expr import ZERO, format_expr
 
 
-def _grid(headers, rows) -> str:
-    widths = [max(map(len, col)) for col in zip(headers, *rows)]
-    lines = ["  ".join(h.rjust(w) for h, w in zip(headers, widths)).rstrip()]
+def _grid(headers, rows, fill) -> str:
+    """Right-aligned columns two spaces apart, trailing blanks cut.  Each
+    row is a dict {column: cell}; every other cell of the row is fill,
+    which is padded once per column, so a row costs its own cells and one
+    join.  Every column holds a cell or a header at least as wide as
+    fill."""
+    widths = [max(len(h), len(fill)) for h in headers]
     for row in rows:
-        lines.append("  ".join(c.rjust(w)
-                               for c, w in zip(row, widths)).rstrip())
-    return "\n".join(lines)
+        for k, cell in row.items():
+            if len(cell) > widths[k]:
+                widths[k] = len(cell)
+    filled = [fill.rjust(w) for w in widths]
+    lines = ["  ".join([h.rjust(w) for h, w in zip(headers, widths)])]
+    for row in rows:
+        line = filled[:]
+        for k, cell in row.items():
+            line[k] = cell.rjust(widths[k])
+        lines.append("  ".join(line))
+    return "\n".join([line.rstrip() for line in lines])
 
 
 def render_sigma(system, sig, off=None) -> str:
+    """Only each row's finite columns, sig.support, are read; the others
+    print "-"."""
     hvt = dict(sig.hvt or ())     # row -> its transversal column
     headers = [""] + list(system.var_names) + (["c_i"] if off else [])
     rows = []
-    for i, (eq, sig_row) in enumerate(zip(system.equations, sig.rows)):
-        cells = [eq.name]
-        for j, s in enumerate(sig_row):
-            if s == NEG_INF:
-                cell = "-"
-            else:
-                cell = str(s)
-                if off is not None and off.d[j] - off.c[i] > s:
-                    cell = "[%s]" % cell
-            cells.append(cell)
+    for i, (eq, sig_row, cols) in enumerate(zip(system.equations, sig.rows,
+                                                sig.support)):
+        cells = {0: eq.name}
+        for j in cols:
+            s = sig_row[j]
+            cells[j + 1] = ("[%s]" % s if off is not None
+                            and off.d[j] - off.c[i] > s else str(s))
         if i in hvt:
             cells[hvt[i] + 1] += "•"
         if off is not None:
-            cells.append(str(off.c[i]))
+            cells[sig.n + 1] = str(off.c[i])
         rows.append(cells)
     if off is not None:
-        rows.append(["d_j"] + [str(d) for d in off.d] + [""])
-    return _grid(headers, rows)
+        rows.append(dict(enumerate(["d_j"] + [str(d) for d in off.d] + [""])))
+    return _grid(headers, rows, "-")
 
 
-def render_jacobian(system, matrix) -> str:
+def jacobian_entries(system, sig, matrix) -> list:
+    """Row by row, {column: text} of J's entries that are not the ZERO
+    constant: the text that both the table and the JSON report print.
+    system_jacobian puts ZERO at every position off the tight entries, so
+    only each row's finite columns, sig.support, are read."""
+    return [{j: format_expr(row[j], system.var_names)
+             for j in cols if row[j] is not ZERO}
+            for row, cols in zip(matrix, sig.support)]
+
+
+def render_jacobian(system, entries) -> str:
+    """The table of jacobian_entries, "0" off them."""
     headers = [""] + list(system.var_names)
     rows = []
-    for i, eq in enumerate(system.equations):
-        cells = [eq.name]
-        for entry in matrix[i]:
-            cells.append("0" if entry is ZERO
-                         else format_expr(entry, system.var_names))
+    for eq, row in zip(system.equations, entries):
+        cells = {j + 1: text for j, text in row.items()}
+        cells[0] = eq.name
         rows.append(cells)
-    return _grid(headers, rows)
+    return _grid(headers, rows, "0")
 
 
 def _deriv_name(name: str, order: int) -> str:

@@ -406,7 +406,7 @@ def solution_scheme(off: OffsetPair,
                  if any(isinstance(a, StateDeriv)
                         and a.order == off.d[a.index] - off.c[i]
                         and simplify(partial(e, a)) != ZERO
-                        for e in row for a in atoms(e))}
+                        for e in row if e is not ZERO for a in atoms(e))}
     stages = []
     for k in range(-max(off.d), 1):
         eqs = tuple((i, k + c) for i, c in enumerate(off.c) if k + c >= 0)

@@ -9,7 +9,8 @@ that test_convert and test_cli grow; the entry-by-entry System Jacobian
 and the dense elimination and rank references that test_jacobian and
 test_nullspace hold the fast ones to; the fixed-point offsets that
 test_structural and test_generated hold the search to; the Fraction-only
-normal form and evaluation that test_expr holds the integer kernel to.
+normal form and evaluation that test_expr holds the integer kernel to; the
+dense, cell-by-cell tables that test_output holds the sparse ones to.
 """
 
 import math
@@ -19,8 +20,8 @@ from daefix.dsl import parse_dae
 from daefix.expr import (ATOM_TYPES, NEG_INF, ZERO, Add, Const, DomainError,
                          DrivingFn, Func, Mul, Neg, Param, Pow, StateDeriv,
                          TimeVar, _TERM_CAP, _exact_func, _key, _mono_adjusted,
-                         _mono_key, _mp_call, _mp_pow, hod, partial, simplify,
-                         total_derivative)
+                         _mono_key, _mp_call, _mp_pow, format_expr, hod,
+                         partial, simplify, total_derivative)
 from daefix.model import DaeSystem, fresh_indexed, make_equation
 from daefix.nullspace import EliminationStuck
 from daefix.structural import OffsetPair, signature_matrix
@@ -152,16 +153,21 @@ def _factor_term(rng, names, depth):
     return "(%s - %s)" % (sub, sub)
 
 
-def rand_factor_system(rng):
-    """A square system of one to four equations, each a sum of up to four
-    products of state derivatives with sin, exp and sqrt factors."""
+def rand_factor_text(rng):
+    """The .dae text of a square system of one to four equations, each a
+    sum of up to four products of state derivatives with sin, exp and sqrt
+    factors."""
     n = rng.randint(1, 4)
     names = ["x%d" % j for j in range(1, n + 1)]
     eqs = ["eq f%d: %s = 0" % (i, " + ".join(
         _factor_term(rng, names, 3) for _ in range(rng.randint(1, 4))))
         for i in range(1, n + 1)]
-    return parse_dae("dae r\nvars %s\n%s\n" % (", ".join(names),
-                                                 "\n".join(eqs)))
+    return "dae r\nvars %s\n%s\n" % (", ".join(names), "\n".join(eqs))
+
+
+def rand_factor_system(rng):
+    """The system of rand_factor_text."""
+    return parse_dae(rand_factor_text(rng))
 
 
 # ---------------------------------------------------------------------------
@@ -695,3 +701,52 @@ def reference_evaluate_ex(e, b):
             return r, ex
         return _mp_call(e.name, v), False
     raise TypeError("not an Expr: %r" % (e,))
+
+
+# ---------------------------------------------------------------------------
+# the tables as they stood before rows were built from the sparse support:
+# every cell of the n x n matrix formatted and right-justified on its own
+
+def reference_grid(headers, rows) -> str:
+    widths = [max(map(len, col)) for col in zip(headers, *rows)]
+    lines = ["  ".join(h.rjust(w) for h, w in zip(headers, widths)).rstrip()]
+    for row in rows:
+        lines.append("  ".join(c.rjust(w)
+                               for c, w in zip(row, widths)).rstrip())
+    return "\n".join(lines)
+
+
+def reference_render_sigma(system, sig, off=None) -> str:
+    hvt = dict(sig.hvt or ())
+    headers = [""] + list(system.var_names) + (["c_i"] if off else [])
+    rows = []
+    for i, (eq, sig_row) in enumerate(zip(system.equations, sig.rows)):
+        cells = [eq.name]
+        for j, s in enumerate(sig_row):
+            if s == NEG_INF:
+                cell = "-"
+            else:
+                cell = str(s)
+                if off is not None and off.d[j] - off.c[i] > s:
+                    cell = "[%s]" % cell
+            cells.append(cell)
+        if i in hvt:
+            cells[hvt[i] + 1] += "•"
+        if off is not None:
+            cells.append(str(off.c[i]))
+        rows.append(cells)
+    if off is not None:
+        rows.append(["d_j"] + [str(d) for d in off.d] + [""])
+    return reference_grid(headers, rows)
+
+
+def reference_render_jacobian(system, matrix) -> str:
+    headers = [""] + list(system.var_names)
+    rows = []
+    for i, eq in enumerate(system.equations):
+        cells = [eq.name]
+        for entry in matrix[i]:
+            cells.append("0" if entry is ZERO
+                         else format_expr(entry, system.var_names))
+        rows.append(cells)
+    return reference_grid(headers, rows)

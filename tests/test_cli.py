@@ -6,6 +6,7 @@ import json
 import os
 import random
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -614,6 +615,36 @@ def test_probe_value_past_exact_range_draws_again(tmp_path, capsys, argv):
     rc = main(argv + [write_dae(tmp_path, NESTED_EXP)])
     assert rc == 0
     assert "Traceback" not in capsys.readouterr().err
+
+
+def _random_draw(k):
+    rng = random.Random(1002)
+    for _ in range(k):
+        checks.rand_factor_text(rng)
+    return checks.rand_factor_text(rng)
+
+
+def _cap_address_space():
+    cap = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+@pytest.mark.parametrize("draw, mode, rc", [
+    (73, "true", 0), (73, "formal", 0), (110, "true", 0), (110, "formal", 2)])
+def test_a_probe_value_of_too_many_bits_draws_again(tmp_path, draw, mode,
+                                                     rc):
+    # draw 110 in the formal mode meets a value of about 2^(2.3e10), whose
+    # exact integer took gigabytes; draw 73 one of 6.8e8 bits, whose
+    # Fraction arithmetic took ten seconds.  Such a probe point is a
+    # domain error, so the child ends in seconds under a 1 GiB cap
+    env = dict(os.environ, PYTHONPATH=str(Path(daefix.__file__).parent.parent))
+    r = subprocess.run([sys.executable, "-m", "daefix.cli", "fix",
+                        write_dae(tmp_path, _random_draw(draw)),
+                        "--mode", mode],
+                       env=env, capture_output=True, text=True, timeout=8,
+                       preexec_fn=_cap_address_space)
+    assert "Traceback" not in r.stderr
+    assert r.returncode == rc, r.stderr
 
 
 # draw 28 of checks.rand_factor_system(random.Random(1002)); in the formal

@@ -107,7 +107,7 @@ def unit_triangular_mixes(count, seed):
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 2: an LC row built "
+                   reason="ROADMAP item 1: an LC row built "
                    "from a cokernel vector with denominators keeps a leading "
                    "derivative that only a rational normal form cancels")
 @pytest.mark.parametrize("formal", (False, True))

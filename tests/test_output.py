@@ -1,0 +1,136 @@
+"""The writers against their references.
+
+The Σ and System Jacobian tables, built from each row's sparse support,
+must equal the dense tables of tests/checks.py cell for cell, and every
+--json report must be the bytes of json.dumps(doc, indent=2) and a
+newline.  Both run on the corpus, random draws 0-299 of
+checks.rand_factor_text(random.Random(1002)), pendulum chains and Brenan
+blocks, in both signature modes.
+"""
+
+import json
+import random
+from types import SimpleNamespace
+
+import pytest
+
+import checks
+from daefix import cli, corpus
+from daefix.cli import main
+from daefix.convert import analyze, fix_dae
+from daefix.dsl import parse_dae
+from daefix.render import jacobian_entries, render_jacobian, render_sigma
+from daefix.zerotest import Prober
+
+MODES = ("true", "formal")
+
+
+def _systems():
+    rng = random.Random(1002)
+    out = [(name, corpus.source(name)) for name in corpus.names()]
+    out += [("draw_%d" % k, checks.rand_factor_text(rng)) for k in range(300)]
+    out += [("chain_%d" % n, checks.pendulum_chain(n)) for n in (2, 3, 8, 32)]
+    out += [("brenan_x%d" % k, checks.brenan_blocks(k)) for k in (1, 2, 5, 16)]
+    return out
+
+
+SYSTEMS = _systems()
+
+
+def _same_table(got, want):
+    assert got.split("\n") == want.split("\n")
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_tables_match_the_dense_reference(mode):
+    formal = mode == "formal"
+    tables = 0
+    for name, text in SYSTEMS:
+        system = parse_dae(text)
+        a = analyze(system, Prober(), formal)
+        _same_table(render_sigma(system, a.signature),
+                    checks.reference_render_sigma(system, a.signature))
+        tables += 1
+        if a.offsets is None:
+            continue
+        _same_table(render_sigma(system, a.signature, a.offsets),
+                    checks.reference_render_sigma(system, a.signature,
+                                                  a.offsets))
+        matrix = a.jacobian.matrix
+        _same_table(render_jacobian(system, jacobian_entries(
+                        system, a.signature, matrix)),
+                    checks.reference_render_jacobian(system, matrix))
+        tables += 2
+        # every step's table reads a signature carried from the step before
+        for st in fix_dae(system, prober=Prober(), formal=formal).steps:
+            if st.after.offsets is not None:
+                _same_table(render_sigma(st.system, st.after.signature,
+                                         st.after.offsets),
+                            checks.reference_render_sigma(
+                                st.system, st.after.signature,
+                                st.after.offsets))
+                tables += 1
+    assert tables > 2 * len(SYSTEMS)
+
+
+@pytest.fixture
+def checked_writer(monkeypatch):
+    """Wraps cli._write_json: each document it writes must be the bytes of
+    json.dumps(doc, indent=2) and a newline.  Returns the list of the
+    documents' paths, one entry per document checked."""
+    checked = []
+    write = cli._write_json
+
+    def check(args, doc):
+        write(args, doc)
+        with open(args.json_path, "rb") as fh:
+            got = fh.read()
+        assert got == (json.dumps(doc, indent=2) + "\n").encode("ascii")
+        checked.append(args.json_path)
+
+    monkeypatch.setattr(cli, "_write_json", check)
+    return checked
+
+
+# (system, trace arguments) of forced steps that are applied
+TRACES = (("brenan", ["--method", "lc", "--vector", "[-1, 1]"]),
+          ("es_example", ["--method", "es", "--vector", "[-x2, 1]"]),
+          ("brenan", ["--method", "lc", "--vector", "[1, 1]"]))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_json_reports_are_the_bytes_of_json_dumps(tmp_path, capsys, mode,
+                                                  checked_writer):
+    src, out = tmp_path / "system.dae", str(tmp_path / "out.json")
+    for _, text in SYSTEMS:
+        src.write_text(text)
+        for command in ("analyze", "fix"):
+            main([command, str(src), "--mode", mode, "--json", out])
+    for name, argv in TRACES:
+        src.write_text(corpus.source(name))
+        main(["trace", str(src), "--mode", mode, "--json", out] + argv)
+    capsys.readouterr()
+    # a rejected vector writes no report
+    assert len(checked_writer) == 2 * len(SYSTEMS) + len(TRACES) - 1
+    assert len(checked_writer) >= 600
+
+
+@pytest.mark.parametrize("doc", [
+    [], {}, [[]], [{}], {"a": []}, {"a": {}}, None, True, "text", -7, 2.5,
+    [None, True, False, 0, -1, -2 ** 70, 1.5, -0.0, 1e300],
+    [float("nan"), float("inf"), float("-inf")],
+    {"név": "x€😀", "ü": ["ü", "•", "\n\t\"\\", "\u0000"]},
+    [1, [2, [3, []]], {"x": [None]}, "s"],
+    [1, (2, 3)], ((1, 2), (3,), ()),
+    {"rows": [[None, 1, None], [2, None, None]], "hvt": [[1, 2], [2, 1]]},
+    {"deep": {"er": {"est": [[[["x"]]]]}}},
+])
+@pytest.mark.parametrize("accelerated", (True, False))
+def test_the_writer_on_edge_values(tmp_path, monkeypatch, doc, accelerated):
+    if not accelerated:
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    path = tmp_path / "out.json"
+    cli._write_json(SimpleNamespace(json_path=str(path)), doc)
+    assert path.read_bytes() == (json.dumps(doc, indent=2)
+                                 + "\n").encode("ascii")
+
