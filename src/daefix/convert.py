@@ -15,8 +15,10 @@ fix_dae below is the driver: analyze, classify, pick a method, rewrite,
 repeat until the Jacobian is generically nonsingular or nothing applies.
 A combination step replaces one row, so the system it produced is
 analysed from the analysis before (see analyze): the kept rows carry
-their signature rows, the solve's dual and HVT entries and their Jacobian
-rows, and only the replaced row is read, solved and differentiated anew.
+their signature rows, the solve's dual and HVT entries, their Jacobian
+rows and the components of J they alone make up, with those components'
+blocks, determinants and eliminations.  Only the replaced row is read,
+solved and differentiated anew, and only its component split again.
 A substitution step adds states, so the system after it is analysed from
 scratch.
 """
@@ -32,8 +34,8 @@ from .expr import (ZERO, Add, Const, Expr, Mul, Neg, Pow, StateDeriv, atoms,
                    total_derivative)
 from .jacobian import JacobianReport, classify_jacobian, system_jacobian
 from .model import DaeSystem, fresh_indexed, make_equation
-from .nullspace import (NullspaceError, kernel_basis, normalize_candidates,
-                        verify_nullvector)
+from .nullspace import (NullspaceError, component_basis,
+                        normalize_candidates, verify_nullvector)
 from .structural import (OffsetPair, SignatureMatrix, canonical_offsets,
                          signature_matrix)
 from .zerotest import Prober, probe_points
@@ -97,9 +99,9 @@ class LcAnalysis:
 
 
 def lc_analyze(system: DaeSystem, off: OffsetPair, u, prober: Prober) -> LcAnalysis:
-    u = tuple(simplify(e) for e in u)
+    u = tuple(e if e is ZERO else simplify(e) for e in u)
     rows = tuple(i for i, e in enumerate(u)
-                 if not prober.verdict(e).proven_zero)
+                 if e is not ZERO and not prober.verdict(e).proven_zero)
     if not rows:
         return LcAnalysis(u, (), 0, (), (), False, off)
     c_under = min(off.c[i] for i in rows)
@@ -194,9 +196,9 @@ class EsAnalysis:
 
 def es_analyze(system: DaeSystem, sig, off: OffsetPair, v,
                prober: Prober) -> EsAnalysis:
-    v = tuple(simplify(e) for e in v)
+    v = tuple(e if e is ZERO else simplify(e) for e in v)
     cols = tuple(j for j, e in enumerate(v)
-                 if not prober.verdict(e).proven_zero)
+                 if e is not ZERO and not prober.verdict(e).proven_zero)
     rows = tuple(i for i in range(system.n)
                  if any(off.d[j] - off.c[i] == sig.entry(i, j) for j in cols))
     if not rows or len(cols) < 2:
@@ -471,7 +473,7 @@ def analyze(system: DaeSystem, prober: Prober, formal: bool = False,
         return Analysis(sig, None, None, system)
     off = canonical_offsets(sig)
     J = system_jacobian(system, sig, off, prior)
-    report = classify_jacobian(J, prober)
+    report = classify_jacobian(J, prober, prior and prior.jacobian)
     return Analysis(sig, off, report, system)
 
 
@@ -617,7 +619,8 @@ def _search_candidates(system, now, method, prober):
         # verdict or a vector fails its strict check; either leaves the
         # result unverified
         try:
-            yield from kernel_basis(J, prober, left=left) if wanted else ()
+            yield from component_basis(now.jacobian.components, prober,
+                                       left) if wanted else ()
         except NullspaceError:
             prober.uncertain_seen = True
     lefts, rights = basis(True, method != "es"), None

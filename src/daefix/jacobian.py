@@ -9,30 +9,31 @@ once, so each tight entry differentiates only the summands that hold its
 atom, and the work grows with the nonzeros, not with n times the
 equation's length.
 
-Classification works block by block.  A perfect matching on the nonzero
-entries (augmenting paths, Kuhn 1955) exists or J is structurally
-singular; the strongly connected components of the matched digraph
-(Tarjan 1972) are the diagonal blocks of a block-triangular form, so
-det J is +-the product of the blocks' determinants (the split DAESA makes,
-Pryce, Nedialkov and Tan 2015).  A block of at most DET_BOUND rows is
-expanded exactly; a larger one is decided by rank probes at random
-rational points, which prove full rank but can only suspect singularity.
-A probe evaluates only the block's nonzero entries, into sparse rows
-{col: value}, and its elimination touches only nonzeros.
+Classification works per component of the support (rows and columns no
+nonzero entry links to the rest).  A perfect matching on each (augmenting
+paths, Kuhn 1955) exists or J is structurally singular; the strongly
+connected components of the matched digraph (Tarjan 1972) are the diagonal
+blocks of a block-triangular form, so det J is +-the product of the
+blocks' determinants (the split DAESA makes, Pryce, Nedialkov and Tan
+2015).  A block of at most DET_BOUND rows is expanded exactly; a larger one
+is decided by rank probes at random rational points, which prove full rank
+but can only suspect singularity.  A probe evaluates only the block's
+nonzero entries, into sparse rows {col: value}, and its elimination
+touches only nonzeros.
 
 After a combination step J carries what the rows the step kept
 determine.  Row i of J depends only on f_i and on which of its finite
 entries are tight, so a kept row whose tight columns did not move is the
-previous row itself.  The classification carries nothing: it finds the
-support, matches it, splits the blocks and expands each small block
-again.  Nodes are interned, so expanding a block whose entries did not
-change rebuilds the very nodes it built before and finds their normal
-forms memoised, and every zero test hits the prober's cache.
+previous row itself.  A component whose rows are all carried, and that
+the replaced row does not reach, is carried whole, with its blocks, the
+determinants expanded and the elimination of each side (nullspace): a
+step costs the component it touched.  Every zero test is still asked and
+hits the prober's cache.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
@@ -42,7 +43,8 @@ from .expr import (
     atoms, evaluate_ex, partial, simplify,
 )
 from .model import DaeSystem
-from .structural import OffsetPair, SignatureMatrix, _blocks, _matching
+from .structural import (OffsetPair, SignatureMatrix, _blocks, _components,
+                         _matching)
 from .zerotest import Prober, probe_points
 
 DET_BOUND = 8
@@ -129,69 +131,117 @@ class JacobianClass(Enum):
     PROBABLY_SINGULAR = "ProbablySingular"
 
 
+class Component:
+    """A connected component of J's support.  entries maps each row to its
+    nonzero entries {col: normal form}; blocks are the diagonal blocks as
+    (rows, cols), None without a perfect matching.  The determinants of
+    small blocks (dets, by rows) and the elimination of each side
+    (eliminated, by nullspace) are kept once made."""
+
+    def __init__(self, rows, cols, entries):
+        self.rows, self.cols, self.entries = rows, cols, entries
+        self.dets, self.eliminated = {}, {}
+        at = {j: k for k, j in enumerate(cols)}
+        support = [[at[j] for j in entries[i]] for i in rows]
+        match = _matching(support) if len(at) == len(rows) else None
+        self.blocks = None if match is None else [
+            (tuple(rows[r] for r in rs), tuple(cols[c] for c in cs))
+            for rs, cs in _blocks(support, match)]
+
+
+def components(matrix: Sequence[Sequence[Expr]], prior=None) -> tuple:
+    """The components of a square matrix's support (its entries whose
+    normal form is not zero), in the order of their first row.  Of prior,
+    the report on a matrix of the same size, each component that keeps its
+    rows as the very row objects, and that no other row reaches, is
+    carried as the object itself; the rest are split again."""
+    n = len(matrix)
+    new = [i for i, row in enumerate(matrix)
+           if prior is None or row is not prior.matrix[i]]
+    # the ZERO constant at a non-tight position is skipped before simplify
+    entries = {i: {j: s for j, e in enumerate(matrix[i])
+                   if e is not ZERO and (s := simplify(e)) is not ZERO}
+               for i in new}
+    rows = set(new)
+    cols = set(range(n)) if prior is None else {j for i in new
+                                                for j in entries[i]}
+    kept = []
+    for p in () if prior is None else prior.components:
+        if rows.isdisjoint(p.rows) and cols.isdisjoint(p.cols):
+            kept.append(p)
+            continue
+        rows.update(p.rows)
+        cols.update(p.cols)
+        entries = {**p.entries, **entries}
+    parts = kept + [Component(rs, cs, {i: entries[i] for i in rs})
+                    for rs, cs in _components(entries, sorted(rows),
+                                              sorted(cols))]
+    return tuple(sorted(parts, key=lambda p: p.rows[0] if p.rows
+                        else n + p.cols[0]))
+
+
 @dataclass(frozen=True)
 class JacobianReport:
     matrix: tuple
     klass: JacobianClass
     # None when n > DET_BOUND, unless structurally singular (ZERO)
     det: Optional[Expr]
+    components: tuple = field(compare=False, repr=False)
 
     @property
     def singular(self) -> bool:
         return self.klass is not JacobianClass.GENERICALLY_NONSINGULAR
 
 
-def classify_jacobian(matrix: Sequence[Sequence[Expr]],
-                      prober: Prober) -> JacobianReport:
-    """Sort the matrix into one of four kinds, block by block.
+def classify_jacobian(matrix: Sequence[Sequence[Expr]], prober: Prober,
+                      prior=None) -> JacobianReport:
+    """Sort the matrix into one of four kinds, component by component and
+    block by block.
 
-    The support (entries whose normal form is not zero) either admits no
-    perfect matching, and every determinant term dies, or its matched
-    digraph splits into strongly connected blocks under which the matrix is
-    block-triangular, so det J is +-the product of the blocks' determinants.
-    Blocks of at most DET_BOUND rows are expanded exactly: a zero normal
-    form settles IdenticallySingular before any zero test runs, and the
-    rest are zero-tested one at a time.  Only then is each larger block
-    rank-probed on its own.  The determinant is reported for n <= DET_BOUND.
+    Each component of the support either admits no perfect matching, and
+    every determinant term dies, or its matched digraph splits into
+    strongly connected blocks under which the matrix is block-triangular,
+    so det J is +-the product of the blocks' determinants.  Blocks of at
+    most DET_BOUND rows are expanded exactly: a zero normal form settles
+    IdenticallySingular before any zero test runs, and the rest are
+    zero-tested one at a time.  Only then is each larger block rank-probed
+    on its own.  The determinant is reported for n <= DET_BOUND.
 
-    Nothing is carried from an earlier classification: a block whose
-    entries are the nodes of a block expanded before rebuilds the same
-    interned nodes and finds their normal forms memoised.
+    prior is the report on the matrix before a combination step: a
+    component it carries (see components) keeps its blocks and the
+    determinants already expanded.
     """
     matrix = tuple(tuple(row) for row in matrix)
     n = len(matrix)
-    # a zero normal form is the only proven zero, so an entry that is only
-    # probably zero stays in the support and spends no verdict;
-    # system_jacobian puts the ZERO constant itself at every non-tight
-    # position, which the identity test skips without a comparison
-    support = [[j for j, e in enumerate(row)
-                 if e is not ZERO and simplify(e) != ZERO] for row in matrix]
-    match = _matching(support)
-    if match is None:
+    parts = components(matrix, prior)
+    if any(p.blocks is None for p in parts):
         return JacobianReport(matrix, JacobianClass.STRUCTURALLY_SINGULAR,
-                              ZERO)
-    blocks = _blocks(support, match)
+                              ZERO, parts)
+    blocks = [(p, rows, cols) for p in parts for rows, cols in p.blocks]
     small, large = [], []
-    for rows, cols in blocks:
+    for p, rows, cols in blocks:
         if len(rows) > DET_BOUND:
-            large.append((rows, cols))
+            large.append((p, rows, cols))
             continue
-        d = determinant([[matrix[i][j] for j in cols] for i in rows])
+        d = p.dets.get(rows)
+        if d is None:
+            d = p.dets[rows] = determinant(
+                [[matrix[i][j] for j in cols] for i in rows])
         if d == ZERO:
             return JacobianReport(matrix, JacobianClass.IDENTICALLY_SINGULAR,
-                                  ZERO if n <= DET_BOUND else None)
+                                  ZERO if n <= DET_BOUND else None, parts)
         small.append(d)
     det = None
     if n <= DET_BOUND:
         det = Mul(tuple(small))
-        det = simplify(Neg(det) if _odd(blocks, n) else det)
+        det = simplify(Neg(det) if _odd([b[1:] for b in blocks], n) else det)
     klass = JacobianClass.GENERICALLY_NONSINGULAR
     if not all(prober.verdict(d).proven_nonzero for d in small):
         klass = JacobianClass.PROBABLY_SINGULAR
-    elif not all(_full_rank(matrix, support, rows, cols, prober)
-                 for rows, cols in large):
+    elif not all(_full_rank(matrix, p.entries, rows, cols, prober)
+                 for p, rows, cols in large):
         klass = JacobianClass.PROBABLY_SINGULAR
-    return JacobianReport(matrix, klass, det)
+    return JacobianReport(matrix, klass, det, parts)
 
 
 def _odd(blocks, n) -> bool:

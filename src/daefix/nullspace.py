@@ -2,10 +2,11 @@
 
 Fraction-free Gauss-Jordan: a pivot never divides, it cross-multiplies
 (row_r <- pivot * row_r - entry * row_p), so entries stay in the expression
-ring.  One elimination per matrix side yields the whole basis; the literal
-ZERO entries a System Jacobian holds at its non-tight positions are never
-zero-tested, multiplied or simplified: each row is kept as its nonzero
-entries, so a row update touches only the columns of the two rows it
+ring.  No update combines rows of two components of the support
+(jacobian.components), so each component is eliminated on its own, once
+per side, and keeps its elimination: after a combination step only the
+component the step touched is eliminated.  Each row is kept as its nonzero
+entries, so an update touches only the columns of the two rows it
 combines.  Pivot choice consults the zero tester; a column whose only
 nonzero candidates are merely *probably* zero cannot be pivoted or skipped
 safely, which surfaces as EliminationStuck.
@@ -15,9 +16,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
-from .expr import Add, Const, Expr, Mul, Neg, Pow, ZERO, simplify, walk
+from .expr import Add, Const, Expr, Mul, Neg, ONE, Pow, ZERO, simplify, walk
+from .jacobian import components
 from .zerotest import Prober
 
 
@@ -63,37 +65,58 @@ def _pivot_choice(entries, prober: Prober):
 
 def kernel_basis(matrix: Sequence[Sequence[Expr]], prober: Prober,
                  left: bool = False) -> Iterator[tuple]:
-    """Kernel basis (cokernel with left=True), one vector per free column in
-    ascending order.
-
-    The elimination runs in this call, so EliminationStuck comes from it;
-    each vector is back-substituted and strictly verified only when the
-    returned iterator is advanced to it."""
+    """Kernel basis (cokernel with left=True) of a square matrix: the
+    component_basis of its components."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise NullspaceError("matrix must be square")
-    if left:
-        matrix = [[matrix[i][j] for i in range(n)] for j in range(n)]
-    # row r keeps its non-ZERO entries {col: normal form}, and holders[k]
-    # the rows with an entry in column k; a zero normal form is the ZERO
-    # object itself, so `is` tests it
-    m: List[Dict[int, Expr]] = []
-    holders: List[set] = [set() for _ in range(n)]
-    for r, row in enumerate(matrix):
-        m.append({})
-        for k, e in enumerate(row):
-            if e is not ZERO and (e := simplify(e)) is not ZERO:
-                m[r][k] = e
-                holders[k].add(r)
+    return component_basis(components(matrix), prober, left)
+
+
+def component_basis(parts, prober: Prober,
+                    left: bool = False) -> Iterator[tuple]:
+    """The kernel basis (cokernel with left=True) of the matrix split into
+    parts (jacobian.components), one vector per free column in ascending
+    order.  Each part not yet eliminated is eliminated in this call, with
+    the prober that classified the matrix, so EliminationStuck comes from
+    it, at the first column where one sticks; each vector is verified only
+    when the returned iterator reaches it."""
+    n = sum(len(p.rows) for p in parts)
+    done = []
+    for p in parts:
+        if left not in p.eliminated:
+            p.eliminated[left] = _eliminate(p, prober, left)
+        done.append(p.eliminated[left])
+    stuck = [d[-1] for d in done if d[-1] is not None]
+    if stuck:
+        raise min(stuck, key=lambda e: e.col)
+    free = sorted((fc, k) for k, d in enumerate(done) for fc in d[3])
+    return (_basis_vector(n, done[k], fc, prober) for fc, k in free)
+
+
+def _eliminate(part, prober: Prober, left: bool) -> tuple:
+    """Gauss-Jordan on one component's rows (columns, with left=True) as
+    sparse rows: those rows as they were and as they end, the pivots (row,
+    col), the free columns, and the EliminationStuck that ended it or None."""
+    lines = {r: {} for r in (part.cols if left else part.rows)}
+    for i in part.rows:
+        for j, e in part.entries[i].items():
+            lines[j if left else i][i if left else j] = e
+    # holders[k] holds the rows with a nonzero entry in column k
+    m = {r: dict(row) for r, row in lines.items()}
+    holders = {k: set() for k in (part.rows if left else part.cols)}
+    for r, row in m.items():
+        for k in row:
+            holders[k].add(r)
     pivots = []          # (row, col)
     pivot_rows = set()
     free_cols = []
-    for col in range(n):
+    for col in holders:
         rows = sorted(holders[col])
         chosen, kind = _pivot_choice(
             [(r, m[r][col]) for r in rows if r not in pivot_rows], prober)
         if kind == "stuck":
-            raise EliminationStuck(col, chosen)
+            return lines, m, pivots, free_cols, EliminationStuck(col, chosen)
         if kind == "free":
             free_cols.append(col)
             continue
@@ -117,21 +140,25 @@ def kernel_basis(matrix: Sequence[Sequence[Expr]], prober: Prober,
             m[r] = row
         pivots.append((p, col))
         pivot_rows.add(p)
-    return (_basis_vector(matrix, m, pivots, free_cols, fc, prober)
-            for fc in free_cols)
+    return lines, m, pivots, free_cols, None
 
 
-def _basis_vector(matrix, m, pivots, free_cols, fc, prober) -> tuple:
-    v: List[Expr] = [ZERO] * len(m)
-    v[fc] = Const(Fraction(1))
+def _basis_vector(n, elimination, fc, prober) -> tuple:
+    lines, m, pivots, free_cols, _ = elimination
+    v: List[Expr] = [ZERO] * n
+    v[fc] = ONE
     for p, col in reversed(pivots):
         # pivot columns hold a single nonzero entry, so only free columns
         # feed the numerator
         num = [Mul((m[p][k], v[k])) for k in free_cols
-               if k in m[p] and v[k] != ZERO]
+               if k in m[p] and v[k] is not ZERO]
         if num:
             v[col] = simplify(Mul((Neg(_sum(num)), Pow(m[p][col], -1))))
-    if not verify_nullvector(matrix, v, prober):
+    residuals = ([Mul((e, v[k])) for k, e in row.items() if v[k] is not ZERO]
+                 for row in lines.values())
+    support = sorted([fc] + [col for _, col in pivots])
+    if not _verified((v[k] for k in support),
+                     (_sum(t) if t else None for t in residuals), prober):
         raise NullspaceError("candidate vector fails residual verification")
     return tuple(v)
 
@@ -157,20 +184,25 @@ def residual(matrix, vec, left: bool = False):
     """Yields each entry of vec^T matrix (left) or matrix vec, unsimplified:
     the sum of the products of two non-ZERO factors, or None when there is
     no such product."""
-    support = [k for k, x in enumerate(vec) if x != ZERO]
+    support = [k for k, x in enumerate(vec) if x is not ZERO]
     for i in range(len(matrix)):
         pairs = ((matrix[k][i] if left else matrix[i][k], vec[k])
                  for k in support)
-        terms = [Mul((a, x)) for a, x in pairs if a != ZERO]
+        terms = [Mul((a, x)) for a, x in pairs if a is not ZERO]
         yield _sum(terms) if terms else None
 
 
 def verify_nullvector(matrix, vec, prober: Prober,
                       left: bool = False) -> bool:
     """vec must not be all zeros and the residual must zero-test clean."""
-    return any(e != ZERO and prober.verdict(e).proven_nonzero for e in vec) \
+    return _verified(vec, residual(matrix, vec, left), prober)
+
+
+def _verified(entries, residuals, prober: Prober) -> bool:
+    return any(e is not ZERO and prober.verdict(e).proven_nonzero
+               for e in entries) \
         and not any(r is not None and prober.verdict(r).proven_nonzero
-                    for r in residual(matrix, vec, left))
+                    for r in residuals)
 
 
 def constant_mask(vec) -> tuple:
@@ -188,20 +220,25 @@ def normalize_candidates(vec, matrix, prober: Prober,
     whose multiplier is not proven nonzero is verified against the matrix.
     Duplicates drop, and candidates with more constant entries sort first
     (stable, so the original leads ties)."""
-    base = tuple(simplify(e) for e in vec)
+    # only the nonzero entries are rescaled or searched
+    base = tuple(e if e is ZERO else simplify(e) for e in vec)
+    support = [k for k, e in enumerate(base) if e is not ZERO]
+
+    def scaled(f):
+        return tuple(x if x is ZERO else simplify(Mul((x, f))) for x in base)
     cands = [base]
-    for e in base:
-        if e == Const(Fraction(1)):
-            continue
-        if prober.verdict(e).proven_nonzero:
+    for k in support:
+        e = base[k]
+        if e is not ONE and prober.verdict(e).proven_nonzero:
             inv = Pow(e, -1) if not isinstance(e, Const) \
                 else Const(Fraction(1) / e.value)
-            cands.append(tuple(simplify(Mul((x, inv))) for x in base))
-    bases = list(dict.fromkeys(node.base for e in base for node in walk(e)
+            cands.append(scaled(inv))
+    bases = list(dict.fromkeys(node.base for k in support
+                               for node in walk(base[k])
                                if isinstance(node, Pow) and node.exponent < 0))
     if bases:
         clear = bases[0] if len(bases) == 1 else Mul(tuple(bases))
-        cleared = tuple(simplify(Mul((x, clear))) for x in base)
+        cleared = scaled(clear)
         if prober.verdict(clear).proven_nonzero or verify_nullvector(
                 matrix, cleared, prober, left=left):
             cands.append(cleared)

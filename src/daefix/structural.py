@@ -248,13 +248,43 @@ def _augment(support, owner, match, root, seen, lo) -> bool:
 
 def _matching(support) -> Optional[list]:
     """A perfect matching row -> column on the support, None when there is
-    none: one augmenting path per row."""
+    none: each row takes its first free column, and an augmenting path
+    moves each row left without one (a chain needs no path at all)."""
     n = len(support)
     match, owner = [-1] * n, [-1] * n
+    for root, cols in enumerate(support):
+        for c in cols:
+            if owner[c] < 0:
+                match[root], owner[c] = c, root
+                break
     for root in range(n):
-        if not _augment(support, owner, match, root, set(), 0):
+        if match[root] < 0 and not _augment(support, owner, match, root,
+                                            set(), 0):
             return None
     return match
+
+
+def _components(support, rows, cols) -> list:
+    """The connected components of the bipartite graph of rows and cols,
+    row i meeting the columns support[i], as (rows, cols) pairs in the
+    order of their first row; each column no row meets comes last."""
+    holders = {c: [] for c in cols}
+    for r in rows:
+        for c in support[r]:
+            holders[c].append(r)
+    seen, out = set(), []
+    for r in (r for r in rows if r not in seen):
+        seen.add(r)
+        comp, comp_cols = [r], []
+        for i in comp:     # breadth first: comp grows while it is walked
+            for c in support[i]:
+                if c in holders:
+                    comp_cols.append(c)
+                    fresh = [k for k in holders.pop(c) if k not in seen]
+                    seen.update(fresh)
+                    comp += fresh
+        out.append((tuple(sorted(comp)), tuple(sorted(comp_cols))))
+    return out + [((), (c,)) for c in holders]
 
 
 def _blocks(support, match) -> list:

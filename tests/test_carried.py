@@ -2,7 +2,8 @@
 
 fix_dae analyses the system each step produced from the analysis before
 it: the rows the step kept carry their signature rows, the assignment's
-potentials and HVT entries and their Jacobian rows.  Each test here runs
+potentials and HVT entries, their Jacobian rows and the components of J
+they alone make up.  Each test here runs
 fix_dae once as it is and once with nothing carried, and compares every
 analysis, the prober's uncertain flag after it, and how the run ended.
 """
@@ -14,7 +15,6 @@ import pytest
 
 import checks
 import daefix.convert as convert
-import daefix.expr as expr
 import daefix.jacobian as jacobian
 import daefix.structural as structural
 from daefix.convert import ConvertError, MethodKind, analyze, fix_dae
@@ -91,6 +91,40 @@ def test_brenan_blocks(monkeypatch, formal):
             assert len({i // 2 for i in changed}) == 1
 
 
+def chained_brenan(k):
+    """Brenan blocks where row a of each block after the first also holds
+    the previous block's x, of order 0.  That entry is tight only while
+    the previous block's x has offset 0, so the steps merge components of
+    J and split them again."""
+    text = checks.brenan_blocks(k)
+    for b in range(2, k + 1):
+        text = text.replace("eq a%d: x%d' + t*y%d'" % (b, b, b),
+                            "eq a%d: x%d' + t*y%d' + x%d" % (b, b, b, b - 1))
+    return text
+
+
+@pytest.mark.parametrize("formal", [False, True])
+def test_steps_that_merge_and_split_components(monkeypatch, formal):
+    log, end = _assert_carried_equals_fresh(
+        monkeypatch, parse_dae(chained_brenan(4)), formal=formal)
+    assert end[1] == 0 and len(log) == 5
+    partitions = [[c.rows for c in a.jacobian.components] for a, _ in log]
+    assert partitions == [
+        [(0, 1), (2, 3), (4, 5), (6, 7)],
+        [(0, 1, 2, 3), (4, 5), (6, 7)],
+        [(0,), (1, 2, 3), (4, 5), (6, 7)],
+        [(0,), (1, 2, 3), (4, 5, 6, 7)],
+        [(0,), (1, 2, 3, 5, 6, 7), (4,)]]
+    # a component the step did not reach is the very object
+    for (before, _), (after, _) in zip(log, log[1:]):
+        for c in after.jacobian.components:
+            old = [o for o in before.jacobian.components if o.rows == c.rows]
+            assert (c in before.jacobian.components) == (
+                bool(old) and all(after.jacobian.matrix[i]
+                                  is before.jacobian.matrix[i]
+                                  for i in c.rows))
+
+
 @pytest.mark.parametrize("third", ["z + x", "z' + x", "z'' + x + y"])
 def test_a_kept_row_whose_tight_columns_move(monkeypatch, third):
     # the step lowers d_x from 1 to 0, so the kept row c becomes tight in
@@ -137,12 +171,11 @@ def test_a_step_redoes_only_the_replaced_row(monkeypatch):
     """On 16 Brenan blocks whose coefficient t is b*t in block b, so that
     no two blocks share an entry, each analysis after the first runs one
     assignment search and the offsets search, and differentiates only the
-    replaced row's tight entries.  Its classification expands every small
-    block again but builds normal forms (_from_poly calls) only in blocks
-    the classification before did not expand with the same entries: those
-    the replaced row now makes up, and the singular block it stops at.  A
-    block expanded before rebuilds the same interned nodes and finds their
-    normal forms memoised."""
+    replaced row's tight entries.  Its J carries every component but the
+    replaced row's block as the very object, with its blocks and the
+    determinants already expanded: the classification expands the two
+    blocks the replaced row's block split into, and the next singular
+    block, where it stops; 3k expansions in all."""
     calls = []
 
     def counting(module, name):
@@ -154,40 +187,8 @@ def test_a_step_redoes_only_the_replaced_row(monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     for module, name in ((convert, "analyze"), (structural, "_search"),
-                         (jacobian, "partial")):
+                         (jacobian, "partial"), (jacobian, "determinant")):
         counting(module, name)
-    # per classification, each small block expanded: its entries and the
-    # normal forms built while expanding it
-    classified, queue, current = [], [], []
-    original = (convert.classify_jacobian, jacobian._blocks,
-                jacobian.determinant, expr._from_poly)
-
-    def classify(matrix, prober):
-        classified.append({})
-        try:
-            return original[0](matrix, prober)
-        finally:
-            current.clear()
-
-    def blocks(support, match):
-        found = original[1](support, match)
-        queue[:] = [b for b in found if len(b[0]) <= jacobian.DET_BOUND]
-        return found
-
-    def determinant(block):
-        current[:] = [queue.pop(0)]
-        classified[-1][current[0]] = [block, 0]
-        return original[2](block)
-
-    def from_poly(p):
-        if current:
-            classified[-1][current[0]][1] += 1
-        return original[3](p)
-    for module, name, f in ((convert, "classify_jacobian", classify),
-                            (jacobian, "_blocks", blocks),
-                            (jacobian, "determinant", determinant),
-                            (expr, "_from_poly", from_poly)):
-        monkeypatch.setattr(module, name, f)
     k = 16
     text = re.sub(r"t\*y(\d+)", r"\1*t*y\1", checks.brenan_blocks(k))
     report = fix_dae(parse_dae(text), Prober())
@@ -195,15 +196,18 @@ def test_a_step_redoes_only_the_replaced_row(monkeypatch):
     runs, run = [], None
     for name, args in calls:
         if name == "analyze":
-            run = {"_search": [], "partial": []}
+            run = {"_search": [], "partial": [], "determinant": []}
             runs.append(run)
         elif run is not None:
             run[name].append(args)
-    assert len(runs) == len(classified) == k + 1
-    # from scratch: one search per row and the offsets search
+    assert len(runs) == k + 1
+    # from scratch: one search per row and the offsets search; the first
+    # block is singular, and nothing is expanded after it
     assert len(runs[0]["_search"]) == 2 * k + 1
-    for step, run, before, now in zip(report.steps, runs[1:], classified,
-                                      classified[1:]):
+    assert [len(b) for b, in runs[0]["determinant"]] == [2]
+    analyses = [report.initial] + [step.after for step in report.steps]
+    for step, run, before, now in zip(report.steps, runs[1:], analyses,
+                                      analyses[1:]):
         assert step.kind is MethodKind.LC
         p, after = step.pivot, step.after
         J = after.jacobian.matrix
@@ -214,15 +218,14 @@ def test_a_step_redoes_only_the_replaced_row(monkeypatch):
                  for j in range(2 * k) if J[p][j] is not ZERO}
         assert {a for _, a in run["partial"]} == tight
         assert all(t in terms for t, _ in run["partial"])
-        fresh = {b for b, (block, _) in now.items()
-                 if b not in before or before[b][0] != block}
-        # the replaced row's block split in two, and the next singular
-        # block, where the classification stops
-        assert sorted(len(b[0]) for b in fresh) == (
+        kept = before.jacobian.components
+        fresh = [c for c in now.jacobian.components if c not in kept]
+        assert [c.rows for c in fresh] == [(p // 2 * 2, p // 2 * 2 + 1)]
+        assert len(now.jacobian.components) == k
+        assert [len(c.blocks) for c in fresh] == [2]
+        assert sorted(len(b) for b, in run["determinant"]) == (
             [1, 1, 2] if step.index < k else [1, 1])
-        assert any(b[0] == (p,) for b in fresh)
-        assert {b for b, (_, count) in now.items() if count} == {
-            b for b in fresh if len(b[0]) == 2}
+    assert sum(len(run["determinant"]) for run in runs) == 3 * k
 
 
 @pytest.mark.parametrize("method", [None, "lc", "es"])

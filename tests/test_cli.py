@@ -697,13 +697,13 @@ def test_a_step_won_at_the_second_kernel_vector(tmp_path, capsys,
     # lc_example's kernel vector comes first and fails the substitution
     # order test in every rescaling; es_example's, the second, wins
     drawn = []
-    basis = convert.kernel_basis
+    basis = convert.component_basis
 
-    def counted(matrix, prober, left=False):
-        for v in basis(matrix, prober, left):
+    def counted(parts, prober, left=False):
+        for v in basis(parts, prober, left):
             drawn.append(v)
             yield v
-    monkeypatch.setattr(convert, "kernel_basis", counted)
+    monkeypatch.setattr(convert, "component_basis", counted)
     out_path = tmp_path / "out.json"
     rc = main(["fix", write_dae(tmp_path, TWO_BLOCKS), "--method", "es",
                "--json", str(out_path)])

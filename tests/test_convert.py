@@ -546,32 +546,48 @@ eq f2: x + t*y + sqrt(t) - h2(t) = 0
 
 def test_one_elimination_per_side_and_two_verifications_per_step(
         monkeypatch):
-    import daefix.convert
+    """Counted per component of J: the first search eliminates every
+    component of the input's J, and the search after each step only the
+    component the step touched, which is the one component of J that the
+    analysis did not carry."""
     import daefix.nullspace
-    eliminations = []
-    verifications = []
-    original_basis = daefix.convert.kernel_basis
-    original_verify = daefix.nullspace.verify_nullvector
+    eliminated = []
+    verified = []
+    original_eliminate = daefix.nullspace._eliminate
+    original_verified = daefix.nullspace._verified
 
-    def counted_basis(*args, **kwargs):
-        eliminations.append(kwargs.get("left", False))
-        return original_basis(*args, **kwargs)
+    def counted_eliminate(part, prober, left):
+        eliminated.append((part, left))
+        return original_eliminate(part, prober, left)
 
-    def counted_verify(*args, **kwargs):
-        verifications.append(args[1])
-        return original_verify(*args, **kwargs)
+    def counted_verified(entries, residuals, prober):
+        verified.append(entries)
+        return original_verified(entries, residuals, prober)
 
-    monkeypatch.setattr(daefix.convert, "kernel_basis", counted_basis)
-    for mod in (daefix.convert, daefix.nullspace):
-        monkeypatch.setattr(mod, "verify_nullvector", counted_verify)
-    report = fix_dae(parse_dae(checks.brenan_blocks(8)), Prober())
+    monkeypatch.setattr(daefix.nullspace, "_eliminate", counted_eliminate)
+    monkeypatch.setattr(daefix.nullspace, "_verified", counted_verified)
+    k = 8
+    report = fix_dae(parse_dae(checks.brenan_blocks(k)), Prober())
     assert report.status is FixStatus.SUCCESS
-    steps = len(report.steps)
-    assert steps == 8
+    assert len(report.steps) == k
+    analyses = [report.initial] + [st.after for st in report.steps]
+    parts = [a.jacobian.components for a in analyses]
+    assert len(parts[0]) == k
+    touched = [[p for p in now if p not in before]
+               for before, now in zip(parts, parts[1:])]
+    # each step touches the one component of the block it replaced a row
+    # of, and carries the other k - 1 as the very objects
+    for step, fresh in zip(report.steps, touched):
+        assert [p.rows for p in fresh] == [
+            (step.pivot // 2 * 2, step.pivot // 2 * 2 + 1)]
     # every step combines with a constant cokernel row: the kernel side is
-    # never eliminated, and the one cokernel vector is verified once
-    assert eliminations == [True] * steps
-    assert len(verifications) <= 2 * steps
+    # never eliminated, each component of the input once, and after that
+    # only the component each step touched while J stays singular; the one
+    # cokernel vector of a step is verified once
+    expected = list(parts[0]) + [p for fresh in touched[:-1] for p in fresh]
+    assert eliminated == [(p, True) for p in expected]
+    assert len(set(eliminated)) == len(eliminated) == 2 * k - 1
+    assert len(verified) == k
 
 
 @pytest.fixture

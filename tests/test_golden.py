@@ -51,18 +51,23 @@ def test_output_matches_golden(name, command, tmp_path, capsys):
 def test_fix_chooses_constant_combination_without_kernel(tmp_path, capsys,
                                                          monkeypatch):
     # every Brenan step has a constant cokernel row, which wins outright
-    import daefix.convert
+    import daefix.nullspace
     calls = []
-    original = daefix.convert.kernel_basis
+    original = daefix.nullspace._eliminate
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("left", False))
-        return original(*args, **kwargs)
+    def counted(part, prober, left):
+        calls.append((part, left))
+        return original(part, prober, left)
 
-    monkeypatch.setattr(daefix.convert, "kernel_basis", counted)
+    monkeypatch.setattr(daefix.nullspace, "_eliminate", counted)
     rc, doc = run_case("fix", "brenan_x4", tmp_path)
-    # one cokernel elimination per step, no kernel elimination
-    assert calls == [True] * 4
+    # no kernel elimination; on the cokernel side the four components of
+    # the input, one per block, and then the one block each of the first
+    # three steps touched: no component is eliminated twice
+    assert [left for _, left in calls] == [True] * 7
+    assert len({part for part, _ in calls}) == 7
+    assert [part.rows for part, _ in calls] == [
+        (0, 1), (2, 3), (4, 5), (6, 7), (0, 1), (2, 3), (4, 5)]
     assert rc == json.loads((GOLDEN / "exits.json").read_text())[
         "brenan_x4.fix"]
     assert capsys.readouterr().out == (GOLDEN / "brenan_x4.fix.out").read_text()

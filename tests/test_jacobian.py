@@ -2,8 +2,9 @@ import itertools
 import random
 from fractions import Fraction
 
-from checks import (brenan_blocks, dense_fraction_rank, pendulum_chain,
-                    rand_factor_system, reference_system_jacobian)
+from checks import (brenan_blocks, dense_fraction_rank, index_chain,
+                    pendulum_chain, rand_factor_system,
+                    reference_system_jacobian)
 from daefix import corpus, expr
 from daefix.cli import main
 from daefix.dsl import parse_dae
@@ -12,9 +13,10 @@ from daefix.expr import (
     ZERO, hod, partial, simplify, total_derivative, walk,
 )
 import daefix.jacobian
+import daefix.structural
 from daefix.jacobian import (
-    DET_BOUND, JacobianClass, _fraction_rank, classify_jacobian, determinant,
-    system_jacobian,
+    DET_BOUND, JacobianClass, _fraction_rank, _odd, classify_jacobian,
+    determinant, system_jacobian,
 )
 from daefix.structural import (
     OffsetPair, _assignment_max, _blocks, _matching, canonical_offsets,
@@ -535,17 +537,81 @@ def test_only_the_large_block_is_rank_probed(monkeypatch):
 
 
 def test_matching_and_blocks_do_not_recurse():
-    # greedy takes column i + 1 for row i, so the last row's augmenting
-    # path runs back through every row; column 0 then closes one cycle
-    # through all of them, one strong component of 2000 rows
+    # the greedy pass gives row i column i + 1 and the last row column 0,
+    # which closes one cycle through all rows: one strong component of
+    # 2000 rows
     n = 2000
     support = [[i + 1, i] for i in range(n - 1)] + [[n - 1, 0]]
     match = _matching(support)
     assert sorted(match) == list(range(n))
     blocks = _blocks(support, match)
     assert blocks == [(tuple(range(n)), tuple(range(n)))]
-    # without column 0 every row is its own block
+    # without column 0 the last row's augmenting path runs back through
+    # every row, and every row is its own block
     support[-1] = [n - 1]
     match = _matching(support)
     assert match == list(range(n))
     assert len(_blocks(support, match)) == n
+
+
+def _index_chain_support(n):
+    """The support of J on checks.index_chain(n): row 0 holds x1 and row i
+    holds x_i and x_(i+1), each of order 0 under the canonical offsets."""
+    return [[0]] + [[i - 1, i] for i in range(1, n)]
+
+
+def _unseeded_matching(support):
+    """A perfect matching with one augmenting path per row and no greedy
+    pass, None when there is none."""
+    n = len(support)
+    match, owner = [-1] * n, [-1] * n
+    for root in range(n):
+        if not daefix.structural._augment(support, owner, match, root,
+                                          set(), 0):
+            return None
+    return match
+
+
+def test_the_greedy_pass_matches_the_index_chain_without_a_path(
+        monkeypatch):
+    s = parse_dae(index_chain(60))
+    sig = signature_matrix(s)
+    J = system_jacobian(s, sig, canonical_offsets(sig))
+    assert [[j for j, e in enumerate(row) if e is not ZERO]
+            for row in J] == _index_chain_support(60)
+    # a path from every row would walk the chain back to row 0: 2,000
+    # paths of up to 2,000 rows
+    paths = []
+    augment = daefix.structural._augment
+    monkeypatch.setattr(daefix.structural, "_augment",
+                        lambda *args: paths.append(args[3]) or augment(*args))
+    n = 2000
+    support = _index_chain_support(n)
+    match = _matching(support)
+    assert match == list(range(n))
+    assert paths == []
+    assert len(_blocks(support, match)) == n
+
+
+def test_the_greedy_pass_keeps_the_blocks_and_their_parity():
+    rng = random.Random(83)
+    matched = differ = 0
+    for _ in range(400):
+        n = rng.randint(1, 10)
+        support = [rng.sample(range(n), rng.randint(0, min(n, 3)))
+                   for _ in range(n)]
+        for i in rng.sample(range(n), n // 2):
+            if i not in support[i]:
+                support[i].append(i)
+        seeded, unseeded = _matching(support), _unseeded_matching(support)
+        assert (seeded is None) == (unseeded is None)
+        if seeded is None:
+            continue
+        matched += 1
+        differ += seeded != unseeded
+        blocks = [_blocks(support, m) for m in (seeded, unseeded)]
+        assert len({frozenset((frozenset(r), frozenset(c)) for r, c in b)
+                    for b in blocks}) == 1
+        assert _odd(blocks[0], n) == _odd(blocks[1], n)
+    # the draw reaches matchings the greedy pass changes
+    assert 100 <= matched < 400 and differ >= 10

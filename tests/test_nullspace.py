@@ -6,9 +6,9 @@ import pytest
 import checks
 from daefix.dsl import parse_dae
 from daefix.expr import (
-    Const, Func, Param, Pow, StateDeriv, TimeVar, ZERO, simplify, walk,
+    ONE, Const, Func, Param, Pow, StateDeriv, TimeVar, ZERO, simplify, walk,
 )
-from daefix.jacobian import system_jacobian
+from daefix.jacobian import components, system_jacobian
 from daefix.nullspace import (
     EliminationStuck, cokernel_vector, constant_mask, kernel_basis,
     kernel_vector, normalize_candidates, verify_nullvector,
@@ -259,6 +259,62 @@ def test_kernel_basis_matches_dense_reference():
     # the draw reaches stuck columns and kernels of several dimensions
     assert seen["stuck"] >= 10
     assert {0, 1, 2, 3} <= seen["dims"]
+
+
+def _interleaved_components(rng, hidden):
+    """A matrix of 2 to 6 random sparse diagonal blocks, its rows and its
+    columns each shuffled, so that no component's indices are contiguous;
+    with hidden, one or two blocks hold HIDDEN_ZERO in their first column,
+    where no other entry of that column is proven nonzero on either
+    side."""
+    blocks = [checks.rand_sparse_matrix(rng, rng.randint(1, 4),
+                                        rng.uniform(0.3, 0.9))
+              for _ in range(rng.randint(2, 6))]
+    for b in rng.sample(range(len(blocks)), rng.randint(1, 2)) if hidden \
+            else ():
+        blocks[b] = [[checks.HIDDEN_ZERO, ONE], [ZERO, ONE]]
+        if rng.random() < 0.5:
+            blocks[b] = [list(r) for r in zip(*blocks[b])]
+    n = sum(len(b) for b in blocks)
+    dense = [[ZERO] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            dense[at + i][at:at + len(b)] = row
+        at += len(b)
+    rows, cols = list(range(n)), list(range(n))
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    return [[dense[r][c] for c in cols] for r in rows], len(blocks)
+
+
+def test_component_bases_match_the_dense_reference():
+    # each component is eliminated on its own and the vectors merged in
+    # ascending free-column order: the whole-matrix elimination, vector by
+    # vector, with its stuck column and its uncertain flag
+    rng = random.Random(73)
+    seen = {"stuck": 0, "vectors": 0, "split": 0}
+    for case in range(60):
+        m, made = _interleaved_components(rng, hidden=case % 3 == 0)
+        parts = components(m)
+        assert len(parts) >= made
+        seen["split"] += any(p.rows != tuple(range(p.rows[0], p.rows[0]
+                                                   + len(p.rows)))
+                             for p in parts if p.rows)
+        p = Prober()
+        for left in (False, True):
+            p.uncertain_seen = False
+            got = _basis_or_stuck(lambda: kernel_basis(m, p, left=left))
+            sparse_uncertain, p.uncertain_seen = p.uncertain_seen, False
+            ref = _dense_basis([list(r) for r in zip(*m)] if left else m, p)
+            assert got == ref, (case, left)
+            assert sparse_uncertain == p.uncertain_seen, (case, left)
+            if isinstance(got, tuple):
+                seen["stuck"] += 1
+            else:
+                seen["vectors"] += len(got)
+    assert seen["stuck"] >= 30 and seen["vectors"] >= 150
+    assert seen["split"] >= 50
 
 
 def test_kernel_vector_wraps_kernel_basis():
