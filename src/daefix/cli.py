@@ -146,9 +146,7 @@ def _dense(rows, n, fill):
 
 
 def _sigma_json(sig):
-    entries = _dense(({j: row[j] for j in cols}
-                      for row, cols in zip(sig.rows, sig.support)),
-                     sig.n, None)
+    entries = _dense(sig.rows, sig.n, None)
     hvt = [[i + 1, j + 1] for i, j in sig.hvt] if sig.hvt else None
     return {"entries": entries, "hvt": hvt,
             "value": None if not sig.swp else sig.value}
@@ -237,7 +235,7 @@ def cmd_analyze(args) -> int:
     print(render_scheme(system, scheme))
     print()
     print("System Jacobian:")
-    jac_entries = jacobian_entries(system, sig, rep.matrix)
+    jac_entries = jacobian_entries(system, rep.matrix)
     print(render_jacobian(system, jac_entries))
     det_str = _det_string(system, rep)
     if det_str is not None:

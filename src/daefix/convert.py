@@ -106,19 +106,14 @@ def lc_analyze(system: DaeSystem, off: OffsetPair, u, prober: Prober) -> LcAnaly
         return LcAnalysis(u, (), 0, (), (), False, off)
     c_under = min(off.c[i] for i in rows)
     # order condition: u must not involve derivatives of x_j at or above
-    # order d_j - c_under, otherwise the replacement breaks the offsets
-    ho = _max_orders([u[i] for i in rows], system.n)
-    if not all(h < d - c_under for h, d in zip(ho, off.d)):
+    # order d_j - c_under, otherwise the replacement breaks the offsets;
+    # the hod of a sum as written is the largest hod of its summands
+    ho = highest_orders(Add(tuple(u[i] for i in rows)))
+    if not all(h < off.d[j] - c_under for j, h in ho.items()):
         return LcAnalysis(u, rows, c_under, (), (), False, off)
     candidates = tuple(i for i in rows if off.c[i] == c_under)
     const_rows = tuple(i for i in candidates if isinstance(u[i], Const))
     return LcAnalysis(u, rows, c_under, candidates, const_rows, True, off)
-
-
-def _max_orders(exprs, n) -> list:
-    """max_e hod(e, j) over exprs for each j < n, one pass per expression."""
-    rows = [highest_orders(e, n) for e in exprs]
-    return [max(col) for col in zip(*rows)]
 
 
 @dataclass(frozen=True)
@@ -146,9 +141,8 @@ def lc_apply(system: DaeSystem, analysis: LcAnalysis, pivot: int) -> LcApplicati
     new_eq = make_equation(old.name, simplify(combination),
                            origin="lc_replaced", alias=old.alias)
     # the leading derivatives must have cancelled
-    row = highest_orders(new_eq.expr, system.n)
-    for j, (h, d) in enumerate(zip(row, off.d)):
-        if not h < d - analysis.c_under:
+    for j, h in highest_orders(new_eq.expr).items():
+        if not h < off.d[j] - analysis.c_under:
             raise ConvertError("combination kept a leading derivative of %s"
                                % system.var_names[j])
     eqs = list(system.equations)
@@ -204,10 +198,10 @@ def es_analyze(system: DaeSystem, sig, off: OffsetPair, v,
     if not rows or len(cols) < 2:
         return EsAnalysis(v, cols, rows, 0, (), False, off)
     c_over = max(off.c[i] for i in rows)
-    ho = _max_orders([v[k] for k in cols], system.n)
-    ok = all(h < d - c_over and d - c_over >= 0 if j in cols
-             else h <= d - c_over
-             for j, (h, d) in enumerate(zip(ho, off.d)))
+    ho = highest_orders(Add(tuple(v[k] for k in cols)))
+    # a state no entry of v holds reads -1, which asks only d_j >= c_over
+    ok = all(ho.get(j, -1) < off.d[j] - c_over for j in cols) \
+        and all(h <= off.d[j] - c_over for j, h in ho.items())
     const_cols = tuple(j for j in cols if isinstance(v[j], Const))
     return EsAnalysis(v, cols, rows, c_over, const_cols if ok else (), ok, off)
 
@@ -564,13 +558,18 @@ def fix_dae(system: DaeSystem, prober: Prober = None, method: str = None,
             app = es_apply(current, analysis, chosen_pivot, prober)
             es_equivalence_probes(current, app, prober)
             vec = analysis.v
-        current = app.system
+        before, current = current, app.system
         # a combination step keeps every other row: carry them
         after = analyze(current, prober, formal,
                         now if kind is MethodKind.LC else None)
         if not after.value < now.value:
-            raise ConvertError("conversion step did not decrease the "
-                               "signature value")
+            raise ConvertError(
+                "conversion step %d (%s, pivot %s) did not decrease the "
+                "signature value: %s -> %s"
+                % (len(steps) + 1, kind.value,
+                   before.equations[chosen_pivot].name if kind is MethodKind.LC
+                   else before.var_names[chosen_pivot],
+                   now.value, after.value))
         grade = "global" if isinstance(vec[chosen_pivot], Const) else "local"
         steps.append(StepRecord(len(steps) + 1, kind, chosen_pivot, vec,
                                 grade, now.value, app, current, after))

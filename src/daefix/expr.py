@@ -274,14 +274,14 @@ def hod(e: Expr, index: int):
     return best
 
 
-def highest_orders(e: Expr, n: int) -> tuple:
-    """(hod(e, 0), ..., hod(e, n - 1)) from one pass over atoms(e), which
-    holds every state derivative the tree holds."""
-    row = [NEG_INF] * n
+def highest_orders(e: Expr) -> dict:
+    """{j: hod(e, j)} over the states e holds, in ascending j, from one pass
+    over atoms(e), which holds every state derivative the tree holds."""
+    row: dict = {}
     for a in atoms(e):
-        if isinstance(a, StateDeriv) and a.order > row[a.index]:
+        if isinstance(a, StateDeriv) and a.order > row.get(a.index, -1):
             row[a.index] = a.order
-    return tuple(row)
+    return dict(sorted(row.items()))
 
 
 # ---------------------------------------------------------------------------

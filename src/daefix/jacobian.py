@@ -2,12 +2,13 @@
 
 J_ij = d f_i / d x_j^(sigma_ij) where the offsets are tight (d_j - c_i equals
 sigma_ij); everywhere else the entry is zero, including the shaded positions
-where d_j - c_i > sigma_ij.  Different valid offset pairs can give different
-matrices, but they all share one determinant.  J comes from one gradient
-walk per equation: the summands of its normal form are indexed by atom
-once, so each tight entry differentiates only the summands that hold its
-atom, and the work grows with the nonzeros, not with n times the
-equation's length.
+where d_j - c_i > sigma_ij.  A row of J is kept as {j: entry} over its
+nonzero entries in ascending j, so a zero is never stored.  Different
+valid offset pairs can give different matrices, but they all share one
+determinant.  J comes from one gradient walk per equation: the summands
+of its normal form are indexed by atom once, so each tight entry
+differentiates only the summands that hold its atom, and the work grows
+with the nonzeros, not with n times the equation's length.
 
 Classification works per component of the support (rows and columns no
 nonzero entry links to the rest).  A perfect matching on each (augmenting
@@ -53,21 +54,22 @@ _RANK_POINTS = 3
 
 def system_jacobian(system: DaeSystem, sig: SignatureMatrix,
                     off: OffsetPair, prior=None) -> tuple:
-    """J as an n x n tuple of normal forms, the ZERO constant itself at
-    every position that is not tight.  Each entry equals the normal form of
+    """J as n rows {j: normal form} over the tight entries whose normal
+    form is not zero, in ascending j.  Each entry equals the normal form of
     partial(f_i, atom), which differentiates only the summands holding the
-    atom too; an atom the normal form lacks (a formal signature entry that
-    cancelled) gives the ZERO constant.
+    atom; an atom the normal form lacks (a formal signature entry that
+    cancelled) gives no entry.
 
     Row i depends only on f_i and on which of its finite entries are
     tight.  prior is the analysis of a system this one came from by
     replacing equations in place (see signature_matrix): a row whose
     equation it shares by identity, tight in the same columns under its
-    offsets, is its row, the very tuple."""
+    offsets, is its row, the very dict."""
     out = []
     for i, eq in enumerate(system.equations):
+        tight = _tight(sig, off, i)
         if prior is not None and eq is prior.system.equations[i] \
-                and _tight(sig, off, i) == _tight(sig, prior.offsets, i):
+                and tight == _tight(sig, prior.offsets, i):
             out.append(prior.jacobian.matrix[i])
             continue
         f = eq.expr
@@ -75,20 +77,20 @@ def system_jacobian(system: DaeSystem, sig: SignatureMatrix,
         for t in f.children if isinstance(f, Add) else (f,):
             for a in atoms(t):
                 holders.setdefault(a, []).append(t)
-        row = [ZERO] * system.n
-        for a, terms in holders.items():
-            if isinstance(a, StateDeriv) \
-                    and a.order == sig.rows[i][a.index] \
-                    == off.d[a.index] - off.c[i]:
-                row[a.index] = simplify(
-                    Add(tuple(partial(t, a) for t in terms)))
-        out.append(tuple(row))
+        row = {}
+        for j in tight:
+            a = StateDeriv(j, sig.rows[i][j])
+            if a in holders:
+                e = simplify(Add(tuple(partial(t, a) for t in holders[a])))
+                if e is not ZERO:
+                    row[j] = e
+        out.append(row)
     return tuple(out)
 
 
 def _tight(sig, off, i) -> list:
     """The finite columns j of row i with d_j - c_i = sigma_ij."""
-    return [j for j in sig.support[i] if off.d[j] - off.c[i] == sig.rows[i][j]]
+    return [j for j, s in sig.rows[i].items() if off.d[j] - off.c[i] == s]
 
 
 def determinant(matrix: Sequence[Sequence[Expr]]) -> Expr:
@@ -133,7 +135,7 @@ class JacobianClass(Enum):
 
 class Component:
     """A connected component of J's support.  entries maps each row to its
-    nonzero entries {col: normal form}; blocks are the diagonal blocks as
+    row of J, {col: normal form}; blocks are the diagonal blocks as
     (rows, cols), None without a perfect matching.  The determinants of
     small blocks (dets, by rows) and the elimination of each side
     (eliminated, by nullspace) are kept once made."""
@@ -149,19 +151,16 @@ class Component:
             for rs, cs in _blocks(support, match)]
 
 
-def components(matrix: Sequence[Sequence[Expr]], prior=None) -> tuple:
-    """The components of a square matrix's support (its entries whose
-    normal form is not zero), in the order of their first row.  Of prior,
-    the report on a matrix of the same size, each component that keeps its
-    rows as the very row objects, and that no other row reaches, is
-    carried as the object itself; the rest are split again."""
+def components(matrix: Sequence[dict], prior=None) -> tuple:
+    """The components of the support of a square matrix of sparse rows
+    {col: nonzero normal form}, in the order of their first row.  Of
+    prior, the report on a matrix of the same size, each component that
+    keeps its rows as the very row objects, and that no other row reaches,
+    is carried as the object itself; the rest are split again."""
     n = len(matrix)
     new = [i for i, row in enumerate(matrix)
            if prior is None or row is not prior.matrix[i]]
-    # the ZERO constant at a non-tight position is skipped before simplify
-    entries = {i: {j: s for j, e in enumerate(matrix[i])
-                   if e is not ZERO and (s := simplify(e)) is not ZERO}
-               for i in new}
+    entries = {i: matrix[i] for i in new}
     rows = set(new)
     cols = set(range(n)) if prior is None else {j for i in new
                                                 for j in entries[i]}
@@ -182,7 +181,7 @@ def components(matrix: Sequence[Sequence[Expr]], prior=None) -> tuple:
 
 @dataclass(frozen=True)
 class JacobianReport:
-    matrix: tuple
+    matrix: tuple         # rows {col: nonzero normal form}
     klass: JacobianClass
     # None when n > DET_BOUND, unless structurally singular (ZERO)
     det: Optional[Expr]
@@ -193,7 +192,7 @@ class JacobianReport:
         return self.klass is not JacobianClass.GENERICALLY_NONSINGULAR
 
 
-def classify_jacobian(matrix: Sequence[Sequence[Expr]], prober: Prober,
+def classify_jacobian(matrix: Sequence[dict], prober: Prober,
                       prior=None) -> JacobianReport:
     """Sort the matrix into one of four kinds, component by component and
     block by block.
@@ -211,7 +210,7 @@ def classify_jacobian(matrix: Sequence[Sequence[Expr]], prober: Prober,
     component it carries (see components) keeps its blocks and the
     determinants already expanded.
     """
-    matrix = tuple(tuple(row) for row in matrix)
+    matrix = tuple(matrix)
     n = len(matrix)
     parts = components(matrix, prior)
     if any(p.blocks is None for p in parts):
@@ -226,7 +225,7 @@ def classify_jacobian(matrix: Sequence[Sequence[Expr]], prober: Prober,
         d = p.dets.get(rows)
         if d is None:
             d = p.dets[rows] = determinant(
-                [[matrix[i][j] for j in cols] for i in rows])
+                [[matrix[i].get(j, ZERO) for j in cols] for i in rows])
         if d == ZERO:
             return JacobianReport(matrix, JacobianClass.IDENTICALLY_SINGULAR,
                                   ZERO if n <= DET_BOUND else None, parts)
@@ -238,7 +237,7 @@ def classify_jacobian(matrix: Sequence[Sequence[Expr]], prober: Prober,
     klass = JacobianClass.GENERICALLY_NONSINGULAR
     if not all(prober.verdict(d).proven_nonzero for d in small):
         klass = JacobianClass.PROBABLY_SINGULAR
-    elif not all(_full_rank(matrix, p.entries, rows, cols, prober)
+    elif not all(_full_rank(p, rows, cols, n, prober)
                  for p, rows, cols in large):
         klass = JacobianClass.PROBABLY_SINGULAR
     return JacobianReport(matrix, klass, det, parts)
@@ -262,18 +261,18 @@ def _odd(blocks, n) -> bool:
     return (n - cycles) % 2 == 1
 
 
-def _full_rank(matrix, support, rows, cols, prober: Prober) -> bool:
-    """Rank probes on one diagonal block; False means probably singular.
+def _full_rank(part, rows, cols, n, prober: Prober) -> bool:
+    """Rank probes on one diagonal block, rows by cols, of component part
+    of an n x n matrix; False means probably singular.
 
     A matrix that is a single block keeps the key of the whole-matrix probe.
     """
-    n = len(matrix)
     at_row = {i: k for k, i in enumerate(rows)}
     at_col = {j: k for k, j in enumerate(cols)}
     # an entry outside the support is the exact value 0 at every point:
     # only the rest are evaluated, in row-major order
-    entries = [(at_row[i], at_col[j], matrix[i][j]) for i in rows
-               for j in support[i] if j in at_col]
+    entries = [(at_row[i], at_col[j], e) for i in rows
+               for j, e in part.entries[i].items() if j in at_col]
     ats = {a for _, _, e in entries for a in atoms(e)}
     key = "%s:rank:%d" % (prober.seed, n)
     if len(rows) < n:

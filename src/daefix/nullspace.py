@@ -63,13 +63,15 @@ def _pivot_choice(entries, prober: Prober):
     return None, "free"
 
 
-def kernel_basis(matrix: Sequence[Sequence[Expr]], prober: Prober,
+def kernel_basis(matrix: Sequence[dict], prober: Prober,
                  left: bool = False) -> Iterator[tuple]:
-    """Kernel basis (cokernel with left=True) of a square matrix: the
-    component_basis of its components."""
+    """Kernel basis (cokernel with left=True) of a square matrix of sparse
+    rows {col: nonzero normal form}, as n-tuples: the component_basis of
+    its components."""
     n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise NullspaceError("matrix must be square")
+    if any(not 0 <= j < n for row in matrix for j in row):
+        raise NullspaceError("matrix must be square: a column lies outside "
+                             "0..%d" % (n - 1))
     return component_basis(components(matrix), prober, left)
 
 
@@ -163,14 +165,14 @@ def _basis_vector(n, elimination, fc, prober) -> tuple:
     return tuple(v)
 
 
-def kernel_vector(matrix: Sequence[Sequence[Expr]], prober: Prober,
+def kernel_vector(matrix: Sequence[dict], prober: Prober,
                   basis_index: int = 0) -> Optional[tuple]:
     """basis_index-th vector of kernel_basis, or None when the kernel has
     no that-many dimensions."""
     return next(islice(kernel_basis(matrix, prober), basis_index, None), None)
 
 
-def cokernel_vector(matrix: Sequence[Sequence[Expr]], prober: Prober,
+def cokernel_vector(matrix: Sequence[dict], prober: Prober,
                     basis_index: int = 0) -> Optional[tuple]:
     return next(islice(kernel_basis(matrix, prober, left=True), basis_index,
                        None), None)
@@ -181,14 +183,14 @@ def _sum(terms):
 
 
 def residual(matrix, vec, left: bool = False):
-    """Yields each entry of vec^T matrix (left) or matrix vec, unsimplified:
-    the sum of the products of two non-ZERO factors, or None when there is
-    no such product."""
+    """Yields each entry of vec^T matrix (left) or matrix vec for a matrix
+    of sparse rows, unsimplified: the sum of the products of an entry and
+    a non-ZERO factor, or None when there is no such product."""
     support = [k for k, x in enumerate(vec) if x is not ZERO]
     for i in range(len(matrix)):
-        pairs = ((matrix[k][i] if left else matrix[i][k], vec[k])
+        pairs = ((matrix[k].get(i) if left else matrix[i].get(k), vec[k])
                  for k in support)
-        terms = [Mul((a, x)) for a, x in pairs if a is not ZERO]
+        terms = [Mul((a, x)) for a, x in pairs if a is not None]
         yield _sum(terms) if terms else None
 
 

@@ -6,7 +6,7 @@ positions contribute a structural zero to the System Jacobian), with the
 offsets in the right and bottom margins.
 """
 
-from .expr import ZERO, format_expr
+from .expr import format_expr
 
 
 def _grid(headers, rows, fill) -> str:
@@ -31,16 +31,13 @@ def _grid(headers, rows, fill) -> str:
 
 
 def render_sigma(system, sig, off=None) -> str:
-    """Only each row's finite columns, sig.support, are read; the others
-    print "-"."""
+    """Only each row's finite entries are read; the others print "-"."""
     hvt = dict(sig.hvt or ())     # row -> its transversal column
     headers = [""] + list(system.var_names) + (["c_i"] if off else [])
     rows = []
-    for i, (eq, sig_row, cols) in enumerate(zip(system.equations, sig.rows,
-                                                sig.support)):
+    for i, (eq, sig_row) in enumerate(zip(system.equations, sig.rows)):
         cells = {0: eq.name}
-        for j in cols:
-            s = sig_row[j]
+        for j, s in sig_row.items():
             cells[j + 1] = ("[%s]" % s if off is not None
                             and off.d[j] - off.c[i] > s else str(s))
         if i in hvt:
@@ -53,14 +50,12 @@ def render_sigma(system, sig, off=None) -> str:
     return _grid(headers, rows, "-")
 
 
-def jacobian_entries(system, sig, matrix) -> list:
-    """Row by row, {column: text} of J's entries that are not the ZERO
-    constant: the text that both the table and the JSON report print.
-    system_jacobian puts ZERO at every position off the tight entries, so
-    only each row's finite columns, sig.support, are read."""
-    return [{j: format_expr(row[j], system.var_names)
-             for j in cols if row[j] is not ZERO}
-            for row, cols in zip(matrix, sig.support)]
+def jacobian_entries(system, matrix) -> list:
+    """Row by row, {column: text} of J's entries, the sparse rows of
+    system_jacobian: the text that both the table and the JSON report
+    print."""
+    return [{j: format_expr(e, system.var_names) for j, e in row.items()}
+            for row in matrix]
 
 
 def render_jacobian(system, entries) -> str:

@@ -1,21 +1,23 @@
 """Signature-matrix analysis of a square DAE system.
 
-For each equation i and state j the signature entry is the highest derivative
-order of x_j in f_i (NEG_INF when absent).  A highest-value transversal (HVT)
-gives the structural value; the one kept is the lexicographically smallest,
-found from a single sparse assignment solve over the finite entries and its
-dual potentials.  The canonical offset pair (c; d) is the smallest valid one
+For each equation i and state j the signature entry is the highest
+derivative order of x_j in f_i (NEG_INF when absent).  A row of Sigma is
+kept as {j: order} over its finite entries in ascending j, the only form
+the analysis reads.  A highest-value transversal (HVT) gives the
+structural value; the one kept is the lexicographically smallest, found
+from a single sparse assignment solve over the finite entries and its dual
+potentials.  The canonical offset pair (c; d) is the smallest valid one
 and drives the structural index, the degrees of freedom and the solution
 scheme.  It comes from the same solve's dual: under its potentials every
 edge of the offsets' longest-path problem has a nonnegative reduced cost,
 so the Dijkstra search that finds each augmenting path of the solve also
 finds the offsets, in one pass from every row.  One iterative
-augmenting-path routine serves every matching here:
-moving the solve's transversal to the smallest HVT, checking a transversal
-of tight entries, and matching a System Jacobian's support.
+augmenting-path routine serves every matching here: moving the solve's
+transversal to the smallest HVT, checking a transversal of tight entries,
+and matching a System Jacobian's support.
 
 A combination step replaces one equation, so its Sigma shares every other
-row with the one before.  Those rows are carried with their finite columns,
+row with the one before.  Those rows are carried as the same dicts, with
 their potentials and their HVT entries, and the solve is warm-started from
 the previous optimal dual: one search from the replaced row finishes it.
 The best transversals are the transversals of tight entries under any
@@ -40,14 +42,12 @@ class StructuralError(ValueError):
 
 @dataclass(frozen=True)
 class SignatureMatrix:
-    rows: tuple            # entries are int or NEG_INF
+    rows: tuple            # each row {column: order}, ascending columns
     value: object          # int, or NEG_INF when no finite transversal exists
     hvt: Optional[tuple]   # lexicographically smallest HVT as ((i, j), ...)
     # the assignment solve's potentials (u, v): sigma_ij + u_i + v_j <= 0
     # wherever finite, with equality on every HVT
     dual: tuple = field(compare=False)
-    # the ascending finite columns of each row
-    support: tuple = field(compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -59,22 +59,24 @@ class SignatureMatrix:
         return self.hvt is not None
 
     def entry(self, i: int, j: int):
-        return self.rows[i][j]
+        return self.rows[i].get(j, NEG_INF)
 
 
-def sigma_from_rows(rows: Sequence[Sequence],
+def sigma_from_rows(rows: Sequence[dict],
                     prior: Optional[SignatureMatrix] = None) -> SignatureMatrix:
-    """The signature matrix of rows.  prior, a well-posed matrix of the same
-    size, carries over every row that rows holds as the very tuple prior
-    holds, with its finite columns, and warm-starts the solve (see
-    _assignment_max); the HVT and the value do not depend on it."""
-    rows = tuple(tuple(r) for r in rows)
+    """The signature matrix of n rows {column: order}, each in ascending
+    columns of 0..n-1.  prior, a well-posed matrix of the same size,
+    carries over every row that rows holds as the very dict prior holds and
+    warm-starts the solve (see _assignment_max); the HVT and the value do
+    not depend on it."""
+    rows = tuple(rows)
     n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise StructuralError("signature matrix must be square")
-    value, assign, tight, dual, support = _assignment_max(rows, prior)
+    if any(not 0 <= j < n for r in rows for j in r):
+        raise StructuralError("signature matrix must be square: a column "
+                              "lies outside 0..%d" % (n - 1))
+    value, assign, tight, dual = _assignment_max(rows, prior)
     hvt = None if assign is None else _lex_smallest_hvt(tight, assign)
-    return SignatureMatrix(rows, value, hvt, dual, support)
+    return SignatureMatrix(rows, value, hvt, dual)
 
 
 def signature_rows(system: DaeSystem, formal: bool = False) -> tuple:
@@ -82,7 +84,7 @@ def signature_rows(system: DaeSystem, formal: bool = False) -> tuple:
     trees, where cancelled derivatives still count.  One pass over each
     row's atoms: entry j is hod(tree, j) for the tree of the mode, since
     expr = simplify(raw)."""
-    return tuple(highest_orders(eq.raw if formal else eq.expr, system.n)
+    return tuple(highest_orders(eq.raw if formal else eq.expr)
                  for eq in system.equations)
 
 
@@ -96,24 +98,25 @@ def signature_matrix(system: DaeSystem, formal: bool = False,
         return sigma_from_rows(signature_rows(system, formal))
     kept, old = prior.system.equations, prior.signature.rows
     rows = tuple(old[i] if eq is kept[i]
-                 else highest_orders(eq.raw if formal else eq.expr, system.n)
+                 else highest_orders(eq.raw if formal else eq.expr)
                  for i, eq in enumerate(system.equations))
     return sigma_from_rows(rows, prior.signature)
 
 
 # ---------------------------------------------------------------------------
 # max-weight assignment and augmenting paths
-# (support[i] lists the columns of row i's finite or nonzero entries)
+# (support[i] lists the columns of row i's finite or nonzero entries; a
+# sparse row {column: entry} serves as its own)
 
 def _assignment_max(rows, prior=None):
     """Best transversal value, one witness (None if every transversal hits a
     NEG_INF entry), each row's tight columns (finite entries of zero reduced
-    cost -sigma_ij - u_i - v_j), the potentials (u, v) and each row's finite
-    columns.  Successive shortest augmenting paths over the finite entries,
-    on exact integers (Jonker and Volgenant 1987): one search per unmatched
-    row keeps every reduced cost >= 0 and makes the entries of its path
-    tight.  By complementary slackness the best transversals are exactly
-    the transversals of tight entries, under any optimal dual.
+    cost -sigma_ij - u_i - v_j) and the potentials (u, v).  Successive
+    shortest augmenting paths over the finite entries, on exact integers
+    (Jonker and Volgenant 1987): one search per unmatched row keeps every
+    reduced cost >= 0 and makes the entries of its path tight.  By
+    complementary slackness the best transversals are exactly the
+    transversals of tight entries, under any optimal dual.
 
     From scratch v = 0 and no row is matched.  With prior (see
     sigma_from_rows) each row it shares keeps its potential and its HVT
@@ -128,20 +131,17 @@ def _assignment_max(rows, prior=None):
         kept = [r is p for r, p in zip(rows, prior.rows)]
         u, v = list(prior.dual[0]), list(prior.dual[1])
         assign = [j if k else -1 for k, (_, j) in zip(kept, prior.hvt)]
-    support = tuple(prior.support[i] if k else
-                    tuple(j for j, w in enumerate(r) if w != NEG_INF)
-                    for i, (k, r) in enumerate(zip(kept, rows)))
     owner = [-1] * n
     for i, j in enumerate(assign):
         if j >= 0:
             owner[j] = i
     for i, r in enumerate(rows):
         if not kept[i]:
-            u[i] = -max((r[j] + v[j] for j in support[i]), default=0)
+            u[i] = -max((s + v[j] for j, s in r.items()), default=0)
     for root in range(n):
         if kept[root]:
             continue
-        done, way, j = _search(rows, support, u, v, owner, {root: 0})
+        done, way, j = _search(rows, u, v, owner, {root: 0})
         if j is None:
             break
         d = done[j]
@@ -153,15 +153,14 @@ def _assignment_max(rows, prior=None):
         while j >= 0:
             i = way[j]
             owner[j], assign[i], j = i, j, assign[i]
-    tight = [[j for j in s if rows[i][j] + u[i] + v[j] == 0]
-             for i, s in enumerate(support)]
+    tight = [[j for j, s in r.items() if s + u[i] + v[j] == 0]
+             for i, r in enumerate(rows)]
     if -1 in assign:
-        return NEG_INF, None, tight, (u, v), support
-    return (sum(rows[i][assign[i]] for i in range(n)), assign, tight, (u, v),
-            support)
+        return NEG_INF, None, tight, (u, v)
+    return sum(rows[i][assign[i]] for i in range(n)), assign, tight, (u, v)
 
 
-def _search(rows, support, u, v, owner, start):
+def _search(rows, u, v, owner, start):
     """Dijkstra over the reduced costs -sigma_ij - u_i - v_j >= 0 from the
     rows in start, each entering at its given distance.  A settled column
     held by row owner[j] passes its distance on to that row when it is
@@ -172,8 +171,8 @@ def _search(rows, support, u, v, owner, start):
     best, way, done, heap = {}, {}, {}, []
 
     def expand(i, d):
-        for j in support[i]:
-            cost = d - rows[i][j] - u[i] - v[j]
+        for j, s in rows[i].items():
+            cost = d - s - u[i] - v[j]
             if j not in done and cost < best.get(j, cost + 1):
                 best[j], way[j] = cost, i
                 heappush(heap, (cost, owner[j] >= 0, j))
@@ -363,7 +362,7 @@ def canonical_offsets(sig: SignatureMatrix) -> OffsetPair:
     owner = [0] * sig.n
     for i, j in sig.hvt:
         owner[j] = i
-    dist = _search(sig.rows, sig.support, u, v, owner, dict(enumerate(u)))[0]
+    dist = _search(sig.rows, u, v, owner, dict(enumerate(u)))[0]
     c = tuple(u[i] - dist[j] for i, j in sig.hvt)
     d = tuple(c[i] + sig.rows[i][j] for j, i in enumerate(owner))
     return OffsetPair(c, d)
@@ -379,12 +378,9 @@ def validate_offsets(sig: SignatureMatrix, c: Sequence[int],
     if any(ci < 0 for ci in c) or any(dj < 0 for dj in d):
         return False
     tight = []
-    for i in range(n):
+    for i, r in enumerate(sig.rows):
         row = []
-        for j in range(n):
-            s = sig.rows[i][j]
-            if s == NEG_INF:
-                continue
+        for j, s in r.items():
             if d[j] - c[i] < s:
                 return False
             if d[j] - c[i] == s:
@@ -426,7 +422,7 @@ class SolutionScheme:
 
 
 def solution_scheme(off: OffsetPair,
-                    jacobian: Sequence[Sequence]) -> SolutionScheme:
+                    jacobian: Sequence[dict]) -> SolutionScheme:
     """Stage k solves the equations with c_i + k >= 0 for x_j^(k+d_j).
     Only equation i's undifferentiated stage k = -c_i can be nonlinear, and
     its first partials by that stage's unknowns are row i of the System
@@ -436,7 +432,7 @@ def solution_scheme(off: OffsetPair,
                  if any(isinstance(a, StateDeriv)
                         and a.order == off.d[a.index] - off.c[i]
                         and simplify(partial(e, a)) != ZERO
-                        for e in row if e is not ZERO for a in atoms(e))}
+                        for e in row.values() for a in atoms(e))}
     stages = []
     for k in range(-max(off.d), 1):
         eqs = tuple((i, k + c) for i, c in enumerate(off.c) if k + c >= 0)

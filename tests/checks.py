@@ -11,6 +11,10 @@ test_nullspace hold the fast ones to; the fixed-point offsets that
 test_structural and test_generated hold the search to; the Fraction-only
 normal form and evaluation that test_expr holds the integer kernel to; the
 dense, cell-by-cell tables that test_output holds the sparse ones to.
+
+daefix keeps each row of Sigma and of J as {column: entry}, in ascending
+columns.  The references here read dense n x n input, and Sigma through
+sig.entry(i, j); sparse and dense convert between the two forms.
 """
 
 import math
@@ -29,6 +33,44 @@ from daefix.structural import OffsetPair, signature_matrix
 _FUNCS = ("sin", "cos", "exp")
 _ATOMS = (StateDeriv(0, 0), StateDeriv(0, 1), StateDeriv(1, 0),
           StateDeriv(1, 2), StateDeriv(2, 1), TimeVar(), DrivingFn("w"))
+
+
+def sparse(dense_rows):
+    """The rows {column: entry} of a dense matrix, in ascending columns:
+    NEG_INF (an absent Sigma entry) and the ZERO constant (a zero of J)
+    are left out."""
+    return tuple({j: e for j, e in enumerate(row)
+                  if e is not ZERO and e != NEG_INF} for row in dense_rows)
+
+
+def dense(rows, fill):
+    """The n x n tuples of the n sparse rows, fill where a row has no
+    entry."""
+    return tuple(tuple(row.get(j, fill) for j in range(len(rows)))
+                 for row in rows)
+
+
+def assert_one_form(analysis):
+    """Each row of Sigma and of J is a dict with strictly ascending int
+    columns: Sigma's values are orders >= 0, and J holds only tight
+    entries (d_j - c_i = sigma_ij), none of them the ZERO constant.  Dict
+    equality ignores key order, so comparing two analyses cannot see an
+    order slip; yet the order decides the tight lists of the smallest HVT
+    and the greedy pass of the matching."""
+    sig, jac = analysis.signature, analysis.jacobian
+    for row in sig.rows + (jac.matrix if jac else ()):
+        assert type(row) is dict
+        keys = list(row)
+        assert all(type(j) is int for j in keys)
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+    for row in sig.rows:
+        assert all(type(s) is int and s >= 0 for s in row.values())
+    if jac is not None:
+        off = analysis.offsets
+        for i, row in enumerate(jac.matrix):
+            assert all(off.d[j] - off.c[i] == sig.rows[i].get(j)
+                       for j in row)
+            assert all(e is not ZERO for e in row.values())
 
 
 def pendulum_chain(n):
@@ -102,15 +144,15 @@ def derivative_shift_holds(rng):
 
 
 def reference_system_jacobian(system, sig, off):
-    """The System Jacobian entry by entry over all n^2 positions: the
+    """The dense System Jacobian entry by entry over all n^2 positions: the
     normal form of the partial derivative of the whole equation at each
     tight position, the ZERO constant elsewhere."""
     n = system.n
     return tuple(
         tuple(simplify(partial(system.equations[i].expr,
-                               StateDeriv(j, int(sig.rows[i][j]))))
-              if sig.rows[i][j] != NEG_INF
-              and off.d[j] - off.c[i] == sig.rows[i][j] else ZERO
+                               StateDeriv(j, int(sig.entry(i, j)))))
+              if sig.entry(i, j) != NEG_INF
+              and off.d[j] - off.c[i] == sig.entry(i, j) else ZERO
               for j in range(n))
         for i in range(n))
 
@@ -120,15 +162,13 @@ def reference_offsets(sig):
     nothing moves: d_j = max_i (sigma_ij + c_i), then
     c_i = d_h(i) - sigma_i,h(i) over the HVT h.  Each sweep moves the
     offsets one step along a chain of differentiations."""
-    cols = [[] for _ in range(sig.n)]
-    for i, row in enumerate(sig.rows):
-        for j, s in enumerate(row):
-            if s != NEG_INF:
-                cols[j].append((i, s))
-    c = [0] * sig.n
+    n = sig.n
+    cols = [[(i, sig.entry(i, j)) for i in range(n)
+             if sig.entry(i, j) != NEG_INF] for j in range(n)]
+    c = [0] * n
     while True:
         d = [max(s + c[i] for i, s in col) for col in cols]
-        c2 = [d[j] - sig.rows[i][j] for i, j in sig.hvt]
+        c2 = [d[j] - sig.entry(i, j) for i, j in sig.hvt]
         if c2 == c:
             return OffsetPair(tuple(c), tuple(d))
         c = c2
@@ -311,8 +351,8 @@ def rand_sparse_matrix(rng, n, density):
     (one above n = 4) are symbolic: an atom, its reciprocal, a multiple of
     it, or, up to n = 4, a sum of two atoms; the rest are small constants,
     which keeps fraction-free elimination small.  A scaled copy of another
-    row now and then gives kernels of several dimensions.  Zeros are the
-    ZERO constant, as in a System Jacobian."""
+    row now and then gives kernels of several dimensions.  Dense: zeros
+    are the ZERO constant, and sparse() gives the rows daefix reads."""
     def symbolic_entry():
         a = rng.choice(_ENTRY_ATOMS)
         k = rng.randrange(4 if n <= 4 else 3)
@@ -720,9 +760,10 @@ def reference_render_sigma(system, sig, off=None) -> str:
     hvt = dict(sig.hvt or ())
     headers = [""] + list(system.var_names) + (["c_i"] if off else [])
     rows = []
-    for i, (eq, sig_row) in enumerate(zip(system.equations, sig.rows)):
+    for i, eq in enumerate(system.equations):
         cells = [eq.name]
-        for j, s in enumerate(sig_row):
+        for j in range(sig.n):
+            s = sig.entry(i, j)
             if s == NEG_INF:
                 cell = "-"
             else:
@@ -741,6 +782,7 @@ def reference_render_sigma(system, sig, off=None) -> str:
 
 
 def reference_render_jacobian(system, matrix) -> str:
+    """The table of a dense J, every cell formatted on its own."""
     headers = [""] + list(system.var_names)
     rows = []
     for i, eq in enumerate(system.equations):

@@ -18,7 +18,7 @@ from daefix.convert import (ConditionRejected, FixStatus, MethodKind,
                             fix_dae, lc_analyze, lc_equivalence_probes)
 from daefix.corpus import load
 from daefix.dsl import parse_dae, parse_expr
-from daefix.expr import NEG_INF, Const, StateDeriv, evaluate, simplify
+from daefix.expr import NEG_INF, ZERO, Const, StateDeriv, evaluate, simplify
 from daefix.jacobian import (JacobianClass, classify_jacobian, determinant,
                              system_jacobian)
 from daefix.nullspace import cokernel_vector, kernel_vector
@@ -45,18 +45,19 @@ def vec(system, *texts):
 
 def final_det(report):
     sig, off, J = analyze(report.system)
-    return simplify(determinant(J)), off
+    return simplify(determinant(checks.dense(J, ZERO))), off
 
 
 def test_criterion_1_pendulum():
     s = load("pendulum")
     sig, off, J = analyze(s)
-    assert sig.rows == ((2, NEG_INF, 0), (NEG_INF, 2, 0), (0, 0, NEG_INF))
+    assert sig.rows == checks.sparse(((2, NEG_INF, 0), (NEG_INF, 2, 0),
+                                      (0, 0, NEG_INF)))
     assert sig.value == 2
     assert (off.c, off.d) == ((0, 0, 2), (2, 2, 0))
     assert structural_index(off) == 3
     assert degrees_of_freedom(off) == 2
-    det = simplify(determinant(J))
+    det = simplify(determinant(checks.dense(J, ZERO)))
     diff = simplify(det - pe("-2*(x^2 + y^2)", s))
     assert Prober().verdict(diff).proven_zero
     scheme = solution_scheme(off, J)
@@ -205,7 +206,7 @@ def test_criterion_7_property_suites():
         n = rng.randint(2, 4)
         rows = [[(rng.randint(0, 2) if rng.random() < 0.75 else NEG_INF)
                  for _ in range(n)] for _ in range(n)]
-        sig = sigma_from_rows(rows)
+        sig = sigma_from_rows(checks.sparse(rows))
         if not sig.swp:
             continue
         off = canonical_offsets(sig)

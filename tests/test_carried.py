@@ -6,6 +6,8 @@ potentials and HVT entries, their Jacobian rows and the components of J
 they alone make up.  Each test here runs
 fix_dae once as it is and once with nothing carried, and compares every
 analysis, the prober's uncertain flag after it, and how the run ended.
+Every analysis is also held to the one row form (checks.assert_one_form),
+which the comparison cannot check: dict equality ignores key order.
 """
 
 import random
@@ -60,6 +62,8 @@ def _assert_carried_equals_fresh(monkeypatch, system, method=None,
     assert end == fresh_end
     assert len(carried) == len(fresh)
     for (a, flag), (b, fresh_flag) in zip(carried, fresh):
+        checks.assert_one_form(a)
+        checks.assert_one_form(b)
         # Sigma rows, value, HVT, offsets, J, class and det
         assert a == b
         assert flag == fresh_flag
@@ -81,14 +85,19 @@ def test_brenan_blocks(monkeypatch, formal):
         log, end = _assert_carried_equals_fresh(
             monkeypatch, parse_dae(checks.brenan_blocks(k)), formal=formal)
         assert end[1] == 0 and len(log) == k + 1
-        # each step replaces a row of one block; the other blocks' rows
-        # of J are the very tuples of the analysis before
+        # each step replaces a row of one block: every other row of Sigma
+        # and the other blocks' rows of J are the very dicts of the
+        # analysis before
         for (before, _), (after, _) in zip(log, log[1:]):
+            new_sigma = [i for i in range(2 * k)
+                         if after.signature.rows[i]
+                         is not before.signature.rows[i]]
             changed = [i for i in range(2 * k)
                        if after.jacobian.matrix[i]
                        is not before.jacobian.matrix[i]]
+            assert len(new_sigma) == 1
             assert len(changed) <= 2
-            assert len({i // 2 for i in changed}) == 1
+            assert {i // 2 for i in changed} == {new_sigma[0] // 2}
 
 
 def chained_brenan(k):
@@ -210,12 +219,12 @@ def test_a_step_redoes_only_the_replaced_row(monkeypatch):
                                       analyses[1:]):
         assert step.kind is MethodKind.LC
         p, after = step.pivot, step.after
-        J = after.jacobian.matrix
+        row = checks.dense(after.jacobian.matrix, ZERO)[p]
         assert len(run["_search"]) == 2
         f = step.system.equations[p].expr
         terms = f.children if isinstance(f, Add) else (f,)
-        tight = {StateDeriv(j, after.signature.rows[p][j])
-                 for j in range(2 * k) if J[p][j] is not ZERO}
+        tight = {StateDeriv(j, after.signature.entry(p, j))
+                 for j in range(2 * k) if row[j] is not ZERO}
         assert {a for _, a in run["partial"]} == tight
         assert all(t in terms for t, _ in run["partial"])
         kept = before.jacobian.components

@@ -11,6 +11,7 @@ from daefix.convert import (ConditionRejected, ConvertError, EsAnalysis,
                             es_analyze, es_apply, es_equivalence_probes,
                             fix_dae, lc_analyze, lc_apply,
                             lc_equivalence_probes)
+from daefix import corpus
 from daefix.corpus import load, names as corpus_names
 from daefix.dsl import parse_dae, parse_expr
 from daefix.expr import (NEG_INF, ZERO, Add, Const, Neg, StateDeriv, hod,
@@ -37,7 +38,7 @@ def vec(system, *texts):
 
 def final_det(report):
     sig, off, J = analyze(report.system)
-    return simplify(determinant(J)), off
+    return simplify(determinant(checks.dense(J, ZERO))), off
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +433,38 @@ eq f2: x1' + x2 + b1(t) = 0
     assert len(r.steps) == 1
     assert r.steps[0].value_after == float("-inf")
     assert r.final.offsets is None and r.final.jacobian is None
+
+
+@pytest.mark.parametrize("name, method, step, message", [
+    ("brenan", None, 1, "step 1 (lc, pivot f1)"),
+    ("es_example", "es", 1, "step 1 (es, pivot x2)"),
+    ("scholz", None, 2, "step 2 (lc, pivot f1)"),
+])
+def test_a_step_that_does_not_decrease_the_value_is_named(
+        monkeypatch, tmp_path, capsys, name, method, step, message):
+    # the analysis after the step is the one before it, so the value
+    # stands still at that step
+    from daefix import cli, convert
+    original = convert.analyze
+    made = []
+
+    def stale(system, prober, formal=False, prior=None):
+        made.append(made[-1] if len(made) == step
+                    else original(system, prober, formal, prior))
+        return made[-1]
+
+    monkeypatch.setattr(convert, "analyze", stale)
+    with pytest.raises(ConvertError) as ei:
+        fix_dae(load(name), Prober(), method=method)
+    value = made[-1].value
+    assert str(ei.value) == ("conversion %s did not decrease the signature "
+                             "value: %d -> %d" % (message, value, value))
+    path = tmp_path / (name + ".dae")
+    path.write_text(corpus.source(name))
+    made.clear()
+    argv = ["fix", str(path)] + (["--method", method] if method else [])
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "conversion failed: %s\n" % ei.value
 
 
 def test_missing_variable_is_ill_posed():

@@ -2,9 +2,9 @@ import itertools
 import random
 from fractions import Fraction
 
-from checks import (brenan_blocks, dense_fraction_rank, index_chain,
+from checks import (brenan_blocks, dense, dense_fraction_rank, index_chain,
                     pendulum_chain, rand_factor_system,
-                    reference_system_jacobian)
+                    reference_system_jacobian, sparse)
 from daefix import corpus, expr
 from daefix.cli import main
 from daefix.dsl import parse_dae
@@ -71,10 +71,10 @@ def test_pendulum_jacobian_and_det():
     s, sig, off = build(PENDULUM)
     J = system_jacobian(s, sig, off)
     x, y = StateDeriv(0), StateDeriv(1)
-    assert J[0] == (Const(Fraction(1)), ZERO, simplify(x))
-    assert J[1] == (ZERO, Const(Fraction(1)), simplify(y))
-    assert J[2] == (simplify(2 * x), simplify(2 * y), ZERO)
-    det = determinant(J)
+    assert J == sparse(((Const(Fraction(1)), ZERO, simplify(x)),
+                        (ZERO, Const(Fraction(1)), simplify(y)),
+                        (simplify(2 * x), simplify(2 * y), ZERO)))
+    det = determinant(dense(J, ZERO))
     assert simplify(det - simplify(-2 * x * x - 2 * y * y)) == ZERO
     rep = classify_jacobian(J, Prober())
     assert rep.klass is JacobianClass.GENERICALLY_NONSINGULAR
@@ -86,13 +86,14 @@ def test_lc_example_jacobian_identically_singular():
     assert off.d == (1, 1, 0, 0)
     J = system_jacobian(s, sig, off)
     x1, x2 = StateDeriv(0), StateDeriv(1)
-    assert J[0] == (Const(Fraction(-1)), ZERO, Const(Fraction(1)), ZERO)
-    assert J[1] == (ZERO, Const(Fraction(-1)), ZERO, Const(Fraction(1)))
-    assert J[2] == (simplify(x2), simplify(x1), ZERO, ZERO)
+    DJ = dense(J, ZERO)
+    assert DJ[0] == (Const(Fraction(-1)), ZERO, Const(Fraction(1)), ZERO)
+    assert DJ[1] == (ZERO, Const(Fraction(-1)), ZERO, Const(Fraction(1)))
+    assert DJ[2] == (simplify(x2), simplify(x1), ZERO, ZERO)
     # row 4: entries under shaded positions (d_j - c_i > sigma_ij) are zero
     # even though f4 does depend on x1 and x2
-    assert J[3] == (ZERO, ZERO, simplify(x2), simplify(x1))
-    assert determinant(J) == ZERO
+    assert J[3] == {2: simplify(x2), 3: simplify(x1)}
+    assert determinant(DJ) == ZERO
     rep = classify_jacobian(J, Prober())
     assert rep.klass is JacobianClass.IDENTICALLY_SINGULAR
 
@@ -106,8 +107,8 @@ def test_es_example_jacobian_identically_singular():
     E = Func("exp", simplify(-StateDeriv(0, 1) - x2 * StateDeriv(1, 2)))
     assert simplify(J[0][0] - simplify(-E)) == ZERO
     assert simplify(J[0][1] - simplify(-x2 * E)) == ZERO
-    assert J[1] == (Const(Fraction(1)), simplify(x2))
-    assert determinant(J) == ZERO
+    assert J[1] == {0: Const(Fraction(1)), 1: simplify(x2)}
+    assert determinant(dense(J, ZERO)) == ZERO
     assert classify_jacobian(J, Prober()).klass is JacobianClass.IDENTICALLY_SINGULAR
 
 
@@ -115,9 +116,9 @@ def test_brenan_jacobian_identically_singular():
     s, sig, off = build(BRENAN)
     J = system_jacobian(s, sig, off)
     t = TimeVar()
-    assert J == ((Const(Fraction(1)), simplify(t)),
-                 (Const(Fraction(1)), simplify(t)))
-    assert determinant(J) == ZERO
+    assert J == sparse(((Const(Fraction(1)), simplify(t)),
+                        (Const(Fraction(1)), simplify(t))))
+    assert determinant(dense(J, ZERO)) == ZERO
 
 
 def test_determinant_against_permanent_expansion():
@@ -146,7 +147,7 @@ def test_classify_by_rank_nonsingular():
     m = [[Const(Fraction(rng.randint(-4, 4))) for _ in range(n)] for _ in range(n)]
     for i in range(n):
         m[i][i] = Const(Fraction(100))  # diagonally dominant, surely full rank
-    rep = classify_jacobian([tuple(r) for r in m], Prober())
+    rep = classify_jacobian(sparse(m), Prober())
     assert rep.klass is JacobianClass.GENERICALLY_NONSINGULAR
     assert rep.det is None
 
@@ -159,7 +160,7 @@ def test_classify_by_rank_singular():
           for _ in range(n)] for i in range(n)]
     m[n - 1] = [simplify(m[0][j] + m[1][j]) for j in range(n)]
     p = Prober()
-    rep = classify_jacobian(m, p)
+    rep = classify_jacobian(sparse(m), p)
     assert rep.klass is JacobianClass.PROBABLY_SINGULAR
     assert p.uncertain_seen
 
@@ -167,7 +168,7 @@ def test_classify_by_rank_singular():
 def test_classify_structurally_singular():
     x, y = StateDeriv(0), StateDeriv(1)
     m = ((simplify(x), ZERO), (simplify(y), simplify(x - x)))
-    rep = classify_jacobian(m, Prober())
+    rep = classify_jacobian(sparse(m), Prober())
     assert rep.klass is JacobianClass.STRUCTURALLY_SINGULAR
     assert rep.det == ZERO
 
@@ -178,7 +179,7 @@ def test_classify_probably_singular_hidden_zero():
     m = ((simplify(Func("sin", 2 * a)), one),
          (simplify(2 * Func("sin", a) * Func("cos", a)), one))
     p = Prober()
-    rep = classify_jacobian(m, p)
+    rep = classify_jacobian(sparse(m), p)
     assert rep.klass is JacobianClass.PROBABLY_SINGULAR
     assert p.uncertain_seen
 
@@ -196,7 +197,7 @@ def test_offset_independent_determinant():
     assert validate_offsets(sig, alt.c, alt.d)
     J2 = system_jacobian(s, sig, alt)
     assert J1 != J2
-    d1, d2 = determinant(J1), determinant(J2)
+    d1, d2 = determinant(dense(J1, ZERO)), determinant(dense(J2, ZERO))
     assert d1 == Const(Fraction(1)) and d2 == Const(Fraction(1))
 
 
@@ -220,7 +221,8 @@ def test_formal_offsets_give_same_determinant():
     J_t = system_jacobian(s, sig_t, off_t)
     J_f = system_jacobian(s, sig_t, off_f)
     assert J_t != J_f
-    assert determinant(J_t) == determinant(J_f) == Const(Fraction(-1))
+    assert determinant(dense(J_t, ZERO)) == determinant(dense(J_f, ZERO)) \
+        == Const(Fraction(-1))
 
 
 def test_derivative_shifts_leading_partial():
@@ -266,7 +268,7 @@ def test_classify_zero_tests_only_nonzero_entries():
     prober.verdict = lambda e: calls.append(e) or verdict(e)
     report = classify_jacobian(J, prober)
     assert report.klass is JacobianClass.GENERICALLY_NONSINGULAR
-    nonzero = sum(e != ZERO for row in J for e in row)
+    nonzero = sum(e != ZERO for row in J for e in row.values())
     assert 0 < nonzero < n * n // 8
     # only the determinant or rank decision may spend a zero test
     assert len(calls) <= 1
@@ -280,7 +282,7 @@ def _jacobians(system, formal):
         return None
     off = canonical_offsets(sig)
     return (system_jacobian(system, sig, off),
-            reference_system_jacobian(system, sig, off))
+            sparse(reference_system_jacobian(system, sig, off)))
 
 
 def test_system_jacobian_matches_entry_by_entry_reference():
@@ -306,7 +308,7 @@ def test_system_jacobian_matches_reference_on_random_systems():
             assert got == want
             posed += 1
             for row in got:
-                for e in row:
+                for e in row.values():
                     if e is not ZERO:
                         entries += 1
                         funcs |= {n.name for n in walk(e)
@@ -408,7 +410,7 @@ def _cofactor_report(matrix, prober):
     matrix, after a structural check by the assignment solve."""
     support = [[NEG_INF if simplify(e) == ZERO else 0 for e in row]
                for row in matrix]
-    if _assignment_max(support)[1] is None:
+    if _assignment_max(sparse(support))[1] is None:
         return JacobianClass.STRUCTURALLY_SINGULAR, ZERO
     det = determinant(matrix)
     v = prober.verdict(det)
@@ -424,7 +426,7 @@ def test_block_determinant_matches_cofactor_expansion():
     seen = set()
     for _ in range(500):
         m = _shuffled_block_triangular(rng, rng.randint(1, DET_BOUND))
-        rep = classify_jacobian(m, Prober())
+        rep = classify_jacobian(sparse(m), Prober())
         klass, det = _cofactor_report(m, Prober())
         assert rep.klass is klass
         assert rep.det == det
@@ -479,13 +481,14 @@ def test_zero_block_settles_before_a_hidden_zero_block():
     for blocks in ((_hidden_zero_block(), zero_block),
                    (zero_block, _hidden_zero_block())):
         p = Prober()
-        rep = classify_jacobian(_block_diagonal(blocks), p)
+        rep = classify_jacobian(sparse(_block_diagonal(blocks)), p)
         assert rep.klass is JacobianClass.IDENTICALLY_SINGULAR
         assert rep.det == ZERO
         assert not p.uncertain_seen
     # alone, the hidden zero still rests on the zero test
     p = Prober()
-    rep = classify_jacobian(_block_diagonal((_hidden_zero_block(),) * 2), p)
+    rep = classify_jacobian(
+        sparse(_block_diagonal((_hidden_zero_block(),) * 2)), p)
     assert rep.klass is JacobianClass.PROBABLY_SINGULAR
     assert p.uncertain_seen
 
@@ -496,12 +499,12 @@ def test_many_small_blocks_with_one_singular_are_certain():
     blocks = [fine] * 20
     blocks[13] = ((one, t), (one, t))
     p = Prober()
-    rep = classify_jacobian(_block_diagonal(blocks), p)
+    rep = classify_jacobian(sparse(_block_diagonal(blocks)), p)
     assert rep.klass is JacobianClass.IDENTICALLY_SINGULAR
     assert rep.det is None          # n = 40 is above DET_BOUND
     assert not p.uncertain_seen
     p = Prober()
-    rep = classify_jacobian(_block_diagonal([fine] * 20), p)
+    rep = classify_jacobian(sparse(_block_diagonal([fine] * 20)), p)
     assert rep.klass is JacobianClass.GENERICALLY_NONSINGULAR
     assert rep.det is None
     assert not p.uncertain_seen
@@ -529,7 +532,7 @@ def test_only_the_large_block_is_rank_probed(monkeypatch):
 
     monkeypatch.setattr(daefix.jacobian, "_fraction_rank", counted)
     p = Prober()
-    rep = classify_jacobian(m, p)
+    rep = classify_jacobian(sparse(m), p)
     assert rep.klass is JacobianClass.GENERICALLY_NONSINGULAR
     assert rep.det is None
     assert not p.uncertain_seen
@@ -577,8 +580,7 @@ def test_the_greedy_pass_matches_the_index_chain_without_a_path(
     s = parse_dae(index_chain(60))
     sig = signature_matrix(s)
     J = system_jacobian(s, sig, canonical_offsets(sig))
-    assert [[j for j, e in enumerate(row) if e is not ZERO]
-            for row in J] == _index_chain_support(60)
+    assert [list(row) for row in J] == _index_chain_support(60)
     # a path from every row would walk the chain back to row 0: 2,000
     # paths of up to 2,000 rows
     paths = []

@@ -10,8 +10,8 @@ from daefix.expr import (
 )
 from daefix.jacobian import components, system_jacobian
 from daefix.nullspace import (
-    EliminationStuck, cokernel_vector, constant_mask, kernel_basis,
-    kernel_vector, normalize_candidates, verify_nullvector,
+    EliminationStuck, NullspaceError, cokernel_vector, constant_mask,
+    kernel_basis, kernel_vector, normalize_candidates, verify_nullvector,
 )
 from daefix.structural import canonical_offsets, signature_matrix
 from daefix.zerotest import Prober
@@ -112,16 +112,17 @@ def test_pendulum_mod_kernel():
 
 
 def test_kernel_none_when_nonsingular():
-    m = ((Const(Fraction(1)), ZERO), (ZERO, Const(Fraction(2))))
+    m = checks.sparse(((Const(Fraction(1)), ZERO),
+                       (ZERO, Const(Fraction(2)))))
     assert kernel_vector(m, Prober()) is None
 
 
 def test_second_basis_vector():
     # rank-1 matrix, two free columns
     x = StateDeriv(0)
-    m = ((simplify(x), simplify(2 * x), simplify(3 * x)),
-         (ZERO, ZERO, ZERO),
-         (ZERO, ZERO, ZERO))
+    m = checks.sparse(((simplify(x), simplify(2 * x), simplify(3 * x)),
+                       (ZERO, ZERO, ZERO),
+                       (ZERO, ZERO, ZERO)))
     p = Prober()
     v0 = kernel_vector(m, p, basis_index=0)
     v1 = kernel_vector(m, p, basis_index=1)
@@ -141,7 +142,7 @@ def test_random_singular_integer_matrices():
         coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(n - 1)]
         last = [sum(c * rows[i][j] for i, c in enumerate(coeffs))
                 for j in range(n)]
-        m = [[Const(v) for v in r] for r in rows + [last]]
+        m = checks.sparse([[Const(v) for v in r] for r in rows + [last]])
         v = kernel_vector(m, p)
         if v is None:
             # possible only if the matrix ended up full rank; it cannot,
@@ -156,14 +157,23 @@ def test_random_singular_integer_matrices():
 def test_elimination_stuck():
     a = Param("a")
     hidden = simplify(Func("sin", 2 * a) - 2 * Func("sin", a) * Func("cos", a))
-    m = ((hidden, Const(Fraction(1))), (ZERO, Const(Fraction(1))))
+    m = checks.sparse(((hidden, Const(Fraction(1))),
+                       (ZERO, Const(Fraction(1)))))
     with pytest.raises(EliminationStuck) as ei:
         kernel_vector(m, Prober())
     assert ei.value.col == 0
 
 
+@pytest.mark.parametrize("rows", [[{0: ONE, 2: ONE}, {1: ONE}],
+                                  [{-1: ONE}, {0: ONE}]])
+def test_a_column_outside_the_matrix_is_refused(rows):
+    with pytest.raises(NullspaceError):
+        kernel_basis(rows, Prober())
+
+
 def test_verify_nullvector_rejects_junk():
-    m = ((Const(Fraction(1)), ZERO), (ZERO, Const(Fraction(1))))
+    m = checks.sparse(((Const(Fraction(1)), ZERO),
+                       (ZERO, Const(Fraction(1)))))
     p = Prober()
     assert not verify_nullvector(m, (Const(Fraction(1)), ZERO), p)
     assert not verify_nullvector(m, (ZERO, ZERO), p)
@@ -192,8 +202,8 @@ def test_normalize_candidates_ordering():
 
 def test_normalize_candidates_clears_denominators():
     x = StateDeriv(0)
-    m = ((simplify(x), Const(Fraction(1))),
-         (simplify(x * x), simplify(x)))
+    m = checks.sparse(((simplify(x), Const(Fraction(1))),
+                       (simplify(x * x), simplify(x))))
     p = Prober()
     v = kernel_vector(m, p)
     # v = (-x^-1, 1) up to scaling; the cleared form (-1, x) must appear
@@ -204,7 +214,7 @@ def test_normalize_candidates_clears_denominators():
 
 
 def test_normalize_skips_unit_entry_rescale():
-    m = ((ZERO, ZERO), (ZERO, ZERO))
+    m = checks.sparse(((ZERO, ZERO), (ZERO, ZERO)))
     p = Prober()
     v = (Const(Fraction(1)), Const(Fraction(2)))
     cands = normalize_candidates(v, m, p)
@@ -247,7 +257,8 @@ def test_kernel_basis_matches_dense_reference():
         for left in (False, True):
             # one prober, so verdicts are shared; the flag is compared
             p.uncertain_seen = False
-            got = _basis_or_stuck(lambda: kernel_basis(m, p, left=left))
+            got = _basis_or_stuck(
+                lambda: kernel_basis(checks.sparse(m), p, left=left))
             sparse_uncertain, p.uncertain_seen = p.uncertain_seen, False
             ref = _dense_basis([list(r) for r in zip(*m)] if left else m, p)
             assert got == ref, (case, left)
@@ -296,7 +307,7 @@ def test_component_bases_match_the_dense_reference():
     seen = {"stuck": 0, "vectors": 0, "split": 0}
     for case in range(60):
         m, made = _interleaved_components(rng, hidden=case % 3 == 0)
-        parts = components(m)
+        parts = components(checks.sparse(m))
         assert len(parts) >= made
         seen["split"] += any(p.rows != tuple(range(p.rows[0], p.rows[0]
                                                    + len(p.rows)))
@@ -304,7 +315,8 @@ def test_component_bases_match_the_dense_reference():
         p = Prober()
         for left in (False, True):
             p.uncertain_seen = False
-            got = _basis_or_stuck(lambda: kernel_basis(m, p, left=left))
+            got = _basis_or_stuck(
+                lambda: kernel_basis(checks.sparse(m), p, left=left))
             sparse_uncertain, p.uncertain_seen = p.uncertain_seen, False
             ref = _dense_basis([list(r) for r in zip(*m)] if left else m, p)
             assert got == ref, (case, left)
@@ -320,7 +332,8 @@ def test_component_bases_match_the_dense_reference():
 def test_kernel_vector_wraps_kernel_basis():
     rng = random.Random(67)
     for _ in range(40):
-        m = checks.rand_sparse_matrix(rng, rng.randint(1, 5), 0.5)
+        m = checks.sparse(
+            checks.rand_sparse_matrix(rng, rng.randint(1, 5), 0.5))
         p = Prober()
         for left, wrapper in ((False, kernel_vector), (True, cokernel_vector)):
             basis = list(kernel_basis(m, p, left=left))
@@ -344,8 +357,8 @@ def test_normalize_candidates_are_null_vectors():
             system = checks.singular_linear_system(rng, str(case))
             J = jac_of(system)
         else:
-            J = checks.rand_sparse_matrix(rng, rng.randint(2, 5),
-                                          rng.uniform(0.3, 0.8))
+            J = checks.sparse(checks.rand_sparse_matrix(
+                rng, rng.randint(2, 5), rng.uniform(0.3, 0.8)))
         for left in (False, True):
             try:
                 basis = list(kernel_basis(J, p, left=left))

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from checks import index_chain, pendulum_chain, reference_offsets
+from checks import (dense, index_chain, pendulum_chain, reference_offsets,
+                    sparse)
 from daefix import corpus, structural
 from daefix.dsl import parse_dae
 from daefix.expr import NEG_INF, ZERO, StateDeriv, hod, partial, simplify
@@ -61,7 +62,8 @@ def brute_lex_hvt(rows):
 def test_pendulum_signature():
     s = parse_dae(PENDULUM)
     sig = signature_matrix(s)
-    assert sig.rows == ((2, NEG_INF, 0), (NEG_INF, 2, 0), (0, 0, NEG_INF))
+    assert sig.rows == sparse(((2, NEG_INF, 0), (NEG_INF, 2, 0),
+                               (0, 0, NEG_INF)))
     assert sig.value == 2
     assert sig.swp
     assert sig.hvt == ((0, 0), (1, 2), (2, 1))
@@ -81,7 +83,7 @@ def test_pendulum_offsets_index_dof():
 def test_brenan_offsets():
     s = parse_dae(BRENAN)
     sig = signature_matrix(s)
-    assert sig.rows == ((1, 1), (0, 0))
+    assert sig.rows == sparse(((1, 1), (0, 0)))
     off = canonical_offsets(sig)
     assert off.c == (0, 1)
     assert off.d == (1, 1)
@@ -107,7 +109,7 @@ def test_hvt_against_exhaustive_search():
         density = (0.35, 0.7, 1.0)[case // 21 % 3]
         rows = [[(rng.randint(0, top) if rng.random() < density else NEG_INF)
                  for _ in range(n)] for _ in range(n)]
-        sig = sigma_from_rows(rows)
+        sig = sigma_from_rows(sparse(rows))
         assert sig.value == brute_max_value(rows)
         expect = brute_lex_hvt(rows)
         assert sig.hvt == expect
@@ -125,6 +127,7 @@ def test_hvt_on_a_cycle(solve_picks_shift):
         rows[i][i] = rows[i][(i + 1) % n] = 0
     if solve_picks_shift:
         rows[0][1] = rows[n - 1][n - 1] = 1
+    rows = sparse(rows)
     first = structural._assignment_max(rows)[1]
     assert first == ([(i + 1) % n for i in range(n)] if solve_picks_shift
                      else list(range(n)))
@@ -153,7 +156,7 @@ def test_offsets_are_dual_to_the_hvt_beyond_brute_force():
         density = rng.choice((0.05, 0.15, 0.4))
         rows = [[(rng.randint(0, 4) if rng.random() < density else NEG_INF)
                  for _ in range(n)] for _ in range(n)]
-        sig = sigma_from_rows(rows)
+        sig = sigma_from_rows(sparse(rows))
         if not sig.swp:
             continue
         off = canonical_offsets(sig)
@@ -175,8 +178,8 @@ def test_a_warm_started_solve_equals_a_fresh_one():
         density = rng.choice((0.3, 0.6, 1.0))
 
         def row():
-            return tuple(rng.randint(0, 4) if rng.random() < density
-                         else NEG_INF for _ in range(n))
+            return sparse([[rng.randint(0, 4) if rng.random() < density
+                            else NEG_INF for _ in range(n)]])[0]
         prior = sigma_from_rows([row() for _ in range(n)])
         if not prior.swp:
             continue
@@ -191,6 +194,12 @@ def test_a_warm_started_solve_equals_a_fresh_one():
         checked += 1
 
 
+@pytest.mark.parametrize("rows", [[{0: 1, 2: 0}, {1: 0}], [{-1: 0}, {0: 1}]])
+def test_a_column_outside_the_matrix_is_refused(rows):
+    with pytest.raises(structural.StructuralError):
+        sigma_from_rows(rows)
+
+
 def test_one_assignment_solve_per_signature_matrix(monkeypatch):
     calls = []
     solve = structural._assignment_max
@@ -203,8 +212,9 @@ def test_one_assignment_solve_per_signature_matrix(monkeypatch):
     rng = random.Random(3)
     for made in range(1, 41):
         n = rng.randint(1, 12)
-        sigma_from_rows([[(rng.randint(0, 2) if rng.random() < 0.6
-                           else NEG_INF) for _ in range(n)] for _ in range(n)])
+        sigma_from_rows(sparse([[(rng.randint(0, 2) if rng.random() < 0.6
+                                  else NEG_INF) for _ in range(n)]
+                                for _ in range(n)]))
         assert len(calls) == made
 
 
@@ -221,7 +231,7 @@ def test_signature_rows_match_hod(name, formal):
     sig = signature_matrix(s, formal=formal)
     for i, eq in enumerate(s.equations):
         tree = eq.raw if formal else simplify(eq.raw)
-        assert sig.rows[i] == tuple(hod(tree, j) for j in range(s.n))
+        assert sig.rows[i] == sparse([[hod(tree, j) for j in range(s.n)]])[0]
 
 
 def test_offsets_are_valid_and_minimal():
@@ -232,7 +242,7 @@ def test_offsets_are_valid_and_minimal():
         n = rng.randint(2, 4)
         rows = [[(rng.randint(0, 2) if rng.random() < 0.75 else NEG_INF)
                  for _ in range(n)] for _ in range(n)]
-        sig = sigma_from_rows(rows)
+        sig = sigma_from_rows(sparse(rows))
         if not sig.swp:
             continue
         off = canonical_offsets(sig)
@@ -241,8 +251,8 @@ def test_offsets_are_valid_and_minimal():
         # smallest d compatible with a given c is max_i (sigma_ij + c_i)
         ranges = [range(0, ci + 3) for ci in off.c]
         for c in itertools.product(*ranges):
-            d = tuple(max(sig.rows[i][j] + c[i] for i in range(n)
-                          if sig.rows[i][j] != NEG_INF) for j in range(n))
+            d = tuple(max(rows[i][j] + c[i] for i in range(n)
+                          if rows[i][j] != NEG_INF) for j in range(n))
             if validate_offsets(sig, c, d):
                 assert all(a <= b for a, b in zip(off.c, c))
                 assert all(a <= b for a, b in zip(off.d, d))
@@ -264,7 +274,7 @@ def test_validate_offsets_shifted_pair():
 def test_offsets_need_multiple_sweeps():
     # the first sweep bumps c_1, which feeds back into d on the second
     rows = [[0, NEG_INF], [1, 0]]
-    sig = sigma_from_rows(rows)
+    sig = sigma_from_rows(sparse(rows))
     off = canonical_offsets(sig)
     assert off.c == (1, 0)
     assert off.d == (1, 0)
@@ -425,7 +435,8 @@ def test_scheme_differentiates_only_jacobian_entries(monkeypatch):
 
 
 def _mismatches(formal, true):
-    return [(i, j, a, b) for i, (fr, tr) in enumerate(zip(formal.rows, true.rows))
+    return [(i, j, a, b) for i, (fr, tr) in enumerate(
+                zip(dense(formal.rows, NEG_INF), dense(true.rows, NEG_INF)))
             for j, (a, b) in enumerate(zip(fr, tr)) if a != b]
 
 
@@ -433,7 +444,7 @@ def test_compare_signatures():
     s = parse_dae("dae m\nvars x1, x2\neq f1: x1' + x2 - x1' = 0\neq f2: x1 + x2 = 0\n")
     formal, true = signature_matrix(s, formal=True), signature_matrix(s)
     assert formal.rows[0][0] == 1
-    assert true.rows[0][0] == NEG_INF
+    assert true.entry(0, 0) == NEG_INF
     assert formal.value == 1
     assert true.value == 0
     assert _mismatches(formal, true) == [(0, 0, 1, NEG_INF)]
