@@ -13,14 +13,15 @@ so iterating them terminates.
 
 fix_dae below is the driver: analyze, classify, pick a method, rewrite,
 repeat until the Jacobian is generically nonsingular or nothing applies.
-A combination step replaces one row, so the system it produced is
-analysed from the analysis before (see analyze): the kept rows carry
-their signature rows, the solve's dual and HVT entries, their Jacobian
-rows and the components of J they alone make up, with those components'
-blocks, determinants and eliminations.  Only the replaced row is read,
-solved and differentiated anew, and only its component split again.
-A substitution step adds states, so the system after it is analysed from
-scratch.
+Either step keeps every other row at its index: a combination step
+replaces one row, and a substitution step rewrites rows in place and
+appends its new states and rows at the end.  So the system a step
+produced is analysed from the analysis before (see analyze): the kept
+rows carry their signature rows, the solve's dual and HVT entries, their
+Jacobian rows and the components of J they alone make up, with those
+components' blocks, determinants and eliminations.  Only the replaced,
+rewritten and appended rows are read, solved and differentiated anew,
+and only the components they reach are split again.
 """
 
 from dataclasses import dataclass, field
@@ -29,7 +30,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Optional
 
-from .expr import (ZERO, Add, Const, Expr, Mul, Neg, Pow, StateDeriv, atoms,
+from .expr import (ZERO, Add, Const, Expr, Mul, Pow, StateDeriv, atoms,
                    evaluate_ex, hod, highest_orders, simplify, subst_atoms,
                    total_derivative)
 from .jacobian import JacobianReport, classify_jacobian, system_jacobian
@@ -98,7 +99,7 @@ class LcAnalysis:
     off: OffsetPair
 
 
-def lc_analyze(system: DaeSystem, off: OffsetPair, u, prober: Prober) -> LcAnalysis:
+def lc_analyze(off: OffsetPair, u, prober: Prober) -> LcAnalysis:
     u = tuple(e if e is ZERO else simplify(e) for e in u)
     rows = tuple(i for i, e in enumerate(u)
                  if e is not ZERO and not prober.verdict(e).proven_zero)
@@ -271,13 +272,13 @@ def es_apply(system: DaeSystem, analysis: EsAnalysis, pivot: int,
         ratio = simplify(Mul((analysis.v[j], inv)))
         q = Mul((ratio, StateDeriv(pivot, r_l)))
         r_j = off.d[j] - c_bar
-        definition = simplify(Add((StateDeriv(j, r_j), Neg(q))))
+        definition = simplify(Add((StateDeriv(j, r_j), -q)))
         var_name = fresh_indexed("x", system.n + 1, taken_vars)
         eq_name = fresh_indexed("f", system.n + 1, taken_eqs)
         taken_vars.add(var_name)
         taken_eqs.add(eq_name)
         y = StateDeriv(system.n + len(renamed), 0)
-        row = simplify(Add((Neg(y), definition)))
+        row = simplify(Add((-y, definition)))
         new_eqs.append(make_equation(eq_name, row, origin="es_appended",
                                      alias="y%d" % (j + 1)))
         renamed.append(Renaming(j, y.index, var_name, eq_name,
@@ -452,16 +453,15 @@ def analyze(system: DaeSystem, prober: Prober, formal: bool = False,
     """Signature matrix, canonical offsets, System Jacobian and its class.
 
     prior is the analysis, in the same mode and with a transversal, of the
-    system this one came from by a combination step, which replaces an
-    equation in place.  What the equations the two systems share determine
-    is carried: their signature rows with the solve's potentials and HVT
-    entries, and their Jacobian rows where the offsets keep them tight in
-    the same columns.  The result equals a fresh analysis.  With no prior
-    (from the input, or after a substitution step, which adds states)
-    the same code analyses from scratch.
+    system this one came from by a conversion step, which keeps every
+    other equation at its index and may append equations and states.  What
+    the equations the two systems share determine is carried: their
+    signature rows with the solve's potentials and HVT entries, and their
+    Jacobian rows where the offsets keep them tight in the same columns.
+    The result equals a fresh analysis.  With no prior (the input) the
+    same code analyses from scratch.
     """
-    assert prior is None or (prior.offsets is not None
-                             and prior.system.n == system.n)
+    assert prior is None or prior.offsets is not None
     sig = signature_matrix(system, formal, prior)
     if not sig.swp:
         return Analysis(sig, None, None, system)
@@ -559,9 +559,8 @@ def fix_dae(system: DaeSystem, prober: Prober = None, method: str = None,
             es_equivalence_probes(current, app, prober)
             vec = analysis.v
         before, current = current, app.system
-        # a combination step keeps every other row: carry them
-        after = analyze(current, prober, formal,
-                        now if kind is MethodKind.LC else None)
+        # either step keeps every other row at its index: carry them
+        after = analyze(current, prober, formal, now)
         if not after.value < now.value:
             raise ConvertError(
                 "conversion step %d (%s, pivot %s) did not decrease the "
@@ -593,7 +592,7 @@ def _forced_candidate(system, now, vector, pivot, method, prober):
                              "System Jacobian" % ("left" if left else "right"),
                              J)
     if left:
-        analysis = lc_analyze(system, now.offsets, vec, prober)
+        analysis = lc_analyze(now.offsets, vec, prober)
         if not analysis.condition_ok or not analysis.candidates:
             raise ConditionRejected("combination order condition fails")
         pair = (analysis, None)
@@ -626,7 +625,7 @@ def _search_candidates(system, now, method, prober):
     for _ in range(_MAX_BASIS):
         u0 = next(lefts, None)
         us = normalize_candidates(u0, J, prober, left=True) if u0 else ()
-        first = lc_analyze(system, off, us[0], prober) if us else None
+        first = lc_analyze(off, us[0], prober) if us else None
         # a constant combination row wins whatever the kernel side holds
         if first is not None and first.const_rows:
             return MethodKind.LC, first, min(first.const_rows)
@@ -638,7 +637,7 @@ def _search_candidates(system, now, method, prober):
             break
         for idx, (u_c, v_c) in enumerate(zip_longest(us, vs)):
             lc = first if idx == 0 else (
-                lc_analyze(system, off, u_c, prober) if u_c else None)
+                lc_analyze(off, u_c, prober) if u_c else None)
             es = es_analyze(system, sig, off, v_c, prober) if v_c else None
             choice = choose_method(lc, es, prober)
             if choice.kind is MethodKind.LC:

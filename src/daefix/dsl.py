@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from .expr import (
-    FUNCS, Add, Const, DomainError, DrivingFn, Expr, Func, Mul, Neg, Param,
+    FUNCS, Add, Const, DomainError, DrivingFn, Expr, Func, Mul, Param,
     Pow, StateDeriv, TimeVar, format_expr, simplify, total_derivative,
 )
 from .model import RESERVED, DaeSystem, ModelError, make_equation
@@ -122,7 +122,7 @@ class _ExprParser:
             rhs = self.parse(bp + 1)
             if t.text in "+-":
                 terms.append(_product(factors))
-                factors = [rhs if t.text == "+" else Neg(rhs)]
+                factors = [rhs if t.text == "+" else -rhs]
             elif t.text == "*":
                 factors.append(rhs)
             elif isinstance(rhs, Const):
@@ -152,7 +152,7 @@ class _ExprParser:
         t = self.peek()
         if t.kind == "op" and t.text == "-":
             self.next()
-            return Neg(self.parse(25))
+            return -self.parse(25)
         if t.kind == "op" and t.text == "+":
             self.next()
             return self.parse(25)
@@ -381,7 +381,7 @@ def parse_dae(text: str) -> DaeSystem:
                     and rhs_start.kind == "num":
                 raw = lhs
             else:
-                raw = Add((lhs, Neg(rhs)))
+                raw = Add((lhs, -rhs))
             try:
                 equations.append(make_equation(eq_name, raw))
             except DomainError as err:

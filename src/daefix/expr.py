@@ -1,5 +1,11 @@
 """Expression trees for DAE equations.
 
+A tree has no negation node: -e is the product Mul((MINUS_ONE, e)), as in
+a computer algebra system's automatically simplified form (Cohen 2002),
+and a - b is Add((a, -b)).  Such a product prints as unary minus, "-"
+before its factor, which is parenthesised where a negation's operand
+would be: -(x*y), -x^2.
+
 Everything is exact: constants are Fractions, arithmetic on trees never
 rounds.  evaluate_ex works on integer numerator/denominator pairs and makes
 one Fraction of the result; transcendental values go through mpmath at high
@@ -13,12 +19,13 @@ until a denominator appears, and a Fraction from then on; the Const nodes
 of the resulting tree hold Fractions either way, so trees, their repr and
 every printed form do not depend on it.  Products are always distributed
 over sums so that cancellation across rows of a linear combination
-actually happens; huge expansions are capped and the offending sum is kept
-as an opaque factor.  All exp factors of a monomial merge into one, so
-exp(a)*exp(-a) is 1 and no rewrite depends on the order of the products.
-A power is formed in one step: a monomial scales its exponents, and a sum
-is expanded in one multinomial pass or, past the cap, kept whole (see
-`_p_pow`).
+actually happens; a product of two sums past the cap keeps both as opaque
+factors, while a product with a one-term side, such as -e, is never
+capped, so e - e cancels however long e is.  All exp factors of a
+monomial merge into one, so exp(a)*exp(-a) is 1 and no rewrite depends on
+the order of the products.  A power is formed in one step: a monomial
+scales its exponents, and a sum is expanded in one multinomial pass or,
+past the cap, kept whole (see `_p_pow`).
 
 Nodes are interned (hash-consing, Filliatre and Conchon 2006): a node
 built equal to an earlier one, by class and normalised fields, is that
@@ -98,10 +105,10 @@ class Expr(metaclass=_Interning):
         return Add((_wrap(other), self))
 
     def __sub__(self, other):
-        return Add((self, Neg(_wrap(other))))
+        return Add((self, -_wrap(other)))
 
     def __rsub__(self, other):
-        return Add((_wrap(other), Neg(self)))
+        return Add((_wrap(other), -self))
 
     def __mul__(self, other):
         return Mul((self, _wrap(other)))
@@ -110,7 +117,7 @@ class Expr(metaclass=_Interning):
         return Mul((_wrap(other), self))
 
     def __neg__(self):
-        return Neg(self)
+        return Mul((MINUS_ONE, self))
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -196,11 +203,6 @@ class Pow(Expr):
 
 
 @_node
-class Neg(Expr):
-    child: Expr
-
-
-@_node
 class Func(Expr):
     name: str
     arg: Expr
@@ -214,6 +216,7 @@ ATOM_TYPES = (TimeVar, StateDeriv, DrivingFn, Param)
 
 ZERO = Const(Fraction(0))
 ONE = Const(Fraction(1))
+MINUS_ONE = Const(Fraction(-1))
 
 
 def con(v: Number) -> Const:
@@ -231,8 +234,6 @@ def walk(e: Expr) -> Iterator[Expr]:
             stack.extend(reversed(e.children))
         elif isinstance(e, Pow):
             stack.append(e.base)
-        elif isinstance(e, Neg):
-            stack.append(e.child)
         elif isinstance(e, Func):
             stack.append(e.arg)
 
@@ -254,8 +255,6 @@ def atoms(e: Expr) -> frozenset:
         r = _NO_ATOMS.union(*(atoms(c) for c in e.children))
     elif isinstance(e, Pow):
         r = atoms(e.base)
-    elif isinstance(e, Neg):
-        r = atoms(e.child)
     elif isinstance(e, Func):
         r = atoms(e.arg)
     else:
@@ -322,10 +321,8 @@ def _key(e: Expr):
         k = (6, tuple(_key(c) for c in e.children))
     elif isinstance(e, Add):
         k = (7, tuple(_key(c) for c in e.children))
-    elif isinstance(e, Neg):
-        k = (8, _key(e.child))
     elif isinstance(e, Const):
-        k = (9, e.value)
+        k = (8, e.value)
     else:
         raise TypeError("not an Expr: %r" % (e,))
     object.__setattr__(e, "_sort_key", k)
@@ -349,8 +346,6 @@ def _poly(e: Expr) -> dict:
         return {(): _coef(e.value)} if e.value else {}
     if isinstance(e, ATOM_TYPES):
         return {((e, 1),): 1}
-    if isinstance(e, Neg):
-        return {m: -c for m, c in _poly(e.child).items()}
     if isinstance(e, Add):
         # every _poly result is a fresh dict: grow the first child's in place
         out = _poly(e.children[0]) if e.children else {}
@@ -404,12 +399,6 @@ def _exact_func(name: str, v: Fraction) -> Optional[Fraction]:
     return None
 
 
-def _collapse(p: dict) -> dict:
-    if len(p) <= 1:
-        return p
-    return {((_from_poly(p), 1),): 1}
-
-
 def _rewrites(m) -> bool:
     """True when m holds an exp or sqrt factor, whose products
     _mono_from_exps rewrites."""
@@ -419,9 +408,11 @@ def _rewrites(m) -> bool:
 def _p_mul(p: dict, q: dict) -> dict:
     if not p or not q:
         return {}
-    if len(p) * len(q) > _TERM_CAP:
-        p = _collapse(p)
-        q = _collapse(q)
+    # a side of one term, such as the -1 of -e, leaves the other side's
+    # term count: only a product of two sums is capped
+    if len(p) > 1 and len(q) > 1 and len(p) * len(q) > _TERM_CAP:
+        p = {((_from_poly(p), 1),): 1}
+        q = {((_from_poly(q), 1),): 1}
     qs = [(m2, c2, _rewrites(m2)) for m2, c2 in q.items()]
     out: dict = {}
     for m1, c1 in p.items():
@@ -667,8 +658,6 @@ def _derive(e: Expr, atom) -> Expr:
         return ONE if isinstance(e, TimeVar) else ZERO
     if isinstance(e, Const):
         return ZERO
-    if isinstance(e, Neg):
-        return Neg(_derive(e.child, atom))
     if isinstance(e, Add):
         # a summand without the atom contributes nothing
         return Add(tuple(_derive(c, atom) for c in e.children
@@ -699,7 +688,7 @@ def _derive(e: Expr, atom) -> Expr:
         if e.name == "sin":
             outer: Expr = Func("cos", e.arg)
         elif e.name == "cos":
-            outer = Neg(Func("sin", e.arg))
+            outer = -Func("sin", e.arg)
         elif e.name == "exp":
             outer = e
         elif e.name == "ln":
@@ -722,8 +711,6 @@ def subst_atoms(e: Expr, mapping: Mapping[Expr, Expr]) -> Expr:
         return Mul(tuple(subst_atoms(c, mapping) for c in e.children))
     if isinstance(e, Pow):
         return Pow(subst_atoms(e.base, mapping), e.exponent)
-    if isinstance(e, Neg):
-        return Neg(subst_atoms(e.child, mapping))
     if isinstance(e, Func):
         return Func(e.name, subst_atoms(e.arg, mapping))
     raise TypeError("not an Expr: %r" % (e,))
@@ -757,9 +744,6 @@ def _eval(e: Expr, b) -> tuple:
         if not isinstance(v, Fraction):
             v = Fraction(v)
         return v.numerator, v.denominator, True
-    if isinstance(e, Neg):
-        n, d, ex = _eval(e.child, b)
-        return -n, d, ex
     if isinstance(e, Add):
         # over the lcm of the denominators, as Fraction addition keeps it
         n, d, exact = 0, 1, True
@@ -861,8 +845,6 @@ def _state_name(index: int, var_names) -> str:
 def _split_sign(e: Expr):
     if isinstance(e, Const) and e.value < 0:
         return True, Const(-e.value)
-    if isinstance(e, Neg):
-        return True, e.child
     if isinstance(e, Mul) and e.children and isinstance(e.children[0], Const) \
             and e.children[0].value < 0:
         c = Const(-e.children[0].value)
@@ -903,13 +885,12 @@ def _fmt(e: Expr, names, prec: int) -> str:
     if isinstance(e, Pow):
         b = _fmt(e.base, names, 4)
         return "%s^%d" % (b, e.exponent)
-    if isinstance(e, Neg):
-        s = "-" + _fmt(e.child, names, 3)
-        return "(" + s + ")" if prec >= 2 else s
     if isinstance(e, Mul):
         neg, body = _split_sign(e)
         if neg:
-            s = "-" + _fmt(body, names, 2)
+            # -x, the product (-1)*x, prints x as a unary minus payload
+            unary = len(e.children) == 2 and e.children[0] is MINUS_ONE
+            s = "-" + _fmt(body, names, 3 if unary else 2)
             return "(" + s + ")" if prec >= 2 else s
         parts = [_fmt(c, names, 2) for c in e.children]
         s = "*".join(parts)

@@ -22,14 +22,14 @@ but can only suspect singularity.  A probe evaluates only the block's
 nonzero entries, into sparse rows {col: value}, and its elimination
 touches only nonzeros.
 
-After a combination step J carries what the rows the step kept
+After a conversion step J carries what the rows the step kept
 determine.  Row i of J depends only on f_i and on which of its finite
 entries are tight, so a kept row whose tight columns did not move is the
 previous row itself.  A component whose rows are all carried, and that
-the replaced row does not reach, is carried whole, with its blocks, the
-determinants expanded and the elimination of each side (nullspace): a
-step costs the component it touched.  Every zero test is still asked and
-hits the prober's cache.
+no replaced, rewritten or appended row reaches, is carried whole, with
+its blocks, the determinants expanded and the elimination of each side
+(nullspace): a step costs the component it touched.  Every zero test is
+still asked and hits the prober's cache.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
 from .expr import (
-    Add, Const, Expr, Mul, Neg, StateDeriv, ZERO,
+    Add, Const, Expr, Mul, StateDeriv, ZERO,
     atoms, evaluate_ex, partial, simplify,
 )
 from .model import DaeSystem
@@ -61,14 +61,15 @@ def system_jacobian(system: DaeSystem, sig: SignatureMatrix,
     cancelled) gives no entry.
 
     Row i depends only on f_i and on which of its finite entries are
-    tight.  prior is the analysis of a system this one came from by
-    replacing equations in place (see signature_matrix): a row whose
-    equation it shares by identity, tight in the same columns under its
-    offsets, is its row, the very dict."""
+    tight.  prior is the analysis of the system this one came from by a
+    conversion step (see signature_matrix): a row whose equation it shares
+    by identity at its index, tight in the same columns under its offsets,
+    is its row, the very dict."""
+    kept = () if prior is None else prior.system.equations
     out = []
     for i, eq in enumerate(system.equations):
         tight = _tight(sig, off, i)
-        if prior is not None and eq is prior.system.equations[i] \
+        if i < len(kept) and eq is kept[i] \
                 and tight == _tight(sig, prior.offsets, i):
             out.append(prior.jacobian.matrix[i])
             continue
@@ -117,7 +118,7 @@ def determinant(matrix: Sequence[Sequence[Expr]]) -> Expr:
                 continue
             term: Expr = Mul((a, sub))
             if idx % 2:
-                term = Neg(term)
+                term = -term
             terms.append(term)
         r = simplify(Add(tuple(terms))) if terms else ZERO
         memo[cols] = r
@@ -154,16 +155,17 @@ class Component:
 def components(matrix: Sequence[dict], prior=None) -> tuple:
     """The components of the support of a square matrix of sparse rows
     {col: nonzero normal form}, in the order of their first row.  Of
-    prior, the report on a matrix of the same size, each component that
+    prior, the report on a matrix of at most n rows, each component that
     keeps its rows as the very row objects, and that no other row reaches,
-    is carried as the object itself; the rest are split again."""
+    is carried as the object itself; the rest are split again.  The rows
+    and columns past prior's are new."""
     n = len(matrix)
+    old = () if prior is None else prior.matrix
     new = [i for i, row in enumerate(matrix)
-           if prior is None or row is not prior.matrix[i]]
+           if i >= len(old) or row is not old[i]]
     entries = {i: matrix[i] for i in new}
     rows = set(new)
-    cols = set(range(n)) if prior is None else {j for i in new
-                                                for j in entries[i]}
+    cols = {j for i in new for j in entries[i]}.union(range(len(old), n))
     kept = []
     for p in () if prior is None else prior.components:
         if rows.isdisjoint(p.rows) and cols.isdisjoint(p.cols):
@@ -206,7 +208,7 @@ def classify_jacobian(matrix: Sequence[dict], prober: Prober,
     zero-tested one at a time.  Only then is each larger block rank-probed
     on its own.  The determinant is reported for n <= DET_BOUND.
 
-    prior is the report on the matrix before a combination step: a
+    prior is the report on the matrix before a conversion step: a
     component it carries (see components) keeps its blocks and the
     determinants already expanded.
     """
@@ -233,7 +235,7 @@ def classify_jacobian(matrix: Sequence[dict], prober: Prober,
     det = None
     if n <= DET_BOUND:
         det = Mul(tuple(small))
-        det = simplify(Neg(det) if _odd([b[1:] for b in blocks], n) else det)
+        det = simplify(-det if _odd([b[1:] for b in blocks], n) else det)
     klass = JacobianClass.GENERICALLY_NONSINGULAR
     if not all(prober.verdict(d).proven_nonzero for d in small):
         klass = JacobianClass.PROBABLY_SINGULAR

@@ -4,9 +4,9 @@ Fraction-free Gauss-Jordan: a pivot never divides, it cross-multiplies
 (row_r <- pivot * row_r - entry * row_p), so entries stay in the expression
 ring.  No update combines rows of two components of the support
 (jacobian.components), so each component is eliminated on its own, once
-per side, and keeps its elimination: after a combination step only the
-component the step touched is eliminated.  Each row is kept as its nonzero
-entries, so an update touches only the columns of the two rows it
+per side, and keeps its elimination: after a conversion step only the
+components the step touched are eliminated.  Each row is kept as its
+nonzero entries, so an update touches only the columns of the two rows it
 combines.  Pivot choice consults the zero tester; a column whose only
 nonzero candidates are merely *probably* zero cannot be pivoted or skipped
 safely, which surfaces as EliminationStuck.
@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterator, List, Optional, Sequence
 
-from .expr import Add, Const, Expr, Mul, Neg, ONE, Pow, ZERO, simplify, walk
+from .expr import Add, Const, Expr, Mul, ONE, Pow, ZERO, simplify, walk
 from .jacobian import components
 from .zerotest import Prober
 
@@ -155,7 +155,7 @@ def _basis_vector(n, elimination, fc, prober) -> tuple:
         num = [Mul((m[p][k], v[k])) for k in free_cols
                if k in m[p] and v[k] is not ZERO]
         if num:
-            v[col] = simplify(Mul((Neg(_sum(num)), Pow(m[p][col], -1))))
+            v[col] = simplify(Mul((-_sum(num), Pow(m[p][col], -1))))
     residuals = ([Mul((e, v[k])) for k, e in row.items() if v[k] is not ZERO]
                  for row in lines.values())
     support = sorted([fc] + [col for _, col in pivots])

@@ -16,11 +16,15 @@ augmenting-path routine serves every matching here: moving the solve's
 transversal to the smallest HVT, checking a transversal of tight entries,
 and matching a System Jacobian's support.
 
-A combination step replaces one equation, so its Sigma shares every other
-row with the one before.  Those rows are carried as the same dicts, with
-their potentials and their HVT entries, and the solve is warm-started from
-the previous optimal dual: one search from the replaced row finishes it.
-The best transversals are the transversals of tight entries under any
+A conversion step keeps most equations at their index: a combination step
+replaces one, and a substitution step rewrites some in place and appends
+its new equations and states after the old ones.  So Sigma shares every
+kept row with the one before.  Those rows are carried as the same dicts,
+with their potentials and their HVT entries, and the solve is warm-started
+from the previous optimal dual, with v = 0 on the appended columns: only
+the replaced, rewritten and appended rows are searched.  A kept row holds
+no appended state, so the carried dual stays feasible.  The best
+transversals are the transversals of tight entries under any
 optimal dual, so the HVT, the value and the offsets are the ones a solve
 from scratch gives.
 """
@@ -65,10 +69,10 @@ class SignatureMatrix:
 def sigma_from_rows(rows: Sequence[dict],
                     prior: Optional[SignatureMatrix] = None) -> SignatureMatrix:
     """The signature matrix of n rows {column: order}, each in ascending
-    columns of 0..n-1.  prior, a well-posed matrix of the same size,
-    carries over every row that rows holds as the very dict prior holds and
-    warm-starts the solve (see _assignment_max); the HVT and the value do
-    not depend on it."""
+    columns of 0..n-1.  prior, a well-posed matrix of at most n rows,
+    carries over every row that rows holds at its index as the very dict
+    prior holds and warm-starts the solve (see _assignment_max); the HVT
+    and the value do not depend on it."""
     rows = tuple(rows)
     n = len(rows)
     if any(not 0 <= j < n for r in rows for j in r):
@@ -90,14 +94,15 @@ def signature_rows(system: DaeSystem, formal: bool = False) -> tuple:
 
 def signature_matrix(system: DaeSystem, formal: bool = False,
                      prior=None) -> SignatureMatrix:
-    """Sigma of system.  prior is the analysis, in the same mode, of a
-    system with the same states that this one came from by replacing
-    equations in place (a combination step): each equation it shares by
-    identity keeps its row, and the solve starts from its dual."""
+    """Sigma of system.  prior is the analysis, in the same mode, of the
+    system this one came from by a conversion step, which rewrites
+    equations in place and may append equations and states: each equation
+    it shares by identity at its index keeps its row, and the solve starts
+    from its dual."""
     if prior is None:
         return sigma_from_rows(signature_rows(system, formal))
     kept, old = prior.system.equations, prior.signature.rows
-    rows = tuple(old[i] if eq is kept[i]
+    rows = tuple(old[i] if i < len(kept) and eq is kept[i]
                  else highest_orders(eq.raw if formal else eq.expr)
                  for i, eq in enumerate(system.equations))
     return sigma_from_rows(rows, prior.signature)
@@ -120,17 +125,20 @@ def _assignment_max(rows, prior=None):
 
     From scratch v = 0 and no row is matched.  With prior (see
     sigma_from_rows) each row it shares keeps its potential and its HVT
-    entry, which stays tight, and v is prior's; so only the replaced rows
-    are searched.  Each row to search starts at u_i = -max_j (sigma_ij +
-    v_j), which makes its entries feasible."""
+    entry, which stays tight, and v is prior's, 0 on the columns past
+    prior's; so only the other rows, unmatched, are searched.  Each row to
+    search starts at u_i = -max_j (sigma_ij + v_j), which makes its entries
+    feasible."""
     n = len(rows)
     if prior is None:
         kept = [False] * n
         u, v, assign = [0] * n, [0] * n, [-1] * n
     else:
-        kept = [r is p for r, p in zip(rows, prior.rows)]
-        u, v = list(prior.dual[0]), list(prior.dual[1])
-        assign = [j if k else -1 for k, (_, j) in zip(kept, prior.hvt)]
+        new = [0] * (n - prior.n)
+        kept = [r is p for r, p in zip(rows, prior.rows)] + [False] * len(new)
+        u, v = list(prior.dual[0]) + new, list(prior.dual[1]) + new
+        assign = [j if k else -1
+                  for k, (_, j) in zip(kept, prior.hvt)] + [-1] * len(new)
     owner = [-1] * n
     for i, j in enumerate(assign):
         if j >= 0:

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from daefix.dsl import parse_dae
 from daefix.expr import (ATOM_TYPES, NEG_INF, ZERO, Add, Const, DomainError,
-                         DrivingFn, Func, Mul, Neg, Param, Pow, StateDeriv,
+                         DrivingFn, Func, Mul, Param, Pow, StateDeriv,
                          TimeVar, _TERM_CAP, _exact_func, _key, _mono_adjusted,
                          _mono_key, _mp_call, _mp_pow, format_expr, hod,
                          partial, simplify, total_derivative)
@@ -115,12 +115,12 @@ def rand_expr(rng, depth=3):
     if k == 1:
         return Mul((rand_expr(rng, depth - 1), rand_expr(rng, depth - 1)))
     if k == 2:
-        return Neg(rand_expr(rng, depth - 1))
+        return -rand_expr(rng, depth - 1)
     if k == 3:
         return Pow(rand_expr(rng, depth - 1), rng.choice((2, 3, -1)))
     if k == 4:
         return Func(rng.choice(_FUNCS), rand_expr(rng, depth - 1))
-    return Add((rand_expr(rng, depth - 1), Neg(rand_expr(rng, depth - 1))))
+    return Add((rand_expr(rng, depth - 1), -rand_expr(rng, depth - 1)))
 
 
 def derivative_shift_holds(rng):
@@ -138,7 +138,7 @@ def derivative_shift_holds(rng):
         p = rng.randint(1, 3)
         lhs = partial(total_derivative(f, p), StateDeriv(j, k + p))
         rhs = partial(f, StateDeriv(j, k))
-        return simplify(Add((lhs, Neg(rhs)))) == ZERO
+        return simplify(Add((lhs, -rhs))) == ZERO
     except DomainError:
         return None
 
@@ -275,9 +275,9 @@ def assert_lc_recovery(before: DaeSystem, app):
         if i == l:
             continue
         fi = total_derivative(before.equations[i].expr, a.off.c[i] - a.c_under)
-        terms.append(Neg(Mul((a.u[i], fi))))
+        terms.append(-Mul((a.u[i], fi)))
     back = Add((Add(tuple(terms)),
-                Neg(Mul((a.u[l], before.equations[l].expr)))))
+                -Mul((a.u[l], before.equations[l].expr))))
     assert simplify(back) == ZERO
 
 
@@ -298,7 +298,7 @@ def assert_es_block_structure(before: DaeSystem, app):
     yl_name = fresh_indexed("x", conv.n + 1, taken)
     gl_name = fresh_indexed("f", conv.n + 1, {e.name for e in conv.equations})
     yl_index = conv.n
-    raw = Add((Neg(StateDeriv(yl_index, 0)), StateDeriv(l, off.d[l] - c_bar)))
+    raw = Add((-StateDeriv(yl_index, 0), StateDeriv(l, off.d[l] - c_bar)))
     gl = make_equation(gl_name, raw, origin="es_appended",
                        alias="y%d" % (l + 1))
     aug = DaeSystem(conv.name, conv.var_names + (yl_name,),
@@ -439,7 +439,7 @@ def dense_kernel_vector(matrix, prober, basis_index=0):
             v[col] = ZERO
             continue
         total = num[0] if len(num) == 1 else Add(tuple(num))
-        v[col] = simplify(Mul((Neg(total), Pow(m[p][col], -1))))
+        v[col] = simplify(Mul((-total, Pow(m[p][col], -1))))
     vec = tuple(v)
     if not dense_verify_nullvector(matrix, vec, prober):
         raise AssertionError("dense reference vector fails verification")
@@ -505,8 +505,6 @@ def _ref_poly(e):
         return {(): e.value} if e.value else {}
     if isinstance(e, ATOM_TYPES):
         return {((e, 1),): Fraction(1)}
-    if isinstance(e, Neg):
-        return {m: -c for m, c in _ref_poly(e.child).items()}
     if isinstance(e, Add):
         out = _ref_poly(e.children[0]) if e.children else {}
         for ch in e.children[1:]:
@@ -546,7 +544,7 @@ def _ref_collapse(p):
 def _ref_p_mul(p, q):
     if not p or not q:
         return {}
-    if len(p) * len(q) > _TERM_CAP:
+    if len(p) > 1 and len(q) > 1 and len(p) * len(q) > _TERM_CAP:
         p = _ref_collapse(p)
         q = _ref_collapse(q)
     out = {}
@@ -710,9 +708,6 @@ def reference_evaluate_ex(e, b):
         return e.value, True
     if isinstance(e, ATOM_TYPES):
         return Fraction(b[e]), True
-    if isinstance(e, Neg):
-        v, ex = reference_evaluate_ex(e.child, b)
-        return -v, ex
     if isinstance(e, Add):
         total, exact = Fraction(0), True
         for c in e.children:

@@ -126,7 +126,7 @@ def test_criterion_4_substitution_system():
     prober = Prober()
 
     u = vec(s, "exp(x1' + x2*x2'')", "1")
-    assert not lc_analyze(s, off, u, prober).condition_ok
+    assert not lc_analyze(off, u, prober).condition_ok
     with pytest.raises(ConditionRejected):
         fix_dae(s, method="lc", vector=u)
 
@@ -159,7 +159,7 @@ def test_criterion_6_modified_pendulum():
 
     # method table: no constant row in the cokernel analysis, a constant
     # column in the kernel analysis, so the driver must substitute
-    lc = lc_analyze(s, off, cokernel_vector(J, prober), prober)
+    lc = lc_analyze(off, cokernel_vector(J, prober), prober)
     es = es_analyze(s, sig, off, kernel_vector(J, prober), prober)
     assert lc.const_rows == ()
     assert es.const_cols != ()

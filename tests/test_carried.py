@@ -1,10 +1,10 @@
-"""The carried analysis of a combination step equals a fresh one.
+"""The carried analysis of a conversion step equals a fresh one.
 
-fix_dae analyses the system each step produced from the analysis before
-it: the rows the step kept carry their signature rows, the assignment's
-potentials and HVT entries, their Jacobian rows and the components of J
-they alone make up.  Each test here runs
-fix_dae once as it is and once with nothing carried, and compares every
+fix_dae analyses the system each step produced, combination or
+substitution, from the analysis before it: the rows the step kept carry
+their signature rows, the assignment's potentials and HVT entries, their
+Jacobian rows and the components of J they alone make up.  Each test here
+runs fix_dae once as it is and once with nothing carried, and compares every
 analysis, the prober's uncertain flag after it, and how the run ended.
 Every analysis is also held to the one row form (checks.assert_one_form),
 which the comparison cannot check: dict equality ignores key order.
@@ -66,6 +66,9 @@ def _assert_carried_equals_fresh(monkeypatch, system, method=None,
         checks.assert_one_form(b)
         # Sigma rows, value, HVT, offsets, J, class and det
         assert a == b
+        if a.jacobian is not None:
+            assert [(c.rows, c.cols) for c in a.jacobian.components] == [
+                (c.rows, c.cols) for c in b.jacobian.components]
         assert flag == fresh_flag
         # and a fresh analysis of the same system on its own
         assert a == analyze(a.system, Prober(), formal)
@@ -235,6 +238,50 @@ def test_a_step_redoes_only_the_replaced_row(monkeypatch):
         assert sorted(len(b) for b, in run["determinant"]) == (
             [1, 1, 2] if step.index < k else [1, 1])
     assert sum(len(run["determinant"]) for run in runs) == 3 * k
+
+
+@pytest.mark.parametrize("formal", [False, True])
+def test_a_substitution_step_redoes_only_its_rows(monkeypatch, formal):
+    """Under method es each step on k Brenan blocks rewrites the two rows
+    of one block in place and appends one row and one state.  Only those
+    three rows get new Sigma and J rows, each with one assignment search,
+    besides the offsets search; the step's component is those three rows,
+    and every other component of J is carried as the very object."""
+    k = 8
+    text = checks.brenan_blocks(k)
+    _assert_carried_equals_fresh(monkeypatch, parse_dae(text), "es", formal)
+    searches = []
+    search, analyze_ = structural._search, convert.analyze
+
+    def counted(*args):
+        searches[-1] += 1
+        return search(*args)
+
+    def logged(*args):
+        searches.append(0)
+        return analyze_(*args)
+    monkeypatch.setattr(structural, "_search", counted)
+    monkeypatch.setattr(convert, "analyze", logged)
+    report = fix_dae(parse_dae(text), Prober(), method="es", formal=formal)
+    assert report.final_value == 0 and len(report.steps) == k
+    assert searches[0] == 2 * k + 1
+    analyses = [report.initial] + [step.after for step in report.steps]
+    for step, count, before, after in zip(report.steps, searches[1:],
+                                          analyses, analyses[1:]):
+        n, app = before.system.n, step.application
+        assert step.kind is MethodKind.ES and after.system.n == n + 1
+        assert app.rewritten == (step.pivot - 1, step.pivot)
+        assert [rec.new_index for rec in app.renamed] == [n]
+        touched = [step.pivot - 1, step.pivot, n]
+        assert [i for i in range(n) if after.signature.rows[i]
+                is not before.signature.rows[i]] + [n] == touched
+        assert [i for i in range(n) if after.jacobian.matrix[i]
+                is not before.jacobian.matrix[i]] + [n] == touched
+        assert count == len(touched) + 1
+        kept = before.jacobian.components
+        assert [c.rows for c in after.jacobian.components
+                if c not in kept] == [tuple(touched)]
+        assert len(after.jacobian.components) == k
 
 
 @pytest.mark.parametrize("method", [None, "lc", "es"])

@@ -575,8 +575,7 @@ def test_trace_default_pivot_follows_choose_method(tmp_path, capsys, name,
     off = canonical_offsets(sig)
     prober = Prober()
     if method == "lc":
-        choice = choose_method(lc_analyze(system, off, vec, prober), None,
-                               prober)
+        choice = choose_method(lc_analyze(off, vec, prober), None, prober)
     else:
         choice = choose_method(None, es_analyze(system, sig, off, vec, prober),
                                prober)

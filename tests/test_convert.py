@@ -14,7 +14,7 @@ from daefix.convert import (ConditionRejected, ConvertError, EsAnalysis,
 from daefix import corpus
 from daefix.corpus import load, names as corpus_names
 from daefix.dsl import parse_dae, parse_expr
-from daefix.expr import (NEG_INF, ZERO, Add, Const, Neg, StateDeriv, hod,
+from daefix.expr import (NEG_INF, ZERO, Add, Const, StateDeriv, hod,
                          evaluate, simplify)
 from daefix.jacobian import determinant, system_jacobian
 from daefix.model import DaeSystem, make_equation
@@ -188,7 +188,7 @@ def test_es_example_combination_condition_fails():
     s = load("es_example")
     sig, off, J = analyze(s)
     u = vec(s, "exp(x1' + x2*x2'')", "1")
-    a = lc_analyze(s, off, u, Prober())
+    a = lc_analyze(off, u, Prober())
     assert not a.condition_ok
     assert a.candidates == ()
     with pytest.raises(ConditionRejected):

@@ -7,7 +7,7 @@ from daefix.convert import analyze
 from daefix.dsl import (ParseError, emit_dae, parse_dae, parse_expr,
                         parse_vector)
 from daefix.expr import (
-    Add, Const, DrivingFn, Mul, Neg, Param, Pow, StateDeriv, format_expr,
+    Add, Const, DrivingFn, Mul, Param, Pow, StateDeriv, format_expr,
     hod, simplify, walk,
 )
 from daefix.jacobian import JacobianClass
@@ -63,7 +63,7 @@ def test_param_over_zero_is_a_parse_error(head, denominator):
 def test_rhs_literal_zero_keeps_lhs_as_raw():
     s = parse_dae("dae d\nvars x\neq f1: x' + x = 0\n")
     raw = s.equations[0].raw
-    assert isinstance(raw, Add) and not isinstance(raw, Neg)
+    assert raw is Add((StateDeriv(0, 1), StateDeriv(0)))
     s2 = parse_dae("dae d\nvars x\neq f1: x' = -x\n")
     assert simplify(s2.equations[0].raw) == simplify(raw)
 
@@ -135,7 +135,7 @@ def test_negative_exponent_forms():
 def test_power_binds_tighter_than_minus_and_is_left_associative():
     s = parse_dae("dae d\nvars x\neq f1: x = 0\n")
     x = StateDeriv(0)
-    assert parse_expr("-x^2", s) == Neg(Pow(x, 2))
+    assert parse_expr("-x^2", s) == -Pow(x, 2)
     nested = parse_expr("x^2^3", s)
     assert nested == Pow(Pow(x, 2), 3)
     assert simplify(nested) == Pow(x, 6)
@@ -150,8 +150,8 @@ def test_a_run_of_sums_is_one_flat_add():
     s = parse_dae(PENDULUM)
     x, y = StateDeriv(0), StateDeriv(1)
     assert parse_expr("x*y - x/2 + y^2 - (x + y)", s) == Add((
-        Mul((x, y)), Neg(Mul((x, Const(Fraction(1, 2))))), Pow(y, 2),
-        Neg(Add((x, y)))))
+        Mul((x, y)), -Mul((x, Const(Fraction(1, 2)))), Pow(y, 2),
+        -Add((x, y))))
     e = parse_expr(" + ".join("x - y'" for _ in range(2500)), s)
     assert isinstance(e, Add) and len(e.children) == 5000
     assert simplify(e) == simplify(2500 * x - 2500 * StateDeriv(1, 1))
@@ -163,9 +163,9 @@ def test_a_run_of_products_is_one_flat_mul():
     s = parse_dae(PENDULUM)
     x, y = StateDeriv(0), StateDeriv(1)
     assert parse_expr("-x*y/2*(x*y)^2/y", s) == Mul((
-        Neg(x), y, Const(Fraction(1, 2)), Pow(Mul((x, y)), 2), Pow(y, -1)))
+        -x, y, Const(Fraction(1, 2)), Pow(Mul((x, y)), 2), Pow(y, -1)))
     assert parse_expr("x - y*x' + 2", s) == Add((
-        x, Neg(Mul((y, StateDeriv(0, 1)))), Const(Fraction(2))))
+        x, -Mul((y, StateDeriv(0, 1))), Const(Fraction(2))))
     text = "*".join(["x"] * 5000)
     e = parse_expr(text, s)
     assert isinstance(e, Mul) and len(e.children) == 5000

@@ -10,7 +10,7 @@ from daefix import expr as expr_module
 from daefix.dsl import parse_dae, parse_expr
 from daefix.expr import (
     FUNCS, NEG_INF, ZERO, Add, Const, DomainError, DrivingFn, Func,
-    MissingBinding, Mul, Neg, Param, Pow, StateDeriv, TimeVar, _key, _p_mul,
+    MissingBinding, Mul, Param, Pow, StateDeriv, TimeVar, _key, _p_mul,
     _p_pow, _poly, atoms, con, evaluate, evaluate_ex, format_expr, hod,
     highest_orders, partial, simplify, subst_atoms, total_derivative, walk,
 )
@@ -35,7 +35,7 @@ def test_simplify_identity_and_zero():
     assert simplify(x * 1) == x
     assert simplify(x - x) == Const(0)
     assert simplify(x * 0) == Const(0)
-    assert simplify(Neg(Neg(x))) == x
+    assert simplify(-(-x)) == x
 
 
 def test_simplify_collects_terms():
@@ -111,7 +111,7 @@ def test_simplify_idempotent():
         if k == 1:
             return Mul(tuple(rand_expr(depth - 1) for _ in range(2)))
         if k == 2:
-            return Neg(rand_expr(depth - 1))
+            return -rand_expr(depth - 1)
         if k == 3:
             return Pow(rand_expr(depth - 1), rng.choice([0, 1, 2, 3, -1]))
         return Func(rng.choice(["sin", "cos", "exp"]), rand_expr(depth - 1))
@@ -194,7 +194,7 @@ def _random_tree(rng, depth):
         return rng.choice(leaves)
     kind = rng.choice(("neg", "add", "mul", "pow", "func"))
     if kind == "neg":
-        return Neg(_random_tree(rng, depth - 1))
+        return -_random_tree(rng, depth - 1)
     if kind == "pow":
         return Pow(_random_tree(rng, depth - 1), rng.choice((-2, -1, 2, 3)))
     if kind == "func":
@@ -332,6 +332,54 @@ def test_format_expr_structure():
 def test_format_negative_coefficient_inside_product():
     s = format_expr(simplify(-2 * x * y), ["x", "y"])
     assert s == "-2*x*y"
+
+
+def test_minus_is_the_product_with_minus_one():
+    # no negation node: -e is (-1)*e, and printing keeps its text
+    assert not hasattr(expr_module, "Neg")
+    minus_one = expr_module.MINUS_ONE
+    assert minus_one is Const(-1)
+    for e in (x, x * y, x + y, Const(3), Func("exp", x), -x):
+        assert -e is Mul((minus_one, e))
+    assert x - y is Add((x, -y)) and 1 - x is Add((con(1), -x))
+    z = StateDeriv(2, 1)
+    texts = [(-(x * y), "-(x*y)"), (x - y * z, "x - y*z'"),
+             ((-x) * y, "(-x)*y"), (-con(3), "-3"), (-(x + y), "-(x + y)"),
+             (Pow(-x, 2), "(-x)^2"), (-Pow(x, 2), "-x^2"), (-(-x), "-(-x)"),
+             (Func("sin", -x), "sin(-x)"), (-Func("exp", x), "-exp(x)"),
+             (-con(Fraction(1, 2)), "-1/2"), (-x + y, "-x + y"),
+             (x * (-y), "x*(-y)")]
+    for e, text in texts:
+        assert format_expr(e, ["x", "y", "z"]) == text
+    # any other product with a negative coefficient prints its body as a
+    # product
+    assert format_expr(Mul((Const(-2), x, y)), ["x", "y"]) == "-2*x*y"
+    assert format_expr(Mul((Const(-1), x, y)), ["x", "y"]) == "-x*y"
+    assert format_expr(x - Mul((Const(-1), x, y)), ["x", "y"]) == "x - (-x*y)"
+    # the derivative rules hold through the product
+    assert simplify(total_derivative(-Func("cos", x))) \
+        is simplify(Func("sin", x) * xd)
+    assert partial(-(x * y), y) is not ZERO
+    assert simplify(partial(-(x * y), y)) is simplify(-x)
+    assert evaluate(-(x - y), {x: Fraction(1, 3), y: 2}) == Fraction(5, 3)
+    assert subst_atoms(-x, {x: y}) is -y
+
+
+def test_minus_of_a_sum_past_the_term_cap_stays_expanded():
+    # a product with a one-term side is not capped, so -S and 2*S are
+    # expanded sums however many terms S has, and S - S cancels
+    xs = [StateDeriv(j) for j in range(80)]
+    s = simplify(Add(tuple(a * b for k, a in enumerate(xs) for b in xs[k:])))
+    assert len(s.children) == 3240 > expr_module._TERM_CAP
+    assert simplify(s - s) is ZERO
+    assert simplify(-s) is simplify(Add(tuple(-e for e in s.children)))
+    assert simplify(2 * s - s - s) is ZERO
+    assert simplify(xs[0] * s - s * xs[0]) is ZERO
+    assert len(simplify(xs[0] * s).children) == 3240
+    # a product of two sums past the cap is still kept as opaque factors
+    kept = simplify(s * (xs[0] + 1))
+    assert isinstance(kept, Mul)
+    assert set(kept.children) == {s, simplify(xs[0] + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +618,6 @@ def _preorder(e):
     out = [e]
     for c in (e.children if isinstance(e, (Add, Mul)) else
               (e.base,) if isinstance(e, Pow) else
-              (e.child,) if isinstance(e, Neg) else
               (e.arg,) if isinstance(e, Func) else ()):
         out += _preorder(c)
     return out
@@ -631,8 +678,8 @@ def test_power_of_an_inexact_base_is_rounded_in_mpmath():
 
 def test_separately_built_trees_share_hash_and_key():
     for seed in range(100):
-        a = Neg(_random_tree(random.Random(seed), 4))
-        b = Neg(_random_tree(random.Random(seed), 4))
+        a = -_random_tree(random.Random(seed), 4)
+        b = -_random_tree(random.Random(seed), 4)
         assert a is b
         assert hash(a) == hash(b)
         assert _key(a) == _key(b)
@@ -656,7 +703,7 @@ def test_equal_expressions_are_one_object():
 
 
 def test_nodes_keep_no_instance_dict():
-    for n in (x, g, h, t, con(2), x + y, x * y, Pow(x, 2), Neg(x),
+    for n in (x, g, h, t, con(2), x + y, x * y, Pow(x, 2), -x,
               Func("sin", x)):
         assert not hasattr(n, "__dict__")
 

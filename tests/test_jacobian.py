@@ -9,7 +9,7 @@ from daefix import corpus, expr
 from daefix.cli import main
 from daefix.dsl import parse_dae
 from daefix.expr import (
-    Add, Const, Func, Mul, NEG_INF, Neg, Param, Pow, StateDeriv, TimeVar,
+    Add, Const, Func, Mul, NEG_INF, Param, Pow, StateDeriv, TimeVar,
     ZERO, hod, partial, simplify, total_derivative, walk,
 )
 import daefix.jacobian

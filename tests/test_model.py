@@ -1,7 +1,7 @@
 import pytest
 
 from daefix.dsl import parse_dae
-from daefix.expr import Add, Neg, StateDeriv
+from daefix.expr import Add, StateDeriv
 from daefix.model import DaeSystem, ModelError, fresh_indexed, make_equation
 
 x = StateDeriv(0)
@@ -50,7 +50,7 @@ def test_with_equations_walks_only_the_equations_it_adds(monkeypatch):
         return original(e)
 
     monkeypatch.setattr(daefix.model, "walk", counted)
-    new = make_equation("f2", Add((x, Neg(y))))
+    new = make_equation("f2", Add((x, -y)))
     s2 = s.with_equations([s.equations[0], new])
     assert walked == [new.raw]
     assert s2.equations == (s.equations[0], new)
@@ -80,7 +80,7 @@ def test_with_equations_rejects_a_taken_equation_name():
 
 def test_grown_system_keeps_alias_and_rejects_taken_name():
     s = _sys2()
-    eq = make_equation("f3", Add((StateDeriv(2), Neg(x))), origin="es_appended",
+    eq = make_equation("f3", Add((StateDeriv(2), -x)), origin="es_appended",
                        alias="y1")
 
     def grow(var_name):
