@@ -10,10 +10,19 @@ Exit codes form a small contract for CI embedding:
   4  result rests on an unproven zero test (unverified)
 """
 
-import hashlib
 import json
 import sys
 from types import SimpleNamespace
+
+# CPython's own SHA-256, as random.py gets its sha512: hashlib would load
+# OpenSSL for one digest
+try:
+    from _sha2 import sha256  # 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .convert import (ConditionRejected, ConvertError, FixStatus, MethodKind,
                       PivotRejected, VectorRejected, analyze, fix_dae)
@@ -54,7 +63,7 @@ def _load(path):
         col = len(head[head.rfind(b"\n") + 1:].decode("utf-8")) + 1
         raise ParseError("not UTF-8: byte 0x%02x" % data[ex.start],
                          head.count(b"\n") + 1, col) from None
-    return parse_dae(text), hashlib.sha256(data).hexdigest()
+    return parse_dae(text), sha256(data).hexdigest()
 
 
 def _prober(args) -> Prober:

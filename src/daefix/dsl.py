@@ -239,15 +239,6 @@ def _system_parser(text: str, system: DaeSystem, line: int,
     return _ExprParser(_tokenize(text, line, col0), line, names)
 
 
-def parse_expr(text: str, system: DaeSystem, line: int = 1) -> Expr:
-    """Parse a standalone expression in the naming environment of `system`."""
-    p = _system_parser(text, system, line)
-    e = p.parse()
-    if not p.at_end():
-        p.fail("unexpected trailing input")
-    return e
-
-
 def parse_vector(text: str, system: DaeSystem) -> List[Expr]:
     """Parse a vector of expressions, e.g. "[x2, x1, 1, -1]", to normal form.
 

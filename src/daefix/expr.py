@@ -8,8 +8,11 @@ would be: -(x*y), -x^2.
 
 Everything is exact: constants are Fractions, arithmetic on trees never
 rounds.  evaluate_ex works on integer numerator/denominator pairs and makes
-one Fraction of the result; transcendental values go through mpmath at high
-precision, and the caller is told the result is inexact.
+one Fraction of the result.  A function value with no exact form, and an
+integer power of such a value, is rounded to _DIGITS significant digits
+and the caller is told the result is inexact: exp, ln, sqrt and powers by
+decimal's correctly rounded C functions, in a context of their own; sin
+and cos, which decimal lacks, by mpmath, imported on the first of them.
 
 The normal form produced by simplify() is an expanded polynomial over the
 atoms (time, state derivatives, driving functions, parameters) and function
@@ -38,23 +41,36 @@ or reduced in a way that ignores order.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
-import mpmath
-
 NEG_INF = float("-inf")
 
 FUNCS = ("sin", "cos", "exp", "ln", "sqrt")
 
-_MP_DPS = 70
+# significant digits of an inexact value
+_DIGITS = 70
 
-# the most bits (binary exponent plus mantissa) of an inexact value made
-# exact for a probe; past it the integer alone takes megabytes, and the
-# Fraction arithmetic after it seconds, so the probe draws another point
+# exp, ln, sqrt and powers of inexact values round here, never in the
+# thread's decimal context; the exponent range is decimal's widest, and an
+# overflow, a division by zero or an invalid operation raises
+_CONTEXT = decimal.Context(
+    prec=_DIGITS, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+    traps=[decimal.Overflow, decimal.DivisionByZero,
+           decimal.InvalidOperation])
+
+_DECIMAL_FUNCS = {"exp": _CONTEXT.exp, "ln": _CONTEXT.ln,
+                  "sqrt": _CONTEXT.sqrt}
+
+# the most bits (mantissa plus binary exponent, or coefficient plus
+# decimal exponent times log2 10) of an inexact value made exact for a
+# probe; past it the integer alone takes megabytes, and the Fraction
+# arithmetic after it seconds, so the probe draws another point
 _VALUE_BITS = 1 << 20
+_LOG2_10 = math.log2(10)
 
 # term-count ceiling when distributing products / expanding integer powers
 _TERM_CAP = 3000
@@ -217,10 +233,6 @@ ATOM_TYPES = (TimeVar, StateDeriv, DrivingFn, Param)
 ZERO = Const(Fraction(0))
 ONE = Const(Fraction(1))
 MINUS_ONE = Const(Fraction(-1))
-
-
-def con(v: Number) -> Const:
-    return Const(Fraction(v))
 
 
 def walk(e: Expr) -> Iterator[Expr]:
@@ -724,7 +736,8 @@ def evaluate(e: Expr, bindings: Mapping[Expr, Fraction]) -> Fraction:
 
 
 def evaluate_ex(e: Expr, b: Mapping[Expr, Fraction]):
-    """Returns (value, exact) where exact is False once mpmath was involved."""
+    """Returns (value, exact) where exact is False once a value was
+    rounded: a function value with no exact form, or a power of one."""
     n, d, exact = _eval(e, b)
     return Fraction(n, d), exact
 
@@ -771,9 +784,9 @@ def _eval(e: Expr, b) -> tuple:
         if n == 0 and k < 0:
             raise DomainError("zero raised to a negative power")
         if not ex:
-            # an inexact base carries _MP_DPS digits; its exact power would
+            # an inexact base carries _DIGITS digits; its exact power would
             # carry exponent times as many
-            v = _mp_pow(Fraction(n, d), k)
+            v = _rounded_pow(Fraction(n, d), k)
             return v.numerator, v.denominator, False
         # reduced first: a common factor would be raised to the power too
         g = math.gcd(n, d)
@@ -786,43 +799,64 @@ def _eval(e: Expr, b) -> tuple:
         v = Fraction(n, d)
         r = _exact_func(e.name, v)
         if r is None:
-            r, ex = _mp_call(e.name, v), False
+            r, ex = _rounded_call(e.name, v), False
         return r.numerator, r.denominator, ex
     raise TypeError("not an Expr: %r" % (e,))
 
 
-_MP_FUNCS = {"sin": mpmath.sin, "cos": mpmath.cos, "exp": mpmath.exp,
-             "ln": mpmath.log, "sqrt": mpmath.sqrt}
+def _rounded_call(name: str, v: Fraction) -> Fraction:
+    """name(v) rounded to _DIGITS significant digits, made exact."""
+    if name in ("sin", "cos"):
+        return _mp_trig(name, v)
+    try:
+        r = _DECIMAL_FUNCS[name](_CONTEXT.divide(v.numerator, v.denominator))
+    except decimal.DecimalException:
+        raise DomainError("%s of a value is out of range" % name) from None
+    return _decimal_to_fraction(r)
 
 
-def _mp_call(name: str, v: Fraction) -> Fraction:
-    with mpmath.workdps(_MP_DPS):
-        r = _MP_FUNCS[name](mpmath.mpf(v.numerator) / mpmath.mpf(v.denominator))
+def _rounded_pow(v: Fraction, k: int) -> Fraction:
+    """v**k rounded to _DIGITS significant digits, made exact."""
+    if k == 0:
+        return Fraction(1)  # decimal's 0**0 is an invalid operation
+    try:
+        r = _CONTEXT.power(_CONTEXT.divide(v.numerator, v.denominator), k)
+    except decimal.DecimalException:
+        raise DomainError("a value to the power %d is out of range" % k) \
+            from None
+    return _decimal_to_fraction(r)
+
+
+def _mp_trig(name: str, v: Fraction) -> Fraction:
+    import mpmath  # loaded by the first sin or cos value, and only by it
+    with mpmath.workdps(_DIGITS):
+        r = getattr(mpmath, name)(mpmath.mpf(v.numerator)
+                                  / mpmath.mpf(v.denominator))
         if not mpmath.isfinite(r):
-            raise DomainError("%s(%s) is not finite" % (name, v))
-        return _mpf_to_fraction(r)
-
-
-def _mp_pow(v: Fraction, k: int) -> Fraction:
-    with mpmath.workdps(_MP_DPS):
-        r = (mpmath.mpf(v.numerator) / mpmath.mpf(v.denominator)) ** k
-        if not mpmath.isfinite(r):
-            raise DomainError("%s^%d is not finite" % (v, k))
-        return _mpf_to_fraction(r)
-
-
-def _mpf_to_fraction(r) -> Fraction:
-    """The exact value of a finite mpf.  A value of more than _VALUE_BITS
-    bits is a DomainError, so a probe draws another point."""
-    sign, man, exp, _ = r._mpf_
+            raise DomainError("%s of a value is not finite" % name)
+        sign, man, exp, _ = r._mpf_
     man = int(man)
     if man == 0:
         return Fraction(0)
-    if abs(exp) + man.bit_length() > _VALUE_BITS:
-        raise DomainError("%s has no exact value in range"
-                          % mpmath.nstr(r, 5))
+    _check_width(man.bit_length() + abs(exp))
     v = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
     return -v if sign else v
+
+
+def _decimal_to_fraction(r: decimal.Decimal) -> Fraction:
+    """The exact value of a finite Decimal."""
+    exp = r.as_tuple().exponent
+    man = int(_CONTEXT.scaleb(r, -exp))
+    _check_width(man.bit_length() + abs(exp) * _LOG2_10)
+    return Fraction(*r.as_integer_ratio())
+
+
+def _check_width(bits):
+    """A value of more than _VALUE_BITS bits is a DomainError, so a probe
+    draws another point."""
+    if bits > _VALUE_BITS:
+        raise DomainError("a value of %d bits has no exact value in range"
+                          % bits)
 
 
 # ---------------------------------------------------------------------------

@@ -376,27 +376,6 @@ def canonical_offsets(sig: SignatureMatrix) -> OffsetPair:
     return OffsetPair(c, d)
 
 
-def validate_offsets(sig: SignatureMatrix, c: Sequence[int],
-                     d: Sequence[int]) -> bool:
-    """Valid means: nonnegative, d_j - c_i >= sigma_ij wherever finite, and
-    equality along some transversal."""
-    n = sig.n
-    if len(c) != n or len(d) != n:
-        return False
-    if any(ci < 0 for ci in c) or any(dj < 0 for dj in d):
-        return False
-    tight = []
-    for i, r in enumerate(sig.rows):
-        row = []
-        for j, s in r.items():
-            if d[j] - c[i] < s:
-                return False
-            if d[j] - c[i] == s:
-                row.append(j)
-        tight.append(row)
-    return _matching(tight) is not None
-
-
 def structural_index(off: OffsetPair) -> int:
     nu = max(off.c)
     if min(off.d) == 0:

@@ -27,7 +27,8 @@ from .expr import (
 DEFAULT_BUDGET = 8
 DEFAULT_SEED = "daefix"
 
-# below this magnitude an mpmath-tainted value counts as zero evidence
+# below this magnitude a value that went through a rounded function value
+# (evaluate_ex's exact flag is False) counts as zero evidence
 NONZERO_GUARD = Fraction(1, 10 ** 40)
 
 # bindings rejected by a domain error before a probe run gives up

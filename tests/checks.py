@@ -10,7 +10,8 @@ and the dense elimination and rank references that test_jacobian and
 test_nullspace hold the fast ones to; the fixed-point offsets that
 test_structural and test_generated hold the search to; the Fraction-only
 normal form and evaluation that test_expr holds the integer kernel to; the
-dense, cell-by-cell tables that test_output holds the sparse ones to.
+dense, cell-by-cell tables that test_output holds the sparse ones to; and
+the helpers that only tests call: con, parse_expr and validate_offsets.
 
 daefix keeps each row of Sigma and of J as {column: entry}, in ascending
 columns.  The references here read dense n x n input, and Sigma through
@@ -20,15 +21,15 @@ sig.entry(i, j); sparse and dense convert between the two forms.
 import math
 from fractions import Fraction
 
-from daefix.dsl import parse_dae
+from daefix.dsl import _system_parser, parse_dae
 from daefix.expr import (ATOM_TYPES, NEG_INF, ZERO, Add, Const, DomainError,
                          DrivingFn, Func, Mul, Param, Pow, StateDeriv,
                          TimeVar, _TERM_CAP, _exact_func, _key, _mono_adjusted,
-                         _mono_key, _mp_call, _mp_pow, format_expr, hod,
-                         partial, simplify, total_derivative)
+                         _mono_key, _rounded_call, _rounded_pow, format_expr,
+                         hod, partial, simplify, total_derivative)
 from daefix.model import DaeSystem, fresh_indexed, make_equation
 from daefix.nullspace import EliminationStuck
-from daefix.structural import OffsetPair, signature_matrix
+from daefix.structural import OffsetPair, _matching, signature_matrix
 
 _FUNCS = ("sin", "cos", "exp")
 _ATOMS = (StateDeriv(0, 0), StateDeriv(0, 1), StateDeriv(1, 0),
@@ -71,6 +72,41 @@ def assert_one_form(analysis):
             assert all(off.d[j] - off.c[i] == sig.rows[i].get(j)
                        for j in row)
             assert all(e is not ZERO for e in row.values())
+
+
+def con(v):
+    """The constant node of the int or Fraction v."""
+    return Const(Fraction(v))
+
+
+def parse_expr(text, system, line=1):
+    """Parse a standalone expression in the naming environment of
+    `system`."""
+    p = _system_parser(text, system, line)
+    e = p.parse()
+    if not p.at_end():
+        p.fail("unexpected trailing input")
+    return e
+
+
+def validate_offsets(sig, c, d):
+    """Valid means: nonnegative, d_j - c_i >= sigma_ij wherever finite, and
+    equality along some transversal."""
+    n = sig.n
+    if len(c) != n or len(d) != n:
+        return False
+    if any(ci < 0 for ci in c) or any(dj < 0 for dj in d):
+        return False
+    tight = []
+    for i, r in enumerate(sig.rows):
+        row = []
+        for j, s in r.items():
+            if d[j] - c[i] < s:
+                return False
+            if d[j] - c[i] == s:
+                row.append(j)
+        tight.append(row)
+    return _matching(tight) is not None
 
 
 def pendulum_chain(n):
@@ -728,13 +764,13 @@ def reference_evaluate_ex(e, b):
             raise DomainError("zero raised to a negative power")
         if ex:
             return v ** e.exponent, True
-        return _mp_pow(v, e.exponent), False
+        return _rounded_pow(v, e.exponent), False
     if isinstance(e, Func):
         v, ex = reference_evaluate_ex(e.arg, b)
         r = _exact_func(e.name, v)
         if r is not None:
             return r, ex
-        return _mp_call(e.name, v), False
+        return _rounded_call(e.name, v), False
     raise TypeError("not an Expr: %r" % (e,))
 
 

@@ -17,11 +17,12 @@ import jsonschema
 import pytest
 
 import checks
+from checks import parse_expr
 import daefix
 from daefix import cli, convert, corpus
 from daefix.cli import main
 from daefix.convert import choose_method, es_analyze, lc_analyze
-from daefix.dsl import parse_dae, parse_expr
+from daefix.dsl import parse_dae
 from daefix.expr import ONE, ZERO, StateDeriv, simplify
 from daefix.structural import canonical_offsets, signature_matrix
 from daefix.zerotest import Prober

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import checks
+from checks import parse_expr
 from daefix.convert import (ConditionRejected, ConvertError, EsAnalysis,
                             FixStatus, LcAnalysis, MethodChoice, MethodKind,
                             PivotRejected, VectorRejected, choose_method,
@@ -13,7 +14,7 @@ from daefix.convert import (ConditionRejected, ConvertError, EsAnalysis,
                             lc_equivalence_probes)
 from daefix import corpus
 from daefix.corpus import load, names as corpus_names
-from daefix.dsl import parse_dae, parse_expr
+from daefix.dsl import parse_dae
 from daefix.expr import (NEG_INF, ZERO, Add, Const, StateDeriv, hod,
                          evaluate, simplify)
 from daefix.jacobian import determinant, system_jacobian

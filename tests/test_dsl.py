@@ -2,10 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from checks import pendulum_chain
+from checks import parse_expr, pendulum_chain
 from daefix.convert import analyze
-from daefix.dsl import (ParseError, emit_dae, parse_dae, parse_expr,
-                        parse_vector)
+from daefix.dsl import ParseError, emit_dae, parse_dae, parse_vector
 from daefix.expr import (
     Add, Const, DrivingFn, Mul, Param, Pow, StateDeriv, format_expr,
     hod, simplify, walk,

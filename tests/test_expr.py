@@ -1,17 +1,19 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
 import pytest
 
 import checks
+from checks import con, parse_expr
 from daefix import expr as expr_module
-from daefix.dsl import parse_dae, parse_expr
+from daefix.dsl import parse_dae
 from daefix.expr import (
     FUNCS, NEG_INF, ZERO, Add, Const, DomainError, DrivingFn, Func,
     MissingBinding, Mul, Param, Pow, StateDeriv, TimeVar, _key, _p_mul,
-    _p_pow, _poly, atoms, con, evaluate, evaluate_ex, format_expr, hod,
+    _p_pow, _poly, atoms, evaluate, evaluate_ex, format_expr, hod,
     highest_orders, partial, simplify, subst_atoms, total_derivative, walk,
 )
 
@@ -660,7 +662,7 @@ def test_partial_of_a_sum_skips_summands_without_the_atom(monkeypatch):
     assert len(calls) == 5
 
 
-def test_power_of_an_inexact_base_is_rounded_in_mpmath():
+def test_power_of_an_inexact_base_is_rounded():
     e = Pow(Func("sin", x), 100000)
     v, exact = evaluate_ex(e, {x: Fraction(1)})
     assert not exact
@@ -671,9 +673,99 @@ def test_power_of_an_inexact_base_is_rounded_in_mpmath():
     # an exact base keeps its exact power
     assert evaluate_ex(Pow(x, -3), {x: Fraction(2, 3)}) == (Fraction(27, 8),
                                                            True)
+    # an inexact zero to the power 0, as the derivative of a first power
+    # holds it, is 1
+    zero = Func("exp", x) - Func("exp", x)
+    assert evaluate_ex(Pow(zero, 0), {x: Fraction(1)}) == (1, False)
     v2, exact2 = evaluate_ex(Pow(Func("exp", x), 3), {x: Fraction(1, 2)})
     assert not exact2
     assert abs(v2 - Fraction(math.exp(1.5))) < Fraction(1, 10 ** 12)
+
+
+_MP_REFERENCE = {"exp": mpmath.exp, "ln": mpmath.log, "sqrt": mpmath.sqrt}
+
+
+def _mpf(v):
+    return mpmath.mpf(v.numerator) / v.denominator
+
+
+def _assert_agrees(got, want):
+    """got is want, mpmath's value at the working precision, to a relative
+    1e-65; or got is DomainError and want too wide to be made exact."""
+    if got is DomainError:
+        assert abs(mpmath.log(abs(want), 2)) > expr_module._VALUE_BITS - 300
+    else:
+        assert abs(_mpf(got) / want - 1) < mpmath.mpf(10) ** -65
+
+
+def _evaluate_or_error(e, b):
+    try:
+        value, exact = evaluate_ex(e, b)
+    except DomainError:
+        return DomainError
+    assert not exact
+    return value
+
+
+@pytest.mark.parametrize("name", ["exp", "ln", "sqrt"])
+def test_decimal_values_agree_with_mpmath(name):
+    rng = random.Random(name)
+    reference = _MP_REFERENCE[name]
+    with mpmath.workdps(100):
+        # probe-like rationals, as zerotest draws them
+        for _ in range(200):
+            v = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
+            if name != "exp":
+                v = abs(v)
+            if v and expr_module._exact_func(name, v) is None:
+                _assert_agrees(_evaluate_or_error(Func(name, x), {x: v}),
+                               reference(_mpf(v)))
+        # nested values: inexact arguments of about 70 digits, from
+        # mpmath's sin and cos and from decimal itself
+        inners = (Func("exp", x), Func("sqrt", x * x + y * y + 1),
+                  Func("sin", x) ** 2 + 1,
+                  Func("exp", x) * Func("sqrt", y * y + 2),
+                  Func("ln", x * x + 1) + Func("cos", y) ** 2)
+        for _ in range(40):
+            b = {x: Fraction(rng.randint(-50, 50), rng.randint(1, 50)),
+                 y: Fraction(rng.randint(-50, 50), rng.randint(1, 50))}
+            for inner in inners:
+                u, exact = evaluate_ex(inner, b)
+                if not exact:  # sin 0 is exact
+                    _assert_agrees(_evaluate_or_error(Func(name, inner), b),
+                                   reference(_mpf(u)))
+
+
+def test_powers_of_inexact_values_agree_with_mpmath():
+    rng = random.Random(5)
+    inners = (Func("exp", x), Func("sqrt", x * x + 3), Func("sin", x),
+              Func("ln", x * x + 2) - Func("cos", x))
+    with mpmath.workdps(100):
+        for _ in range(100):
+            b = {x: Fraction(rng.randint(-50, 50), rng.randint(1, 50))}
+            k = rng.choice([-1, 1]) * rng.randint(1, 30)
+            for inner in inners:
+                u, exact = evaluate_ex(inner, b)
+                if not exact:  # sin 0 is exact
+                    _assert_agrees(_evaluate_or_error(Pow(inner, k), b),
+                                   _mpf(u) ** k)
+
+
+def test_a_value_past_the_bit_cap_is_a_domain_error():
+    # a Decimal's width is its coefficient's bits plus |exponent| * log2 10
+    edge = int(expr_module._VALUE_BITS / math.log2(10))
+    to_fraction = expr_module._decimal_to_fraction
+    assert to_fraction(Decimal("1E-%d" % edge)) == Fraction(1, 10 ** edge)
+    for past in ("1E-%d" % (edge + 1), "1E%d" % (edge + 1)):
+        with pytest.raises(DomainError):
+            to_fraction(Decimal(past))
+    # exp of a huge argument: past the cap, or past decimal's exponent
+    # range, which overflows
+    for a in (10 ** 6, -10 ** 6, 10 ** 20, -10 ** 20):
+        with pytest.raises(DomainError):
+            evaluate(Func("exp", x), {x: Fraction(a)})
+    with pytest.raises(DomainError):
+        evaluate(Pow(Func("exp", x), 10 ** 6), {x: Fraction(1)})
 
 
 def test_separately_built_trees_share_hash_and_key():

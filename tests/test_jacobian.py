@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from checks import (brenan_blocks, dense, dense_fraction_rank, index_chain,
                     pendulum_chain, rand_factor_system,
-                    reference_system_jacobian, sparse)
+                    reference_system_jacobian, sparse, validate_offsets)
 from daefix import corpus, expr
 from daefix.cli import main
 from daefix.dsl import parse_dae
@@ -20,7 +20,7 @@ from daefix.jacobian import (
 )
 from daefix.structural import (
     OffsetPair, _assignment_max, _blocks, _matching, canonical_offsets,
-    signature_matrix, validate_offsets,
+    signature_matrix,
 )
 from daefix.zerotest import Prober
 

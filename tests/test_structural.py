@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from checks import (dense, index_chain, pendulum_chain, reference_offsets,
-                    sparse)
+                    sparse, validate_offsets)
 from daefix import corpus, structural
 from daefix.dsl import parse_dae
 from daefix.expr import NEG_INF, ZERO, StateDeriv, hod, partial, simplify
@@ -13,7 +13,6 @@ from daefix.jacobian import system_jacobian
 from daefix.structural import (
     OffsetPair, SignatureMatrix, canonical_offsets, degrees_of_freedom,
     sigma_from_rows, signature_matrix, solution_scheme, structural_index,
-    validate_offsets,
 )
 
 PENDULUM = """\

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from checks import con
 from daefix.expr import (Const, DomainError, Func, Param, Pow, StateDeriv,
-                         TimeVar, con, simplify)
+                         TimeVar, simplify)
 from daefix.zerotest import (_MAX_REDRAWS, DEFAULT_BUDGET, Prober, ZeroKind,
                              probe_points)
 
