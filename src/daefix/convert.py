@@ -24,7 +24,6 @@ rewritten and appended rows are read, solved and differentiated anew,
 and only the components they reach are split again.
 """
 
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import zip_longest
@@ -34,7 +33,7 @@ from .expr import (ZERO, Add, Const, Expr, Mul, Pow, StateDeriv, atoms,
                    evaluate_ex, hod, highest_orders, simplify, subst_atoms,
                    total_derivative)
 from .jacobian import JacobianReport, classify_jacobian, system_jacobian
-from .model import DaeSystem, fresh_indexed, make_equation
+from .model import DaeSystem, Record, fresh_indexed, make_equation
 from .nullspace import (NullspaceError, component_basis,
                         normalize_candidates, verify_nullvector)
 from .structural import (OffsetPair, SignatureMatrix, canonical_offsets,
@@ -80,8 +79,7 @@ class MethodKind(Enum):
 # ---------------------------------------------------------------------------
 # combination rewrite (cokernel side)
 
-@dataclass(frozen=True)
-class LcAnalysis:
+class LcAnalysis(Record):
     """What a cokernel vector u allows.
 
     rows: indices i with u_i not proven zero.
@@ -117,8 +115,7 @@ def lc_analyze(off: OffsetPair, u, prober: Prober) -> LcAnalysis:
     return LcAnalysis(u, rows, c_under, candidates, const_rows, True, off)
 
 
-@dataclass(frozen=True)
-class LcApplication:
+class LcApplication(Record):
     system: DaeSystem
     analysis: LcAnalysis
     pivot: int
@@ -167,8 +164,7 @@ def lc_equivalence_probes(before: DaeSystem, app: LcApplication,
 # ---------------------------------------------------------------------------
 # substitution rewrite (kernel side)
 
-@dataclass(frozen=True)
-class EsAnalysis:
+class EsAnalysis(Record):
     """What a kernel vector v allows.
 
     cols: indices j with v_j not proven zero.  rows: equations whose
@@ -207,8 +203,7 @@ def es_analyze(system: DaeSystem, sig, off: OffsetPair, v,
     return EsAnalysis(v, cols, rows, c_over, const_cols if ok else (), ok, off)
 
 
-@dataclass(frozen=True)
-class Renaming:
+class Renaming(Record):
     """One fresh state introduced by the substitution rewrite."""
 
     col: int           # original variable index j
@@ -220,8 +215,7 @@ class Renaming:
     definition: Expr   # x_j^(order) - (v_j/v_l) x_l^(d_l-c_over)
 
 
-@dataclass(frozen=True)
-class EsApplication:
+class EsApplication(Record):
     system: DaeSystem
     analysis: EsAnalysis
     pivot: int
@@ -304,9 +298,8 @@ def es_apply(system: DaeSystem, analysis: EsAnalysis, pivot: int,
                                simplify(subst_atoms(old.expr, mapping)),
                                origin="es_rewritten", alias=old.alias)
         rewritten.append(i)
-    names = system.var_names + tuple(r.var_name for r in renamed)
-    converted = DaeSystem(system.name, names, tuple(eqs + new_eqs),
-                          system.params, system.input_names)
+    converted = system.with_equations(eqs + new_eqs,
+                                      [r.var_name for r in renamed])
     return EsApplication(converted, analysis, pivot, tuple(renamed),
                          tuple(rewritten))
 
@@ -384,8 +377,7 @@ def _certify(key, pairs, defs, param_values, prober, points):
 # ---------------------------------------------------------------------------
 # method choice
 
-@dataclass(frozen=True)
-class MethodChoice:
+class MethodChoice(Record):
     kind: MethodKind
     pivot: int = -1
 
@@ -427,8 +419,7 @@ class FixStatus(Enum):
     ITERATION_CAP = "iteration_cap"
 
 
-@dataclass(frozen=True)
-class Analysis:
+class Analysis(Record, uncompared=("system",), hidden=("system",)):
     """The structural analysis of one system, as every later stage reads it.
 
     offsets and jacobian (the classified System Jacobian) are None when the
@@ -439,8 +430,7 @@ class Analysis:
     signature: SignatureMatrix
     offsets: Optional[OffsetPair]
     jacobian: Optional[JacobianReport]
-    system: Optional[DaeSystem] = field(default=None, compare=False,
-                                        repr=False)
+    system: Optional[DaeSystem] = None
 
     @property
     def value(self):
@@ -471,8 +461,7 @@ def analyze(system: DaeSystem, prober: Prober, formal: bool = False,
     return Analysis(sig, off, report, system)
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(Record):
     index: int            # 1-based
     kind: MethodKind
     pivot: int            # 0-based
@@ -489,8 +478,7 @@ class StepRecord:
         return self.after.value
 
 
-@dataclass(frozen=True)
-class FixReport:
+class FixReport(Record):
     status: FixStatus
     steps: tuple
     system: DaeSystem

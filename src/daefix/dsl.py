@@ -15,9 +15,8 @@ are read exactly (9.8 is the rational 49/5).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from .expr import (
     FUNCS, Add, Const, DomainError, DrivingFn, Expr, Func, Mul, Param,
@@ -43,8 +42,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str   # name | num | prime | op | end
     text: str
     col: int

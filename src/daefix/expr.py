@@ -30,21 +30,21 @@ the order of the products.  A power is formed in one step: a monomial
 scales its exponents, and a sum is expanded in one multinomial pass or,
 past the cap, kept whole (see `_p_pow`).
 
-Nodes are interned (hash-consing, Filliatre and Conchon 2006): a node
-built equal to an earlier one, by class and normalised fields, is that
-one, so `==` and `hash` are identity.  The table is process-global.  Each
-node memoises, in slots filled on first use, its sort key `_key(e)`, its
-atoms `atoms(e)` and its normal form `simplify(e)`.  Set iteration follows
-addresses, so a set of nodes that reaches an output is sorted by `_key`
-or reduced in a way that ignores order.
+Nodes are immutable, laid out and interned by _Interning (hash-consing,
+Filliatre and Conchon 2006): a node built equal to an earlier one, by
+class and normalised fields, is that one, so `==` and `hash` are
+identity.  The table is process-global.  Each node memoises, in slots
+filled on first use, its sort key `_key(e)`, its atoms `atoms(e)` and its
+normal form `simplify(e)`.  Set iteration follows addresses, so a set of
+nodes that reaches an output is sorted by `_key` or reduced ignoring order.
 """
 
 from __future__ import annotations
 
 import decimal
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
 NEG_INF = float("-inf")
@@ -95,24 +95,81 @@ Number = Union[int, Fraction]
 _INTERNED: dict = {}
 
 
+def bind_fields(cls, args, kwargs) -> tuple:
+    """cls(*args, **kwargs) bound to cls.__match_args__, with the defaults
+    cls._defaults; a missing, unknown or repeated argument is a TypeError."""
+    fields, defaults, values = cls.__match_args__, cls._defaults, list(args)
+    for f in fields[len(args):]:
+        if f not in kwargs and f not in defaults:
+            break
+        values.append(kwargs[f] if f in kwargs else defaults[f])
+    if len(values) != len(fields) or kwargs.keys() - fields[len(args):]:
+        raise TypeError("%s() takes (%s), not %r and %r"
+                        % (cls.__name__, ", ".join(fields), args, kwargs))
+    return tuple(values)
+
+
+class Frozen:
+    """Prints as Name(field=value, ...); refuses assignment and deletion."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _show(cls, names):
+        # the class name first: a getter of one name returns no tuple
+        cls._repr_values = attrgetter("__class__.__qualname__", *names)
+        cls._repr_format = "%%s(%s)" % ", ".join(f + "=%r" for f in names)
+
+    def __repr__(self):
+        return self._repr_format % self._repr_values(self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+
 class _Interning(type):
-    """Building a node equal to an interned one returns that one.  The
-    arguments as given are tried as the key first: a Const of an int finds
-    the Const of the equal Fraction, since the two hash and compare equal."""
+    """Lays out and builds the node classes: a class's annotated names are
+    its fields and slots, in order, a value in its body a field's default.
+    Building a node equal to an interned one returns that one.  The bound
+    arguments are tried as the key first: a Const of an int finds the
+    Const of the equal Fraction, as the two hash and compare equal.  A new
+    node is checked by its __post_init__ once its fields are set."""
+
+    def __new__(mcls, name, bases, ns):
+        fields = tuple(ns.get("__annotations__", ()))
+        ns["_defaults"] = {f: ns.pop(f) for f in fields if f in ns}
+        # Expr declares the memo slots, and has no fields
+        ns["__slots__"] = ns.get("__slots__", ()) + fields
+        ns["__match_args__"] = fields
+        cls = super().__new__(mcls, name, bases, ns)
+        cls._show(fields)
+        return cls
 
     def __call__(cls, *args, **kwargs):
-        node = None if kwargs else _INTERNED.get((cls, args))
+        fields = cls.__match_args__
+        if kwargs or len(args) != len(fields):
+            args = bind_fields(cls, args, kwargs)
+        node = _INTERNED.get((cls, args))
         if node is None:
-            node = super().__call__(*args, **kwargs)
-            fields = tuple(getattr(node, f) for f in cls.__match_args__)
-            node = _INTERNED.setdefault((cls, fields), node)
+            node = object.__new__(cls)
+            for name, value in zip(fields, args):
+                object.__setattr__(node, name, value)
+            node.__post_init__()
+            values = tuple([getattr(node, f) for f in fields])
+            node = _INTERNED.setdefault((cls, values), node)
         return node
 
 
-class Expr(metaclass=_Interning):
+class Expr(Frozen, metaclass=_Interning):
     # per-node caches, each filled on first use: _key(e), atoms(e),
     # simplify(e)
     __slots__ = ("_sort_key", "_atoms", "_normal")
+
+    def __post_init__(self):
+        """Checks or normalises a new node's fields."""
 
     def __add__(self, other):
         return Add((self, _wrap(other)))
@@ -150,11 +207,6 @@ class Expr(metaclass=_Interning):
         return Mul((_wrap(other), Pow(self, -1)))
 
 
-def _node(cls):
-    """A frozen, slotted dataclass node, compared and hashed by identity."""
-    return dataclass(frozen=True, slots=True, eq=False)(cls)
-
-
 def _wrap(v) -> "Expr":
     if isinstance(v, Expr):
         return v
@@ -163,7 +215,6 @@ def _wrap(v) -> "Expr":
     raise TypeError("cannot use %r in an expression" % (v,))
 
 
-@_node
 class Const(Expr):
     value: Fraction
 
@@ -172,12 +223,10 @@ class Const(Expr):
             object.__setattr__(self, "value", Fraction(self.value))
 
 
-@_node
 class TimeVar(Expr):
     """The independent variable t."""
 
 
-@_node
 class StateDeriv(Expr):
     """order-th time derivative of state variable number `index` (0-based)."""
 
@@ -185,7 +234,6 @@ class StateDeriv(Expr):
     order: int = 0
 
 
-@_node
 class DrivingFn(Expr):
     """order-th derivative of a known driving (input) function of t."""
 
@@ -193,22 +241,18 @@ class DrivingFn(Expr):
     order: int = 0
 
 
-@_node
 class Param(Expr):
     name: str
 
 
-@_node
 class Add(Expr):
     children: tuple
 
 
-@_node
 class Mul(Expr):
     children: tuple
 
 
-@_node
 class Pow(Expr):
     base: Expr
     exponent: int
@@ -218,7 +262,6 @@ class Pow(Expr):
             raise TypeError("Pow exponent must be int")
 
 
-@_node
 class Func(Expr):
     name: str
     arg: Expr

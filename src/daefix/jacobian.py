@@ -34,7 +34,6 @@ still asked and hits the prober's cache.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
@@ -43,7 +42,7 @@ from .expr import (
     Add, Const, Expr, Mul, StateDeriv, ZERO,
     atoms, evaluate_ex, partial, simplify,
 )
-from .model import DaeSystem
+from .model import DaeSystem, Record
 from .structural import (OffsetPair, SignatureMatrix, _blocks, _components,
                          _matching)
 from .zerotest import Prober, probe_points
@@ -181,13 +180,13 @@ def components(matrix: Sequence[dict], prior=None) -> tuple:
                         else n + p.cols[0]))
 
 
-@dataclass(frozen=True)
-class JacobianReport:
+class JacobianReport(Record, uncompared=("components",),
+                     hidden=("components",)):
     matrix: tuple         # rows {col: nonzero normal form}
     klass: JacobianClass
     # None when n > DET_BOUND, unless structurally singular (ZERO)
     det: Optional[Expr]
-    components: tuple = field(compare=False, repr=False)
+    components: tuple
 
     @property
     def singular(self) -> bool:

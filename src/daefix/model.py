@@ -1,15 +1,15 @@
 """DAE system model: named equations over named state variables.
 
-A DaeSystem is immutable and validated when it is built.  The conversion
-rewrites in convert build each converted system in one construction.
+A DaeSystem is immutable and validated when it is built; with_equations
+checks only the equations it does not keep from the system it extends.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .expr import DrivingFn, Expr, Param, StateDeriv, simplify, walk
+from .expr import (DrivingFn, Expr, Frozen, Param, StateDeriv, bind_fields,
+                   simplify, walk)
 
 RESERVED = {"t", "dae", "vars", "params", "input", "eq",
             "sin", "cos", "exp", "ln", "sqrt", "diff"}
@@ -19,8 +19,42 @@ class ModelError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Equation:
+class Record(Frozen):
+    """An immutable record, keeping what daefix used of the standard
+    library's frozen data classes with no code generated.  A subclass's
+    annotated names are its fields, in order, a value in its body a field's
+    default; a missing, unknown or repeated argument raises TypeError.  A
+    record equals only a record of its own class with equal compared
+    fields (else __eq__ returns NotImplemented), hashes as the tuple of
+    those, prints as Name(field=value, ...) and refuses assignment and
+    deletion with AttributeError.  The class keywords `uncompared` and
+    `hidden` name the fields left out of comparison and of the repr."""
+
+    def __init_subclass__(cls, uncompared=(), hidden=()):
+        ns = vars(cls)
+        cls.__match_args__ = fields = tuple(ns.get("__annotations__", ()))
+        cls._defaults = {f: ns[f] for f in fields if f in ns}
+        cls._compared = tuple(f for f in fields if f not in uncompared)
+        cls._show(tuple(f for f in fields if f not in hidden))
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self.__match_args__):
+            args = bind_fields(type(self), args, kwargs)
+        self.__dict__.update(zip(self.__match_args__, args))
+
+    def _compared_values(self) -> tuple:
+        return tuple([self.__dict__[f] for f in self._compared])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared_values() == other._compared_values()
+
+    def __hash__(self):
+        return hash(self._compared_values())
+
+
+class Equation(Record):
     """One equation f = 0.
 
     raw is the tree as written and expr its normal form.  Signature
@@ -41,25 +75,27 @@ def make_equation(name: str, raw: Expr, origin: str = "original",
     return Equation(name, raw, simplify(raw), origin, alias)
 
 
-@dataclass(frozen=True, eq=False)
-class DaeSystem:
+class DaeSystem(Record):
     name: str
     var_names: tuple
     equations: tuple
     params: tuple = ()          # (name, Fraction value or None) pairs
     input_names: tuple = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "var_names", tuple(self.var_names))
-        object.__setattr__(self, "equations", tuple(self.equations))
-        object.__setattr__(self, "params", tuple(self.params))
-        object.__setattr__(self, "input_names", tuple(self.input_names))
+    # two systems are two objects, whatever their fields
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.__dict__.update((f, tuple(getattr(self, f)))
+                             for f in self.__match_args__[1:])
         self._validate()
 
     def _validate(self, kept=()):
         """Checks the system once, when it is built.  kept holds equations
-        already checked against the same declarations (with_equations
-        passes its own): they are not walked again."""
+        already checked against these declarations less any appended
+        states (with_equations passes its own): they are not walked again."""
         if len(self.equations) != len(self.var_names):
             raise ModelError("system must be square: %d equations, %d variables"
                              % (len(self.equations), len(self.var_names)))
@@ -111,10 +147,12 @@ class DaeSystem:
         except ValueError:
             raise ModelError("unknown variable %r" % name) from None
 
-    def with_equations(self, equations: Sequence[Equation]) -> "DaeSystem":
-        """This system with other equations over the same declarations."""
+    def with_equations(self, equations: Sequence[Equation],
+                       new_vars: Sequence[str] = ()) -> "DaeSystem":
+        """This system with other equations, and states new_vars appended."""
         new = object.__new__(DaeSystem)
-        new.__dict__.update(self.__dict__, equations=tuple(equations))
+        new.__dict__.update(self.__dict__, equations=tuple(equations),
+                            var_names=self.var_names + tuple(new_vars))
         new._validate(self.equations)
         return new
 

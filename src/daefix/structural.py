@@ -31,27 +31,25 @@ from scratch gives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import count
 from typing import List, Optional, Sequence
 
 from .expr import (NEG_INF, StateDeriv, ZERO, atoms, highest_orders, partial,
                    simplify)
-from .model import DaeSystem
+from .model import DaeSystem, Record
 
 class StructuralError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SignatureMatrix:
+class SignatureMatrix(Record, uncompared=("dual",)):
     rows: tuple            # each row {column: order}, ascending columns
     value: object          # int, or NEG_INF when no finite transversal exists
     hvt: Optional[tuple]   # lexicographically smallest HVT as ((i, j), ...)
     # the assignment solve's potentials (u, v): sigma_ij + u_i + v_j <= 0
     # wherever finite, with equality on every HVT
-    dual: tuple = field(compare=False)
+    dual: tuple
 
     @property
     def n(self) -> int:
@@ -346,8 +344,7 @@ def _blocks(support, match) -> list:
 # ---------------------------------------------------------------------------
 # offsets
 
-@dataclass(frozen=True)
-class OffsetPair:
+class OffsetPair(Record):
     c: tuple
     d: tuple
 
@@ -390,8 +387,7 @@ def degrees_of_freedom(off: OffsetPair) -> int:
 # ---------------------------------------------------------------------------
 # solution scheme
 
-@dataclass(frozen=True)
-class Stage:
+class Stage(Record):
     """One step of the scheme: which equation derivatives determine which
     state derivatives.  equations holds (eq_index, derivative_order) pairs,
     unknowns holds (var_index, derivative_order) pairs."""
@@ -402,8 +398,7 @@ class Stage:
     linear: bool
 
 
-@dataclass(frozen=True)
-class SolutionScheme:
+class SolutionScheme(Record):
     stages: tuple      # k = -max(d) .. -1
     generic: Stage     # the k = 0 stage, same shape for every k >= 0
 

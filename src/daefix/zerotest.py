@@ -14,7 +14,6 @@ its points from: zero tests, rank probes and equivalence probes.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Optional
@@ -23,6 +22,7 @@ from .expr import (
     ATOM_TYPES, Const, DomainError, Expr, Mul, Param, Pow, _key, atoms,
     evaluate_ex, simplify,
 )
+from .model import Record
 
 DEFAULT_BUDGET = 8
 DEFAULT_SEED = "daefix"
@@ -71,11 +71,10 @@ class ZeroKind(Enum):
     PROBABLY_ZERO = "probably_zero"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record, uncompared=("witness",)):
     kind: ZeroKind
     value: Optional[Fraction] = None
-    witness: Optional[dict] = field(default=None, compare=False)
+    witness: Optional[dict] = None
     probes: int = 0
     domain_warning: bool = False
 

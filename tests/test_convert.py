@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -648,6 +647,27 @@ def test_one_system_built_per_substitution_step(built):
         built.clear()
 
 
+def test_a_substitution_step_walks_only_the_rows_it_writes(monkeypatch):
+    import daefix.model
+    s = parse_dae(checks.brenan_blocks(8))
+    walked = []
+    original = daefix.model.walk
+
+    def counted(e):
+        walked.append(e)
+        return original(e)
+
+    monkeypatch.setattr(daefix.model, "walk", counted)
+    report = fix_dae(s, method="es", max_steps=1)
+    app = report.steps[0].application
+    rows = app.system.equations
+    # the kept rows were checked when s was built; appending a state
+    # leaves them valid
+    assert (len(rows), app.rewritten, len(app.renamed)) == (17, (0, 1), 1)
+    assert walked == [rows[0].raw, rows[1].raw, rows[16].raw]
+    assert app.system.var_names == s.var_names + (app.renamed[0].var_name,)
+
+
 def test_combination_is_derived_once_per_row(monkeypatch):
     import daefix.convert
     derived = []
@@ -700,10 +720,18 @@ def _plus(system, row, amount):
     return system.with_equations(eqs)
 
 
+def _with_system(app, system):
+    """The application app with its system replaced by `system` and every
+    other field kept."""
+    fields = {f: getattr(app, f) for f in app.__match_args__}
+    fields["system"] = system
+    return type(app)(**fields)
+
+
 def test_tampered_combination_row_is_not_equivalent():
     s = load("brenan")
     app = fix_dae(s).steps[0].application
-    bad = dataclasses.replace(app, system=_plus(app.system, app.pivot, 1))
+    bad = _with_system(app, _plus(app.system, app.pivot, 1))
     with pytest.raises(ConvertError, match="not equivalent"):
         lc_equivalence_probes(s, bad, Prober())
 
@@ -714,7 +742,7 @@ def test_tampered_substitution_row_is_not_equivalent(which):
     r = fix_dae(s, method="es", vector=vec(s, "1", "-1", "1"), pivot=0)
     app = r.steps[0].application
     row = app.rewritten[0] if which == "rewritten" else app.renamed[0].new_index
-    bad = dataclasses.replace(app, system=_plus(app.system, row, 1))
+    bad = _with_system(app, _plus(app.system, row, 1))
     with pytest.raises(ConvertError, match="not equivalent"):
         es_equivalence_probes(s, bad, Prober())
 
@@ -736,16 +764,16 @@ eq f2: x + t*y - h2(t) + exp(t) = 0
 
 def test_inexact_drift_past_the_guard_fails():
     s, app = _inexact_combination()
-    bad = dataclasses.replace(
-        app, system=_plus(app.system, app.pivot, Fraction(1, 10 ** 6)))
+    bad = _with_system(
+        app, _plus(app.system, app.pivot, Fraction(1, 10 ** 6)))
     with pytest.raises(ConvertError, match="drifted past the numeric guard"):
         lc_equivalence_probes(s, bad, Prober())
 
 
 def test_inexact_drift_under_the_guard_passes():
     s, app = _inexact_combination()
-    near = dataclasses.replace(
-        app, system=_plus(app.system, app.pivot, Fraction(1, 10 ** 12)))
+    near = _with_system(
+        app, _plus(app.system, app.pivot, Fraction(1, 10 ** 12)))
     prober = Prober()
     assert lc_equivalence_probes(s, near, prober) == 5
     assert not prober.uncertain_seen

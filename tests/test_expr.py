@@ -800,6 +800,78 @@ def test_nodes_keep_no_instance_dict():
         assert not hasattr(n, "__dict__")
 
 
+# each node class's fields, in order, with their defaults
+_NODE_FIELDS = {
+    Const: (("value", None),), TimeVar: (),
+    StateDeriv: (("index", None), ("order", 0)),
+    DrivingFn: (("name", None), ("order", 0)),
+    Param: (("name", None),), Add: (("children", None),),
+    Mul: (("children", None),), Pow: (("base", None), ("exponent", None)),
+    Func: (("name", None), ("arg", None)),
+}
+
+
+def _reference_repr(v):
+    """The repr of a node as a frozen data class prints it, written out
+    from _NODE_FIELDS: Add(children=(Const(value=Fraction(-1, 1)), ...))."""
+    if isinstance(v, tuple):
+        return "(%s%s)" % (", ".join(map(_reference_repr, v)),
+                           "," if len(v) == 1 else "")
+    if type(v) in _NODE_FIELDS:
+        return "%s(%s)" % (type(v).__name__, ", ".join(
+            "%s=%s" % (f, _reference_repr(getattr(v, f)))
+            for f, _ in _NODE_FIELDS[type(v)]))
+    return repr(v)
+
+
+def test_node_repr_is_the_field_by_field_form():
+    # the prober seeds its draws with this repr, so it may not change
+    assert repr(-x + Pow(Func("sin", t), 2) + h * g) == (
+        "Add(children=(Add(children=(Mul(children=(Const(value=Fraction(-1, "
+        "1)), StateDeriv(index=0, order=0))), Pow(base=Func(name='sin', "
+        "arg=TimeVar()), exponent=2))), Mul(children=(DrivingFn(name='h', "
+        "order=0), Param(name='g')))))")
+    rng = random.Random("repr")
+    seen = set()
+    for _ in range(20000):
+        e = _random_tree(rng, 4)
+        assert repr(e) == _reference_repr(e)
+        seen.update(type(n) for n in walk(e))
+    assert seen == set(_NODE_FIELDS)
+
+
+def test_node_classes_are_laid_out_from_their_annotations():
+    for cls, fields in _NODE_FIELDS.items():
+        names = tuple(f for f, _ in fields)
+        assert cls.__match_args__ == cls.__slots__ == names
+        assert cls._defaults == {f: d for f, d in fields if d is not None}
+    assert StateDeriv(3) is StateDeriv(3, 0) is StateDeriv(index=3)
+    assert DrivingFn("h", order=2) is DrivingFn("h", 2)
+
+
+def test_nodes_refuse_assignment_and_deletion():
+    for n in (x, g, h, t, con(2), x + y, x * y, Pow(x, 2), Func("sin", x)):
+        for name in n.__match_args__ + ("_normal", "other"):
+            with pytest.raises(AttributeError):
+                setattr(n, name, None)
+            with pytest.raises(AttributeError):
+                delattr(n, name)
+    assert x.index == 0 and simplify(x) is x
+
+
+@pytest.mark.parametrize("build", [
+    lambda: StateDeriv(),                 # missing
+    lambda: StateDeriv(0, 1, 2),          # one too many
+    lambda: StateDeriv(0, degree=1),      # unknown keyword
+    lambda: StateDeriv(0, index=1),       # repeated
+    lambda: Pow(x),
+    lambda: TimeVar(x),
+])
+def test_node_with_bad_arguments_raises_type_error(build):
+    with pytest.raises(TypeError):
+        build()
+
+
 def _trig_pair(rng, depth):
     # c1*sin(a)^(k+2)*R + c2*sin(a)^k*cos(a)^2*R + rest: _trig_reduce's case
     a = _random_tree(rng, depth - 2)

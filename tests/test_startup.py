@@ -1,6 +1,8 @@
 """What a CLI call loads.  `import daefix.cli` takes neither mpmath nor
-hashlib, which loads OpenSSL; a run loads mpmath only for a sin or cos
-value, and the bundled corpus has none.
+hashlib, which loads OpenSSL, nor dataclasses and the inspect, ast and dis
+modules it brings, which would generate and compile code for each record
+class; a run loads mpmath only for a sin or cos value, and the bundled
+corpus has none.
 
 Each check of the loaded modules runs in a fresh interpreter, since this
 suite's own modules import mpmath."""
@@ -34,7 +36,8 @@ for argv in json.loads(sys.argv[2]):
     with open(argv[argv.index("--json") + 1], "rb") as fh:
         report = fh.read().decode()
     runs.append([rc, out.getvalue(), err.getvalue(), report])
-loaded = [m for m in ("mpmath", "hashlib", "_hashlib")
+loaded = [m for m in ("mpmath", "hashlib", "_hashlib", "dataclasses",
+                      "inspect", "ast", "dis")
           if sys.modules.get(m) is not None]
 print(json.dumps({"runs": runs, "loaded": loaded}))
 """
