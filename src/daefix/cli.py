@@ -32,7 +32,7 @@ from .jacobian import JacobianClass
 from .model import ModelError
 from .nullspace import residual
 from .render import (jacobian_entries, render_equations, render_jacobian,
-                     render_scheme, render_sigma, render_step)
+                     render_scheme, render_sigma, render_step, vector_entries)
 from .structural import (degrees_of_freedom, sigma_from_rows, signature_rows,
                          solution_scheme, structural_index)
 from .zerotest import DEFAULT_BUDGET, DEFAULT_SEED, Prober
@@ -283,11 +283,9 @@ def _conversion_doc(args, system, digest, report):
             "index": st.index,
             "method": st.kind.value,
             "pivot": st.pivot + 1,
-            "pivot_name": (before.equations[st.pivot].name
-                           if st.kind is MethodKind.LC
-                           else before.var_names[st.pivot]),
+            "pivot_name": st.kind.pivot_name(before, st.pivot),
             "grade": st.grade,
-            "vector": [format_expr(e, before.var_names) for e in st.vector],
+            "vector": vector_entries(st.vector, before.var_names),
             "value_before": _num(st.value_before),
             "value_after": _num(st.value_after),
         }
@@ -386,7 +384,8 @@ def cmd_fix(args) -> int:
     except VectorRejected as ex:
         print("vector rejected: %s" % ex, file=sys.stderr)
         if ex.jacobian is not None:
-            for k, r in enumerate(residual(ex.jacobian, vec,
+            nonzero = {k: e for k, e in enumerate(vec) if e is not ZERO}
+            for k, r in enumerate(residual(ex.jacobian, nonzero,
                                            left=args.method == "lc"), 1):
                 r = ZERO if r is None else simplify(r)
                 if r != ZERO:

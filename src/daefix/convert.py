@@ -73,7 +73,13 @@ class PivotRejected(ConvertError):
 class MethodKind(Enum):
     LC = "lc"
     ES = "es"
-    NEITHER = "neither"
+
+    def pivot_name(self, system: DaeSystem, pivot: int) -> str:
+        """A combination's pivot is an equation, a substitution's a
+        variable: its name in the system the step started from."""
+        if self is MethodKind.LC:
+            return system.equations[pivot].name
+        return system.var_names[pivot]
 
 
 # ---------------------------------------------------------------------------
@@ -82,13 +88,15 @@ class MethodKind(Enum):
 class LcAnalysis(Record):
     """What a cokernel vector u allows.
 
-    rows: indices i with u_i not proven zero.
+    u: {i: u_i} over its nonzero entries, each a normal form, in ascending
+    i (the form of a Jacobian row).  rows: the i with u_i not proven
+    zero.
     candidates: rows of minimal offset, empty when the order condition
     fails.  const_rows: candidates whose entry is a nonzero constant
     (replacing one of those preserves solutions globally).
     """
 
-    u: tuple
+    u: dict
     rows: tuple
     c_under: int
     candidates: tuple
@@ -97,10 +105,8 @@ class LcAnalysis(Record):
     off: OffsetPair
 
 
-def lc_analyze(off: OffsetPair, u, prober: Prober) -> LcAnalysis:
-    u = tuple(e if e is ZERO else simplify(e) for e in u)
-    rows = tuple(i for i, e in enumerate(u)
-                 if e is not ZERO and not prober.verdict(e).proven_zero)
+def lc_analyze(off: OffsetPair, u: dict, prober: Prober) -> LcAnalysis:
+    rows = tuple(i for i, e in u.items() if not prober.verdict(e).proven_zero)
     if not rows:
         return LcAnalysis(u, (), 0, (), (), False, off)
     c_under = min(off.c[i] for i in rows)
@@ -167,12 +173,12 @@ def lc_equivalence_probes(before: DaeSystem, app: LcApplication,
 class EsAnalysis(Record):
     """What a kernel vector v allows.
 
-    cols: indices j with v_j not proven zero.  rows: equations whose
-    signature is tight in one of those columns.  const_cols: cols whose
-    entry is a nonzero constant.
+    v: {j: v_j} in the form of LcAnalysis.u.  cols: the j with v_j not
+    proven zero.  rows: equations whose signature is tight in one of those
+    columns.  const_cols: cols whose entry is a nonzero constant.
     """
 
-    v: tuple
+    v: dict
     cols: tuple
     rows: tuple
     c_over: int
@@ -185,11 +191,9 @@ class EsAnalysis(Record):
         return len(self.cols) >= 2 and bool(self.rows) and self.condition_ok
 
 
-def es_analyze(system: DaeSystem, sig, off: OffsetPair, v,
+def es_analyze(system: DaeSystem, sig, off: OffsetPair, v: dict,
                prober: Prober) -> EsAnalysis:
-    v = tuple(e if e is ZERO else simplify(e) for e in v)
-    cols = tuple(j for j, e in enumerate(v)
-                 if e is not ZERO and not prober.verdict(e).proven_zero)
+    cols = tuple(j for j, e in v.items() if not prober.verdict(e).proven_zero)
     rows = tuple(i for i in range(system.n)
                  if any(off.d[j] - off.c[i] == sig.entry(i, j) for j in cols))
     if not rows or len(cols) < 2:
@@ -377,13 +381,9 @@ def _certify(key, pairs, defs, param_values, prober, points):
 # ---------------------------------------------------------------------------
 # method choice
 
-class MethodChoice(Record):
-    kind: MethodKind
-    pivot: int = -1
-
-
-def choose_method(lc, es, prober: Prober) -> MethodChoice:
-    """Picks a rewrite from a candidate pair of analyses.
+def choose_method(lc, es, prober: Prober):
+    """Picks a rewrite from a candidate pair of analyses: (kind, pivot), or
+    None when neither applies.
 
     Constant pivots are preferred since they preserve solutions globally:
     a constant combination row wins outright; otherwise a constant
@@ -396,17 +396,17 @@ def choose_method(lc, es, prober: Prober) -> MethodChoice:
     Jset = es.cols if usable else ()
     J_hat = es.const_cols if usable else ()
     if L_hat:
-        return MethodChoice(MethodKind.LC, min(L_hat))
+        return MethodKind.LC, min(L_hat)
     if L:
         if J_hat:
-            return MethodChoice(MethodKind.ES, min(J_hat))
-        return MethodChoice(MethodKind.LC, min(L))
+            return MethodKind.ES, min(J_hat)
+        return MethodKind.LC, min(L)
     if J_hat:
-        return MethodChoice(MethodKind.ES, min(J_hat))
+        return MethodKind.ES, min(J_hat)
     for j in Jset:
         if prober.verdict(es.v[j]).proven_nonzero:
-            return MethodChoice(MethodKind.ES, j)
-    return MethodChoice(MethodKind.NEITHER)
+            return MethodKind.ES, j
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +465,7 @@ class StepRecord(Record):
     index: int            # 1-based
     kind: MethodKind
     pivot: int            # 0-based
-    vector: tuple
+    vector: dict          # LcAnalysis.u or EsAnalysis.v
     grade: str            # "global" or "local"
     value_before: int
     application: object   # LcApplication or EsApplication
@@ -503,7 +503,8 @@ def fix_dae(system: DaeSystem, prober: Prober = None, method: str = None,
     nonsingular.
 
     method restricts every step to one rewrite; vector and pivot force the
-    first step only (vector entries are used verbatim after verification).
+    first step only.  vector lists all n entries; its nonzero normal forms
+    are used verbatim after verification.
     The step budget defaults to the initial signature value plus one,
     which the strict value decrease makes sufficient for any fixable
     system.  Each system visited is analysed once; a step's record keeps
@@ -554,9 +555,8 @@ def fix_dae(system: DaeSystem, prober: Prober = None, method: str = None,
                 "conversion step %d (%s, pivot %s) did not decrease the "
                 "signature value: %s -> %s"
                 % (len(steps) + 1, kind.value,
-                   before.equations[chosen_pivot].name if kind is MethodKind.LC
-                   else before.var_names[chosen_pivot],
-                   now.value, after.value))
+                   kind.pivot_name(before, chosen_pivot), now.value,
+                   after.value))
         grade = "global" if isinstance(vec[chosen_pivot], Const) else "local"
         steps.append(StepRecord(len(steps) + 1, kind, chosen_pivot, vec,
                                 grade, now.value, app, current, after))
@@ -568,11 +568,12 @@ def fix_dae(system: DaeSystem, prober: Prober = None, method: str = None,
 
 def _forced_candidate(system, now, vector, pivot, method, prober):
     J = now.jacobian.matrix
-    vec = tuple(simplify(e) for e in vector)
-    if len(vec) != system.n:
+    if len(vector) != system.n:
         raise VectorRejected("vector has %d entries, system has %d"
-                             % (len(vec), system.n))
-    if all(e == ZERO for e in vec):
+                             % (len(vector), system.n))
+    vec = {k: x for k, e in enumerate(vector)
+           if (x := simplify(e)) is not ZERO}
+    if not vec:
         raise VectorRejected("vector is zero")
     left = method == "lc"
     if not verify_nullvector(J, vec, prober, left=left):
@@ -591,9 +592,9 @@ def _forced_candidate(system, now, vector, pivot, method, prober):
         pair = (None, analysis)
     if pivot is None:
         choice = choose_method(*pair, prober)
-        if choice.kind is MethodKind.NEITHER:
+        if choice is None:
             raise PivotRejected("no entry of the vector is proven nonzero")
-        pivot = choice.pivot
+        pivot = choice[1]
     return (MethodKind.LC if left else MethodKind.ES), analysis, pivot
 
 
@@ -628,8 +629,7 @@ def _search_candidates(system, now, method, prober):
                 lc_analyze(off, u_c, prober) if u_c else None)
             es = es_analyze(system, sig, off, v_c, prober) if v_c else None
             choice = choose_method(lc, es, prober)
-            if choice.kind is MethodKind.LC:
-                return MethodKind.LC, lc, choice.pivot
-            if choice.kind is MethodKind.ES:
-                return MethodKind.ES, es, choice.pivot
+            if choice is not None:
+                kind, pivot = choice
+                return kind, lc if kind is MethodKind.LC else es, pivot
     return None

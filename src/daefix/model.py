@@ -141,12 +141,6 @@ class DaeSystem(Record):
     def param_values(self) -> dict:
         return {p: v for p, v in self.params}
 
-    def var_index(self, name: str) -> int:
-        try:
-            return self.var_names.index(name)
-        except ValueError:
-            raise ModelError("unknown variable %r" % name) from None
-
     def with_equations(self, equations: Sequence[Equation],
                        new_vars: Sequence[str] = ()) -> "DaeSystem":
         """This system with other equations, and states new_vars appended."""

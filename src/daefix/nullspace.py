@@ -1,5 +1,10 @@
 """Kernel and cokernel vectors of symbolic matrices.
 
+A null vector has the form of a Jacobian row: {index: entry} over its
+nonzero entries, each a normal form, in ascending index, with no ZERO
+stored.  So everything that reads one, here and in convert, reads only
+its support; only the writers fill it out to n.
+
 Fraction-free Gauss-Jordan: a pivot never divides, it cross-multiplies
 (row_r <- pivot * row_r - entry * row_p), so entries stay in the expression
 ring.  No update combines rows of two components of the support
@@ -16,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .expr import Add, Const, Expr, Mul, ONE, Pow, ZERO, simplify, walk
 from .jacobian import components
@@ -64,10 +69,10 @@ def _pivot_choice(entries, prober: Prober):
 
 
 def kernel_basis(matrix: Sequence[dict], prober: Prober,
-                 left: bool = False) -> Iterator[tuple]:
+                 left: bool = False) -> Iterator[dict]:
     """Kernel basis (cokernel with left=True) of a square matrix of sparse
-    rows {col: nonzero normal form}, as n-tuples: the component_basis of
-    its components."""
+    rows {col: nonzero normal form}, as null vectors of the same form: the
+    component_basis of its components."""
     n = len(matrix)
     if any(not 0 <= j < n for row in matrix for j in row):
         raise NullspaceError("matrix must be square: a column lies outside "
@@ -76,14 +81,13 @@ def kernel_basis(matrix: Sequence[dict], prober: Prober,
 
 
 def component_basis(parts, prober: Prober,
-                    left: bool = False) -> Iterator[tuple]:
+                    left: bool = False) -> Iterator[dict]:
     """The kernel basis (cokernel with left=True) of the matrix split into
     parts (jacobian.components), one vector per free column in ascending
     order.  Each part not yet eliminated is eliminated in this call, with
     the prober that classified the matrix, so EliminationStuck comes from
     it, at the first column where one sticks; each vector is verified only
     when the returned iterator reaches it."""
-    n = sum(len(p.rows) for p in parts)
     done = []
     for p in parts:
         if left not in p.eliminated:
@@ -93,7 +97,7 @@ def component_basis(parts, prober: Prober,
     if stuck:
         raise min(stuck, key=lambda e: e.col)
     free = sorted((fc, k) for k, d in enumerate(done) for fc in d[3])
-    return (_basis_vector(n, done[k], fc, prober) for fc, k in free)
+    return (_basis_vector(done[k], fc, prober) for fc, k in free)
 
 
 def _eliminate(part, prober: Prober, left: bool) -> tuple:
@@ -145,35 +149,34 @@ def _eliminate(part, prober: Prober, left: bool) -> tuple:
     return lines, m, pivots, free_cols, None
 
 
-def _basis_vector(n, elimination, fc, prober) -> tuple:
+def _basis_vector(elimination, fc, prober) -> dict:
     lines, m, pivots, free_cols, _ = elimination
-    v: List[Expr] = [ZERO] * n
-    v[fc] = ONE
+    v = {fc: ONE}
     for p, col in reversed(pivots):
-        # pivot columns hold a single nonzero entry, so only free columns
-        # feed the numerator
-        num = [Mul((m[p][k], v[k])) for k in free_cols
-               if k in m[p] and v[k] is not ZERO]
-        if num:
-            v[col] = simplify(Mul((-_sum(num), Pow(m[p][col], -1))))
-    residuals = ([Mul((e, v[k])) for k, e in row.items() if v[k] is not ZERO]
+        # pivot columns hold a single nonzero entry, and fc is the one
+        # nonzero free column, so it alone feeds the numerator
+        if fc in m[p]:
+            x = simplify(Mul((-m[p][fc], Pow(m[p][col], -1))))
+            if x is not ZERO:
+                v[col] = x
+    v = dict(sorted(v.items()))
+    residuals = ([Mul((e, v[k])) for k, e in row.items() if k in v]
                  for row in lines.values())
-    support = sorted([fc] + [col for _, col in pivots])
-    if not _verified((v[k] for k in support),
-                     (_sum(t) if t else None for t in residuals), prober):
+    if not _verified(v.values(), (_sum(t) if t else None for t in residuals),
+                     prober):
         raise NullspaceError("candidate vector fails residual verification")
-    return tuple(v)
+    return v
 
 
 def kernel_vector(matrix: Sequence[dict], prober: Prober,
-                  basis_index: int = 0) -> Optional[tuple]:
+                  basis_index: int = 0) -> Optional[dict]:
     """basis_index-th vector of kernel_basis, or None when the kernel has
     no that-many dimensions."""
     return next(islice(kernel_basis(matrix, prober), basis_index, None), None)
 
 
 def cokernel_vector(matrix: Sequence[dict], prober: Prober,
-                    basis_index: int = 0) -> Optional[tuple]:
+                    basis_index: int = 0) -> Optional[dict]:
     return next(islice(kernel_basis(matrix, prober, left=True), basis_index,
                        None), None)
 
@@ -184,32 +187,26 @@ def _sum(terms):
 
 def residual(matrix, vec, left: bool = False):
     """Yields each entry of vec^T matrix (left) or matrix vec for a matrix
-    of sparse rows, unsimplified: the sum of the products of an entry and
-    a non-ZERO factor, or None when there is no such product."""
-    support = [k for k, x in enumerate(vec) if x is not ZERO]
+    of sparse rows and a null vector of the same form, unsimplified: the
+    sum of the products of an entry and a factor, or None when there is no
+    such product."""
     for i in range(len(matrix)):
-        pairs = ((matrix[k].get(i) if left else matrix[i].get(k), vec[k])
-                 for k in support)
+        pairs = ((matrix[k].get(i) if left else matrix[i].get(k), x)
+                 for k, x in vec.items())
         terms = [Mul((a, x)) for a, x in pairs if a is not None]
         yield _sum(terms) if terms else None
 
 
 def verify_nullvector(matrix, vec, prober: Prober,
                       left: bool = False) -> bool:
-    """vec must not be all zeros and the residual must zero-test clean."""
-    return _verified(vec, residual(matrix, vec, left), prober)
+    """vec must not be empty and the residual must zero-test clean."""
+    return _verified(vec.values(), residual(matrix, vec, left), prober)
 
 
 def _verified(entries, residuals, prober: Prober) -> bool:
-    return any(e is not ZERO and prober.verdict(e).proven_nonzero
-               for e in entries) \
+    return any(prober.verdict(e).proven_nonzero for e in entries) \
         and not any(r is not None and prober.verdict(r).proven_nonzero
                     for r in residuals)
-
-
-def constant_mask(vec) -> tuple:
-    """True where the entry is literally a nonzero constant."""
-    return tuple(isinstance(e, Const) and e.value != 0 for e in vec)
 
 
 def normalize_candidates(vec, matrix, prober: Prober,
@@ -222,21 +219,17 @@ def normalize_candidates(vec, matrix, prober: Prober,
     whose multiplier is not proven nonzero is verified against the matrix.
     Duplicates drop, and candidates with more constant entries sort first
     (stable, so the original leads ties)."""
-    # only the nonzero entries are rescaled or searched
-    base = tuple(e if e is ZERO else simplify(e) for e in vec)
-    support = [k for k, e in enumerate(base) if e is not ZERO]
-
     def scaled(f):
-        return tuple(x if x is ZERO else simplify(Mul((x, f))) for x in base)
-    cands = [base]
-    for k in support:
-        e = base[k]
+        return {k: y for k, x in vec.items()
+                if (y := simplify(Mul((x, f)))) is not ZERO}
+    cands = [vec]
+    for e in vec.values():
         if e is not ONE and prober.verdict(e).proven_nonzero:
             inv = Pow(e, -1) if not isinstance(e, Const) \
                 else Const(Fraction(1) / e.value)
             cands.append(scaled(inv))
-    bases = list(dict.fromkeys(node.base for k in support
-                               for node in walk(base[k])
+    bases = list(dict.fromkeys(node.base for e in vec.values()
+                               for node in walk(e)
                                if isinstance(node, Pow) and node.exponent < 0))
     if bases:
         clear = bases[0] if len(bases) == 1 else Mul(tuple(bases))
@@ -244,6 +237,7 @@ def normalize_candidates(vec, matrix, prober: Prober,
         if prober.verdict(clear).proven_nonzero or verify_nullvector(
                 matrix, cleared, prober, left=left):
             cands.append(cleared)
-    out = list(dict.fromkeys(cands))
-    out.sort(key=lambda c: -sum(1 for f in constant_mask(c) if f))
+    # dicts cannot be hashed: their items in ascending index stand in
+    out = list({tuple(c.items()): c for c in cands}.values())
+    out.sort(key=lambda c: -sum(isinstance(e, Const) for e in c.values()))
     return out

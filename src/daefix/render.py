@@ -6,6 +6,7 @@ positions contribute a structural zero to the System Jacobian), with the
 offsets in the right and bottom margins.
 """
 
+from .convert import MethodKind
 from .expr import format_expr
 
 
@@ -102,8 +103,11 @@ def render_equations(system) -> str:
     return "\n".join(lines)
 
 
-def render_vector(vector, var_names) -> str:
-    return "[%s]" % ", ".join(format_expr(e, var_names) for e in vector)
+def vector_entries(vector, var_names) -> list:
+    """The n texts of a null vector {index: entry}, "0" off its entries:
+    the list that both the step and the JSON report print."""
+    return [format_expr(vector[k], var_names) if k in vector else "0"
+            for k in range(len(var_names))]
 
 
 def render_step(step, before) -> str:
@@ -111,13 +115,12 @@ def render_step(step, before) -> str:
     app = step.application
     lines = ["step %d: %s, pivot %s, %s equivalence"
              % (step.index, step.kind.value,
-                before.equations[step.pivot].name
-                if step.kind.value == "lc" else before.var_names[step.pivot],
-                step.grade)]
-    lines.append("  vector %s" % render_vector(step.vector, before.var_names))
+                step.kind.pivot_name(before, step.pivot), step.grade)]
+    lines.append("  vector [%s]"
+                 % ", ".join(vector_entries(step.vector, before.var_names)))
     lines.append("  value %s -> %s" % (step.value_before, step.value_after))
     after = step.system
-    if step.kind.value == "lc":
+    if step.kind is MethodKind.LC:
         eq = after.equations[step.pivot]
         lines.append("  %s = %s   (replaced)"
                      % (eq.name, format_expr(eq.expr, after.var_names)))

@@ -74,6 +74,28 @@ def assert_one_form(analysis):
             assert all(e is not ZERO for e in row.values())
 
 
+def sparse_vector(entries):
+    """The null-vector form of a list of expressions: {index: normal form}
+    over the entries whose normal form is not ZERO, in ascending index."""
+    return sparse([[simplify(e) for e in entries]])[0]
+
+
+def dense_vector(vec, n):
+    """The n entries of a null vector, ZERO off its support."""
+    return tuple(vec.get(k, ZERO) for k in range(n))
+
+
+def assert_vector_form(vec, n):
+    """A null vector is a dict with strictly ascending int indices in
+    0..n-1 whose values are normal forms, none of them ZERO: the form of
+    a Jacobian row."""
+    assert type(vec) is dict and vec
+    keys = list(vec)
+    assert all(type(k) is int and 0 <= k < n for k in keys)
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert all(e is not ZERO and simplify(e) is e for e in vec.values())
+
+
 def con(v):
     """The constant node of the int or Fraction v."""
     return Const(Fraction(v))
@@ -244,6 +266,16 @@ def rand_factor_text(rng):
 def rand_factor_system(rng):
     """The system of rand_factor_text."""
     return parse_dae(rand_factor_text(rng))
+
+
+def rand_coupled_text(rng):
+    """rand_factor_text with f1 replaced by f1 + f2' when there is an f2.
+    Where f2' holds the leading derivatives, row f1 of the System Jacobian
+    repeats row f2, so J is singular and a fix takes a step."""
+    lines = rand_factor_text(rng).split("\n")
+    if lines[3].startswith("eq f2: "):
+        lines[2] = "%s + diff(%s, 1) = 0" % (lines[2][:-4], lines[3][7:-4])
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

@@ -126,7 +126,7 @@ def test_criterion_4_substitution_system():
     prober = Prober()
 
     u = vec(s, "exp(x1' + x2*x2'')", "1")
-    assert not lc_analyze(off, u, prober).condition_ok
+    assert not lc_analyze(off, checks.sparse_vector(u), prober).condition_ok
     with pytest.raises(ConditionRejected):
         fix_dae(s, method="lc", vector=u)
 
@@ -163,8 +163,7 @@ def test_criterion_6_modified_pendulum():
     es = es_analyze(s, sig, off, kernel_vector(J, prober), prober)
     assert lc.const_rows == ()
     assert es.const_cols != ()
-    choice = choose_method(lc, es, prober)
-    assert (choice.kind, choice.pivot) == (MethodKind.ES, 0)
+    assert choose_method(lc, es, prober) == (MethodKind.ES, 0)
     unforced = fix_dae(s)
     assert unforced.steps[0].kind is MethodKind.ES
 

@@ -21,7 +21,7 @@ import daefix.jacobian as jacobian
 import daefix.structural as structural
 from daefix.convert import ConvertError, MethodKind, analyze, fix_dae
 from daefix.corpus import load, names as corpus_names
-from daefix.dsl import parse_dae
+from daefix.dsl import ParseError, parse_dae
 from daefix.expr import ZERO, Add, StateDeriv
 from daefix.nullspace import NullspaceError
 from daefix.zerotest import Prober
@@ -299,3 +299,22 @@ def test_random_nonlinear_systems(monkeypatch, formal):
     for _ in range(60):
         _assert_carried_equals_fresh(
             monkeypatch, checks.rand_factor_system(rng), formal=formal)
+
+
+@pytest.mark.parametrize("formal, floor", [(False, 7), (True, 24)])
+def test_random_coupled_systems(monkeypatch, formal, floor):
+    """The draws above with f1 replaced by f1 + f2'
+    (checks.rand_coupled_text), since in the true mode none of those draws
+    takes a step.  Here at least floor of them take one, so carried
+    analyses are compared in both modes."""
+    rng = random.Random(1002)
+    carried = 0
+    for _ in range(60):
+        try:
+            system = parse_dae(checks.rand_coupled_text(rng))
+        except ParseError:   # f2' holds sqrt' of a sum that cancels: 0^(-1/2)
+            continue
+        log, _ = _assert_carried_equals_fresh(monkeypatch, system,
+                                              formal=formal)
+        carried += len(log) > 1
+    assert carried >= floor

@@ -6,7 +6,7 @@ import pytest
 import checks
 from checks import parse_expr
 from daefix.convert import (ConditionRejected, ConvertError, EsAnalysis,
-                            FixStatus, LcAnalysis, MethodChoice, MethodKind,
+                            FixStatus, LcAnalysis, MethodKind,
                             PivotRejected, VectorRejected, choose_method,
                             es_analyze, es_apply, es_equivalence_probes,
                             fix_dae, lc_analyze, lc_apply,
@@ -36,6 +36,11 @@ def vec(system, *texts):
     return [parse_expr(t, system) for t in texts]
 
 
+def nonzero(system, *texts):
+    """The null-vector form of vec(system, *texts)."""
+    return checks.sparse_vector(vec(system, *texts))
+
+
 def final_det(report):
     sig, off, J = analyze(report.system)
     return simplify(determinant(checks.dense(J, ZERO))), off
@@ -54,7 +59,7 @@ def test_brenan_combination():
     assert st.kind is MethodKind.LC
     assert st.pivot == 0
     assert st.grade == "global"
-    assert st.vector == (Const(-1), Const(1))
+    assert st.vector == {0: Const(-1), 1: Const(1)}
     fixed = r.system
     assert fixed.equations[0].expr == pe("y + h1(t) - h2'(t)", fixed)
     assert fixed.equations[0].origin == "lc_replaced"
@@ -81,7 +86,8 @@ def test_lc_example_driver_picks_last_row():
     assert st.kind is MethodKind.LC
     assert st.pivot == 3
     assert st.grade == "global"
-    assert st.vector == (pe("-x2", s), pe("-x1", s), Const(-1), Const(1))
+    assert st.vector == {0: pe("-x2", s), 1: pe("-x1", s), 2: Const(-1),
+                         3: Const(1)}
     fixed = r.system
     assert fixed.equations[3].expr == pe("x1 + x2 - g1'(t) + g2(t)", fixed)
     det, off = final_det(r)
@@ -153,7 +159,7 @@ def test_es_example_driver_substitutes():
     assert st.kind is MethodKind.ES
     assert st.pivot == 1
     assert st.grade == "global"
-    assert st.vector == (pe("-x2", s), Const(1))
+    assert st.vector == {0: pe("-x2", s), 1: Const(1)}
     fixed = r.system
     assert fixed.var_names == ("x1", "x2", "x3")
     assert fixed.equations[0].expr \
@@ -188,7 +194,7 @@ def test_es_example_combination_condition_fails():
     s = load("es_example")
     sig, off, J = analyze(s)
     u = vec(s, "exp(x1' + x2*x2'')", "1")
-    a = lc_analyze(off, u, Prober())
+    a = lc_analyze(off, checks.sparse_vector(u), Prober())
     assert not a.condition_ok
     assert a.candidates == ()
     with pytest.raises(ConditionRejected):
@@ -299,7 +305,7 @@ def test_vector_needs_method():
 def test_es_pivot_outside_support():
     s = load("brenan")
     sig, off, J = analyze(s)
-    a = es_analyze(s, sig, off, vec(s, "t", "-1"), Prober())
+    a = es_analyze(s, sig, off, nonzero(s, "t", "-1"), Prober())
     assert a.usable
     with pytest.raises(PivotRejected):
         es_apply(s, a, 5, Prober())
@@ -311,8 +317,8 @@ def test_es_apply_guards_against_reintroduction():
     # rules it out, so the analysis is built by hand
     s = load("brenan")
     sig, off, J = analyze(s)
-    a = EsAnalysis((StateDeriv(0), Const(1)), (0, 1), (0, 1), 1, (1,), True,
-                   off)
+    a = EsAnalysis({0: StateDeriv(0), 1: Const(1)}, (0, 1), (0, 1), 1, (1,),
+                   True, off)
     with pytest.raises(ConvertError, match="reintroduce"):
         es_apply(s, a, 1, Prober())
 
@@ -356,7 +362,8 @@ def test_es_rejects_unusable_kernel():
     # lc_example's kernel fails the order test: d_j - c falls below zero
     s = load("lc_example")
     sig, off, J = analyze(s)
-    a = es_analyze(s, sig, off, vec(s, "x1", "-x2", "x1", "-x2"), Prober())
+    a = es_analyze(s, sig, off, nonzero(s, "x1", "-x2", "x1", "-x2"),
+                   Prober())
     assert not a.condition_ok
     assert not a.usable
     r = fix_dae(s, method="es")
@@ -369,52 +376,54 @@ def test_es_rejects_unusable_kernel():
 def _lc(u, cands, consts, ok=True):
     off = OffsetPair((0,) * len(u), (0,) * len(u))
     rows = tuple(range(len(u)))
-    return LcAnalysis(tuple(u), rows, 0, tuple(cands), tuple(consts), ok, off)
+    return LcAnalysis(dict(enumerate(u)), rows, 0, tuple(cands),
+                      tuple(consts), ok, off)
 
 
 def _es(v, cols, consts, rows=(0,), ok=True):
     off = OffsetPair((0,) * len(v), (0,) * len(v))
-    return EsAnalysis(tuple(v), tuple(cols), rows, 0, tuple(consts), ok, off)
+    return EsAnalysis(dict(enumerate(v)), tuple(cols), rows, 0,
+                      tuple(consts), ok, off)
 
 
 def test_choice_constant_combination_row_wins():
     p = Prober()
     lc = _lc((Const(2), StateDeriv(0, 0)), cands=(0, 1), consts=(0,))
     es = _es((Const(1), Const(-1)), cols=(0, 1), consts=(0, 1))
-    assert choose_method(lc, es, p) == MethodChoice(MethodKind.LC, 0)
+    assert choose_method(lc, es, p) == (MethodKind.LC, 0)
 
 
 def test_choice_constant_substitution_column_beats_plain_combination():
     p = Prober()
     lc = _lc((StateDeriv(0, 0), StateDeriv(1, 0)), cands=(0, 1), consts=())
     es = _es((StateDeriv(0, 0), Const(-1)), cols=(0, 1), consts=(1,))
-    assert choose_method(lc, es, p) == MethodChoice(MethodKind.ES, 1)
+    assert choose_method(lc, es, p) == (MethodKind.ES, 1)
 
 
 def test_choice_falls_back_to_local_combination():
     p = Prober()
     lc = _lc((StateDeriv(0, 0), StateDeriv(1, 0)), cands=(1,), consts=())
     es = _es((StateDeriv(0, 0), StateDeriv(1, 0)), cols=(0, 1), consts=())
-    assert choose_method(lc, es, p) == MethodChoice(MethodKind.LC, 1)
+    assert choose_method(lc, es, p) == (MethodKind.LC, 1)
 
 
 def test_choice_substitution_needs_provable_divisor():
     p = Prober()
     es = _es((StateDeriv(0, 0), StateDeriv(1, 0)), cols=(0, 1), consts=())
-    assert choose_method(None, es, p) == MethodChoice(MethodKind.ES, 0)
+    assert choose_method(None, es, p) == (MethodKind.ES, 0)
     hidden = pe("sin(2*x1) - 2*sin(x1)*cos(x1)",
                 parse_dae("dae h\nvars x1, x2\neq f1: x1 = 0\neq f2: x2 = 0"))
     assert simplify(hidden) != ZERO  # a probable zero, not a proven one
     stuck = _es((hidden, hidden), cols=(0, 1), consts=())
-    assert choose_method(None, stuck, p).kind is MethodKind.NEITHER
+    assert choose_method(None, stuck, p) is None
 
 
 def test_choice_nothing_applies():
     p = Prober()
     lc = _lc((StateDeriv(0, 0),), cands=(), consts=(), ok=False)
     es = _es((StateDeriv(0, 0), Const(1)), cols=(0, 1), consts=(1,), ok=False)
-    assert choose_method(lc, es, p).kind is MethodKind.NEITHER
-    assert choose_method(None, None, p).kind is MethodKind.NEITHER
+    assert choose_method(lc, es, p) is None
+    assert choose_method(None, None, p) is None
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 import pytest
 
 from daefix.convert import (Analysis, EsAnalysis, EsApplication, FixReport,
-                            LcAnalysis, LcApplication, MethodChoice,
-                            Renaming, StepRecord)
+                            LcAnalysis, LcApplication, Renaming,
+                            StepRecord)
 from daefix.dsl import parse_dae
 from daefix.expr import Add, StateDeriv
 from daefix.jacobian import JacobianReport
@@ -28,13 +28,6 @@ def test_square_validation():
 def test_undeclared_state_rejected():
     with pytest.raises(ModelError):
         DaeSystem("m", ("a",), (make_equation("f1", x + y),))
-
-
-def test_var_index():
-    s = _sys2()
-    assert s.var_index("b") == 1
-    with pytest.raises(ModelError):
-        s.var_index("zz")
 
 
 def test_with_equations_keeps_shape():
@@ -137,7 +130,6 @@ _RECORDS = [
         "definition")), (), ()),
     (EsApplication, tuple((f, _NONE) for f in (
         "system", "analysis", "pivot", "renamed", "rewritten")), (), ()),
-    (MethodChoice, (("kind", _NONE), ("pivot", -1)), (), ()),
     (Analysis, (("signature", _NONE), ("offsets", _NONE),
                 ("jacobian", _NONE), ("system", None)),
      ("system",), ("system",)),
