@@ -33,10 +33,13 @@ past the cap, kept whole (see `_p_pow`).
 Nodes are immutable, laid out and interned by _Interning (hash-consing,
 Filliatre and Conchon 2006): a node built equal to an earlier one, by
 class and normalised fields, is that one, so `==` and `hash` are
-identity.  The table is process-global.  Each node memoises, in slots
-filled on first use, its sort key `_key(e)`, its atoms `atoms(e)` and its
-normal form `simplify(e)`.  Set iteration follows addresses, so a set of
-nodes that reaches an output is sorted by `_key` or reduced ignoring order.
+identity.  The table is process-global, with one writer, _node, where a
+constructor call ends and where _from_poly builds a normal form in one
+pass, its terms and sum with their atom sets.  Each node memoises, in
+slots filled on first use, its sort key `_key(e)`, its atoms `atoms(e)`
+and its normal form `simplify(e)`.  Set iteration follows addresses, so a
+set of nodes that reaches an output is sorted by `_key` or reduced
+ignoring order.
 """
 
 from __future__ import annotations
@@ -135,8 +138,8 @@ class _Interning(type):
     its fields and slots, in order, a value in its body a field's default.
     Building a node equal to an interned one returns that one.  The bound
     arguments are tried as the key first: a Const of an int finds the
-    Const of the equal Fraction, as the two hash and compare equal.  A new
-    node is checked by its __post_init__ once its fields are set."""
+    Const of the equal Fraction, as the two hash and compare equal.  On a
+    miss a class's _check, if any, checks them, and _node interns them."""
 
     def __new__(mcls, name, bases, ns):
         fields = tuple(ns.get("__annotations__", ()))
@@ -149,18 +152,24 @@ class _Interning(type):
         return cls
 
     def __call__(cls, *args, **kwargs):
-        fields = cls.__match_args__
-        if kwargs or len(args) != len(fields):
+        if kwargs or len(args) != len(cls.__match_args__):
             args = bind_fields(cls, args, kwargs)
         node = _INTERNED.get((cls, args))
         if node is None:
-            node = object.__new__(cls)
-            for name, value in zip(fields, args):
-                object.__setattr__(node, name, value)
-            node.__post_init__()
-            values = tuple([getattr(node, f) for f in fields])
-            node = _INTERNED.setdefault((cls, values), node)
+            if cls._check is not None:
+                args = cls._check(*args)
+            node = _node(cls, args)
         return node
+
+
+def _node(cls, values: tuple) -> "Expr":
+    """The interned node of class cls with these checked field values."""
+    node = _INTERNED.get((cls, values))
+    if node is None:
+        node = _INTERNED[cls, values] = object.__new__(cls)
+        for name, value in zip(cls.__match_args__, values):
+            object.__setattr__(node, name, value)
+    return node
 
 
 class Expr(Frozen, metaclass=_Interning):
@@ -168,8 +177,8 @@ class Expr(Frozen, metaclass=_Interning):
     # simplify(e)
     __slots__ = ("_sort_key", "_atoms", "_normal")
 
-    def __post_init__(self):
-        """Checks or normalises a new node's fields."""
+    # a class's check of its bound arguments, returning its field values
+    _check = None
 
     def __add__(self, other):
         return Add((self, _wrap(other)))
@@ -218,9 +227,9 @@ def _wrap(v) -> "Expr":
 class Const(Expr):
     value: Fraction
 
-    def __post_init__(self):
-        if not isinstance(self.value, Fraction):
-            object.__setattr__(self, "value", Fraction(self.value))
+    @staticmethod
+    def _check(value):
+        return (value if isinstance(value, Fraction) else Fraction(value),)
 
 
 class TimeVar(Expr):
@@ -257,18 +266,22 @@ class Pow(Expr):
     base: Expr
     exponent: int
 
-    def __post_init__(self):
-        if not isinstance(self.exponent, int):
+    @staticmethod
+    def _check(base, exponent):
+        if not isinstance(exponent, int):
             raise TypeError("Pow exponent must be int")
+        return base, exponent
 
 
 class Func(Expr):
     name: str
     arg: Expr
 
-    def __post_init__(self):
-        if self.name not in FUNCS:
-            raise ValueError("unknown function %r" % (self.name,))
+    @staticmethod
+    def _check(name, arg):
+        if name not in FUNCS:
+            raise ValueError("unknown function %r" % (name,))
+        return name, arg
 
 
 ATOM_TYPES = (TimeVar, StateDeriv, DrivingFn, Param)
@@ -321,11 +334,9 @@ def atoms(e: Expr) -> frozenset:
 def hod(e: Expr, index: int):
     """Highest derivative order of state `index` in e as written (the formal
     signature entry); NEG_INF when absent.  Pass simplify(e) for the true one."""
-    best = NEG_INF
-    for n in walk(e):
-        if isinstance(n, StateDeriv) and n.index == index and n.order > best:
-            best = n.order
-    return best
+    return max((a.order for a in atoms(e)
+                if isinstance(a, StateDeriv) and a.index == index),
+               default=NEG_INF)
 
 
 def highest_orders(e: Expr) -> dict:
@@ -388,7 +399,7 @@ def _mono_key(m):
     # constants (empty monomial) sort after everything else
     if not m:
         return (1,)
-    return (0, tuple((_key(f), k) for f, k in m))
+    return (0, tuple([(_key(f), k) for f, k in m]))
 
 
 def _coef(v: Fraction) -> Number:
@@ -427,29 +438,28 @@ def _poly(e: Expr) -> dict:
 def _func_poly(name: str, arg: Expr) -> dict:
     """Poly for name(arg), arg already canonical; folds exact constant cases."""
     if isinstance(arg, Const):
-        r = _exact_func(name, arg.value)
+        r = _exact_func(name, arg.value.numerator, arg.value.denominator)
         if r is not None:
             return {(): _coef(r)} if r else {}
     return {((Func(name, arg), 1),): 1}
 
 
-def _exact_func(name: str, v: Fraction) -> Optional[Fraction]:
-    """name(v) when the table knows it is rational, else None: sin 0 = 0,
-    cos 0 = exp 0 = 1, ln 1 = 0, and the square root of a rational square.
-    DomainError for ln of v <= 0 and sqrt of v < 0."""
+def _exact_func(name: str, n: int, d: int) -> Optional[Fraction]:
+    """name(n/d), d > 0, when the table knows it is rational, else None:
+    sin 0 = 0, cos 0 = exp 0 = 1, ln 1 = 0, and the square root of a
+    rational square.  DomainError for ln of n/d <= 0 and sqrt of n/d < 0.
+    n/d need not be reduced, as a gcd of huge terms takes quadratic time."""
     if name == "ln":
-        if v <= 0:
-            raise DomainError("ln of nonpositive value %s" % v)
-        return Fraction(0) if v == 1 else None
+        if n <= 0:
+            raise DomainError("ln of nonpositive value %s" % Fraction(n, d))
+        return Fraction(0) if n == d else None
     if name == "sqrt":
-        if v < 0:
-            raise DomainError("sqrt of negative value %s" % v)
-        rn = math.isqrt(v.numerator)
-        rd = math.isqrt(v.denominator)
-        if rn * rn == v.numerator and rd * rd == v.denominator:
-            return Fraction(rn, rd)
-        return None
-    if v == 0:  # sin, cos, exp
+        if n < 0:
+            raise DomainError("sqrt of negative value %s" % Fraction(n, d))
+        # n/d is the square of a rational exactly when n*d is a square
+        r = math.isqrt(n * d)
+        return Fraction(r, d) if r * r == n * d else None
+    if n == 0:  # sin, cos, exp
         return Fraction(0 if name == "sin" else 1)
     return None
 
@@ -574,38 +584,31 @@ def _p_multinomial(p: dict, n: int) -> dict:
     n!/(k_1!..k_t!) * prod c_r^k_r at prod m_r^k_r.  The monomials of a
     base with exp or sqrt factors go through _mono_from_exps."""
     factors = sorted({f for m in p for f, _ in m}, key=_key)
-    col = {f: i for i, f in enumerate(factors)}
     rewrite = any(isinstance(f, Func) and f.name in ("exp", "sqrt")
                   for f in factors)
-    terms = []
-    for m, c in p.items():
-        v = [0] * len(factors)
-        for f, k in m:
-            v[col[f]] = k
-        terms.append((v, c))
+    terms = [([dict(m).get(f, 0) for f in factors], c) for m, c in p.items()]
     last = len(terms) - 1
     out: dict = {}
 
-    def add(m, c):
-        s = out.get(m, 0) + c
-        if s:
-            out[m] = s
-        else:
-            out.pop(m, None)
-
     def spread(r, left, v, c):
-        # terms r.. take the `left` factors still to place
+        # of the `left` factors still to place, term r takes k < left and
+        # passes on the rest, or takes them all, as the last term must
         tv, tc = terms[r]
-        for k in range(left + 1) if r < last else (left,):
-            vk = [a + k * b for a, b in zip(v, tv)] if k else v
-            ck = c * math.comb(left, k) * tc ** k
-            if r < last and k < left:
-                spread(r + 1, left - k, vk, ck)
-            elif rewrite:
-                for m, c3 in _mono_from_exps(dict(zip(factors, vk))).items():
-                    add(m, ck * c3)
+        if r < last:
+            for k in range(left):
+                spread(r + 1, left - k,
+                       [a + k * b for a, b in zip(v, tv)] if k else v,
+                       c * math.comb(left, k) * tc ** k)
+        c *= tc ** left
+        m = [(f, e) for f, a, b in zip(factors, v, tv) if (e := a + left * b)]
+        prods = (_mono_from_exps(dict(m)).items() if rewrite
+                 else ((tuple(m), 1),))
+        for m, c3 in prods:
+            s = out.get(m, 0) + c * c3
+            if s:
+                out[m] = s
             else:
-                add(tuple((f, e) for f, e in zip(factors, vk) if e), ck)
+                out.pop(m, None)
 
     spread(0, n, [0] * len(factors), 1)
     return out
@@ -665,22 +668,30 @@ def _mono_adjusted(m, arg, sin_exp, cos_delta):
     return tuple(items)
 
 
-def _term_expr(m, c: Number) -> Expr:
-    if not m:
-        return Const(Fraction(c))
-    factors = [f if k == 1 else Pow(f, k) for f, k in m]
-    if c == 1:
-        return factors[0] if len(factors) == 1 else Mul(tuple(factors))
-    return Mul((Const(Fraction(c)), *factors))
-
-
 def _from_poly(p: dict) -> Expr:
+    """The tree of p, built in one pass over its sorted monomials.  Each
+    term and the sum is interned with its atom set, the union over its
+    factors', so atoms() walks none of them."""
     if not p:
         return ZERO
-    terms = [_term_expr(m, p[m]) for m in sorted(p, key=_mono_key)]
-    if len(terms) == 1:
-        return terms[0]
-    return Add(tuple(terms))
+    term_atoms: dict = {}   # a monomial's factors -> their atoms
+    terms = []
+    for m in sorted(p, key=_mono_key):
+        c = p[m]
+        fs = tuple([f for f, _ in m])
+        a = term_atoms.get(fs)
+        if a is None:
+            a = term_atoms[fs] = _NO_ATOMS.union(*map(atoms, fs))
+        factors = [f if k == 1 else _node(Pow, (f, k)) for f, k in m]
+        if c != 1 or not m:
+            factors.insert(0, Const(c))
+        term = (factors[0] if len(factors) == 1
+                else _node(Mul, (tuple(factors),)))
+        object.__setattr__(term, "_atoms", a)
+        terms.append(term)
+    r = terms[0] if len(terms) == 1 else _node(Add, (tuple(terms),))
+    object.__setattr__(r, "_atoms", _NO_ATOMS.union(*term_atoms.values()))
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -829,7 +840,7 @@ def _eval(e: Expr, b) -> tuple:
         if not ex:
             # an inexact base carries _DIGITS digits; its exact power would
             # carry exponent times as many
-            v = _rounded_pow(Fraction(n, d), k)
+            v = _rounded_pow(n, d, k)
             return v.numerator, v.denominator, False
         # reduced first: a common factor would be raised to the power too
         g = math.gcd(n, d)
@@ -839,42 +850,43 @@ def _eval(e: Expr, b) -> tuple:
         return n ** k, d ** k, True
     if isinstance(e, Func):
         n, d, ex = _eval(e.arg, b)
-        v = Fraction(n, d)
-        r = _exact_func(e.name, v)
+        r = _exact_func(e.name, n, d)
         if r is None:
-            r, ex = _rounded_call(e.name, v), False
+            r, ex = _rounded_call(e.name, n, d), False
         return r.numerator, r.denominator, ex
     raise TypeError("not an Expr: %r" % (e,))
 
 
-def _rounded_call(name: str, v: Fraction) -> Fraction:
-    """name(v) rounded to _DIGITS significant digits, made exact."""
+def _rounded_call(name: str, n: int, d: int) -> Fraction:
+    """name(n/d) rounded to _DIGITS significant digits, made exact."""
     if name in ("sin", "cos"):
-        return _mp_trig(name, v)
+        return _mp_trig(name, n, d)
     try:
-        r = _DECIMAL_FUNCS[name](_CONTEXT.divide(v.numerator, v.denominator))
+        r = _DECIMAL_FUNCS[name](_CONTEXT.scaleb(
+            *_rounded_quotient(n, d, 10, _DIGITS)))
     except decimal.DecimalException:
         raise DomainError("%s of a value is out of range" % name) from None
     return _decimal_to_fraction(r)
 
 
-def _rounded_pow(v: Fraction, k: int) -> Fraction:
-    """v**k rounded to _DIGITS significant digits, made exact."""
+def _rounded_pow(n: int, d: int, k: int) -> Fraction:
+    """(n/d)**k rounded to _DIGITS significant digits, made exact."""
     if k == 0:
         return Fraction(1)  # decimal's 0**0 is an invalid operation
     try:
-        r = _CONTEXT.power(_CONTEXT.divide(v.numerator, v.denominator), k)
+        r = _CONTEXT.power(_CONTEXT.scaleb(
+            *_rounded_quotient(n, d, 10, _DIGITS)), k)
     except decimal.DecimalException:
         raise DomainError("a value to the power %d is out of range" % k) \
             from None
     return _decimal_to_fraction(r)
 
 
-def _mp_trig(name: str, v: Fraction) -> Fraction:
+def _mp_trig(name: str, n: int, d: int) -> Fraction:
     import mpmath  # loaded by the first sin or cos value, and only by it
     with mpmath.workdps(_DIGITS):
-        r = getattr(mpmath, name)(mpmath.mpf(v.numerator)
-                                  / mpmath.mpf(v.denominator))
+        arg = mpmath.mpf(_rounded_quotient(n, d, 2, mpmath.mp.prec))
+        r = getattr(mpmath, name)(arg)
         if not mpmath.isfinite(r):
             raise DomainError("%s of a value is not finite" % name)
         sign, man, exp, _ = r._mpf_
@@ -884,6 +896,21 @@ def _mp_trig(name: str, v: Fraction) -> Fraction:
     _check_width(man.bit_length() + abs(exp))
     v = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
     return -v if sign else v
+
+
+def _rounded_quotient(n: int, d: int, radix: int, digits: int) -> tuple:
+    """(m, e), n/d cut to more than `digits` digits in radix 2 or 10 with a
+    last digit of 1 when the cut dropped anything (round to odd), so that
+    m * radix**e rounded half to even, as _CONTEXT.scaleb and mpmath.mpf do,
+    is n/d correctly rounded; d > 0.  Linear time, where making a Decimal
+    or an mpf of n or d takes time quadratic in its size."""
+    if n == 0:
+        return 0, 0
+    # |n|/d >= 2**(bits - 1), so the quotient has at least digits + 1 digits
+    e = math.floor((abs(n).bit_length() - d.bit_length() - 1)
+                   / math.log2(radix)) - digits - 1
+    q, r = divmod(abs(n) * radix ** max(0, -e), d * radix ** max(0, e))
+    return (1 if n > 0 else -1) * (q * radix + (r != 0)), e - 1
 
 
 def _decimal_to_fraction(r: decimal.Decimal) -> Fraction:

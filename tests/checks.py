@@ -597,7 +597,7 @@ def _ref_poly(e):
 
 def _ref_func_poly(name, arg):
     if isinstance(arg, Const):
-        r = _exact_func(name, arg.value)
+        r = _exact_func(name, arg.value.numerator, arg.value.denominator)
         if r is not None:
             return {(): r} if r else {}
     return {((Func(name, arg), 1),): Fraction(1)}
@@ -796,13 +796,13 @@ def reference_evaluate_ex(e, b):
             raise DomainError("zero raised to a negative power")
         if ex:
             return v ** e.exponent, True
-        return _rounded_pow(v, e.exponent), False
+        return _rounded_pow(v.numerator, v.denominator, e.exponent), False
     if isinstance(e, Func):
         v, ex = reference_evaluate_ex(e.arg, b)
-        r = _exact_func(e.name, v)
+        r = _exact_func(e.name, v.numerator, v.denominator)
         if r is not None:
             return r, ex
-        return _rounded_call(e.name, v), False
+        return _rounded_call(e.name, v.numerator, v.denominator), False
     raise TypeError("not an Expr: %r" % (e,))
 
 

@@ -10,6 +10,7 @@ import checks
 from checks import con, parse_expr
 from daefix import expr as expr_module
 from daefix.dsl import parse_dae
+from daefix.structural import signature_matrix
 from daefix.expr import (
     FUNCS, NEG_INF, ZERO, Add, Const, DomainError, DrivingFn, Func,
     MissingBinding, Mul, Param, Pow, StateDeriv, TimeVar, _key, _p_mul,
@@ -717,7 +718,8 @@ def test_decimal_values_agree_with_mpmath(name):
             v = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
             if name != "exp":
                 v = abs(v)
-            if v and expr_module._exact_func(name, v) is None:
+            if v and expr_module._exact_func(
+                    name, v.numerator, v.denominator) is None:
                 _assert_agrees(_evaluate_or_error(Func(name, x), {x: v}),
                                reference(_mpf(v)))
         # nested values: inexact arguments of about 70 digits, from
@@ -939,3 +941,142 @@ def test_evaluate_with_int_bindings_returns_a_fraction():
     assert type(v) is Fraction and v == 7
     v, exact = evaluate_ex(Pow(x, -2) * y, {x: -2, y: 3})
     assert type(v) is Fraction and v == Fraction(3, 4) and exact
+
+
+def _leaf_atoms(e):
+    return {n for n in walk(e) if isinstance(n, expr_module.ATOM_TYPES)}
+
+
+def test_normal_forms_carry_the_atoms_a_walk_finds():
+    rng = random.Random("carried-atoms")
+    for _ in range(20000):
+        s = _outcome(simplify, _random_tree(rng, 4))
+        if s is DomainError:
+            continue
+        assert atoms(s) == _leaf_atoms(s), repr(s)
+        for term in s.children if isinstance(s, Add) else (s,):
+            assert atoms(term) == _leaf_atoms(term), repr(term)
+
+
+def _coefficient_of_a_sum(v):
+    # v*x as (v - 1)*x + x: the normal form builds the Const of v first
+    return simplify(Const(v - 1) * x + x).children[0]
+
+
+def test_a_coefficient_is_one_const_however_it_is_first_built():
+    builders = (Const, lambda v: Const(Fraction(v)), _coefficient_of_a_sum)
+    orders = [(a, b, c) for a in builders for b in builders for c in builders
+              if len({a, b, c}) == 3]
+    for i, order in enumerate(orders):
+        v = 10 ** 40 + 2 * i     # interned by no earlier test
+        nodes = [build(v) for build in order]
+        assert nodes[0] is nodes[1] is nodes[2]
+        assert type(nodes[0].value) is Fraction
+        assert repr(nodes[0]) == "Const(value=Fraction(%d, 1))" % v
+
+
+def test_the_terms_of_a_power_are_built_with_their_atoms():
+    system = parse_dae("dae p\nvars x, y\neq f1: (x + y + 1)^40 + x' = 0\n"
+                       "eq f2: x - y' = 0\n")
+    power = simplify((x + y + 1) ** 40)
+    assert len(power.children) == 861
+    # read without atoms(), which would fill a missing set
+    assert all(hasattr(term, "_atoms") for term in power.children)
+    assert hasattr(power, "_atoms") and atoms(power) == {x, y}
+    f1 = system.equations[0].expr
+    assert hasattr(f1, "_atoms") and atoms(f1) == {x, y, xd}
+    for formal in (False, True):
+        sig = signature_matrix(system, formal)
+        assert sig.rows == ({0: 1, 1: 0}, {0: 0, 1: 1})
+
+
+def _narrow(call):
+    """call, failing when handed an int, or an (int, exponent) pair, of
+    1,000 bits or more."""
+    def checked(*args):
+        for a in args:
+            m = a[0] if isinstance(a, tuple) else a
+            assert not isinstance(m, int) or m.bit_length() < 1000
+        return call(*args)
+    return checked
+
+
+class _NarrowContext:
+    def __init__(self, context):
+        self._context = context
+
+    def __getattr__(self, name):
+        return _narrow(getattr(self._context, name))
+
+
+def test_a_huge_argument_reaches_decimal_and_mpmath_rounded(monkeypatch):
+    # converting an int of n bits to a Decimal or an mpf takes time
+    # quadratic in n; the rounded quotient takes a few hundred bits
+    monkeypatch.setattr(expr_module, "_CONTEXT",
+                        _NarrowContext(expr_module._CONTEXT))
+    monkeypatch.setattr(mpmath, "mpf", _narrow(mpmath.mpf))
+    # (49/50)^100000 has terms of 560,000 bits; exp of it rounds to 1
+    assert evaluate_ex(Func("exp", Pow(x, 100000)),
+                       {x: Fraction(49, 50)}) == (1, False)
+    # sin of 2^-1048600 is past the bit cap
+    with pytest.raises(DomainError):
+        evaluate(Func("sin", x), {x: Fraction(1, 2 ** 1048600)})
+    # the quotient has digits + 1 or + 2 digits, then a sticky one
+    n, d = 49 ** 100000, 50 ** 100000
+    assert len(str(expr_module._rounded_quotient(n, d, 10, 70)[0])) <= 73
+    assert expr_module._rounded_quotient(1, d, 2, 236)[0].bit_length() <= 239
+
+
+def test_sin_and_cos_of_wide_arguments_keep_their_values():
+    # the argument is n/d correctly rounded to mpmath's 236 bits; the last
+    # two differ in their last bit from rounding n and d apart first
+    cases = (
+        ("sin", Fraction(3 ** 200 + 1, 7 ** 150), 338,
+         25567218101950755136587363038720884474007894197316593093464892382870355),
+        ("sin", Fraction(2 ** 170 + 1, 3 ** 160 + 1), 319,
+         73158892863749761509301694108201551691321405387814831408248655148961951),
+        ("cos", Fraction(4 ** 170 + 1, 3 ** 160 + 1), 235,
+         44053952776397198490404648674281902446328541224876841964233592337642101),
+    )
+    for name, v, shift, numerator in cases:
+        assert evaluate(Func(name, x), {x: v}) == Fraction(numerator,
+                                                           2 ** shift)
+
+
+def _round_half_even(v, radix, digits):
+    """v rounded to `digits` significant digits in radix, half to even,
+    in Fraction arithmetic."""
+    if v == 0:
+        return v
+    a = abs(v)
+    e = math.floor(math.log(a.numerator, radix)
+                   - math.log(a.denominator, radix)) - digits + 1
+    while a / Fraction(radix) ** e >= radix ** digits:
+        e += 1
+    while a / Fraction(radix) ** e < radix ** (digits - 1):
+        e -= 1
+    return round(v / Fraction(radix) ** e) * Fraction(radix) ** e
+
+
+def test_rounded_quotient_rounds_to_the_correctly_rounded_quotient():
+    rounded_quotient = expr_module._rounded_quotient
+    context = expr_module._CONTEXT
+    rng = random.Random("quotient")
+    for _ in range(1500):
+        n = rng.choice((1, -1)) * rng.getrandbits(rng.randint(1, 600))
+        d = rng.getrandbits(rng.randint(1, 600)) or 1
+        for radix, digits in ((10, 70), (2, 236), (10, 3), (2, 5)):
+            # and a tie, m + 1/2 at the scale of n/d, which goes to even
+            m = rng.randrange(radix ** (digits - 1), radix ** digits)
+            for a, b in ((n, d), ((2 * m + 1) * d, 2 * d)):
+                got, e = rounded_quotient(a, b, radix, digits)
+                assert (_round_half_even(got * Fraction(radix) ** e, radix,
+                                         digits)
+                        == _round_half_even(Fraction(a, b), radix, digits))
+        # what decimal's and mpmath's own divisions give
+        assert context.scaleb(*rounded_quotient(n, d, 10, 70)) \
+            == context.divide(n, d)
+        if n.bit_length() <= 236 and d.bit_length() <= 236:
+            with mpmath.workdps(70):
+                m, e = rounded_quotient(n, d, 2, mpmath.mp.prec)
+                assert mpmath.mpf((m, e)) == mpmath.mpf(n) / mpmath.mpf(d)
