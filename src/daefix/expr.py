@@ -16,19 +16,11 @@ and cos, which decimal lacks, by mpmath, imported on the first of them.
 
 The normal form produced by simplify() is an expanded polynomial over the
 atoms (time, state derivatives, driving functions, parameters) and function
-factors: an Add of terms, each term a Mul of a rational coefficient and
-sorted factor powers.  Inside the polynomial a coefficient is a plain int
-until a denominator appears, and a Fraction from then on; the Const nodes
-of the resulting tree hold Fractions either way, so trees, their repr and
-every printed form do not depend on it.  Products are always distributed
-over sums so that cancellation across rows of a linear combination
-actually happens; a product of two sums past the cap keeps both as opaque
-factors, while a product with a one-term side, such as -e, is never
-capped, so e - e cancels however long e is.  All exp factors of a
-monomial merge into one, so exp(a)*exp(-a) is 1 and no rewrite depends on
-the order of the products.  A power is formed in one step: a monomial
-scales its exponents, and a sum is expanded in one multinomial pass or,
-past the cap, kept whole (see `_p_pow`).
+factors: an Add of terms, each term a Mul of a rational coefficient, a
+Const of a Fraction, and sorted factor powers.  poly does its arithmetic;
+here are the trees, the term cap (see `_p_mul` and `_p_pow`) and the rules
+for function factors.  All exp factors of a monomial merge into one, so
+exp(a)*exp(-a) is 1 and no rewrite depends on the order of the products.
 
 Nodes are immutable, laid out and interned by _Interning (hash-consing,
 Filliatre and Conchon 2006): a node built equal to an earlier one, by
@@ -48,7 +40,9 @@ import decimal
 import math
 from fractions import Fraction
 from operator import attrgetter
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterator, Mapping, Optional, Sequence
+
+from . import poly
 
 NEG_INF = float("-inf")
 
@@ -84,14 +78,11 @@ class DomainError(ValueError):
 
 
 class MissingBinding(KeyError):
-    """An atom had no value in the bindings passed to evaluate()."""
+    """An atom had no value in the bindings passed to evaluate_ex()."""
 
     def __init__(self, atom: "Expr"):
         super().__init__(atom)
         self.atom = atom
-
-
-Number = Union[int, Fraction]
 
 
 # every node built so far, under its class and field values
@@ -352,8 +343,7 @@ def highest_orders(e: Expr) -> dict:
 # ---------------------------------------------------------------------------
 # normal form
 
-# a polynomial is {monomial: coefficient}; a monomial is a sorted tuple of
-# (factor, int exponent) pairs; factors are canonical non-Const subtrees
+# a polynomial is poly's, its factors canonical non-Const subtrees
 
 def simplify(e: Expr) -> Expr:
     try:
@@ -402,7 +392,7 @@ def _mono_key(m):
     return (0, tuple([(_key(f), k) for f, k in m]))
 
 
-def _coef(v: Fraction) -> Number:
+def _coef(v: Fraction) -> int | Fraction:
     """A polynomial coefficient: v as an int unless it has a denominator."""
     return v.numerator if v.denominator == 1 else v
 
@@ -417,11 +407,7 @@ def _poly(e: Expr) -> dict:
         out = _poly(e.children[0]) if e.children else {}
         for ch in e.children[1:]:
             for m, c in _poly(ch).items():
-                c2 = out.get(m, 0) + c
-                if c2:
-                    out[m] = c2
-                else:
-                    out.pop(m, None)
+                poly.add_term(out, m, c)
         return out
     if isinstance(e, Mul):
         out = {(): 1}
@@ -470,148 +456,57 @@ def _rewrites(m) -> bool:
     return any(isinstance(f, Func) and f.name in ("exp", "sqrt") for f, _ in m)
 
 
-def _p_mul(p: dict, q: dict) -> dict:
-    if not p or not q:
-        return {}
-    # a side of one term, such as the -1 of -e, leaves the other side's
-    # term count: only a product of two sums is capped
-    if len(p) > 1 and len(q) > 1 and len(p) * len(q) > _TERM_CAP:
-        p = {((_from_poly(p), 1),): 1}
-        q = {((_from_poly(q), 1),): 1}
-    qs = [(m2, c2, _rewrites(m2)) for m2, c2 in q.items()]
-    out: dict = {}
-    for m1, c1 in p.items():
-        r1 = _rewrites(m1)
-        for m2, c2, r2 in qs:
-            if r1 or r2:
-                exps: dict = dict(m1)
-                for f, k in m2:
-                    exps[f] = exps.get(f, 0) + k
-                prods = [(m3, c1 * c2 * c3)
-                         for m3, c3 in _mono_from_exps(exps).items()]
-            elif not m1:
-                prods = ((m2, c1 * c2),)
-            elif not m2:
-                prods = ((m1, c1 * c2),)
-            else:
-                # no rewrite: merge the exponent maps, dropping zeros
-                exps = dict(m1)
-                for f, k in m2:
-                    k += exps.get(f, 0)
-                    if k:
-                        exps[f] = k
-                    else:
-                        del exps[f]
-                prods = ((tuple(sorted(exps.items(), key=_factor_key)),
-                          c1 * c2),)
-            for m3, c in prods:
-                c4 = out.get(m3, 0) + c
-                if c4:
-                    out[m3] = c4
-                else:
-                    out.pop(m3, None)
-    return out
-
-
-def _factor_key(fk):
-    return _key(fk[0])
-
-
 def _mono_from_exps(exps: dict) -> dict:
     """Rebuild a monomial from a factor->exponent map, applying power rewrites.
 
     All exp factors merge into one, exp(a)^j * exp(b)^k -> exp(j*a + k*b),
     which folds to 1 when that sum is 0; sqrt(u)^(2m+r) -> u^m * sqrt(u)^r.
     The rewritten parts are multiplied back in by _p_mul, which recurses
-    when u^m brings exp or sqrt factors of its own.
+    when u^m brings exp or sqrt factors of its own.  exps may be changed.
     """
     ex = [(f, k) for f, k in exps.items()
           if k and isinstance(f, Func) and f.name == "exp"]
-    merge = len(ex) > 1 or any(k != 1 for _, k in ex)
-    plain: list = []
     extras: list = []
-    if merge:
+    if len(ex) > 1 or any(k != 1 for _, k in ex):
         total = Add(tuple(Mul((Const(Fraction(k)), f.arg)) for f, k in ex))
         extras.append(_func_poly("exp", simplify(total)))
-    for f in sorted(exps, key=_key):
-        k = exps[f]
-        if k == 0 or (merge and isinstance(f, Func) and f.name == "exp"):
-            continue
-        if isinstance(f, Func) and f.name == "sqrt" and not (0 <= k <= 1):
-            half, rem = divmod(k, 2)
-            extras.append(_p_pow(_poly(f.arg), half))
-            if rem:
-                plain.append((f, 1))
-            continue
-        plain.append((f, k))
-    out = {tuple(plain): 1}
+        exps.update((f, 0) for f, _ in ex)
+    m = poly.monomial(exps, _key)
+    roots = [(f, k) for f, k in m
+             if isinstance(f, Func) and f.name == "sqrt" and not 0 <= k <= 1]
+    for f, k in roots:
+        half, exps[f] = divmod(k, 2)
+        extras.append(_p_pow(_poly(f.arg), half))
+    out = {poly.monomial(exps, _key) if roots else m: 1}
     for q in extras:
         out = _p_mul(out, q)
     return out
 
 
+# the hook poly takes: factors in _key order, and the function rules
+_RULES = (_key, _rewrites, _mono_from_exps)
+
+
+def _p_mul(p: dict, q: dict) -> dict:
+    # a side of one term, such as the -1 of -e, leaves the other side's
+    # term count: only a product of two sums is capped
+    if len(p) > 1 and len(q) > 1 and len(p) * len(q) > _TERM_CAP:
+        p, q = {((_from_poly(p), 1),): 1}, {((_from_poly(q), 1),): 1}
+    return poly.mul(p, q, _RULES)
+
+
 def _p_pow(p: dict, n: int) -> dict:
-    """p**n in one step.
-
-    A monomial scales its exponents (exp and sqrt factors rewritten).  A
-    sum of t terms is expanded by the multinomial theorem while the last
-    product p^(n-1)*p would fit _p_mul's cap, comb(n+t-2, t-1)*t terms;
-    otherwise, and for n < 0, it is kept whole as one factor, as _p_mul
-    keeps whole a product that would not fit.
-    """
-    if n == 0:
-        return {(): 1}
-    if not p:
-        if n < 0:
-            raise DomainError("zero raised to a negative power")
-        return {}
-    if n == 1:
-        return dict(p)
-    if len(p) == 1:
-        ((m, c),) = p.items()
-        mono = _mono_from_exps({f: k * n for f, k in m})
-        # an int to a negative power would be a float
-        cn = Fraction(c) ** n if n < 0 else c ** n
-        return {mm: cc * cn for mm, cc in mono.items()}
+    """p**n in one step (see poly.power).  A sum of t terms is expanded
+    while the multinomial's last product p^(n-1)*p would fit _p_mul's cap,
+    comb(n+t-2, t-1)*t terms; otherwise, and for n < 0, it is kept whole
+    as one factor, as _p_mul keeps whole a product that would not fit."""
     t = len(p)
-    if n >= 2 and math.comb(n + t - 2, t - 1) * t <= _TERM_CAP:
-        return _p_multinomial(p, n)
-    return {((_from_poly(p), n),): 1}
-
-
-def _p_multinomial(p: dict, n: int) -> dict:
-    """p**n by the multinomial theorem: the sum over k_1+..+k_t = n of
-    n!/(k_1!..k_t!) * prod c_r^k_r at prod m_r^k_r.  The monomials of a
-    base with exp or sqrt factors go through _mono_from_exps."""
-    factors = sorted({f for m in p for f, _ in m}, key=_key)
-    rewrite = any(isinstance(f, Func) and f.name in ("exp", "sqrt")
-                  for f in factors)
-    terms = [([dict(m).get(f, 0) for f in factors], c) for m, c in p.items()]
-    last = len(terms) - 1
-    out: dict = {}
-
-    def spread(r, left, v, c):
-        # of the `left` factors still to place, term r takes k < left and
-        # passes on the rest, or takes them all, as the last term must
-        tv, tc = terms[r]
-        if r < last:
-            for k in range(left):
-                spread(r + 1, left - k,
-                       [a + k * b for a, b in zip(v, tv)] if k else v,
-                       c * math.comb(left, k) * tc ** k)
-        c *= tc ** left
-        m = [(f, e) for f, a, b in zip(factors, v, tv) if (e := a + left * b)]
-        prods = (_mono_from_exps(dict(m)).items() if rewrite
-                 else ((tuple(m), 1),))
-        for m, c3 in prods:
-            s = out.get(m, 0) + c * c3
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-
-    spread(0, n, [0] * len(factors), 1)
-    return out
+    if t > 1 and (n < 0 or n > 1 and math.comb(n + t - 2, t - 1) * t
+                  > _TERM_CAP):
+        return {((_from_poly(p), n),): 1}
+    if not p and n < 0:
+        raise DomainError("zero raised to a negative power")
+    return poly.power(p, n, _RULES)
 
 
 def _trig_reduce(p: dict) -> dict:
@@ -621,18 +516,10 @@ def _trig_reduce(p: dict) -> dict:
                for m in p for f, k in m):
         return p
     p = dict(p)
-    changed = True
-    while changed:
-        changed = False
+    while True:    # from the first monomial again after each collapse
         for m in sorted(p, key=_mono_key):
-            c1 = p.get(m)
-            if c1 is None:
-                continue
-            hit = None
-            for f, k in m:
-                if isinstance(f, Func) and f.name == "sin" and k >= 2:
-                    hit = (f, k)
-                    break
+            hit = next(((f, k) for f, k in m if k >= 2
+                        and isinstance(f, Func) and f.name == "sin"), None)
             if hit is None:
                 continue
             f, k = hit
@@ -640,32 +527,24 @@ def _trig_reduce(p: dict) -> dict:
             c2 = p.get(partner)
             if c2 is None:
                 continue
-            target = _mono_adjusted(m, f.arg, k - 2, 0)
-            del p[m]
-            p.pop(partner, None)
-            tc = p.get(target, 0) + c1
-            if tc:
-                p[target] = tc
-            else:
-                p.pop(target, None)
+            c1 = p.pop(m)
+            del p[partner]
+            poly.add_term(p, _mono_adjusted(m, f.arg, k - 2, 0), c1)
             if c2 != c1:
                 p[partner] = c2 - c1
-            changed = True
             break
-    return p
+        else:
+            return p
 
 
 def _mono_adjusted(m, arg, sin_exp, cos_delta):
-    exps: dict = {}
-    for f, k in m:
-        exps[f] = exps.get(f, 0) + k
+    """m with sin(arg) at exponent sin_exp and cos(arg)'s raised by
+    cos_delta."""
+    exps = dict(m)
     sinf, cosf = Func("sin", arg), Func("cos", arg)
     exps[sinf] = sin_exp
-    if cos_delta:
-        exps[cosf] = exps.get(cosf, 0) + cos_delta
-    items = [(f, k) for f, k in exps.items() if k != 0]
-    items.sort(key=lambda fk: _key(fk[0]))
-    return tuple(items)
+    exps[cosf] = exps.get(cosf, 0) + cos_delta
+    return poly.monomial(exps, _key)
 
 
 def _from_poly(p: dict) -> Expr:
@@ -784,10 +663,6 @@ def subst_atoms(e: Expr, mapping: Mapping[Expr, Expr]) -> Expr:
 
 # ---------------------------------------------------------------------------
 # evaluation
-
-def evaluate(e: Expr, bindings: Mapping[Expr, Fraction]) -> Fraction:
-    return evaluate_ex(e, bindings)[0]
-
 
 def evaluate_ex(e: Expr, b: Mapping[Expr, Fraction]):
     """Returns (value, exact) where exact is False once a value was

@@ -1,0 +1,114 @@
+"""Polynomial arithmetic under the normal form.
+
+A polynomial is a dict {monomial: coefficient} with no zero coefficient.
+A monomial is a tuple of (factor, exponent) pairs sorted by the factor
+order (see below), each exponent a nonzero int; () is the monomial 1.  A
+factor is any hashable value, and nothing here looks inside one.  A coefficient is
+a plain int until a denominator appears, and a Fraction from then on.
+
+Products are always distributed over sums, so that cancellation across
+the rows of a linear combination actually happens.  A power is formed in
+one step: a monomial scales its exponents, and a sum is expanded in one
+multinomial pass.  Nothing here bounds the number of terms; a caller that
+caps it keeps a factor whole before it multiplies.
+
+The factor order and the rules that rewrite products of some factors come
+in as one hook, the triple rules = (order, special, rebuild): order(f) is
+factor f's sort key; special(m) is true when monomial m holds a factor
+that a rule rewrites; and rebuild(exps) is the polynomial of the product
+whose {factor: exponent} map is exps, a fresh dict it may change.  Every
+product that special marks on either side goes through rebuild; every
+other one is merged here.
+"""
+
+from fractions import Fraction
+from math import comb
+from operator import itemgetter
+
+_EXPONENT = itemgetter(1)
+
+
+def add_term(out: dict, m: tuple, c) -> None:
+    """Adds c at monomial m of out, dropping m when it cancels."""
+    c = out.get(m, 0) + c
+    if c:
+        out[m] = c
+    else:
+        out.pop(m, None)
+
+
+def monomial(exps: dict, order) -> tuple:
+    """The monomial of a {factor: exponent} map: its nonzero exponents,
+    sorted by the key order(factor)."""
+    return tuple(sorted(filter(_EXPONENT, exps.items()),
+                        key=lambda fk: order(fk[0])))
+
+
+def mul(p: dict, q: dict, rules) -> dict:
+    """p*q, every term of p times every term of q."""
+    if not p or not q:
+        return {}
+    order, special, rebuild = rules
+    qs = [(m2, c2, special(m2)) for m2, c2 in q.items()]
+    out: dict = {}
+    for m1, c1 in p.items():
+        r1 = special(m1)
+        for m2, c2, r2 in qs:
+            if not (m1 and m2 or r1 or r2):
+                add_term(out, m2 or m1, c1 * c2)
+                continue
+            exps = dict(m1)
+            for f, k in m2:
+                exps[f] = exps.get(f, 0) + k
+            if r1 or r2:
+                for m3, c3 in rebuild(exps).items():
+                    add_term(out, m3, c1 * c2 * c3)
+            else:
+                add_term(out, monomial(exps, order), c1 * c2)
+    return out
+
+
+def power(p: dict, n: int, rules) -> dict:
+    """p**n for n >= 0, or for any n when p is one term.  A sum is expanded
+    by the multinomial theorem: the sum over k_1+..+k_t = n of
+    n!/(k_1!..k_t!) * prod c_r^k_r at prod m_r^k_r."""
+    if n == 0:
+        return {(): 1}
+    if n == 1 or not p:
+        return dict(p)
+    order, special, rebuild = rules
+    if len(p) == 1:
+        ((m, c),) = p.items()
+        # an int to a negative power would be a float
+        c = Fraction(c) ** n if n < 0 else c ** n
+        if not special(m):
+            return {tuple([(f, k * n) for f, k in m]): c}
+        exps = {f: k * n for f, k in m}
+        return {m2: c2 * c for m2, c2 in rebuild(exps).items()}
+    factors = sorted({f for m in p for f, _ in m}, key=order)
+    rewrite = any(map(special, p))
+    terms = [([dict(m).get(f, 0) for f in factors], c) for m, c in p.items()]
+    last = len(terms) - 1
+    out: dict = {}
+
+    def spread(r, left, v, c):
+        # of the `left` factors still to place, term r takes k < left and
+        # passes on the rest, or takes them all, as the last term must
+        tv, tc = terms[r]
+        if r < last:
+            for k in range(left):
+                spread(r + 1, left - k,
+                       [a + k * b for a, b in zip(v, tv)] if k else v,
+                       c * comb(left, k) * tc ** k)
+        c *= tc ** left
+        # the factors are sorted: the nonzero exponents are the monomial
+        m = tuple([(f, e) for f, a, b in zip(factors, v, tv)
+                   if (e := a + left * b)])
+        if not rewrite:
+            add_term(out, m, c)
+        else:
+            for m, c3 in rebuild(dict(m)).items():
+                add_term(out, m, c * c3)
+
+    spread(0, n, [0] * len(factors), 1)
+    return out

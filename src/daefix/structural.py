@@ -81,13 +81,18 @@ def sigma_from_rows(rows: Sequence[dict],
     return SignatureMatrix(rows, value, hvt, dual)
 
 
-def signature_rows(system: DaeSystem, formal: bool = False) -> tuple:
+def signature_rows(system: DaeSystem, formal: bool = False,
+                   prior=None) -> tuple:
     """True signatures come from the normal form, formal ones from the raw
     trees, where cancelled derivatives still count.  One pass over each
     row's atoms: entry j is hod(tree, j) for the tree of the mode, since
-    expr = simplify(raw)."""
-    return tuple(highest_orders(eq.raw if formal else eq.expr)
-                 for eq in system.equations)
+    expr = simplify(raw).  Rows that prior (see signature_matrix) keeps
+    are its very dicts."""
+    kept, old = ((), ()) if prior is None else (prior.system.equations,
+                                                prior.signature.rows)
+    return tuple(old[i] if i < len(kept) and eq is kept[i]
+                 else highest_orders(eq.raw if formal else eq.expr)
+                 for i, eq in enumerate(system.equations))
 
 
 def signature_matrix(system: DaeSystem, formal: bool = False,
@@ -97,13 +102,8 @@ def signature_matrix(system: DaeSystem, formal: bool = False,
     equations in place and may append equations and states: each equation
     it shares by identity at its index keeps its row, and the solve starts
     from its dual."""
-    if prior is None:
-        return sigma_from_rows(signature_rows(system, formal))
-    kept, old = prior.system.equations, prior.signature.rows
-    rows = tuple(old[i] if i < len(kept) and eq is kept[i]
-                 else highest_orders(eq.raw if formal else eq.expr)
-                 for i, eq in enumerate(system.equations))
-    return sigma_from_rows(rows, prior.signature)
+    return sigma_from_rows(signature_rows(system, formal, prior),
+                           None if prior is None else prior.signature)
 
 
 # ---------------------------------------------------------------------------

@@ -94,8 +94,12 @@ class Verdict(Record, uncompared=("witness",)):
 class Prober:
     """Zero-tests expressions with a fixed budget of rational probe points.
 
-    uncertain_seen flips to True whenever a PROBABLY_ZERO verdict is handed
-    out; drivers use it to mark results that rest on unproven zeros.
+    uncertain_seen flips to True when a result rests on an unproven zero,
+    and drivers mark such results.  Four places set it: verdict, on handing
+    out PROBABLY_ZERO; jacobian._full_rank, when no probe point shows full
+    rank or the one that does was rounded; convert._certify, when fewer
+    points than asked were compared; and the basis helper of
+    convert._search_candidates, on a NullspaceError.
     """
 
     def __init__(self, budget: int = DEFAULT_BUDGET, seed=DEFAULT_SEED):

@@ -24,8 +24,8 @@ from fractions import Fraction
 from daefix.dsl import _system_parser, parse_dae
 from daefix.expr import (ATOM_TYPES, NEG_INF, ZERO, Add, Const, DomainError,
                          DrivingFn, Func, Mul, Param, Pow, StateDeriv,
-                         TimeVar, _TERM_CAP, _exact_func, _key, _mono_adjusted,
-                         _mono_key, _rounded_call, _rounded_pow, format_expr,
+                         TimeVar, _TERM_CAP, _exact_func, _key, _mono_key,
+                         _rounded_call, _rounded_pow, evaluate_ex, format_expr,
                          hod, partial, simplify, total_derivative)
 from daefix.model import DaeSystem, fresh_indexed, make_equation
 from daefix.nullspace import EliminationStuck
@@ -99,6 +99,11 @@ def assert_vector_form(vec, n):
 def con(v):
     """The constant node of the int or Fraction v."""
     return Const(Fraction(v))
+
+
+def evaluate(e, bindings):
+    """The value of e at bindings, exact or rounded (see evaluate_ex)."""
+    return evaluate_ex(e, bindings)[0]
 
 
 def parse_expr(text, system, line=1):
@@ -734,11 +739,11 @@ def _ref_trig_reduce(p):
             if hit is None:
                 continue
             f, k = hit
-            partner = _mono_adjusted(m, f.arg, k - 2, 2)
+            partner = _ref_mono_adjusted(m, f.arg, k - 2, 2)
             c2 = p.get(partner)
             if c2 is None:
                 continue
-            target = _mono_adjusted(m, f.arg, k - 2, 0)
+            target = _ref_mono_adjusted(m, f.arg, k - 2, 0)
             del p[m]
             p.pop(partner, None)
             tc = p.get(target, 0) + c1
@@ -751,6 +756,19 @@ def _ref_trig_reduce(p):
             changed = True
             break
     return p
+
+
+def _ref_mono_adjusted(m, arg, sin_exp, cos_delta):
+    exps = {}
+    for f, k in m:
+        exps[f] = exps.get(f, 0) + k
+    sinf, cosf = Func("sin", arg), Func("cos", arg)
+    exps[sinf] = sin_exp
+    if cos_delta:
+        exps[cosf] = exps.get(cosf, 0) + cos_delta
+    items = [(f, k) for f, k in exps.items() if k != 0]
+    items.sort(key=lambda fk: _key(fk[0]))
+    return tuple(items)
 
 
 def _ref_from_poly(p):

@@ -12,14 +12,14 @@ from fractions import Fraction
 import pytest
 
 import checks
-from checks import parse_expr, validate_offsets
+from checks import evaluate, parse_expr, validate_offsets
 from daefix.cli import main as cli_main
 from daefix.convert import (ConditionRejected, FixStatus, MethodKind,
                             choose_method, es_analyze, es_equivalence_probes,
                             fix_dae, lc_analyze, lc_equivalence_probes)
 from daefix.corpus import load
 from daefix.dsl import parse_dae
-from daefix.expr import NEG_INF, ZERO, Const, StateDeriv, evaluate, simplify
+from daefix.expr import NEG_INF, ZERO, Const, StateDeriv, simplify
 from daefix.jacobian import (JacobianClass, classify_jacobian, determinant,
                              system_jacobian)
 from daefix.nullspace import cokernel_vector, kernel_vector

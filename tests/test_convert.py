@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import checks
-from checks import parse_expr
+from checks import evaluate, parse_expr
 from daefix.convert import (ConditionRejected, ConvertError, EsAnalysis,
                             FixStatus, LcAnalysis, MethodKind,
                             PivotRejected, VectorRejected, choose_method,
@@ -14,8 +14,7 @@ from daefix.convert import (ConditionRejected, ConvertError, EsAnalysis,
 from daefix import corpus
 from daefix.corpus import load, names as corpus_names
 from daefix.dsl import parse_dae
-from daefix.expr import (NEG_INF, ZERO, Add, Const, StateDeriv, hod,
-                         evaluate, simplify)
+from daefix.expr import NEG_INF, ZERO, Add, Const, StateDeriv, hod, simplify
 from daefix.jacobian import determinant, system_jacobian
 from daefix.model import DaeSystem, make_equation
 from daefix.structural import OffsetPair, canonical_offsets, signature_matrix

@@ -7,14 +7,14 @@ import mpmath
 import pytest
 
 import checks
-from checks import con, parse_expr
+from checks import con, evaluate, parse_expr
 from daefix import expr as expr_module
 from daefix.dsl import parse_dae
 from daefix.structural import signature_matrix
 from daefix.expr import (
     FUNCS, NEG_INF, ZERO, Add, Const, DomainError, DrivingFn, Func,
     MissingBinding, Mul, Param, Pow, StateDeriv, TimeVar, _key, _p_mul,
-    _p_pow, _poly, atoms, evaluate, evaluate_ex, format_expr, hod,
+    _p_pow, _poly, atoms, evaluate_ex, format_expr, hod,
     highest_orders, partial, simplify, subst_atoms, total_derivative, walk,
 )
 
