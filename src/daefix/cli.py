@@ -109,31 +109,39 @@ def _encoder(separator):
 
 def _dump(value, write, encoders, depth):
     """json's indent=2 form of value at nesting depth, through write;
-    encoders holds one encoder per depth, made on first use."""
+    encoders holds one encoder per depth, made on first use.  An item that
+    is the very container of an earlier item is written from its text."""
     inner = "\n" + "  " * (depth + 1)
     if isinstance(value, dict) and value:
-        sep = "{" + inner
-        for key, item in value.items():
-            write(sep + json.encoder.encode_basestring_ascii(key) + ": ")
-            _dump(item, write, encoders, depth + 1)
-            sep = "," + inner
-        write(inner[:-2] + "}")
+        brackets, items = "{}", [(json.encoder.encode_basestring_ascii(key)
+                                  + ": ", item) for key, item in value.items()]
+    elif isinstance(value, (list, tuple)) and value and not _flat(value):
+        brackets, items = "[]", [("", item) for item in value]
+    else:
+        encode = encoders.get(depth)
+        if encode is None:
+            encode = encoders[depth] = _encoder("," + inner)
+        text = encode(value)
+        if isinstance(value, (list, tuple)) and value:
+            text = "[%s%s%s]" % (inner, text[1:-1], inner[:-2])
+        write(text)
         return
-    if isinstance(value, (list, tuple)) and value and not _flat(value):
-        sep = "[" + inner
-        for item in value:
-            write(sep)
+    ids = [id(item) for _, item in items]
+    texts = {i: None for i in ids if ids.count(i) > 1} \
+        if len(set(ids)) < len(ids) else {}
+    sep = brackets[0] + inner
+    for head, item in items:
+        write(sep + head)
+        sep = "," + inner
+        if id(item) not in texts:
             _dump(item, write, encoders, depth + 1)
-            sep = "," + inner
-        write(inner[:-2] + "]")
-        return
-    encode = encoders.get(depth)
-    if encode is None:
-        encode = encoders[depth] = _encoder("," + inner)
-    text = encode(value)
-    if isinstance(value, (list, tuple)) and value:
-        text = "[%s%s%s]" % (inner, text[1:-1], inner[:-2])
-    write(text)
+            continue
+        if texts[id(item)] is None:
+            parts: list = []
+            _dump(item, parts.append, encoders, depth + 1)
+            texts[id(item)] = "".join(parts)
+        write(texts[id(item)])
+    write(inner[:-2] + brackets[1])
 
 
 def _num(v):
@@ -220,8 +228,9 @@ def cmd_analyze(args) -> int:
         "mode": args.mode,
         "variables": list(system.var_names),
         "equations": [eq.name for eq in system.equations],
-        "sigma_true": _sigma_json(true_sig),
-        "sigma_formal": _sigma_json(formal_sig),
+        "sigma_true": (table := _sigma_json(true_sig)),
+        # where the modes agree, one table, its text written twice
+        "sigma_formal": table if other is sig else _sigma_json(formal_sig),
     }
     print("system %s: %d equations" % (system.name, system.n))
     if a.jacobian is None:

@@ -21,6 +21,9 @@ Const of a Fraction, and sorted factor powers.  poly does its arithmetic;
 here are the trees, the term cap (see `_p_mul` and `_p_pow`) and the rules
 for function factors.  All exp factors of a monomial merge into one, so
 exp(a)*exp(-a) is 1 and no rewrite depends on the order of the products.
+_derive holds the derivative rules; derivative, for a normal form, reads a
+term that holds the atom only as a factor atom^k off its node and applies
+poly's power rule, and passes only one holding it in a factor to _derive.
 
 Nodes are immutable, laid out and interned by _Interning (hash-consing,
 Filliatre and Conchon 2006): a node built equal to an earlier one, by
@@ -37,6 +40,7 @@ ignoring order.
 from __future__ import annotations
 
 import decimal
+import heapq
 import math
 from fractions import Fraction
 from operator import attrgetter
@@ -410,8 +414,21 @@ def _poly(e: Expr) -> dict:
                 poly.add_term(out, m, c)
         return out
     if isinstance(e, Mul):
-        out = {(): 1}
+        # constants, atoms and powers of atoms make one monomial
+        c, exps = 1, {}
         for ch in e.children:
+            b, k = (ch.base, ch.exponent) if isinstance(ch, Pow) else (ch, 1)
+            if isinstance(ch, Const):
+                c *= _coef(ch.value)
+            elif isinstance(b, ATOM_TYPES):
+                exps[b] = exps.get(b, 0) + k
+            else:
+                break
+        else:
+            return {poly.monomial(exps, _key): c} if c else {}
+        # else from the first child's terms, which _mono_from_exps keeps
+        out = _poly(e.children[0])
+        for ch in e.children[1:]:
             out = _p_mul(out, _poly(ch))
         return out
     if isinstance(e, Pow):
@@ -516,25 +533,32 @@ def _trig_reduce(p: dict) -> dict:
                for m in p for f, k in m):
         return p
     p = dict(p)
-    while True:    # from the first monomial again after each collapse
-        for m in sorted(p, key=_mono_key):
-            hit = next(((f, k) for f, k in m if k >= 2
-                        and isinstance(f, Func) and f.name == "sin"), None)
-            if hit is None:
-                continue
-            f, k = hit
-            partner = _mono_adjusted(m, f.arg, k - 2, 2)
-            c2 = p.get(partner)
-            if c2 is None:
-                continue
-            c1 = p.pop(m)
-            del p[partner]
-            poly.add_term(p, _mono_adjusted(m, f.arg, k - 2, 0), c1)
-            if c2 != c1:
-                p[partner] = c2 - c1
-            break
-        else:
-            return p
+    # least first (_mono_key); a visited monomial waits for its partner
+    heap = [(_mono_key(m), m) for m in p]
+    heapq.heapify(heap)
+    waiting: dict = {}
+    while heap:
+        m = heapq.heappop(heap)[1]
+        hit = next(((f, k) for f, k in m if k >= 2
+                    and isinstance(f, Func) and f.name == "sin"), None)
+        if hit is None or m not in p:
+            continue
+        f, k = hit
+        partner = _mono_adjusted(m, f.arg, k - 2, 2)
+        c2 = p.get(partner)
+        if c2 is None:
+            waiting.setdefault(partner, []).append(m)
+            continue
+        c1 = p.pop(m)
+        del p[partner]
+        made = _mono_adjusted(m, f.arg, k - 2, 0)
+        poly.add_term(p, made, c1)
+        if c2 != c1:
+            p[partner] = c2 - c1
+        if made in p:
+            for q in (made, *waiting.pop(made, ())):
+                heapq.heappush(heap, (_mono_key(q), q))
+    return p
 
 
 def _mono_adjusted(m, arg, sin_exp, cos_delta):
@@ -555,7 +579,7 @@ def _from_poly(p: dict) -> Expr:
         return ZERO
     term_atoms: dict = {}   # a monomial's factors -> their atoms
     terms = []
-    for m in sorted(p, key=_mono_key):
+    for m in sorted(p, key=_mono_key) if len(p) > 1 else p:
         c = p[m]
         fs = tuple([f for f, _ in m])
         a = term_atoms.get(fs)
@@ -586,6 +610,30 @@ def total_derivative(e: Expr, k: int = 1) -> Expr:
 def partial(e: Expr, atom: Expr) -> Expr:
     """Partial derivative with respect to one atom, all other atoms held fixed."""
     return _derive(e, atom)
+
+
+def derivative(e: Expr, atom: Expr, terms: Optional[list] = None) -> Expr:
+    """simplify(partial(e, atom)) for a normal form e, the very node;
+    terms, if given, are e's summands that hold atom, in e's order.  A term
+    holding atom only as a factor atom^k is differentiated on its monomial;
+    one holding it in a function or a kept-whole sum, through partial."""
+    if terms is None:
+        terms = [t for t in (e.children if isinstance(e, Add) else (e,))
+                 if atom in atoms(t)]
+    out: dict = {}
+    for t in terms:
+        fs = t.children if isinstance(t, Mul) else (t,)
+        c = _coef(fs[0].value) if isinstance(fs[0], Const) else 1
+        m = tuple([(f.base, f.exponent) if isinstance(f, Pow) else (f, 1)
+                   for f in fs if not isinstance(f, Const)])
+        if any(f is not atom and atom in atoms(f) for f, _ in m):
+            for m2, c2 in _poly(partial(t, atom)).items():
+                poly.add_term(out, m2, c2)
+        else:
+            poly.derive_term(out, m, c, atom)
+    r = _from_poly(_trig_reduce(out))
+    object.__setattr__(r, "_normal", r)
+    return r
 
 
 def _derive(e: Expr, atom) -> Expr:

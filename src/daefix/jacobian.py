@@ -8,7 +8,8 @@ valid offset pairs can give different matrices, but they all share one
 determinant.  J comes from one gradient walk per equation: the summands
 of its normal form are indexed by atom once, so each tight entry
 differentiates only the summands that hold its atom, and the work grows
-with the nonzeros, not with n times the equation's length.
+with the nonzeros, not with n times the equation's length.  Most entries
+are read off the summands' monomials (see expr.derivative).
 
 Classification works per component of the support (rows and columns no
 nonzero entry links to the rest).  A perfect matching on each (augmenting
@@ -19,8 +20,9 @@ blocks' determinants (the split DAESA makes, Pryce, Nedialkov and Tan
 2015).  A block of at most DET_BOUND rows is expanded exactly; a larger one
 is decided by rank probes at random rational points, which prove full rank
 but can only suspect singularity.  A probe evaluates only the block's
-nonzero entries, into sparse rows {col: value}, and its elimination
-touches only nonzeros.
+nonzero entries, into sparse rows {col: (num, den)}, and its elimination
+touches only nonzeros, modulo a prime first and in Fractions only when
+that leaves the rank short.
 
 After a conversion step J carries what the rows the step kept
 determine.  Row i of J depends only on f_i and on which of its finite
@@ -34,13 +36,14 @@ still asked and hits the prober's cache.
 
 from __future__ import annotations
 
+import heapq
 from enum import Enum
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
 from .expr import (
     Add, Const, Expr, Mul, StateDeriv, ZERO,
-    atoms, evaluate_ex, partial, simplify,
+    _eval, atoms, derivative, simplify,
 )
 from .model import DaeSystem, Record
 from .structural import (OffsetPair, SignatureMatrix, _blocks, _components,
@@ -49,13 +52,14 @@ from .zerotest import Prober, probe_points
 
 DET_BOUND = 8
 _RANK_POINTS = 3
+_PRIME = 2 ** 61 - 1
 
 
 def system_jacobian(system: DaeSystem, sig: SignatureMatrix,
                     off: OffsetPair, prior=None) -> tuple:
     """J as n rows {j: normal form} over the tight entries whose normal
-    form is not zero, in ascending j.  Each entry equals the normal form of
-    partial(f_i, atom), which differentiates only the summands holding the
+    form is not zero, in ascending j.  Each entry is derivative(f_i, atom),
+    the normal form of partial(f_i, atom), given the summands holding the
     atom; an atom the normal form lacks (a formal signature entry that
     cancelled) gives no entry.
 
@@ -80,10 +84,9 @@ def system_jacobian(system: DaeSystem, sig: SignatureMatrix,
         row = {}
         for j in tight:
             a = StateDeriv(j, sig.rows[i][j])
-            if a in holders:
-                e = simplify(Add(tuple(partial(t, a) for t in holders[a])))
-                if e is not ZERO:
-                    row[j] = e
+            if a in holders and (e := derivative(f, a, holders[a])) \
+                    is not ZERO:
+                row[j] = e
         out.append(row)
     return tuple(out)
 
@@ -96,8 +99,6 @@ def _tight(sig, off, i) -> list:
 def determinant(matrix: Sequence[Sequence[Expr]]) -> Expr:
     """Exact determinant by memoized cofactor expansion (division-free)."""
     n = len(matrix)
-    if n == 0:
-        return Const(Fraction(1))
     memo: dict = {}
 
     def det(cols: tuple) -> Expr:
@@ -268,40 +269,42 @@ def _full_rank(part, rows, cols, n, prober: Prober) -> bool:
 
     A matrix that is a single block keeps the key of the whole-matrix probe.
     """
-    at_row = {i: k for k, i in enumerate(rows)}
-    at_col = {j: k for k, j in enumerate(cols)}
+    in_block = set(cols)
     # an entry outside the support is the exact value 0 at every point:
     # only the rest are evaluated, in row-major order
-    entries = [(at_row[i], at_col[j], e) for i in rows
-               for j, e in part.entries[i].items() if j in at_col]
+    entries = [(k, j, e) for k, i in enumerate(rows)
+               for j, e in part.entries[i].items() if j in in_block]
     ats = {a for _, _, e in entries for a in atoms(e)}
     key = "%s:rank:%d" % (prober.seed, n)
     if len(rows) < n:
         key += ":%d" % rows[0]
     m = len(rows)
     for _, evals in probe_points(
-            key, ats, lambda b: [evaluate_ex(e, b) for _, _, e in entries],
+            key, ats, lambda b: [_eval(e, b) for _, _, e in entries],
             _RANK_POINTS):
-        block: List[Dict[int, Fraction]] = [{} for _ in range(m)]
-        for (i, j, _), (v, _) in zip(entries, evals):
-            if v:
-                block[i][j] = v
+        block = [{} for _ in range(m)]
+        for (i, j, _), (num, den, _) in zip(entries, evals):
+            if num:
+                block[i][j] = (num, den)
         if _fraction_rank(block) == m:
-            if not all(ex for _, ex in evals):
+            if not all(ex for _, _, ex in evals):
                 prober.uncertain_seen = True
             return True
     prober.uncertain_seen = True
     return False
 
 
-def _fraction_rank(rows: List[Dict[int, Fraction]]) -> int:
-    """Rank of a matrix given as sparse rows {col: nonzero value}, which are
-    left as they are.  Each row is reduced by the rows kept so far, each
-    kept row stored under its leading column; the operations touch only
-    nonzeros, and a row that reduces to nothing adds no rank."""
+def _fraction_rank(rows: List[Dict[int, tuple]]) -> int:
+    """Rank of sparse rows {col: (num, den)}, left as they are, each value
+    num/den nonzero with den > 0.  Full row rank modulo _PRIME is full rank
+    over Q (a minor nonzero mod p is nonzero); short of it, or when p
+    divides a denominator, the rows are eliminated in Fractions.  Each row
+    is reduced by the rows kept so far, each under its leading column."""
+    if _modular_rank(rows) == len(rows):
+        return len(rows)
     kept: Dict[int, Dict[int, Fraction]] = {}
     for row in rows:
-        row = dict(row)
+        row = {c: Fraction(num, d) for c, (num, d) in row.items()}
         while row:
             lead = min(row)
             pivot = kept.get(lead)
@@ -315,4 +318,36 @@ def _fraction_rank(rows: List[Dict[int, Fraction]]) -> int:
                     row[c] = v
                 else:
                     del row[c]
+    return len(kept)
+
+
+def _modular_rank(rows: List[Dict[int, tuple]]) -> Optional[int]:
+    """The rank of rows modulo _PRIME, None when p divides a denominator.
+    A kept row is scaled to a leading 1, which it does not store."""
+    dens = {d for row in rows for _, d in row.values()}
+    if any(d % _PRIME == 0 for d in dens):
+        return None
+    inverse = {d: pow(d, -1, _PRIME) for d in dens}
+    kept: Dict[int, Dict[int, int]] = {}
+    for row in rows:
+        r = {c: x for c, (num, d) in row.items()
+             if (x := num * inverse[d] % _PRIME)}
+        # least column first: a reduction adds only columns past its lead
+        cols = sorted(r)
+        while cols:
+            lead = heapq.heappop(cols)
+            f = r.pop(lead, None)
+            if f is None:   # cancelled
+                continue
+            if lead not in kept:
+                s = pow(f, -1, _PRIME)
+                kept[lead] = {c: x * s % _PRIME for c, x in r.items()}
+                break
+            for c, x in kept[lead].items():
+                if c not in r:   # f * x is nonzero mod p
+                    heapq.heappush(cols, c)
+                if v := (r.get(c, 0) - f * x) % _PRIME:
+                    r[c] = v
+                else:
+                    del r[c]
     return len(kept)

@@ -10,7 +10,8 @@ Products are always distributed over sums, so that cancellation across
 the rows of a linear combination actually happens.  A power is formed in
 one step: a monomial scales its exponents, and a sum is expanded in one
 multinomial pass.  Nothing here bounds the number of terms; a caller that
-caps it keeps a factor whole before it multiplies.
+caps it keeps a factor whole before it multiplies.  derive_term reads
+only the exponent of the factor it differentiates by.
 
 The factor order and the rules that rewrite products of some factors come
 in as one hook, the triple rules = (order, special, rebuild): order(f) is
@@ -35,6 +36,13 @@ def add_term(out: dict, m: tuple, c) -> None:
         out[m] = c
     else:
         out.pop(m, None)
+
+
+def derive_term(out: dict, m: tuple, c, f) -> None:
+    """Adds to out the derivative of c*m by f, which m holds as a factor
+    f^k and nowhere else: by the power rule, k*c*m with f^(k-1)."""
+    add_term(out, tuple([(g, j - 1 if g == f else j) for g, j in m
+                         if g != f or j != 1]), c * dict(m)[f])
 
 
 def monomial(exps: dict, order) -> tuple:

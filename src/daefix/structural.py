@@ -35,8 +35,7 @@ from heapq import heappop, heappush
 from itertools import count
 from typing import List, Optional, Sequence
 
-from .expr import (NEG_INF, StateDeriv, ZERO, atoms, highest_orders, partial,
-                   simplify)
+from .expr import NEG_INF, StateDeriv, ZERO, atoms, derivative, highest_orders
 from .model import DaeSystem, Record
 
 class StructuralError(ValueError):
@@ -413,7 +412,7 @@ def solution_scheme(off: OffsetPair,
     nonlinear = {-off.c[i] for i, row in enumerate(jacobian)
                  if any(isinstance(a, StateDeriv)
                         and a.order == off.d[a.index] - off.c[i]
-                        and simplify(partial(e, a)) != ZERO
+                        and derivative(e, a) is not ZERO
                         for e in row.values() for a in atoms(e))}
     stages = []
     for k in range(-max(off.d), 1):

@@ -17,12 +17,13 @@ import pytest
 
 import checks
 import daefix.convert as convert
+import daefix.expr as expr
 import daefix.jacobian as jacobian
 import daefix.structural as structural
 from daefix.convert import ConvertError, MethodKind, analyze, fix_dae
 from daefix.corpus import load, names as corpus_names
 from daefix.dsl import ParseError, parse_dae
-from daefix.expr import ZERO, Add, StateDeriv
+from daefix.expr import ZERO, Add, StateDeriv, atoms
 from daefix.nullspace import NullspaceError
 from daefix.zerotest import Prober
 from test_generated import (nonsingular_transforms, pendulum_after_mixing,
@@ -183,7 +184,9 @@ def test_a_step_redoes_only_the_replaced_row(monkeypatch):
     """On 16 Brenan blocks whose coefficient t is b*t in block b, so that
     no two blocks share an entry, each analysis after the first runs one
     assignment search and the offsets search, and differentiates only the
-    replaced row's tight entries.  Its J carries every component but the
+    replaced row's tight entries, each once, on the summands that hold its
+    atom; every summand is differentiated on its monomial, and none through
+    expr.partial.  Its J carries every component but the
     replaced row's block as the very object, with its blocks and the
     determinants already expanded: the classification expands the two
     blocks the replaced row's block split into, and the next singular
@@ -199,7 +202,8 @@ def test_a_step_redoes_only_the_replaced_row(monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     for module, name in ((convert, "analyze"), (structural, "_search"),
-                         (jacobian, "partial"), (jacobian, "determinant")):
+                         (jacobian, "derivative"), (expr, "partial"),
+                         (jacobian, "determinant")):
         counting(module, name)
     k = 16
     text = re.sub(r"t\*y(\d+)", r"\1*t*y\1", checks.brenan_blocks(k))
@@ -208,7 +212,8 @@ def test_a_step_redoes_only_the_replaced_row(monkeypatch):
     runs, run = [], None
     for name, args in calls:
         if name == "analyze":
-            run = {"_search": [], "partial": [], "determinant": []}
+            run = {"_search": [], "derivative": [], "partial": [],
+                   "determinant": []}
             runs.append(run)
         elif run is not None:
             run[name].append(args)
@@ -228,8 +233,11 @@ def test_a_step_redoes_only_the_replaced_row(monkeypatch):
         terms = f.children if isinstance(f, Add) else (f,)
         tight = {StateDeriv(j, after.signature.entry(p, j))
                  for j in range(2 * k) if row[j] is not ZERO}
-        assert {a for _, a in run["partial"]} == tight
-        assert all(t in terms for t, _ in run["partial"])
+        assert {a for _, a, _ in run["derivative"]} == tight
+        assert len(run["derivative"]) == len(tight)
+        assert all(e is f and ts and all(t in terms and a in atoms(t)
+                                         for t in ts)
+                   for e, a, ts in run["derivative"])
         kept = before.jacobian.components
         fresh = [c for c in now.jacobian.components if c not in kept]
         assert [c.rows for c in fresh] == [(p // 2 * 2, p // 2 * 2 + 1)]
@@ -238,6 +246,7 @@ def test_a_step_redoes_only_the_replaced_row(monkeypatch):
         assert sorted(len(b) for b, in run["determinant"]) == (
             [1, 1, 2] if step.index < k else [1, 1])
     assert sum(len(run["determinant"]) for run in runs) == 3 * k
+    assert not any(run["partial"] for run in runs)
 
 
 @pytest.mark.parametrize("formal", [False, True])

@@ -1,3 +1,4 @@
+import collections
 import math
 import random
 from decimal import Decimal
@@ -13,9 +14,10 @@ from daefix.dsl import parse_dae
 from daefix.structural import signature_matrix
 from daefix.expr import (
     FUNCS, NEG_INF, ZERO, Add, Const, DomainError, DrivingFn, Func,
-    MissingBinding, Mul, Param, Pow, StateDeriv, TimeVar, _key, _p_mul,
-    _p_pow, _poly, atoms, evaluate_ex, format_expr, hod,
-    highest_orders, partial, simplify, subst_atoms, total_derivative, walk,
+    MissingBinding, Mul, Param, Pow, StateDeriv, TimeVar, _key,
+    _mono_from_exps, _p_mul, _p_pow, _poly, _trig_reduce, atoms, derivative,
+    evaluate_ex, format_expr, hod, highest_orders, partial, simplify,
+    subst_atoms, total_derivative, walk,
 )
 
 x = StateDeriv(0)
@@ -1080,3 +1082,227 @@ def test_rounded_quotient_rounds_to_the_correctly_rounded_quotient():
             with mpmath.workdps(70):
                 m, e = rounded_quotient(n, d, 2, mpmath.mp.prec)
                 assert mpmath.mpf((m, e)) == mpmath.mpf(n) / mpmath.mpf(d)
+
+
+def _term_kind(term, atom):
+    """How term holds atom: "power" when only as a factor atom^k, else the
+    name of each function factor, or "sum" for a kept-whole sum, that
+    holds it."""
+    fs = term.children if isinstance(term, Mul) else (term,)
+    kinds = {"sum" if isinstance(b, Add) else b.name
+             for b in (f.base if isinstance(f, Pow) else f for f in fs)
+             if isinstance(b, (Add, Func)) and atom in atoms(b)}
+    return kinds or {"power"}
+
+
+def test_derivative_is_the_normal_form_of_the_partial():
+    """On 20,000 random normal forms and each of their atoms, derivative
+    gives the very node simplify(partial(nf, a)) gives, with and without
+    the summands that hold the atom passed in, through the power rule on
+    monomials and through the fallback alike."""
+    rng = random.Random("derivative")
+    seen = collections.Counter()
+    for _ in range(20000):
+        try:
+            nf = simplify(_random_tree(rng, 3))
+        except DomainError:
+            continue
+        terms = nf.children if isinstance(nf, Add) else (nf,)
+        for a in sorted(atoms(nf), key=_key):
+            holders = [u for u in terms if a in atoms(u)]
+            want = simplify(partial(nf, a))
+            assert derivative(nf, a) is want, (format_expr(nf), a)
+            assert derivative(nf, a, holders) is want
+            assert simplify(want) is want
+            for u in holders:
+                seen.update(_term_kind(u, a))
+                fs = u.children if isinstance(u, Mul) else (u,)
+                seen["negative exponent"] += any(
+                    isinstance(f, Pow) and f.base is a and f.exponent < 0
+                    for f in fs)
+                seen["rational coefficient"] += (
+                    isinstance(fs[0], Const) and fs[0].value.denominator > 1)
+    assert min(seen[k] for k in ("power", "sin", "cos", "exp", "sqrt", "ln",
+                                 "sum", "negative exponent",
+                                 "rational coefficient")) > 100, seen
+
+
+def _general_product(children):
+    # the product path every other Mul takes, from the unit
+    out = {(): 1}
+    for ch in children:
+        out = _p_mul(out, _poly(ch))
+    return out
+
+
+def test_a_product_of_atoms_is_one_monomial():
+    """A Mul of constants, atoms and powers of atoms has the polynomial of
+    the general product path: zero and negative exponents, repeated atoms
+    and a zero constant included."""
+    rng = random.Random("atom-product")
+    leaves = (x, y, xd, t, g, h)
+    fast = 0
+    for _ in range(3000):
+        children = []
+        for _ in range(rng.randint(1, 5)):
+            r = rng.random()
+            if r < 0.2:
+                children.append(con(Fraction(rng.randint(-3, 3),
+                                             rng.randint(1, 3))))
+            elif r < 0.6:
+                children.append(rng.choice(leaves))
+            else:
+                children.append(Pow(rng.choice(leaves),
+                                    rng.choice((-3, -1, 0, 2, 5))))
+        e = Mul(tuple(children))
+        got = _poly(e)
+        assert got == _general_product(children), format_expr(e)
+        assert all(c for c in got.values())
+        fast += 1
+    assert fast == 3000
+    assert _poly(Mul((x, con(0), Pow(y, -2)))) == {}
+    assert _poly(Mul((x, Pow(x, -1)))) == {(): 1}
+    assert _poly(Mul(())) == {(): 1}
+
+
+def test_a_product_starts_from_its_first_child():
+    """Any other Mul starts from its first child's polynomial, not the
+    unit: it gets what the unit start gives, with one product fewer."""
+    rng = random.Random("first-child")
+    for _ in range(500):
+        children = tuple(_random_tree(rng, 2)
+                         for _ in range(rng.randint(1, 3)))
+        try:
+            want = _general_product(children)
+        except DomainError:
+            continue
+        assert _poly(Mul(children)) == want
+    calls = []
+    mul = expr_module.poly.mul
+
+    def counted(p, q, rules):
+        calls.append(p)
+        return mul(p, q, rules)
+
+    # sums and functions without exp or sqrt: no product but the Mul's own
+    pool = (x + y, Func("sin", x + t), Func("ln", y), g - h, Func("cos", y))
+    for k in range(1, 6):
+        children = tuple(rng.choice(pool) for _ in range(k))
+        want = _general_product(children)
+        calls.clear()
+        expr_module.poly.mul = counted
+        try:
+            got = _poly(Mul(children))
+        finally:
+            expr_module.poly.mul = mul
+        assert got == want
+        assert len(calls) == k - 1
+
+
+def _random_exps(rng):
+    # factors with exp and sqrt rewrites among them, at any exponent
+    args = (x, y, x + y, x * y, -x, con(4) * y ** 2)
+    exps = {}
+    for _ in range(rng.randint(1, 4)):
+        r = rng.random()
+        if r < 0.35:
+            f = Func("exp", simplify(rng.choice(args)))
+        elif r < 0.7:
+            f = Func("sqrt", simplify(rng.choice(args)))
+        else:
+            f = rng.choice((x, y, t, Func("sin", x)))
+        exps[f] = exps.get(f, 0) + rng.randint(-3, 4)
+    return exps
+
+
+def test_mono_from_exps_is_idempotent_on_its_output():
+    """Each monomial _mono_from_exps gives comes back from it unchanged,
+    so a product may start from a polynomial it already made."""
+    rng = random.Random("idempotent")
+    rewritten = 0
+    for _ in range(3000):
+        exps = _random_exps(rng)
+        try:
+            out = _mono_from_exps(dict(exps))
+        except DomainError:
+            continue
+        rewritten += out != {expr_module.poly.monomial(exps, _key): 1}
+        for m in out:
+            assert _mono_from_exps(dict(m)) == {m: 1}, m
+    assert rewritten > 500
+
+
+def _trig_poly(rng):
+    """A random polynomial in sin and cos of two arguments and two atoms:
+    several sin^2 factors per monomial, and many monomials with their
+    partner (sin^2 traded for cos^2), at a coefficient of 1 or 2 so that
+    partners are as often unequal as equal."""
+    fs = [Func(n, a) for a in (x, y) for n in ("sin", "cos")] + [t, g]
+    p = {}
+    for _ in range(rng.randint(1, 8)):
+        exps = dict(zip(fs, (rng.choice((0, 1, 2, 2, 3, 4)),
+                             rng.choice((0, 1, 2)),
+                             rng.choice((0, 2, 2, 3)),
+                             rng.choice((0, 1, 2)),
+                             rng.choice((0, 1)), rng.choice((0, 1)))))
+        ms = [exps]
+        for s in range(0, 4, 2):
+            if exps[fs[s]] >= 2 and rng.random() < 0.7:
+                partner = dict(exps)
+                partner[fs[s]] -= 2
+                partner[fs[s + 1]] += 2
+                ms.append(partner)
+        for e in ms:
+            expr_module.poly.add_term(p, expr_module.poly.monomial(e, _key),
+                                      rng.choice((1, 1, 2, -1)))
+    return p
+
+
+def test_trig_reduce_visits_in_the_loops_order():
+    """The heap of monomials still to visit collapses what the loop that
+    restarts after each collapse does, in its order: the two agree on
+    random polynomials, on expansions whose collapses make new partners,
+    and on chains of them."""
+    rng = random.Random("trig")
+    collapsed = 0
+    for _ in range(3000):
+        p = _trig_poly(rng)
+        got = _trig_reduce(p)
+        assert got == checks._ref_trig_reduce(p)
+        collapsed += got != p
+    assert collapsed > 1000
+    sx, cx, sy, cy = (Func(n, a) for a in (x, y) for n in ("sin", "cos"))
+    for k in range(1, 6):
+        # (sin^2 + cos^2)^k * t: collapses make new partners
+        e = Mul((Pow(Add((Pow(sx, 2), Pow(cx, 2))), k), t))
+        p = _poly(e)
+        assert _trig_reduce(p) == checks._ref_trig_reduce(p)
+        e = Mul((Pow(Add((Pow(sx, 2), Pow(cx, 2))), k),
+                 Pow(Add((Pow(sy, 2), con(3) * Pow(cy, 2))), 2)))
+        p = _poly(e)
+        assert _trig_reduce(p) == checks._ref_trig_reduce(p)
+
+
+def test_trig_reduce_grows_with_the_collapses_not_their_square(monkeypatch):
+    """n collapsible pairs sin(x_i)^2*x_{i+1} + cos(x_i)^2*x_{i+1}: the
+    loop re-sorted every monomial after each collapse, n^2 log n keys; the
+    heap takes a few per collapse."""
+    calls = []
+    key = expr_module._mono_key
+
+    def counted(m):
+        calls.append(m)
+        return key(m)
+
+    monkeypatch.setattr(expr_module, "_mono_key", counted)
+    counts = []
+    for n, first in ((100, 1000), (400, 2000)):
+        terms = []
+        for i in range(first, first + n):
+            a, b = StateDeriv(i), StateDeriv(i + 1)
+            terms += [Mul((Pow(Func(f, a), 2), b)) for f in ("sin", "cos")]
+        calls.clear()
+        assert simplify(Add(tuple(terms))) is simplify(Add(tuple(
+            StateDeriv(i + 1) for i in range(first, first + n))))
+        counts.append(len(calls))
+    assert counts[1] < 5 * counts[0]

@@ -2,6 +2,8 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from checks import (brenan_blocks, dense, dense_fraction_rank, index_chain,
                     pendulum_chain, rand_factor_system,
                     reference_system_jacobian, sparse, validate_offsets)
@@ -15,8 +17,8 @@ from daefix.expr import (
 import daefix.jacobian
 import daefix.structural
 from daefix.jacobian import (
-    DET_BOUND, JacobianClass, _fraction_rank, _odd, classify_jacobian,
-    determinant, system_jacobian,
+    DET_BOUND, JacobianClass, _PRIME, _fraction_rank, _modular_rank, _odd,
+    classify_jacobian, determinant, system_jacobian,
 )
 from daefix.structural import (
     OffsetPair, _assignment_max, _blocks, _matching, canonical_offsets,
@@ -337,6 +339,11 @@ def test_chain_analysis_differentiates_each_summand_once(
     capsys.readouterr()
 
 
+def _pair(x, k=1):
+    """x as the pair (num, den) of a rank probe, scaled by k."""
+    return x.numerator * k, x.denominator * k
+
+
 def test_fraction_rank_matches_dense_reference():
     rng = random.Random(73)
     ranks = set()
@@ -350,14 +357,37 @@ def test_fraction_rank_matches_dense_reference():
             # a combination of two rows makes the rank fall short
             a, b, dst = (rng.randrange(n_rows) for _ in range(3))
             rows[dst] = [x + 2 * y for x, y in zip(rows[a], rows[b])]
-        # the rank probe's rows hold only the nonzero values
-        sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
+        # the rank probe's rows hold only the nonzero values, each as a
+        # pair (num, den) with den > 0 that need not be reduced
+        sparse = [{j: _pair(x, rng.randint(1, 3)) for j, x in enumerate(row)
+                   if x} for row in rows]
         before = [dict(row) for row in sparse]
         rank = _fraction_rank(sparse)
         assert rank == dense_fraction_rank(rows)
+        # no minor of these small entries is a nonzero multiple of the prime
+        assert _modular_rank(sparse) == rank
         assert sparse == before
         ranks.add((rank == min(n_rows, n_cols), rank))
     assert {r for full, r in ranks if not full} >= {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("rows, rank", [
+    # det = p: singular modulo the prime, not over Q
+    ([[_PRIME + 1, 1], [1, 1]], 2),
+    ([[_PRIME + 1, 0, 1], [0, 1, 0], [1, 0, 1]], 3),
+    # a denominator the prime divides has no value modulo it
+    ([[Fraction(1, _PRIME), 1], [1, 1]], 2),
+    ([[Fraction(1, _PRIME), 1], [Fraction(2, _PRIME), 2]], 1),
+    # singular over Q as well
+    ([[_PRIME, 1], [2 * _PRIME, 2]], 1),
+])
+def test_the_exact_elimination_decides_what_the_prime_cannot(rows, rank):
+    """Short of full rank modulo the prime, or with a denominator it
+    divides, the rank is the one the Fractions give."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    sparse = [{j: _pair(x) for j, x in enumerate(row) if x} for row in rows]
+    assert _modular_rank(sparse) != len(rows)
+    assert _fraction_rank(sparse) == rank == dense_fraction_rank(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -523,20 +553,26 @@ def test_only_the_large_block_is_rank_probed(monkeypatch):
     # entries above the diagonal blocks couple them without merging them
     m[0][3] = one
     m[2][n + 3] = t
-    sizes = []
-    rank = daefix.jacobian._fraction_rank
+    calls = {"_fraction_rank": [], "_modular_rank": []}
 
-    def counted(rows):
-        sizes.append(len(rows))
-        return rank(rows)
+    def counting(name):
+        rank = getattr(daefix.jacobian, name)
 
-    monkeypatch.setattr(daefix.jacobian, "_fraction_rank", counted)
+        def counted(rows):
+            calls[name].append((len(rows), rank(rows)))
+            return calls[name][-1][1]
+        monkeypatch.setattr(daefix.jacobian, name, counted)
+
+    for name in calls:
+        counting(name)
     p = Prober()
     rep = classify_jacobian(sparse(m), p)
     assert rep.klass is JacobianClass.GENERICALLY_NONSINGULAR
     assert rep.det is None
     assert not p.uncertain_seen
-    assert sizes == [n]
+    # one elimination, modulo the prime, whose full rank leaves the
+    # Fractions out
+    assert calls == {"_fraction_rank": [(n, n)], "_modular_rank": [(n, n)]}
 
 
 def test_matching_and_blocks_do_not_recurse():

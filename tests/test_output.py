@@ -116,6 +116,11 @@ def test_json_reports_are_the_bytes_of_json_dumps(tmp_path, capsys, mode,
     assert len(checked_writer) >= 600
 
 
+# containers that recur as the very object, written once and then as text
+_TABLE = {"entries": [[None, 1], [2, None]], "hvt": [[1, 2], [2, 1]]}
+_ROW = [1, [2, {"x": None}]]
+
+
 @pytest.mark.parametrize("doc", [
     [], {}, [[]], [{}], {"a": []}, {"a": {}}, None, True, "text", -7, 2.5,
     [None, True, False, 0, -1, -2 ** 70, 1.5, -0.0, 1e300],
@@ -125,6 +130,10 @@ def test_json_reports_are_the_bytes_of_json_dumps(tmp_path, capsys, mode,
     [1, (2, 3)], ((1, 2), (3,), ()),
     {"rows": [[None, 1, None], [2, None, None]], "hvt": [[1, 2], [2, 1]]},
     {"deep": {"er": {"est": [[[["x"]]]]}}},
+    {"a": _TABLE, "b": _TABLE},
+    {"a": _TABLE, "b": {"c": _TABLE, "d": _TABLE}, "e": _TABLE},
+    [_ROW, _ROW, [_ROW], _ROW], [[], [], {}, {}],
+    {"a": _ROW, "b": [_ROW, _TABLE], "c": _ROW, "d": "text"},
 ])
 @pytest.mark.parametrize("accelerated", (True, False))
 def test_the_writer_on_edge_values(tmp_path, monkeypatch, doc, accelerated):
@@ -135,3 +144,37 @@ def test_the_writer_on_edge_values(tmp_path, monkeypatch, doc, accelerated):
     assert path.read_bytes() == (json.dumps(doc, indent=2)
                                  + "\n").encode("ascii")
 
+
+@pytest.mark.parametrize("mode", MODES)
+def test_agreeing_modes_build_and_write_one_table(tmp_path, monkeypatch,
+                                                  capsys, mode):
+    """Where the true and formal Σ rows agree, as on a pendulum chain, the
+    analysis builds one table and writes it once, its text twice; where
+    they differ it builds two."""
+    built, dumped = [], []
+    sigma_json, dump = cli._sigma_json, cli._dump
+
+    def counted_sigma(sig):
+        built.append(sigma_json(sig))
+        return built[-1]
+
+    def counted_dump(value, write, encoders, depth):
+        dumped.append(value)
+        dump(value, write, encoders, depth)
+
+    monkeypatch.setattr(cli, "_sigma_json", counted_sigma)
+    monkeypatch.setattr(cli, "_dump", counted_dump)
+    src, out = tmp_path / "system.dae", tmp_path / "out.json"
+    for text, tables in (
+            (checks.pendulum_chain(16), 1),
+            ("dae m\nvars x1, x2\neq f1: x1' + x2 - x1' = 0\n"
+             "eq f2: x1 + x2 = 0\n", 2)):
+        built.clear()
+        dumped.clear()
+        src.write_text(text)
+        main(["analyze", str(src), "--mode", mode, "--json", str(out)])
+        doc = json.loads(out.read_text())
+        assert len(built) == tables
+        assert (doc["sigma_true"] == doc["sigma_formal"]) == (tables == 1)
+        assert sum(v is t for v in dumped for t in built) == tables
+    capsys.readouterr()

@@ -8,7 +8,8 @@ from checks import (dense, index_chain, pendulum_chain, reference_offsets,
                     sparse, validate_offsets)
 from daefix import corpus, structural
 from daefix.dsl import parse_dae
-from daefix.expr import NEG_INF, ZERO, StateDeriv, hod, partial, simplify
+from daefix.expr import (NEG_INF, ZERO, StateDeriv, derivative, hod, partial,
+                         simplify)
 from daefix.jacobian import system_jacobian
 from daefix.structural import (
     OffsetPair, SignatureMatrix, canonical_offsets, degrees_of_freedom,
@@ -424,9 +425,9 @@ def test_scheme_differentiates_only_jacobian_entries(monkeypatch):
 
     def counted(e, atom):
         calls.append(atom)
-        return partial(e, atom)
+        return derivative(e, atom)
 
-    monkeypatch.setattr(structural, "partial", counted)
+    monkeypatch.setattr(structural, "derivative", counted)
     scheme = solution_scheme(off, J)
     assert len(calls) <= 2 * n
     assert [st.linear for st in scheme.stages] == [False, True]
