@@ -8,8 +8,13 @@ Exit codes form a small contract for CI embedding:
      rejected by a method condition
   3  structurally ill posed input, or a conversion exposed ill-posedness
   4  result rests on an unproven zero test (unverified)
+
+A run builds no reference cycles, so reference counting frees all it
+makes; main runs the command with the cyclic collector off, which would
+only walk the heap, and restores the caller's setting after it.
 """
 
+import gc
 import json
 import sys
 from types import SimpleNamespace
@@ -546,6 +551,8 @@ def main(argv=None) -> int:
             args = _build_parser().parse_args(argv)
         except SystemExit as ex:
             return EXIT_USAGE if ex.code else EXIT_OK
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (OSError, ParseError, ModelError) as ex:
@@ -561,6 +568,9 @@ def main(argv=None) -> int:
         # parsing and the tree functions recurse once per nesting level
         print("error: expression is nested too deeply", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -33,12 +33,13 @@ class ParseError(ValueError):
         self.col = col
 
 
+# one token after any whitespace; a character no token starts with is bad
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<name>[A-Za-z_]\w*)"
+    r"\s*(?:(?P<name>[A-Za-z_]\w*)"
     r"|(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<prime>'+)"
     r"|(?P<op>[-+*/^(),=:])"
+    r"|(?P<bad>\S))"
 )
 
 
@@ -49,16 +50,15 @@ class _Tok(NamedTuple):
 
 
 def _tokenize(s: str, line: int, col0: int = 1) -> List[_Tok]:
+    """The tokens of s in one scan, with their columns; trailing
+    whitespace matches no token and ends the scan."""
     out = []
-    pos = 0
-    while pos < len(s):
-        m = _TOKEN_RE.match(s, pos)
-        if m is None:
-            raise ParseError("unexpected character %r" % s[pos], line, col0 + pos)
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(s):
         kind = m.lastgroup
-        if kind != "ws":
-            out.append(_Tok(kind, m.group(), col0 + m.start()))
+        if kind == "bad":
+            raise ParseError("unexpected character %r" % m[kind], line,
+                             col0 + m.start(kind))
+        out.append(_Tok(kind, m[kind], col0 + m.start(kind)))
     out.append(_Tok("end", "", col0 + len(s)))
     return out
 

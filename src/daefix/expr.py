@@ -526,11 +526,21 @@ def _p_pow(p: dict, n: int) -> dict:
     return poly.power(p, n, _RULES)
 
 
+def _sin_squared(p: dict) -> bool:
+    """True when a monomial of p holds sin(a)^k with k >= 2.  It looks at
+    every factor of every term on each simplify, hence a plain loop and a
+    class test (Func has no subclass), not isinstance in a generator."""
+    for m in p:
+        for f, k in m:
+            if f.__class__ is Func and k >= 2 and f.name == "sin":
+                return True
+    return False
+
+
 def _trig_reduce(p: dict) -> dict:
     """Collapse sin(a)^2 * R against a matching cos(a)^2 * R partner.
     p itself comes back when no monomial holds sin(a)^k with k >= 2."""
-    if not any(k >= 2 and isinstance(f, Func) and f.name == "sin"
-               for m in p for f, k in m):
+    if not _sin_squared(p):
         return p
     p = dict(p)
     # least first (_mono_key); a visited monomial waits for its partner
@@ -572,22 +582,47 @@ def _mono_adjusted(m, arg, sin_exp, cos_delta):
 
 
 def _from_poly(p: dict) -> Expr:
-    """The tree of p, built in one pass over its sorted monomials.  Each
-    term and the sum is interned with its atom set, the union over its
-    factors', so atoms() walks none of them."""
+    """The tree of p, built in one pass over its monomials in _mono_key
+    order.  That order is read off per-call ranks: each distinct factor's
+    index among p's factors sorted by _key, so a monomial's key is the
+    flat tuple of its (rank, exponent) pairs, and the monomial 1, keyed
+    past every rank, comes last.  Each distinct power f^k and each
+    coefficient is interned once per call, and each term and the sum with
+    its atom set, the union over its factors', so atoms() walks none of
+    them."""
     if not p:
         return ZERO
+    ms = p
+    if len(p) > 1:
+        rank = {f: r for r, f in enumerate(
+            sorted({f for m in p for f, _ in m}, key=_key))}
+        end = (len(rank),)
+        ms = sorted(p, key=lambda m: tuple(
+            [x for f, k in m for x in (rank[f], k)]) if m else end)
     term_atoms: dict = {}   # a monomial's factors -> their atoms
+    powers: dict = {}       # (f, k) -> the node f^k
+    coefs: dict = {}        # a coefficient -> its Const
     terms = []
-    for m in sorted(p, key=_mono_key) if len(p) > 1 else p:
+    for m in ms:
         c = p[m]
         fs = tuple([f for f, _ in m])
         a = term_atoms.get(fs)
         if a is None:
             a = term_atoms[fs] = _NO_ATOMS.union(*map(atoms, fs))
-        factors = [f if k == 1 else _node(Pow, (f, k)) for f, k in m]
+        factors = []
+        for fk in m:
+            if fk[1] == 1:
+                factors.append(fk[0])
+            else:
+                f = powers.get(fk)
+                if f is None:
+                    f = powers[fk] = _node(Pow, fk)
+                factors.append(f)
         if c != 1 or not m:
-            factors.insert(0, Const(c))
+            k = coefs.get(c)
+            if k is None:
+                k = coefs[c] = Const(c)
+            factors.insert(0, k)
         term = (factors[0] if len(factors) == 1
                 else _node(Mul, (tuple(factors),)))
         object.__setattr__(term, "_atoms", a)

@@ -98,33 +98,33 @@ def _tight(sig, off, i) -> list:
 
 def determinant(matrix: Sequence[Sequence[Expr]]) -> Expr:
     """Exact determinant by memoized cofactor expansion (division-free)."""
-    n = len(matrix)
-    memo: dict = {}
+    return _minor(matrix, tuple(range(len(matrix))), {})
 
-    def det(cols: tuple) -> Expr:
-        if not cols:
-            return Const(Fraction(1))
-        got = memo.get(cols)
-        if got is not None:
-            return got
-        i = n - len(cols)
-        terms = []
-        for idx, j in enumerate(cols):
-            a = matrix[i][j]
-            if a == ZERO:
-                continue
-            sub = det(cols[:idx] + cols[idx + 1:])
-            if sub == ZERO:
-                continue
-            term: Expr = Mul((a, sub))
-            if idx % 2:
-                term = -term
-            terms.append(term)
-        r = simplify(Add(tuple(terms))) if terms else ZERO
-        memo[cols] = r
-        return r
 
-    return det(tuple(range(n)))
+def _minor(matrix, cols: tuple, memo: dict) -> Expr:
+    """The determinant of the last len(cols) rows of matrix on the columns
+    cols, memoized in memo by cols."""
+    if not cols:
+        return Const(Fraction(1))
+    got = memo.get(cols)
+    if got is not None:
+        return got
+    i = len(matrix) - len(cols)
+    terms = []
+    for idx, j in enumerate(cols):
+        a = matrix[i][j]
+        if a == ZERO:
+            continue
+        sub = _minor(matrix, cols[:idx] + cols[idx + 1:], memo)
+        if sub == ZERO:
+            continue
+        term: Expr = Mul((a, sub))
+        if idx % 2:
+            term = -term
+        terms.append(term)
+    r = simplify(Add(tuple(terms))) if terms else ZERO
+    memo[cols] = r
+    return r
 
 
 class JacobianClass(Enum):

@@ -86,8 +86,8 @@ def component_basis(parts, prober: Prober,
     parts (jacobian.components), one vector per free column in ascending
     order.  Each part not yet eliminated is eliminated in this call, with
     the prober that classified the matrix, so EliminationStuck comes from
-    it, at the first column where one sticks; each vector is verified only
-    when the returned iterator reaches it."""
+    it, at the first column where one sticks, a fresh one on every call;
+    each vector is verified only when the returned iterator reaches it."""
     done = []
     for p in parts:
         if left not in p.eliminated:
@@ -95,7 +95,7 @@ def component_basis(parts, prober: Prober,
         done.append(p.eliminated[left])
     stuck = [d[-1] for d in done if d[-1] is not None]
     if stuck:
-        raise min(stuck, key=lambda e: e.col)
+        raise EliminationStuck(*min(stuck, key=lambda s: s[0]))
     free = sorted((fc, k) for k, d in enumerate(done) for fc in d[3])
     return (_basis_vector(done[k], fc, prober) for fc, k in free)
 
@@ -103,7 +103,9 @@ def component_basis(parts, prober: Prober,
 def _eliminate(part, prober: Prober, left: bool) -> tuple:
     """Gauss-Jordan on one component's rows (columns, with left=True) as
     sparse rows: those rows as they were and as they end, the pivots (row,
-    col), the free columns, and the EliminationStuck that ended it or None."""
+    col), the free columns, and the (col, entry) where it stuck or None.
+    The record keeps no exception: one raised again would hold its last
+    traceback, and the frames there would hold the record."""
     lines = {r: {} for r in (part.cols if left else part.rows)}
     for i in part.rows:
         for j, e in part.entries[i].items():
@@ -122,7 +124,7 @@ def _eliminate(part, prober: Prober, left: bool) -> tuple:
         chosen, kind = _pivot_choice(
             [(r, m[r][col]) for r in rows if r not in pivot_rows], prober)
         if kind == "stuck":
-            return lines, m, pivots, free_cols, EliminationStuck(col, chosen)
+            return lines, m, pivots, free_cols, (col, chosen)
         if kind == "free":
             free_cols.append(col)
             continue

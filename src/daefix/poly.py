@@ -77,9 +77,15 @@ def mul(p: dict, q: dict, rules) -> dict:
 
 
 def power(p: dict, n: int, rules) -> dict:
-    """p**n for n >= 0, or for any n when p is one term.  A sum is expanded
-    by the multinomial theorem: the sum over k_1+..+k_t = n of
-    n!/(k_1!..k_t!) * prod c_r^k_r at prod m_r^k_r."""
+    """p**n for n >= 0, or for any n when p is one term.  A sum of terms
+    c_r*m_r, r = 0..last, is expanded by the multinomial theorem: the sum
+    over k_0+..+k_last = n of n!/(k_0!..k_last!) * prod c_r^k_r at
+    prod m_r^k_r.  The choices (k_0, .., k_last) are visited in ascending
+    lexicographic order, and each product is merged into the result as it
+    is visited, so that order is the result's insertion order.  A
+    product's coefficient multiplies comb(left_r, k_r) * c_r^k_r, left_r
+    the factors still to place, over the terms up to the last one with
+    k_r > 0 and no further."""
     if n == 0:
         return {(): 1}
     if n == 1 or not p:
@@ -94,29 +100,49 @@ def power(p: dict, n: int, rules) -> dict:
         exps = {f: k * n for f, k in m}
         return {m2: c2 * c for m2, c2 in rebuild(exps).items()}
     factors = sorted({f for m in p for f, _ in m}, key=order)
+    place = {f: i for i, f in enumerate(factors)}
+    # term r adds adds[r] to the exponent vector v for each factor it takes
+    adds = [[(place[f], k) for f, k in m] for m in p]
+    pows = [[c ** k for k in range(n + 1)] for c in p.values()]
     rewrite = any(map(special, p))
-    terms = [([dict(m).get(f, 0) for f in factors], c) for m, c in p.items()]
-    last = len(terms) - 1
+    last = len(p) - 1
+    # the stack: term r takes ks[r] of the factors the terms before it
+    # left, and cs[r] is the coefficient of their choices; the first
+    # choice gives all n to the last term
+    ks = [0] * last + [n]
+    cs = [1]
+    for r in range(last):
+        cs.append(cs[r] * pows[r][0])
+    v = [0] * len(factors)
+    for i, k in adds[last]:
+        v[i] += n * k
+    q = last            # the last term that takes any factor
     out: dict = {}
-
-    def spread(r, left, v, c):
-        # of the `left` factors still to place, term r takes k < left and
-        # passes on the rest, or takes them all, as the last term must
-        tv, tc = terms[r]
-        if r < last:
-            for k in range(left):
-                spread(r + 1, left - k,
-                       [a + k * b for a, b in zip(v, tv)] if k else v,
-                       c * comb(left, k) * tc ** k)
-        c *= tc ** left
+    while True:
+        c = cs[q] * pows[q][ks[q]]
         # the factors are sorted: the nonzero exponents are the monomial
-        m = tuple([(f, e) for f, a, b in zip(factors, v, tv)
-                   if (e := a + left * b)])
+        m = tuple(filter(_EXPONENT, zip(factors, v)))
         if not rewrite:
             add_term(out, m, c)
         else:
             for m, c3 in rebuild(dict(m)).items():
                 add_term(out, m, c * c3)
-
-    spread(0, n, [0] * len(factors), 1)
-    return out
+        if not q:
+            return out
+        # the next choice: term q - 1 takes one more, and the last term
+        # all that q held but that one
+        j, rest = q - 1, ks[q]
+        ks[q] = 0
+        for i, k in adds[q]:
+            v[i] -= rest * k
+        ks[j] += 1
+        for i, k in adds[j]:
+            v[i] += k
+        ks[last] = rest - 1
+        for i, k in adds[last]:
+            v[i] += (rest - 1) * k
+        # term j took ks[j] of the ks[j] + rest - 1 factors left to it
+        cs[j + 1] = cs[j] * comb(ks[j] + rest - 1, ks[j]) * pows[j][ks[j]]
+        for r in range(j + 1, last):
+            cs[r + 1] = cs[r] * pows[r][0]
+        q = last if rest > 1 else j

@@ -10,7 +10,8 @@ and the dense elimination and rank references that test_jacobian and
 test_nullspace hold the fast ones to; the fixed-point offsets that
 test_structural and test_generated hold the search to; the Fraction-only
 normal form and evaluation that test_expr holds the integer kernel to; the
-dense, cell-by-cell tables that test_output holds the sparse ones to; and
+recursive multinomial that test_poly holds poly.power to; the dense,
+cell-by-cell tables that test_output holds the sparse ones to; and
 the helpers that only tests call: con, parse_expr and validate_offsets.
 
 daefix keeps each row of Sigma and of J as {column: entry}, in ascending
@@ -719,6 +720,57 @@ def _ref_p_multinomial(p, n):
                 add(tuple((f, e) for f, e in zip(factors, vk) if e), ck)
 
     spread(0, n, [0] * len(factors), Fraction(1))
+    return out
+
+
+def ref_power(p, n, rules):
+    """poly.power as it was before its loop, the recursion over terms that
+    test_poly holds the loop to: the same dict, in the same order, with
+    the same coefficient types."""
+    if n == 0:
+        return {(): 1}
+    if n == 1 or not p:
+        return dict(p)
+    order, special, rebuild = rules
+    if len(p) == 1:
+        ((m, c),) = p.items()
+        c = Fraction(c) ** n if n < 0 else c ** n
+        if not special(m):
+            return {tuple([(f, k * n) for f, k in m]): c}
+        exps = {f: k * n for f, k in m}
+        return {m2: c2 * c for m2, c2 in rebuild(exps).items()}
+    factors = sorted({f for m in p for f, _ in m}, key=order)
+    rewrite = any(map(special, p))
+    terms = [([dict(m).get(f, 0) for f in factors], c) for m, c in p.items()]
+    last = len(terms) - 1
+    out = {}
+
+    def add(m, c):
+        s = out.get(m, 0) + c
+        if s:
+            out[m] = s
+        else:
+            out.pop(m, None)
+
+    def spread(r, left, v, c):
+        # of the `left` factors still to place, term r takes k < left and
+        # passes on the rest, or takes them all, as the last term must
+        tv, tc = terms[r]
+        if r < last:
+            for k in range(left):
+                spread(r + 1, left - k,
+                       [a + k * b for a, b in zip(v, tv)] if k else v,
+                       c * math.comb(left, k) * tc ** k)
+        c *= tc ** left
+        m = tuple([(f, e) for f, a, b in zip(factors, v, tv)
+                   if (e := a + left * b)])
+        if not rewrite:
+            add(m, c)
+        else:
+            for m, c3 in rebuild(dict(m)).items():
+                add(m, c * c3)
+
+    spread(0, n, [0] * len(factors), 1)
     return out
 
 

@@ -283,3 +283,38 @@ def test_parse_vector_error_columns(text, col, msg):
     with pytest.raises(ParseError) as ei:
         parse_vector(text, parse_dae(PENDULUM))
     assert (ei.value.line, ei.value.col, ei.value.msg) == (1, col, msg)
+
+
+@pytest.mark.parametrize("line,col,msg", [
+    ("eq f1: x + $ = 0", 12, "unexpected character '$'"),
+    ("eq f1: x' + ∑ = 0", 13, "unexpected character '∑'"),
+    # the number stops at its second point, and ".3" begins the next one
+    ("eq f1: 1.2.3*x + x' = 0", 11, "expected '=' in equation"),
+    # a tab is whitespace, one column wide
+    ("eq f1:\tx' +\t$ = 0", 13, "unexpected character '$'"),
+    ("vars\ty, $", 9, "unexpected character '$'"),
+])
+def test_malformed_lines_report_their_column(line, col, msg):
+    with pytest.raises(ParseError) as ei:
+        parse_dae("dae d\nvars x\n%s\n" % line)
+    assert (ei.value.line, ei.value.col, ei.value.msg) == (3, col, msg)
+
+
+@pytest.mark.parametrize("line", ["eq f1:\tx' + x = 0\t",
+                                  "eq f1: x' + x = 0  # a $ ∑ note"])
+def test_tabs_and_trailing_comments_parse(line):
+    raw = parse_dae("dae d\nvars x\n%s\n" % line).equations[0].raw
+    assert raw is Add((StateDeriv(0, 1), StateDeriv(0)))
+
+
+@pytest.mark.parametrize("text,col,msg", [
+    ("[1, $]", 5, "unexpected character '$'"),
+    ("[1,\t∑]", 5, "unexpected character '∑'"),
+    ("[1.2.3, 1]", 5, "unexpected trailing input"),
+    # a vector has no comments: the brackets are not stripped either
+    ("[1, 2] # c", 1, "unexpected character '['"),
+])
+def test_malformed_vectors_report_their_column(text, col, msg):
+    with pytest.raises(ParseError) as ei:
+        parse_vector(text, parse_dae(PENDULUM))
+    assert (ei.value.line, ei.value.col, ei.value.msg) == (1, col, msg)

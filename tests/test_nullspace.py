@@ -10,8 +10,8 @@ from daefix.expr import (
 )
 from daefix.jacobian import components, system_jacobian
 from daefix.nullspace import (
-    EliminationStuck, NullspaceError, cokernel_vector, kernel_basis,
-    kernel_vector, normalize_candidates, verify_nullvector,
+    EliminationStuck, NullspaceError, cokernel_vector, component_basis,
+    kernel_basis, kernel_vector, normalize_candidates, verify_nullvector,
 )
 from daefix.structural import canonical_offsets, signature_matrix
 from daefix.zerotest import Prober
@@ -165,6 +165,26 @@ def test_elimination_stuck():
     with pytest.raises(EliminationStuck) as ei:
         kernel_vector(m, Prober())
     assert ei.value.col == 0
+
+
+def test_a_kept_stuck_elimination_raises_a_fresh_error_each_call():
+    # the record keeps where it stuck, not an exception that would hold its
+    # last traceback: every call reaching it raises a new one, alike
+    a = Param("a")
+    hidden = simplify(Func("sin", 2 * a) - 2 * Func("sin", a) * Func("cos", a))
+    parts = components(checks.sparse(((ZERO, ONE, ZERO),
+                                      (ZERO, ZERO, ONE),
+                                      (hidden, ZERO, ZERO))))
+    prober = Prober()
+    raised = []
+    for _ in range(3):
+        with pytest.raises(EliminationStuck) as ei:
+            component_basis(parts, prober)
+        raised.append(ei.value)
+    assert len({id(e) for e in raised}) == 3
+    assert {(e.col, e.entry, str(e)) for e in raised} == {
+        (0, hidden, "cannot pivot column 1: entry %r is only probably zero"
+         % (hidden,))}
 
 
 @pytest.mark.parametrize("rows", [[{0: ONE, 2: ONE}, {1: ONE}],

@@ -2,10 +2,13 @@
 
 The ring identities hold on random polynomials with no rule and with the
 Gaussian rule i^2 = -1, which rebuild applies; a power equals repeated
-products; and rebuild sees exactly the products that special marks.  The
-last test checks the layering in a fresh interpreter: poly imports no
-other daefix module and names no function of the trees."""
+products and equals, dict order and coefficient types included, the
+recursion it replaced (checks.ref_power); and rebuild sees exactly the
+products that special marks.  The last test checks the layering in a
+fresh interpreter: poly imports no other daefix module and names no
+function of the trees."""
 
+import gc
 import json
 import math
 import os
@@ -18,8 +21,10 @@ from pathlib import Path
 
 import pytest
 
+from checks import ref_power
 from daefix import poly
 from daefix.poly import add_term, monomial, mul, power
+
 
 def _same(f):
     # the factors' own order
@@ -39,10 +44,10 @@ def _gaussian_rebuild(exps):
 GAUSSIAN = (_same, lambda m: any(f == "i" for f, _ in m), _gaussian_rebuild)
 
 
-def _rand_poly(rng, factors, terms=4):
+def _rand_poly(rng, factors, terms=4, exponents=(-2, -1, 1, 2, 3)):
     p = {}
     for _ in range(rng.randint(0, terms)):
-        exps = {f: rng.choice((-2, -1, 1, 2, 3))
+        exps = {f: rng.choice(exponents)
                 for f in rng.sample(factors, rng.randint(0, len(factors)))}
         if "i" in exps:
             exps["i"] = 1       # a Gaussian monomial holds i at most once
@@ -115,6 +120,56 @@ def test_power_of_a_sum_is_one_multinomial_pass(monkeypatch):
     backwards = (lambda f: -ord(f), PLAIN[1], None)
     assert set(power(p, 3, backwards)) == {
         monomial(dict(m), backwards[0]) for m in want[3]}
+
+
+@pytest.mark.parametrize("factors, rules", [
+    (("x", "y", "z"), PLAIN), ((0, 1, 2, 3), PLAIN),
+    (("i", "x", "y"), GAUSSIAN)], ids=["str", "int", "gaussian"])
+def test_power_matches_the_recursive_reference(factors, rules):
+    # the same items in the same insertion order, each coefficient of the
+    # same type: an int stays an int where the recursion kept one
+    rng = random.Random("poly-reference-%s" % (factors,))
+    merged = mixed = 0
+    for k in range(400):
+        # exponents 1 and 2 alone make products meet more often
+        p = _rand_poly(rng, list(factors), 6,
+                       (1, 2) if k % 2 else (-2, -1, 1, 2, 3))
+        n = rng.randint(0, 7)
+        got, want = power(p, n, rules), ref_power(p, n, rules)
+        assert list(got.items()) == list(want.items()), (p, n)
+        assert [type(c) for c in got.values()] == \
+            [type(c) for c in want.values()], (p, n)
+        if len(p) > 1 and len(got) < math.comb(n + len(p) - 1, n):
+            merged += 1
+        if len({type(c) for c in got.values()}) > 1:
+            mixed += 1
+    # products that meet at one monomial, and int beside Fraction
+    assert merged > 10 and mixed > 50
+
+
+def test_a_rebuild_that_raises_leaves_no_cyclic_garbage():
+    class Refused(Exception):
+        pass
+
+    def rebuild(exps):
+        if exps.get("x", 0) > 2:
+            raise Refused
+        return _gaussian_rebuild(exps)
+
+    p = {(): 1, (("i", 1),): 1, (("x", 1),): Fraction(1, 2)}
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        with pytest.raises(Refused):
+            power(p, 5, (_same, GAUSSIAN[1], rebuild))
+        assert gc.collect() == 0 and gc.garbage == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
 
 
 def test_coefficients_stay_int_until_a_denominator_appears():
