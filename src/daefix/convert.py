@@ -30,7 +30,7 @@ from itertools import zip_longest
 from typing import Optional
 
 from .expr import (ZERO, Add, Const, Expr, Mul, Pow, StateDeriv, atoms,
-                   evaluate_ex, hod, highest_orders, simplify, subst_atoms,
+                   evaluate_ex, highest_orders, simplify, subst_atoms,
                    total_derivative)
 from .jacobian import JacobianReport, classify_jacobian, system_jacobian
 from .model import DaeSystem, Record, fresh_indexed, make_equation
@@ -112,7 +112,7 @@ def lc_analyze(off: OffsetPair, u: dict, prober: Prober) -> LcAnalysis:
     c_under = min(off.c[i] for i in rows)
     # order condition: u must not involve derivatives of x_j at or above
     # order d_j - c_under, otherwise the replacement breaks the offsets;
-    # the hod of a sum as written is the largest hod of its summands
+    # the highest order in a sum as written is the largest in its summands
     ho = highest_orders(Add(tuple(u[i] for i in rows)))
     if not all(h < off.d[j] - c_under for j, h in ho.items()):
         return LcAnalysis(u, rows, c_under, (), (), False, off)
@@ -285,7 +285,7 @@ def es_apply(system: DaeSystem, analysis: EsAnalysis, pivot: int,
         base = Add((y, q))
         for k in range(r_j, off.d[j] - c_min + 1):
             rep = total_derivative(base, k - r_j)
-            if not hod(rep, j) < k:
+            if not highest_orders(rep).get(j, -1) < k:
                 raise ConvertError(
                     "substitution for %s at order %d would reintroduce an "
                     "equal or higher derivative of it"
@@ -599,7 +599,7 @@ def _forced_candidate(system, now, vector, pivot, method, prober):
 
 
 def _search_candidates(system, now, method, prober):
-    sig, off, J = now.signature, now.offsets, now.jacobian.matrix
+    sig, off = now.signature, now.offsets
 
     def basis(left, wanted):
         # the basis ends where the elimination sticks on a PROBABLY_ZERO
@@ -613,7 +613,7 @@ def _search_candidates(system, now, method, prober):
     lefts, rights = basis(True, method != "es"), None
     for _ in range(_MAX_BASIS):
         u0 = next(lefts, None)
-        us = normalize_candidates(u0, J, prober, left=True) if u0 else ()
+        us = normalize_candidates(u0, prober) if u0 else ()
         first = lc_analyze(off, us[0], prober) if us else None
         # a constant combination row wins whatever the kernel side holds
         if first is not None and first.const_rows:
@@ -621,7 +621,7 @@ def _search_candidates(system, now, method, prober):
         if rights is None:   # eliminated once a step first needs it
             rights = basis(False, method != "lc")
         v0 = next(rights, None)
-        vs = normalize_candidates(v0, J, prober) if v0 else ()
+        vs = normalize_candidates(v0, prober) if v0 else ()
         if not us and not vs:
             break
         for idx, (u_c, v_c) in enumerate(zip_longest(us, vs)):

@@ -326,17 +326,9 @@ def atoms(e: Expr) -> frozenset:
     return r
 
 
-def hod(e: Expr, index: int):
-    """Highest derivative order of state `index` in e as written (the formal
-    signature entry); NEG_INF when absent.  Pass simplify(e) for the true one."""
-    return max((a.order for a in atoms(e)
-                if isinstance(a, StateDeriv) and a.index == index),
-               default=NEG_INF)
-
-
 def highest_orders(e: Expr) -> dict:
-    """{j: hod(e, j)} over the states e holds, in ascending j, from one pass
-    over atoms(e), which holds every state derivative the tree holds."""
+    """{j: highest order of state j in e as written} in ascending j, from one
+    pass over atoms(e), which holds every state derivative the tree holds."""
     row: dict = {}
     for a in atoms(e):
         if isinstance(a, StateDeriv) and a.order > row.get(a.index, -1):

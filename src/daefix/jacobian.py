@@ -20,9 +20,9 @@ blocks' determinants (the split DAESA makes, Pryce, Nedialkov and Tan
 2015).  A block of at most DET_BOUND rows is expanded exactly; a larger one
 is decided by rank probes at random rational points, which prove full rank
 but can only suspect singularity.  A probe evaluates only the block's
-nonzero entries, into sparse rows {col: (num, den)}, and its elimination
-touches only nonzeros, modulo a prime first and in Fractions only when
-that leaves the rank short.
+nonzero entries, into sparse rows {col: (num, den)}, and eliminates them
+modulo a prime, touching only nonzeros: full rank modulo 2^61 - 1 or else
+2^31 - 1 is full rank over Q, and a point short under both proves nothing.
 
 After a conversion step J carries what the rows the step kept
 determine.  Row i of J depends only on f_i and on which of its finite
@@ -52,7 +52,7 @@ from .zerotest import Prober, probe_points
 
 DET_BOUND = 8
 _RANK_POINTS = 3
-_PRIME = 2 ** 61 - 1
+_PRIMES = (2 ** 61 - 1, 2 ** 31 - 1)
 
 
 def system_jacobian(system: DaeSystem, sig: SignatureMatrix,
@@ -286,7 +286,7 @@ def _full_rank(part, rows, cols, n, prober: Prober) -> bool:
         for (i, j, _), (num, den, _) in zip(entries, evals):
             if num:
                 block[i][j] = (num, den)
-        if _fraction_rank(block) == m:
+        if any(_modular_rank(block, p) == m for p in _PRIMES):
             if not all(ex for _, _, ex in evals):
                 prober.uncertain_seen = True
             return True
@@ -294,44 +294,18 @@ def _full_rank(part, rows, cols, n, prober: Prober) -> bool:
     return False
 
 
-def _fraction_rank(rows: List[Dict[int, tuple]]) -> int:
-    """Rank of sparse rows {col: (num, den)}, left as they are, each value
-    num/den nonzero with den > 0.  Full row rank modulo _PRIME is full rank
-    over Q (a minor nonzero mod p is nonzero); short of it, or when p
-    divides a denominator, the rows are eliminated in Fractions.  Each row
-    is reduced by the rows kept so far, each under its leading column."""
-    if _modular_rank(rows) == len(rows):
-        return len(rows)
-    kept: Dict[int, Dict[int, Fraction]] = {}
-    for row in rows:
-        row = {c: Fraction(num, d) for c, (num, d) in row.items()}
-        while row:
-            lead = min(row)
-            pivot = kept.get(lead)
-            if pivot is None:
-                kept[lead] = row
-                break
-            f = row[lead] / pivot[lead]
-            for c, x in pivot.items():
-                v = row.get(c, 0) - f * x
-                if v:
-                    row[c] = v
-                else:
-                    del row[c]
-    return len(kept)
-
-
-def _modular_rank(rows: List[Dict[int, tuple]]) -> Optional[int]:
-    """The rank of rows modulo _PRIME, None when p divides a denominator.
-    A kept row is scaled to a leading 1, which it does not store."""
+def _modular_rank(rows: List[Dict[int, tuple]], p: int) -> Optional[int]:
+    """The rank modulo the prime p of sparse rows {col: (num, den)}, None
+    when p divides a denominator.  A row is reduced by the rows kept so far;
+    a kept row is scaled to a leading 1, which it does not store."""
     dens = {d for row in rows for _, d in row.values()}
-    if any(d % _PRIME == 0 for d in dens):
+    if any(d % p == 0 for d in dens):
         return None
-    inverse = {d: pow(d, -1, _PRIME) for d in dens}
+    inverse = {d: pow(d, -1, p) for d in dens}
     kept: Dict[int, Dict[int, int]] = {}
     for row in rows:
         r = {c: x for c, (num, d) in row.items()
-             if (x := num * inverse[d] % _PRIME)}
+             if (x := num * inverse[d] % p)}
         # least column first: a reduction adds only columns past its lead
         cols = sorted(r)
         while cols:
@@ -340,13 +314,13 @@ def _modular_rank(rows: List[Dict[int, tuple]]) -> Optional[int]:
             if f is None:   # cancelled
                 continue
             if lead not in kept:
-                s = pow(f, -1, _PRIME)
-                kept[lead] = {c: x * s % _PRIME for c, x in r.items()}
+                s = pow(f, -1, p)
+                kept[lead] = {c: x * s % p for c, x in r.items()}
                 break
             for c, x in kept[lead].items():
                 if c not in r:   # f * x is nonzero mod p
                     heapq.heappush(cols, c)
-                if v := (r.get(c, 0) - f * x) % _PRIME:
+                if v := (r.get(c, 0) - f * x) % p:
                     r[c] = v
                 else:
                     del r[c]

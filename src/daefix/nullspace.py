@@ -12,9 +12,9 @@ ring.  No update combines rows of two components of the support
 per side, and keeps its elimination: after a conversion step only the
 components the step touched are eliminated.  Each row is kept as its
 nonzero entries, so an update touches only the columns of the two rows it
-combines.  Pivot choice consults the zero tester; a column whose only
-nonzero candidates are merely *probably* zero cannot be pivoted or skipped
-safely, which surfaces as EliminationStuck.
+combines.  A pivot is the first constant candidate, else the first one
+proven nonzero, with no zero test asked past it; a column whose candidates
+are all merely *probably* zero surfaces as EliminationStuck.
 """
 
 from __future__ import annotations
@@ -43,26 +43,20 @@ class EliminationStuck(NullspaceError):
 
 
 def _pivot_choice(entries, prober: Prober):
-    """Among (row, expr) candidates pick the pivot: proven-nonzero constants
-    first, then proven-nonzero expressions, smallest row index deciding ties;
-    the candidates hold no ZERO.  Returns (row, kind), kind 'pivot', 'free'
-    or 'stuck'."""
-    const_rows = []
-    expr_rows = []
+    """Among (row, expr) candidates, which hold no ZERO, pick the pivot:
+    the first constant, else the first expression proven nonzero, with no
+    verdict asked past it.  Returns (row, kind), kind 'pivot', 'free' or
+    'stuck' (with the first probably-zero entry in place of the row)."""
+    for r, e in entries:
+        if isinstance(e, Const):
+            return r, "pivot"
     saw_probable = None
     for r, e in entries:
         v = prober.verdict(e)
         if v.proven_nonzero:
-            if isinstance(e, Const):
-                const_rows.append(r)
-            else:
-                expr_rows.append(r)
-        elif v.probably_zero and saw_probable is None:
+            return r, "pivot"
+        if v.probably_zero and saw_probable is None:
             saw_probable = e
-    if const_rows:
-        return const_rows[0], "pivot"
-    if expr_rows:
-        return expr_rows[0], "pivot"
     if saw_probable is not None:
         return saw_probable, "stuck"
     return None, "free"
@@ -131,9 +125,9 @@ def _eliminate(part, prober: Prober, left: bool) -> tuple:
         p = chosen
         pv, prow = m[p][col], m[p]
         for r in rows:
-            e = m[r][col]
-            if r == p or prober.verdict(e).proven_zero:
+            if r == p:
                 continue
+            e = m[r][col]
             # the pivot column cancels by construction and is dropped
             row = {}
             for k in (m[r].keys() | prow.keys()) - {col}:
@@ -211,14 +205,13 @@ def _verified(entries, residuals, prober: Prober) -> bool:
                     for r in residuals)
 
 
-def normalize_candidates(vec, matrix, prober: Prober,
-                         left: bool = False) -> list:
+def normalize_candidates(vec, prober: Prober) -> list:
     """Orderly list of rescalings of a verified null vector.
 
     The original, then the vector divided by each proven-nonzero entry
-    (constant 1 excepted), then a cleared-denominator form.  A rescaling by
-    a proven-nonzero scalar is a null vector too, so only a cleared form
-    whose multiplier is not proven nonzero is verified against the matrix.
+    (constant 1 excepted), then a cleared-denominator form.  Each is a
+    multiple of vec, so a null vector once it is not zero: the cleared form
+    is kept when its multiplier or one of its entries is proven nonzero.
     Duplicates drop, and candidates with more constant entries sort first
     (stable, so the original leads ties)."""
     def scaled(f):
@@ -236,8 +229,8 @@ def normalize_candidates(vec, matrix, prober: Prober,
     if bases:
         clear = bases[0] if len(bases) == 1 else Mul(tuple(bases))
         cleared = scaled(clear)
-        if prober.verdict(clear).proven_nonzero or verify_nullvector(
-                matrix, cleared, prober, left=left):
+        if prober.verdict(clear).proven_nonzero or any(
+                prober.verdict(e).proven_nonzero for e in cleared.values()):
             cands.append(cleared)
     # dicts cannot be hashed: their items in ascending index stand in
     out = list({tuple(c.items()): c for c in cands}.values())

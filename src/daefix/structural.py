@@ -84,7 +84,7 @@ def signature_rows(system: DaeSystem, formal: bool = False,
                    prior=None) -> tuple:
     """True signatures come from the normal form, formal ones from the raw
     trees, where cancelled derivatives still count.  One pass over each
-    row's atoms: entry j is hod(tree, j) for the tree of the mode, since
+    row's atoms: the row is highest_orders of the tree of the mode, since
     expr = simplify(raw).  Rows that prior (see signature_matrix) keeps
     are its very dicts."""
     kept, old = ((), ()) if prior is None else (prior.system.equations,

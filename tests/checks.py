@@ -27,7 +27,8 @@ from daefix.expr import (ATOM_TYPES, NEG_INF, ZERO, Add, Const, DomainError,
                          DrivingFn, Func, Mul, Param, Pow, StateDeriv,
                          TimeVar, _TERM_CAP, _exact_func, _key, _mono_key,
                          _rounded_call, _rounded_pow, evaluate_ex, format_expr,
-                         hod, partial, simplify, total_derivative)
+                         highest_orders, partial, simplify, total_derivative,
+                         walk)
 from daefix.model import DaeSystem, fresh_indexed, make_equation
 from daefix.nullspace import EliminationStuck
 from daefix.structural import OffsetPair, _matching, signature_matrix
@@ -43,6 +44,16 @@ def sparse(dense_rows):
     are left out."""
     return tuple({j: e for j, e in enumerate(row)
                   if e is not ZERO and e != NEG_INF} for row in dense_rows)
+
+
+def walk_orders(tree):
+    """{j: highest order of state j} over every node of tree, in ascending
+    j: the reference for highest_orders, which reads the memoised atoms."""
+    row = {}
+    for node in walk(tree):
+        if isinstance(node, StateDeriv):
+            row[node.index] = max(node.order, row.get(node.index, -1))
+    return dict(sorted(row.items()))
 
 
 def dense(rows, fill):
@@ -188,7 +199,7 @@ def rand_expr(rng, depth=3):
 
 
 def derivative_shift_holds(rng):
-    """d(D^p f)/dx_j^(k+p) = df/dx_j^(k) at k = hod(x_j, f).
+    """d(D^p f)/dx_j^(k+p) = df/dx_j^(k) at k, the highest order of x_j in f.
 
     Returns None for draws that cannot exercise the identity: the variable
     does not occur, or the expression hides a division by zero.
@@ -196,7 +207,7 @@ def derivative_shift_holds(rng):
     f = rand_expr(rng)
     j = rng.randrange(3)
     try:
-        k = hod(simplify(f), j)
+        k = highest_orders(simplify(f)).get(j, NEG_INF)
         if k == NEG_INF:
             return None
         p = rng.randint(1, 3)
@@ -451,22 +462,19 @@ def rand_sparse_matrix(rng, n, density):
 
 
 def _dense_pivot_choice(entries, prober):
-    const_rows = []
-    expr_rows = []
+    """The first constant, else the first entry proven nonzero, over the
+    entries that are not ZERO, with no verdict asked past the pivot."""
+    entries = [(r, e) for r, e in entries if e is not ZERO]
+    for r, e in entries:
+        if isinstance(e, Const):
+            return r, "pivot"
     saw_probable = None
     for r, e in entries:
         v = prober.verdict(e)
         if v.proven_nonzero:
-            if isinstance(e, Const):
-                const_rows.append(r)
-            else:
-                expr_rows.append(r)
-        elif v.probably_zero and saw_probable is None:
+            return r, "pivot"
+        if v.probably_zero and saw_probable is None:
             saw_probable = e
-    if const_rows:
-        return const_rows[0], "pivot"
-    if expr_rows:
-        return expr_rows[0], "pivot"
     if saw_probable is not None:
         return saw_probable, "stuck"
     return None, "free"
@@ -494,7 +502,7 @@ def dense_kernel_vector(matrix, prober, basis_index=0):
             if r == p:
                 continue
             e = m[r][col]
-            if prober.verdict(e).proven_zero:
+            if e is ZERO:
                 continue
             m[r] = [simplify(Mul((pv, m[r][k])) - Mul((e, m[p][k])))
                     for k in range(n)]

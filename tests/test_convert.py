@@ -14,7 +14,8 @@ from daefix.convert import (ConditionRejected, ConvertError, EsAnalysis,
 from daefix import corpus
 from daefix.corpus import load, names as corpus_names
 from daefix.dsl import parse_dae
-from daefix.expr import NEG_INF, ZERO, Add, Const, StateDeriv, hod, simplify
+from daefix.expr import (NEG_INF, ZERO, Add, Const, StateDeriv, highest_orders,
+                         simplify)
 from daefix.jacobian import determinant, system_jacobian
 from daefix.model import DaeSystem, make_equation
 from daefix.structural import OffsetPair, canonical_offsets, signature_matrix
@@ -136,7 +137,8 @@ def test_lc_order_bound_after_replacement():
     a = st.application.analysis
     fbar = st.system.equations[st.pivot].expr
     for j in range(s.n):
-        assert hod(simplify(fbar), j) < a.off.d[j] - a.c_under
+        assert highest_orders(simplify(fbar)).get(j, NEG_INF) \
+            < a.off.d[j] - a.c_under
 
 
 def test_lc_pivot_must_sit_at_minimal_offset():
@@ -629,6 +631,24 @@ def test_one_elimination_per_side_and_two_verifications_per_step(
     assert eliminated == [(p, True) for p in expected]
     assert len(set(eliminated)) == len(eliminated) == 2 * k - 1
     assert len(verified) == k
+
+
+@pytest.mark.parametrize("draw, status, value, steps", [
+    (205, "ill_posed", NEG_INF, 2), (280, "success", 7, 1),
+    (296, "success", 5, 1)])
+def test_an_unread_zero_test_leaves_no_draw_unverified(draw, status, value,
+                                                       steps):
+    """Draws of checks.rand_factor_system(random.Random(1002)) in the
+    formal mode that were unverified only through zero tests no decision
+    read: on the entry a row update cancels and, for draw 205, on pivot
+    candidates past the first proven one."""
+    rng = random.Random(1002)
+    for _ in range(draw):
+        checks.rand_factor_text(rng)
+    r = fix_dae(checks.rand_factor_system(rng), Prober(), formal=True)
+    assert (r.status.value, r.final_value, len(r.steps)) == (status, value,
+                                                              steps)
+    assert not r.uncertain
 
 
 @pytest.fixture

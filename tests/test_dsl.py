@@ -7,7 +7,7 @@ from daefix.convert import analyze
 from daefix.dsl import ParseError, emit_dae, parse_dae, parse_vector
 from daefix.expr import (
     Add, Const, DrivingFn, Mul, Param, Pow, StateDeriv, format_expr,
-    hod, simplify, walk,
+    highest_orders, simplify, walk,
 )
 from daefix.jacobian import JacobianClass
 from daefix.zerotest import Prober
@@ -70,7 +70,7 @@ def test_rhs_literal_zero_keeps_lhs_as_raw():
 def test_primes_and_diff():
     s = parse_dae("dae d\nvars x\neq f1: x''' + diff(x,4) + diff(x'',3) = 0\n")
     e = s.equations[0].raw
-    assert hod(e, 0) == 5
+    assert highest_orders(e) == {0: 5}
 
 
 def test_diff_of_compound_applies_total_derivative():
@@ -79,7 +79,7 @@ def test_diff_of_compound_applies_total_derivative():
     assert simplify(raw) == simplify(
         StateDeriv(0, 1) * StateDeriv(1) + StateDeriv(0) * StateDeriv(1, 1))
     # the raw tree keeps both product-rule terms even if one later cancels
-    assert hod(raw, 0) == 1
+    assert highest_orders(raw)[0] == 1
 
 
 def test_driving_function_forms():

@@ -16,7 +16,7 @@ from daefix.expr import (
     FUNCS, NEG_INF, ZERO, Add, Const, DomainError, DrivingFn, Func,
     MissingBinding, Mul, Param, Pow, StateDeriv, TimeVar, _key,
     _mono_from_exps, _p_mul, _p_pow, _poly, _trig_reduce, atoms, derivative,
-    evaluate_ex, format_expr, hod, highest_orders, partial, simplify,
+    evaluate_ex, format_expr, highest_orders, partial, simplify,
     subst_atoms, total_derivative, walk,
 )
 
@@ -132,11 +132,10 @@ def test_simplify_idempotent():
 
 def test_hod_true_vs_formal():
     e = xd + y - xd  # x' cancels
-    assert hod(e, 0) == 1
-    assert hod(simplify(e), 0) == NEG_INF
-    assert hod(simplify(e), 1) == 0
-    assert hod(simplify(x * yd ** 2 + xdd), 0) == 2
-    assert hod(simplify(con(5)), 0) == NEG_INF
+    assert highest_orders(e) == {0: 1, 1: 0}
+    assert highest_orders(simplify(e)) == {1: 0}
+    assert highest_orders(simplify(x * yd ** 2 + xdd)) == {0: 2, 1: 1}
+    assert highest_orders(simplify(con(5))) == {}
 
 
 def test_highest_orders_is_hod_in_every_column():
@@ -149,7 +148,7 @@ def test_highest_orders_is_hod_in_every_column():
             pass
         for tree in trees:
             got = highest_orders(tree)
-            assert got == checks.sparse([[hod(tree, j) for j in range(3)]])[0]
+            assert got == checks.walk_orders(tree)
             assert list(got) == sorted(got)
 
 

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,12 +13,12 @@ from daefix.cli import main
 from daefix.dsl import parse_dae
 from daefix.expr import (
     Add, Const, Func, Mul, NEG_INF, Param, Pow, StateDeriv, TimeVar,
-    ZERO, hod, partial, simplify, total_derivative, walk,
+    ZERO, highest_orders, partial, simplify, total_derivative, walk,
 )
 import daefix.jacobian
 import daefix.structural
 from daefix.jacobian import (
-    DET_BOUND, JacobianClass, _PRIME, _fraction_rank, _modular_rank, _odd,
+    DET_BOUND, JacobianClass, _PRIMES, _full_rank, _modular_rank, _odd,
     classify_jacobian, determinant, system_jacobian,
 )
 from daefix.structural import (
@@ -249,7 +250,7 @@ def test_derivative_shifts_leading_partial():
     while checked < 200:
         f = rand_expr(rng.randint(1, 3))
         j = rng.choice([0, 1])
-        s = hod(simplify(f), j)
+        s = highest_orders(simplify(f)).get(j, NEG_INF)
         if s == float("-inf"):
             continue
         p = rng.randint(1, 3)
@@ -339,6 +340,9 @@ def test_chain_analysis_differentiates_each_summand_once(
     capsys.readouterr()
 
 
+P, Q = _PRIMES
+
+
 def _pair(x, k=1):
     """x as the pair (num, den) of a rank probe, scaled by k."""
     return x.numerator * k, x.denominator * k
@@ -362,32 +366,39 @@ def test_fraction_rank_matches_dense_reference():
         sparse = [{j: _pair(x, rng.randint(1, 3)) for j, x in enumerate(row)
                    if x} for row in rows]
         before = [dict(row) for row in sparse]
-        rank = _fraction_rank(sparse)
+        # no minor of these small entries is a nonzero multiple of a prime
+        rank = _modular_rank(sparse, P)
         assert rank == dense_fraction_rank(rows)
-        # no minor of these small entries is a nonzero multiple of the prime
-        assert _modular_rank(sparse) == rank
+        assert _modular_rank(sparse, Q) == rank
         assert sparse == before
         ranks.add((rank == min(n_rows, n_cols), rank))
     assert {r for full, r in ranks if not full} >= {0, 1, 2, 3}
 
 
 @pytest.mark.parametrize("rows, rank", [
-    # det = p: singular modulo the prime, not over Q
-    ([[_PRIME + 1, 1], [1, 1]], 2),
-    ([[_PRIME + 1, 0, 1], [0, 1, 0], [1, 0, 1]], 3),
-    # a denominator the prime divides has no value modulo it
-    ([[Fraction(1, _PRIME), 1], [1, 1]], 2),
-    ([[Fraction(1, _PRIME), 1], [Fraction(2, _PRIME), 2]], 1),
+    # det = P: singular modulo the first prime, not over Q
+    ([[P + 1, 1], [1, 1]], 2),
+    ([[P + 1, 0, 1], [0, 1, 0], [1, 0, 1]], 3),
+    # a denominator the first prime divides has no value modulo it
+    ([[Fraction(1, P), 1], [1, 1]], 2),
+    ([[Fraction(1, P), 1], [Fraction(2, P), 2]], 1),
     # singular over Q as well
-    ([[_PRIME, 1], [2 * _PRIME, 2]], 1),
+    ([[P, 1], [2 * P, 2]], 1),
 ])
 def test_the_exact_elimination_decides_what_the_prime_cannot(rows, rank):
-    """Short of full rank modulo the prime, or with a denominator it
-    divides, the rank is the one the Fractions give."""
+    """Short of full rank modulo the first prime, or with a denominator it
+    divides, the second prime gives the rank over Q, and a rank probe of
+    the constant matrix proves full rank through it."""
     rows = [[Fraction(x) for x in row] for row in rows]
     sparse = [{j: _pair(x) for j, x in enumerate(row) if x} for row in rows]
-    assert _modular_rank(sparse) != len(rows)
-    assert _fraction_rank(sparse) == rank == dense_fraction_rank(rows)
+    assert _modular_rank(sparse, P) != len(rows)
+    assert _modular_rank(sparse, Q) == rank == dense_fraction_rank(rows)
+    n = len(rows)
+    part = SimpleNamespace(entries=[{j: Const(x) for j, x in enumerate(row)
+                                     if x} for row in rows])
+    p = Prober()
+    assert _full_rank(part, range(n), range(n), n, p) == (rank == n)
+    assert p.uncertain_seen == (rank < n)
 
 
 # ---------------------------------------------------------------------------
@@ -553,26 +564,21 @@ def test_only_the_large_block_is_rank_probed(monkeypatch):
     # entries above the diagonal blocks couple them without merging them
     m[0][3] = one
     m[2][n + 3] = t
-    calls = {"_fraction_rank": [], "_modular_rank": []}
+    calls = []
+    rank = daefix.jacobian._modular_rank
 
-    def counting(name):
-        rank = getattr(daefix.jacobian, name)
-
-        def counted(rows):
-            calls[name].append((len(rows), rank(rows)))
-            return calls[name][-1][1]
-        monkeypatch.setattr(daefix.jacobian, name, counted)
-
-    for name in calls:
-        counting(name)
+    def counted(rows, p):
+        calls.append((len(rows), p, rank(rows, p)))
+        return calls[-1][-1]
+    monkeypatch.setattr(daefix.jacobian, "_modular_rank", counted)
     p = Prober()
     rep = classify_jacobian(sparse(m), p)
     assert rep.klass is JacobianClass.GENERICALLY_NONSINGULAR
     assert rep.det is None
     assert not p.uncertain_seen
-    # one elimination, modulo the prime, whose full rank leaves the
-    # Fractions out
-    assert calls == {"_fraction_rank": [(n, n)], "_modular_rank": [(n, n)]}
+    # one elimination, modulo the first prime, whose full rank leaves the
+    # second out
+    assert calls == [(n, P, n)]
 
 
 def test_matching_and_blocks_do_not_recurse():

@@ -10,8 +10,9 @@ from daefix.expr import (
 )
 from daefix.jacobian import components, system_jacobian
 from daefix.nullspace import (
-    EliminationStuck, NullspaceError, cokernel_vector, component_basis,
-    kernel_basis, kernel_vector, normalize_candidates, verify_nullvector,
+    EliminationStuck, NullspaceError, _pivot_choice, cokernel_vector,
+    component_basis, kernel_basis, kernel_vector, normalize_candidates,
+    verify_nullvector,
 )
 from daefix.structural import canonical_offsets, signature_matrix
 from daefix.zerotest import Prober
@@ -206,7 +207,7 @@ def test_normalize_candidates_ordering():
     J = jac(LC_EXAMPLE)
     p = Prober()
     u = cokernel_vector(J, p)
-    cands = normalize_candidates(u, J, p, left=True)
+    cands = normalize_candidates(u, p)
     # the original leads: it ties on constant count with its -1 rescaling
     assert cands[0] == u
     x1, x2 = StateDeriv(0), StateDeriv(1)
@@ -225,21 +226,51 @@ def test_normalize_candidates_clears_denominators():
     p = Prober()
     v = kernel_vector(m, p)
     # v = (-x^-1, 1) up to scaling; the cleared form (-1, x) must appear
-    cands = normalize_candidates(v, m, p)
+    cands = normalize_candidates(v, p)
     cleared = {0: Const(Fraction(-1)), 1: simplify(x)}
     scaled_first = {0: Const(Fraction(1)), 1: simplify(-x)}
     assert cleared in cands or scaled_first in cands
 
 
 def test_normalize_skips_unit_entry_rescale():
-    m = checks.sparse(((ZERO, ZERO), (ZERO, ZERO)))
     p = Prober()
     v = {0: Const(Fraction(1)), 1: Const(Fraction(2))}
-    cands = normalize_candidates(v, m, p)
+    cands = normalize_candidates(v, p)
     assert cands[0] == v
     assert {0: Const(Fraction(1, 2)), 1: Const(Fraction(1))} in cands
     # rescaling by the literal 1 would duplicate the original
     assert len([c for c in cands if c == v]) == 1
+
+
+class CountingProber(Prober):
+    """A Prober that records every expression it is asked about."""
+
+    def __init__(self):
+        super().__init__()
+        self.asked = []
+
+    def verdict(self, e):
+        self.asked.append(e)
+        return super().verdict(e)
+
+
+def test_pivot_choice_asks_no_verdict_past_its_pivot():
+    x, hidden = simplify(StateDeriv(0)), checks.HIDDEN_ZERO
+    two = Const(Fraction(2))
+    p = CountingProber()
+    # a constant pivots at once, ahead of every expression
+    assert _pivot_choice([(0, hidden), (1, x), (2, two), (3, ONE)],
+                         p) == (2, "pivot")
+    assert p.asked == []
+    # the first expression proven nonzero pivots, and none after it is asked
+    assert _pivot_choice([(0, hidden), (1, x), (2, simplify(x * x)),
+                          (3, hidden)], p) == (1, "pivot")
+    assert p.asked == [hidden, x]
+    # with no proof the column sticks on its first probably-zero entry
+    p = CountingProber()
+    assert _pivot_choice([(4, hidden)], p) == (hidden, "stuck")
+    assert p.asked == [hidden] and p.uncertain_seen
+    assert _pivot_choice([], p) == (None, "free")
 
 
 def _basis_or_stuck(vectors):
@@ -395,7 +426,7 @@ def test_normalize_candidates_are_null_vectors():
             for vec in basis:
                 cleared += any(isinstance(e, Pow) and e.exponent < 0
                                for x in vec.values() for e in walk(x))
-                for cand in normalize_candidates(vec, J, p, left=left):
+                for cand in normalize_candidates(vec, p):
                     checks.assert_vector_form(cand, len(J))
                     assert verify_nullvector(J, cand, p, left=left), case
                     checked += 1
