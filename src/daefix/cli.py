@@ -77,60 +77,63 @@ def _prober(args) -> Prober:
 
 def _write_json(args, doc):
     """Writes the bytes of json.dump(doc, fh, indent=2) and a newline,
-    streamed: Python walks the dicts and the lists that hold containers,
-    and each list of scalars is one call of the C encoder, whose item
-    separator carries the line break and the indent of its depth.  The
-    keys of doc are str."""
+    streamed: Python walks the containers and joins a list of scalars
+    from the texts of its items, a table row from the text of its fill
+    and those of its nonzeros.  The keys of doc are str."""
     if args.json_path:
         with open(args.json_path, "w") as fh:
-            _dump(doc, fh.write, {}, 0)
+            _dump(doc, fh.write, 0)
             fh.write("\n")
 
 
-# the exact types that json writes the same from C as from Python
+# the exact types that json writes as scalars
 _SCALARS = frozenset((str, int, float, bool, type(None)))
 
 
-def _flat(items) -> bool:
-    """Whether items are all scalars.  The set of items is small where a
-    row repeats one value, and a list or dict in it cannot be hashed."""
-    try:
-        return _SCALARS.issuperset(map(type, set(items)))
-    except TypeError:
-        return False
+class _Row(list):
+    """A table row of n cells: the values of the {column: value} dict
+    sparse, and fill elsewhere; fill and the values are scalars."""
+
+    __slots__ = ("sparse", "fill")
+
+    def __init__(self, sparse, n, fill):
+        super().__init__([fill] * n)
+        for j, value in sparse.items():
+            self[j] = value
+        self.sparse, self.fill = sparse, fill
 
 
-def _encoder(separator):
-    """json's text of a scalar or of a list of scalars, its items apart by
-    separator: the C encoder, made once.  JSONEncoder.encode would make a
-    new one per call, which costs more than a short list."""
-    if json.encoder.c_make_encoder is None:  # no C accelerator
-        return json.JSONEncoder(separators=(separator, ": ")).encode
-    encode = json.encoder.c_make_encoder(
-        None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
-        None, ": ", separator, False, False, True)
-    return lambda value: "".join(encode(value, 0))
+def _text(value):
+    """json's text of a scalar or of an empty container."""
+    if type(value) is str:
+        return json.encoder.encode_basestring_ascii(value)
+    if type(value) is int:
+        return str(value)
+    return "null" if value is None else json.dumps(value)
 
 
-def _dump(value, write, encoders, depth):
-    """json's indent=2 form of value at nesting depth, through write;
-    encoders holds one encoder per depth, made on first use.  An item that
-    is the very container of an earlier item is written from its text."""
+def _dump(value, write, depth):
+    """json's indent=2 form of value at nesting depth, through write.  An
+    item that is the very container of an earlier item is written from
+    its text."""
     inner = "\n" + "  " * (depth + 1)
     if isinstance(value, dict) and value:
         brackets, items = "{}", [(json.encoder.encode_basestring_ascii(key)
                                   + ": ", item) for key, item in value.items()]
-    elif isinstance(value, (list, tuple)) and value and not _flat(value):
-        brackets, items = "[]", [("", item) for item in value]
+    elif not isinstance(value, (list, tuple)) or not value:
+        return write(_text(value))
+    elif type(value) is _Row:
+        # the row of fill texts, with the texts of the nonzeros put in
+        texts = [_text(value.fill)] * len(value)
+        for j, item in value.sparse.items():
+            texts[j] = _text(item)
+        return write("[%s%s%s]" % (inner, ("," + inner).join(texts),
+                                   inner[:-2]))
+    elif _SCALARS.issuperset(map(type, value)):
+        return write("[%s%s%s]" % (inner, ("," + inner).join(
+            map(_text, value)), inner[:-2]))
     else:
-        encode = encoders.get(depth)
-        if encode is None:
-            encode = encoders[depth] = _encoder("," + inner)
-        text = encode(value)
-        if isinstance(value, (list, tuple)) and value:
-            text = "[%s%s%s]" % (inner, text[1:-1], inner[:-2])
-        write(text)
-        return
+        brackets, items = "[]", [("", item) for item in value]
     ids = [id(item) for _, item in items]
     texts = {i: None for i in ids if ids.count(i) > 1} \
         if len(set(ids)) < len(ids) else {}
@@ -139,11 +142,11 @@ def _dump(value, write, encoders, depth):
         write(sep + head)
         sep = "," + inner
         if id(item) not in texts:
-            _dump(item, write, encoders, depth + 1)
+            _dump(item, write, depth + 1)
             continue
         if texts[id(item)] is None:
             parts: list = []
-            _dump(item, parts.append, encoders, depth + 1)
+            _dump(item, parts.append, depth + 1)
             texts[id(item)] = "".join(parts)
         write(texts[id(item)])
     write(inner[:-2] + brackets[1])
@@ -156,19 +159,8 @@ def _num(v):
     return v
 
 
-def _dense(rows, n, fill):
-    """n-long lists from the {column: value} dicts rows, fill elsewhere."""
-    out = []
-    for row in rows:
-        cells = [fill] * n
-        for j, value in row.items():
-            cells[j] = value
-        out.append(cells)
-    return out
-
-
 def _sigma_json(sig):
-    entries = _dense(sig.rows, sig.n, None)
+    entries = [_Row(row, sig.n, None) for row in sig.rows]
     hvt = [[i + 1, j + 1] for i, j in sig.hvt] if sig.hvt else None
     return {"entries": entries, "hvt": hvt,
             "value": None if not sig.swp else sig.value}
@@ -272,7 +264,7 @@ def cmd_analyze(args) -> int:
         structural_index=structural_index(off),
         dof=degrees_of_freedom(off),
         scheme=_scheme_json(system, scheme),
-        jacobian=_dense(jac_entries, system.n, "0"),
+        jacobian=[_Row(row, system.n, "0") for row in jac_entries],
         determinant=det_str,
         classification=rep.klass.value,
         uncertain=prober.uncertain_seen,

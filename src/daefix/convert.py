@@ -387,8 +387,9 @@ def choose_method(lc, es, prober: Prober):
 
     Constant pivots are preferred since they preserve solutions globally:
     a constant combination row wins outright; otherwise a constant
-    substitution column; otherwise whichever method still applies, the
-    substitution side needing a proven-nonzero entry to divide by.
+    substitution column; otherwise whichever method still applies on a
+    proven-nonzero entry, which a substitution divides by and without
+    which a combination would drop the equation it replaces.
     """
     L = lc.candidates if lc is not None else ()
     L_hat = lc.const_rows if lc is not None else ()
@@ -397,10 +398,11 @@ def choose_method(lc, es, prober: Prober):
     J_hat = es.const_cols if usable else ()
     if L_hat:
         return MethodKind.LC, min(L_hat)
-    if L:
-        if J_hat:
-            return MethodKind.ES, min(J_hat)
-        return MethodKind.LC, min(L)
+    if L and J_hat:
+        return MethodKind.ES, min(J_hat)
+    for i in L:
+        if prober.verdict(lc.u[i]).proven_nonzero:
+            return MethodKind.LC, i
     if J_hat:
         return MethodKind.ES, min(J_hat)
     for j in Jset:

@@ -9,14 +9,15 @@
 Expressions use + - * / ^ with integer exponents, primes up to ''' for
 derivatives (diff(x,k) beyond that), and driving functions always in call
 form: h1(t), h1'(t), diff(h1(t),4).  '#' starts a comment.  Decimal literals
-are read exactly (9.8 is the rational 49/5).
+are read exactly (9.8 is the rational 49/5).  A line is read as the texts of
+its tokens, from one scan; a column is computed only when an error needs one.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import List, NamedTuple, Optional
+from typing import List, Optional
 
 from .expr import (
     FUNCS, Add, Const, DomainError, DrivingFn, Expr, Func, Mul, Param,
@@ -33,193 +34,208 @@ class ParseError(ValueError):
         self.col = col
 
 
-# one token after any whitespace; a character no token starts with is bad
+# One token after any whitespace.  Group 1 holds the token's text; a
+# character no token starts with matches with group 1 empty, and is bad.
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<name>[A-Za-z_]\w*)"
-    r"|(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<prime>'+)"
-    r"|(?P<op>[-+*/^(),=:])"
-    r"|(?P<bad>\S))"
+    r"\s*(?:([A-Za-z_]\w*"
+    r"|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+    r"|'+"
+    r"|[-+*/^(),=:])"
+    r"|\S)"
 )
 
-
-class _Tok(NamedTuple):
-    kind: str   # name | num | prime | op | end
-    text: str
-    col: int
+# the kinds of tokens by a first character no name or digit has
+_KINDS = dict.fromkeys("-+*/^(),=:", "op")
+_KINDS.update({"'": "prime", ".": "num", "": "end"})
 
 
-def _tokenize(s: str, line: int, col0: int = 1) -> List[_Tok]:
-    """The tokens of s in one scan, with their columns; trailing
-    whitespace matches no token and ends the scan."""
-    out = []
-    for m in _TOKEN_RE.finditer(s):
-        kind = m.lastgroup
-        if kind == "bad":
-            raise ParseError("unexpected character %r" % m[kind], line,
-                             col0 + m.start(kind))
-        out.append(_Tok(kind, m[kind], col0 + m.start(kind)))
-    out.append(_Tok("end", "", col0 + len(s)))
-    return out
+def _kind(text: str) -> str:
+    """name, num, prime, op or end: a token's kind, read from its text."""
+    c = text[:1]
+    return _KINDS.get(c) or ("num" if c.isdecimal() else "name")
 
 
-def _product(factors: List[Expr]) -> Expr:
-    return factors[0] if len(factors) == 1 else Mul(tuple(factors))
+def _tokens(text: str, line: int, col0: int = 1) -> List[str]:
+    """The texts of the tokens of text, from one scan, and "" after the
+    last; trailing whitespace matches no token."""
+    toks = _TOKEN_RE.findall(text)
+    if "" in toks:
+        col = _column(text, col0, toks.index(""))
+        raise ParseError("unexpected character %r" % text[col - col0],
+                         line, col)
+    toks.append("")
+    return toks
+
+
+def _column(text: str, col0: int, k: int) -> int:
+    """The column of token k of text, or of its end past the last token:
+    text is scanned again, since only an error needs a column."""
+    for m in _TOKEN_RE.finditer(text):
+        if not k:
+            return col0 + (m.start(1) if m[1] else m.end() - 1)
+        k -= 1
+    return col0 + len(text)
 
 
 class _ExprParser:
-    """Precedence-climbing parser over one tokenized line.
+    """Recursive-descent parser over the token texts of one line, read by
+    index i.  A run of + and - becomes one n-ary Add, and a run of * and /
+    one n-ary Mul, so a long sum or product is one node deep; ^ binds
+    tighter and acts on the run's last factor, and a sign on the power
+    after it.
 
     names is the (variable -> index, parameter set, input set) triple of
-    the names declared so far; the parser only reads it."""
+    the names declared so far; the parser only reads it.  text is the
+    line from column col0 on, and parsing starts at its token i."""
 
-    def __init__(self, toks: List[_Tok], line: int, names):
-        self.toks = toks
-        self.i = 0
+    def __init__(self, text: str, line: int, names, col0: int = 1,
+                 i: int = 0):
+        self.toks = _tokens(text, line, col0)
+        self.i = i
         self.line = line
+        self.text, self.col0 = text, col0
         self.vars, self.params, self.inputs = names
 
-    def peek(self) -> _Tok:
-        return self.toks[self.i]
+    def fail(self, msg: str, k: Optional[int] = None):
+        """Raises msg at token k, by default the next one."""
+        raise ParseError(msg, self.line, _column(
+            self.text, self.col0, self.i if k is None else k))
 
-    def next(self) -> _Tok:
-        t = self.toks[self.i]
-        self.i += 1
-        return t
+    def expect(self, op: str):
+        i = self.i
+        self.i = i + 1
+        if self.toks[i] != op:
+            self.fail("expected %r" % op, i)
 
-    def expect_op(self, op: str) -> _Tok:
-        t = self.next()
-        if t.kind != "op" or t.text != op:
-            raise ParseError("expected %r" % op, self.line, t.col)
-        return t
-
-    def fail(self, msg: str, tok: Optional[_Tok] = None):
-        tok = tok or self.peek()
-        raise ParseError(msg, self.line, tok.col)
-
-    _BP = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30}
-
-    def parse(self, min_bp: int = 0) -> Expr:
-        """The expression at binding power min_bp and above.  A run of + and
-        - at one level becomes one n-ary Add, and a run of * and / one
-        n-ary Mul, so a long sum or product is one node deep; ^ binds
-        tighter and acts on the run's last factor."""
-        terms = []
-        factors = [self.unary()]
-        while True:
-            t = self.peek()
-            if t.kind != "op" or t.text not in self._BP:
-                break
-            bp = self._BP[t.text]
-            if bp < min_bp:
-                break
-            self.next()
-            if t.text == "^":
-                factors[-1] = Pow(factors[-1], self.integer_exponent())
-                continue
-            rhs = self.parse(bp + 1)
-            if t.text in "+-":
-                terms.append(_product(factors))
-                factors = [rhs if t.text == "+" else -rhs]
-            elif t.text == "*":
-                factors.append(rhs)
-            elif isinstance(rhs, Const):
-                if rhs.value == 0:
-                    self.fail("division by zero", t)
-                factors.append(Const(Fraction(1) / rhs.value))
-            else:
-                factors.append(Pow(rhs, -1))
-        terms.append(_product(factors))
+    def parse(self) -> Expr:
+        """The sum from the next token on, one term per product."""
+        terms = [self.product()]
+        while self.toks[self.i] in ("+", "-"):
+            sign = self.toks[self.i]
+            self.i += 1
+            term = self.product()
+            terms.append(term if sign == "+" else -term)
         return terms[0] if len(terms) == 1 else Add(tuple(terms))
 
-    def integer_exponent(self) -> int:
-        neg = False
-        t = self.next()
-        if t.kind == "op" and t.text == "(":
-            n = self.integer_exponent()
-            self.expect_op(")")
-            return n
-        if t.kind == "op" and t.text == "-":
-            neg = True
-            t = self.next()
-        if t.kind != "num" or not t.text.isdigit():
-            raise ParseError("exponent must be an integer literal", self.line, t.col)
-        return -int(t.text) if neg else int(t.text)
+    def product(self) -> Expr:
+        toks = self.toks
+        factors = [self.operand()]
+        while True:
+            i = self.i
+            t = toks[i]
+            if t == "*":
+                self.i = i + 1
+                factors.append(self.operand())
+            elif t == "^":
+                self.i = i + 1
+                factors[-1] = Pow(factors[-1], self.integer_exponent())
+            elif t == "/":
+                self.i = i + 1
+                rhs = self.power()
+                if not isinstance(rhs, Const):
+                    factors.append(Pow(rhs, -1))
+                elif rhs.value == 0:
+                    self.fail("division by zero", i)
+                else:
+                    factors.append(Const(Fraction(1) / rhs.value))
+            else:
+                return factors[0] if len(factors) == 1 \
+                    else Mul(tuple(factors))
 
-    def unary(self) -> Expr:
-        t = self.peek()
-        if t.kind == "op" and t.text == "-":
-            self.next()
-            return -self.parse(25)
-        if t.kind == "op" and t.text == "+":
-            self.next()
-            return self.parse(25)
-        return self.primary()
+    def power(self) -> Expr:
+        """An operand and the powers it is raised to."""
+        e = self.operand()
+        while self.toks[self.i] == "^":
+            self.i += 1
+            e = Pow(e, self.integer_exponent())
+        return e
 
-    def primary(self) -> Expr:
-        t = self.next()
-        if t.kind == "op" and t.text == "(":
+    def operand(self) -> Expr:
+        """A signed power, or a primary before its powers."""
+        i = self.i
+        t = self.toks[i]
+        self.i = i + 1
+        j = self.vars.get(t)
+        if j is not None:
+            return StateDeriv(j, self.primes())
+        if t == "(":
             e = self.parse()
-            self.expect_op(")")
+            self.expect(")")
             return e
-        if t.kind == "num":
-            return Const(Fraction(t.text))
-        if t.kind == "name":
-            return self.named(t)
-        self.fail("expected an expression", t)
+        if t == "-":
+            return -self.power()
+        if t == "+":
+            return self.power()
+        kind = _kind(t)
+        if kind == "num":
+            return Const(int(t) if t.isdigit() else Fraction(t))
+        if kind == "name":
+            return self.named(t, i)
+        self.fail("expected an expression", i)
+
+    def integer_exponent(self) -> int:
+        i = self.i
+        t = self.toks[i]
+        self.i = i + 1
+        if t == "(":
+            n = self.integer_exponent()
+            self.expect(")")
+            return n
+        neg = t == "-"
+        i += neg
+        t = self.toks[i]
+        self.i = i + 1
+        if not t.isdigit():
+            self.fail("exponent must be an integer literal", i)
+        return -int(t) if neg else int(t)
 
     def primes(self) -> int:
-        t = self.peek()
-        if t.kind == "prime":
-            self.next()
-            if len(t.text) > 3:
-                raise ParseError("more than three primes; use diff(...,k)",
-                                 self.line, t.col)
-            return len(t.text)
-        return 0
+        t = self.toks[self.i]
+        if t[:1] != "'":
+            return 0
+        if len(t) > 3:
+            self.fail("more than three primes; use diff(...,k)")
+        self.i += 1
+        return len(t)
 
-    def named(self, t: _Tok) -> Expr:
-        name = t.text
+    def named(self, name: str, i: int) -> Expr:
+        """The node of name, token i, a name no variable has."""
         if name == "t":
             return TimeVar()
         if name == "diff":
             return self.diff_call()
         if name in FUNCS:
-            self.expect_op("(")
+            self.expect("(")
             arg = self.parse()
-            self.expect_op(")")
+            self.expect(")")
             return Func(name, arg)
-        if name in self.vars:
-            return StateDeriv(self.vars[name], self.primes())
         if name in self.inputs:
             order = self.primes()
-            nxt = self.peek()
-            if not (nxt.kind == "op" and nxt.text == "("):
+            if self.toks[self.i] != "(":
                 self.fail("driving function %s must be applied to t: %s(t)"
-                          % (name, name), t)
-            self.next()
-            arg = self.next()
-            if arg.kind != "name" or arg.text != "t":
-                raise ParseError("driving functions take t only", self.line, arg.col)
-            self.expect_op(")")
+                          % (name, name), i)
+            self.i += 1
+            if self.toks[self.i] != "t":
+                self.fail("driving functions take t only")
+            self.i += 1
+            self.expect(")")
             return DrivingFn(name, order)
         if name in self.params:
-            if self.peek().kind == "prime":
-                self.fail("parameter %s is constant and cannot be differentiated"
-                          % name, t)
+            if self.toks[self.i][:1] == "'":
+                self.fail("parameter %s is constant and cannot be "
+                          "differentiated" % name, i)
             return Param(name)
-        self.fail("unknown name %r" % name, t)
+        self.fail("unknown name %r" % name, i)
 
     def diff_call(self) -> Expr:
-        self.expect_op("(")
+        self.expect("(")
         inner = self.parse()
-        self.expect_op(",")
-        k_tok = self.peek()
+        self.expect(",")
+        k_start = self.i
         k = self.integer_exponent()
         if k < 0:
-            raise ParseError("derivative order must be nonnegative",
-                             self.line, k_tok.col)
-        self.expect_op(")")
+            self.fail("derivative order must be nonnegative", k_start)
+        self.expect(")")
         if isinstance(inner, StateDeriv):
             return StateDeriv(inner.index, inner.order + k)
         if isinstance(inner, DrivingFn):
@@ -227,14 +243,14 @@ class _ExprParser:
         return total_derivative(inner, k)
 
     def at_end(self) -> bool:
-        return self.peek().kind == "end"
+        return not self.toks[self.i]
 
 
 def _system_parser(text: str, system: DaeSystem, line: int,
                    col0: int = 1) -> _ExprParser:
     names = ({nm: j for j, nm in enumerate(system.var_names)},
              {p for p, _ in system.params}, set(system.input_names))
-    return _ExprParser(_tokenize(text, line, col0), line, names)
+    return _ExprParser(text, line, names, col0)
 
 
 def parse_vector(text: str, system: DaeSystem) -> List[Expr]:
@@ -252,26 +268,28 @@ def parse_vector(text: str, system: DaeSystem) -> List[Expr]:
         raise ParseError("empty vector", 1, 1)
     entries = []
     while True:
-        start = p.peek()
+        start = p.i
         try:
             entries.append(simplify(p.parse()))
         except DomainError as err:
-            raise ParseError(str(err), 1, start.col) from err
+            raise ParseError(str(err), 1, _column(body, col0, start)) from err
         if p.at_end():
             return entries
-        if p.peek().text != ",":
+        if p.toks[p.i] != ",":
             p.fail("unexpected trailing input")
-        p.next()
+        p.i += 1
 
 
 _NAME_ONLY = re.compile(r"[A-Za-z_]\w*$")
 
 
-def _check_name(name: str, line: int, col: int):
-    if not _NAME_ONLY.match(name):
-        raise ParseError("invalid name %r" % name, line, col)
-    if name in RESERVED:
-        raise ParseError("%r is reserved" % name, line, col)
+def _declared_name(p: _ExprParser, k: int, what: str) -> str:
+    """Token k of p, checked as the name of a declaration."""
+    if _kind(p.toks[k]) != "name":
+        p.fail("expected %s" % what, k)
+    if p.toks[k] in RESERVED:
+        p.fail("%r is reserved" % p.toks[k], k)
+    return p.toks[k]
 
 
 def parse_dae(text: str) -> DaeSystem:
@@ -281,15 +299,11 @@ def parse_dae(text: str) -> DaeSystem:
     input_names: list = []
     equations: list = []
     # the parser's name tables, grown with each declaration
-    var_table: dict = {}
-    param_table: set = set()
-    input_table: set = set()
-    names = (var_table, param_table, input_table)
+    names = var_table, param_table, input_table = {}, set(), set()
     for line_no, raw_line in enumerate(text.splitlines(), 1):
-        line = raw_line.split("#", 1)[0].rstrip()
-        if not line.strip():
+        stripped = raw_line.split("#", 1)[0].strip()
+        if not stripped:
             continue
-        stripped = line.strip()
         head = stripped.split(None, 1)[0]
         if sys_name is None:
             if head != "dae":
@@ -302,79 +316,66 @@ def parse_dae(text: str) -> DaeSystem:
         if head == "dae":
             raise ParseError("duplicate 'dae' line", line_no, 1)
         if head in ("vars", "params", "input"):
-            toks = _tokenize(stripped[len(head):], line_no, len(head) + 1)
+            body = stripped[len(head):]
+            p = _ExprParser(body, line_no, names, len(head) + 1)
+            toks = p.toks
             i = 0
-            while toks[i].kind != "end":
-                t = toks[i]
-                if t.kind != "name":
-                    raise ParseError("expected a name", line_no, t.col)
-                _check_name(t.text, line_no, t.col)
+            while toks[i]:
+                name = _declared_name(p, i, "a name")
                 i += 1
-                if head == "params" and toks[i].kind == "op" and toks[i].text == "=":
+                value = None
+                if head == "params" and toks[i] == "=":
+                    negative = toks[i + 1] == "-"
+                    i += 1 + negative
+                    if _kind(toks[i]) != "num":
+                        p.fail("expected a number", i)
+                    value = Fraction(toks[i])
                     i += 1
-                    negative = False
-                    if toks[i].kind == "op" and toks[i].text == "-":
-                        negative = True
+                    if toks[i] == "/":
                         i += 1
-                    if toks[i].kind != "num":
-                        raise ParseError("expected a number", line_no, toks[i].col)
-                    v = Fraction(toks[i].text)
-                    i += 1
-                    if toks[i].kind == "op" and toks[i].text == "/":
-                        slash = toks[i]
+                        if not toks[i].isdigit():
+                            p.fail("expected an integer denominator", i)
+                        if not int(toks[i]):
+                            p.fail("division by zero", i - 1)
+                        value /= int(toks[i])
                         i += 1
-                        if toks[i].kind != "num" or not toks[i].text.isdigit():
-                            raise ParseError("expected an integer denominator",
-                                             line_no, toks[i].col)
-                        if not int(toks[i].text):
-                            raise ParseError("division by zero", line_no,
-                                             slash.col)
-                        v /= Fraction(toks[i].text)
-                        i += 1
-                    params.append((t.text, -v if negative else v))
-                    param_table.add(t.text)
-                elif head == "params":
-                    params.append((t.text, None))
-                    param_table.add(t.text)
+                    value = -value if negative else value
+                if head == "params":
+                    params.append((name, value))
+                    param_table.add(name)
                 elif head == "vars":
-                    var_table[t.text] = len(var_names)
-                    var_names.append(t.text)
+                    var_table[name] = len(var_names)
+                    var_names.append(name)
                 else:
-                    input_table.add(t.text)
-                    input_names.append(t.text)
-                if toks[i].kind == "op" and toks[i].text == ",":
+                    input_table.add(name)
+                    input_names.append(name)
+                if toks[i] == ",":
                     i += 1
-                elif toks[i].kind != "end":
-                    raise ParseError("expected ',' or end of line", line_no,
-                                     toks[i].col)
+                elif toks[i]:
+                    p.fail("expected ',' or end of line", i)
             continue
         if head == "eq":
-            toks = _tokenize(stripped[2:], line_no, 3)
-            if toks[0].kind != "name":
-                raise ParseError("expected an equation name", line_no, toks[0].col)
-            eq_name = toks[0].text
-            _check_name(eq_name, line_no, toks[0].col)
-            if toks[1].kind != "op" or toks[1].text != ":":
-                raise ParseError("expected ':' after equation name", line_no,
-                                 toks[1].col)
-            p = _ExprParser(toks[2:], line_no, names)
+            body = stripped[2:]
+            p = _ExprParser(body, line_no, names, 3, 2)
+            toks = p.toks
+            eq_name = _declared_name(p, 0, "an equation name")
+            if toks[1] != ":":
+                p.fail("expected ':' after equation name", 1)
             lhs = p.parse()
-            eq_tok = p.next()
-            if eq_tok.kind != "op" or eq_tok.text != "=":
-                raise ParseError("expected '=' in equation", line_no, eq_tok.col)
-            rhs_start = p.peek()
+            if toks[p.i] != "=":
+                p.fail("expected '=' in equation")
+            p.i += 1
+            rhs_start = toks[p.i]
             rhs = p.parse()
             if not p.at_end():
                 p.fail("unexpected trailing input")
-            if isinstance(rhs, Const) and rhs.value == 0 \
-                    and rhs_start.kind == "num":
-                raw = lhs
-            else:
-                raw = Add((lhs, -rhs))
+            zero = isinstance(rhs, Const) and rhs.value == 0 \
+                and _kind(rhs_start) == "num"
+            raw = lhs if zero else Add((lhs, -rhs))
             try:
                 equations.append(make_equation(eq_name, raw))
             except DomainError as err:
-                raise ParseError(str(err), line_no, toks[2].col) from err
+                raise ParseError(str(err), line_no, _column(body, 3, 2)) from err
             continue
         raise ParseError("unknown directive %r" % head, line_no, 1)
     if sys_name is None:

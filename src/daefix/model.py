@@ -2,14 +2,16 @@
 
 A DaeSystem is immutable and validated when it is built; with_equations
 checks only the equations it does not keep from the system it extends.
+Names are checked once per distinct atom, on the memoised atoms(raw)
+set; only an equation that fails is walked, to name its first offender.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .expr import (DrivingFn, Expr, Frozen, Param, StateDeriv, bind_fields,
-                   simplify, walk)
+from .expr import (DrivingFn, Expr, Frozen, Param, StateDeriv, atoms,
+                   bind_fields, simplify, walk)
 
 RESERVED = {"t", "dae", "vars", "params", "input", "eq",
             "sin", "cos", "exp", "ln", "sqrt", "diff"}
@@ -119,19 +121,20 @@ class DaeSystem(Record):
         param_names = {p for p, _ in self.params}
         inputs = set(self.input_names)
         n = len(self.var_names)
+
+        def undeclared(node):
+            if isinstance(node, StateDeriv) and not 0 <= node.index < n:
+                return "state %d" % node.index
+            if isinstance(node, Param) and node.name not in param_names:
+                return "parameter %r" % node.name
+            if isinstance(node, DrivingFn) and node.name not in inputs:
+                return "input %r" % node.name
         for eq in self.equations:
-            if id(eq) in kept:
-                continue
-            for node in walk(eq.raw):
-                if isinstance(node, StateDeriv) and not 0 <= node.index < n:
-                    raise ModelError("equation %s uses undeclared state %d"
-                                     % (eq.name, node.index))
-                if isinstance(node, Param) and node.name not in param_names:
-                    raise ModelError("equation %s uses undeclared parameter %r"
-                                     % (eq.name, node.name))
-                if isinstance(node, DrivingFn) and node.name not in inputs:
-                    raise ModelError("equation %s uses undeclared input %r"
-                                     % (eq.name, node.name))
+            if id(eq) not in kept and any(map(undeclared, atoms(eq.raw))):
+                # the first offender as written names the error
+                first = next(filter(None, map(undeclared, walk(eq.raw))))
+                raise ModelError("equation %s uses undeclared %s"
+                                 % (eq.name, first))
 
     @property
     def n(self) -> int:

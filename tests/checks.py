@@ -11,8 +11,10 @@ test_nullspace hold the fast ones to; the fixed-point offsets that
 test_structural and test_generated hold the search to; the Fraction-only
 normal form and evaluation that test_expr holds the integer kernel to; the
 recursive multinomial that test_poly holds poly.power to; the dense,
-cell-by-cell tables that test_output holds the sparse ones to; and
-the helpers that only tests call: con, parse_expr and validate_offsets.
+cell-by-cell tables that test_output holds the sparse ones to; the
+tokenizer with kinds and columns, and the random lines, that test_dsl
+holds the front end to; and the helpers that only tests call: con,
+parse_expr and validate_offsets.
 
 daefix keeps each row of Sigma and of J as {column: entry}, in ascending
 columns.  The references here read dense n x n input, and Sigma through
@@ -20,9 +22,11 @@ sig.entry(i, j); sparse and dense convert between the two forms.
 """
 
 import math
+import re
 from fractions import Fraction
+from typing import NamedTuple
 
-from daefix.dsl import _system_parser, parse_dae
+from daefix.dsl import ParseError, _system_parser, parse_dae
 from daefix.expr import (ATOM_TYPES, NEG_INF, ZERO, Add, Const, DomainError,
                          DrivingFn, Func, Mul, Param, Pow, StateDeriv,
                          TimeVar, _TERM_CAP, _exact_func, _key, _mono_key,
@@ -933,3 +937,102 @@ def reference_render_jacobian(system, matrix) -> str:
                          else format_expr(entry, system.var_names))
         rows.append(cells)
     return reference_grid(headers, rows)
+
+
+# ---------------------------------------------------------------------------
+# the front end's tokens
+
+# one token after any whitespace; a character no token starts with is bad
+_REF_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<name>[A-Za-z_]\w*)"
+    r"|(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<prime>'+)"
+    r"|(?P<op>[-+*/^(),=:])"
+    r"|(?P<bad>\S))"
+)
+
+
+class Tok(NamedTuple):
+    kind: str   # name | num | prime | op | end
+    text: str
+    col: int
+
+
+def reference_tokenize(s, line, col0=1):
+    """The tokens of s with their kinds and columns, from the named groups
+    of one scan; trailing whitespace matches no token and ends the scan."""
+    out = []
+    for m in _REF_TOKEN_RE.finditer(s):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError("unexpected character %r" % m[kind], line,
+                             col0 + m.start(kind))
+        out.append(Tok(kind, m[kind], col0 + m.start(kind)))
+    out.append(Tok("end", "", col0 + len(s)))
+    return out
+
+
+# Pieces of the random lines: declared, reserved and unknown names, a name
+# that \w continues past ASCII; numbers, malformed ones and a Unicode
+# digit, which \d reads; primes, operators, whitespace with tabs; and
+# characters no token starts with, among them a superscript digit, which
+# str.isdigit would take for a number.
+_PIECES = (
+    "x", "y", "lam", "G", "h1", "t", "sin", "exp", "diff", "eq", "vars",
+    "x\u00e91", "_a", "x1", "q",
+    "0", "1", "12", "1.5", "1.2.3", "1e5", "1E-2", ".5", "5.", "\u0663",
+    "0.0", "2e",
+    "'", "''", ", '",
+    "+", "-", "*", "/", "^", "(", ")", ",", "=", ":", "+", "-", "*", "(",
+    ")", ",",
+    " ", " ", "  ", "\t",
+    "\u00b2", "$", "\u00e9", ".", "[", "]", ";", "@",
+)
+_LEAVES = ("x", "y''", "lam'", "G", "h1(t)", "h1'(t)", "t", "2", "1.5",
+           ".5", "1e5", "\u0663", "0", "diff(x, 4)", "diff(h1(t),2)")
+
+
+def _rand_expr_text(rng, depth):
+    r = rng.random()
+    if depth == 0 or r < 0.3:
+        return rng.choice(_LEAVES)
+    a, b = _rand_expr_text(rng, depth - 1), _rand_expr_text(rng, depth - 1)
+    if r < 0.6:
+        return "%s %s %s" % (a, rng.choice("+-*/"), b)
+    if r < 0.7:
+        return "(%s)" % a
+    if r < 0.8:
+        return "-" + a
+    if r < 0.9:
+        return "%s(%s)" % (rng.choice(("sin", "cos", "exp", "ln", "sqrt")), a)
+    return "%s^%s" % (a, rng.choice(("2", "-1", "(3)", "(-2)", "0")))
+
+
+def rand_line(rng):
+    """A random line in the style of one kind of input: an equation, a
+    declaration or a vector.  Half are made of the pieces above, half are
+    well formed, and a piece is put into half of those."""
+    kind = rng.randrange(4)
+    if rng.random() < 0.5:
+        body = "".join(rng.choices(_PIECES, k=rng.randrange(1, 14)))
+        head = ("eq f: ", "vars ", "params ", "[")[kind]
+    elif kind == 0:
+        head = "eq f: "
+        body = "%s = %s" % (_rand_expr_text(rng, 3), rng.choice(
+            ("0", "0.0", "(0)", "h1(t)", _rand_expr_text(rng, 2))))
+    elif kind == 1:
+        head = rng.choice(("vars ", "input "))
+        body = ", ".join(rng.choices(("z", "w", "u1", "v_2"), k=3))
+    elif kind == 2:
+        head = "params "
+        body = ", ".join(rng.choice(("k", "m = 2", "c = -1/3", "d = 1.5e-2",
+                                     "e = 4/0", "f = 2/1.5"))
+                         for _ in range(rng.randrange(1, 4)))
+    else:
+        head = "["
+        body = ", ".join(_rand_expr_text(rng, 2)
+                         for _ in range(rng.randrange(1, 4)))
+    if rng.random() < 0.5:
+        at = rng.randrange(len(body) + 1)
+        body = body[:at] + rng.choice(_PIECES) + body[at:]
+    return head + body + ("]" if head == "[" and rng.random() < 0.8 else "")

@@ -419,6 +419,22 @@ def test_choice_substitution_needs_provable_divisor():
     assert choose_method(None, stuck, p) is None
 
 
+def test_choice_skips_a_combination_pivot_not_proven_nonzero():
+    # replacing a row whose entry is zero as a function drops its equation
+    hidden = pe("sin(2*x1) - 2*sin(x1)*cos(x1)",
+                parse_dae("dae h\nvars x1, x2\neq f1: x1 = 0\neq f2: x2 = 0"))
+    p = Prober()
+    assert p.verdict(hidden).probably_zero
+    lc = _lc((hidden, StateDeriv(1, 0)), cands=(0, 1), consts=())
+    assert choose_method(lc, None, p) == (MethodKind.LC, 1)
+    es = _es((StateDeriv(0, 0), StateDeriv(1, 0)), cols=(0, 1), consts=())
+    assert choose_method(lc, es, p) == (MethodKind.LC, 1)
+    # with no proven candidate the choice falls through to substitution
+    lc = _lc((hidden, hidden), cands=(0, 1), consts=())
+    assert choose_method(lc, es, p) == (MethodKind.ES, 0)
+    assert choose_method(lc, None, p) is None
+
+
 def test_choice_nothing_applies():
     p = Prober()
     lc = _lc((StateDeriv(0, 0),), cands=(), consts=(), ok=False)
@@ -678,21 +694,23 @@ def test_one_system_built_per_substitution_step(built):
 def test_a_substitution_step_walks_only_the_rows_it_writes(monkeypatch):
     import daefix.model
     s = parse_dae(checks.brenan_blocks(8))
-    walked = []
-    original = daefix.model.walk
+    checked = []
+    original = daefix.model.atoms
 
     def counted(e):
-        walked.append(e)
+        checked.append(e)
         return original(e)
 
-    monkeypatch.setattr(daefix.model, "walk", counted)
+    # names are checked on the atoms of each equation a system does not
+    # keep from the one it extends
+    monkeypatch.setattr(daefix.model, "atoms", counted)
     report = fix_dae(s, method="es", max_steps=1)
     app = report.steps[0].application
     rows = app.system.equations
     # the kept rows were checked when s was built; appending a state
     # leaves them valid
     assert (len(rows), app.rewritten, len(app.renamed)) == (17, (0, 1), 1)
-    assert walked == [rows[0].raw, rows[1].raw, rows[16].raw]
+    assert checked == [rows[0].raw, rows[1].raw, rows[16].raw]
     assert app.system.var_names == s.var_names + (app.renamed[0].var_name,)
 
 

@@ -1,10 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+import checks
 from checks import parse_expr, pendulum_chain
 from daefix.convert import analyze
-from daefix.dsl import ParseError, emit_dae, parse_dae, parse_vector
+from daefix.dsl import (ParseError, _column, _kind, _tokens, emit_dae,
+                        parse_dae, parse_vector)
 from daefix.expr import (
     Add, Const, DrivingFn, Mul, Param, Pow, StateDeriv, format_expr,
     highest_orders, simplify, walk,
@@ -318,3 +321,98 @@ def test_malformed_vectors_report_their_column(text, col, msg):
     with pytest.raises(ParseError) as ei:
         parse_vector(text, parse_dae(PENDULUM))
     assert (ei.value.line, ei.value.col, ei.value.msg) == (1, col, msg)
+
+
+def _error(call, *args):
+    try:
+        call(*args)
+    except ParseError as err:
+        return err.msg, err.line, err.col
+    return None
+
+
+def test_tokens_match_the_reference_on_random_lines():
+    """Over 200,000 random lines the front end gives the reference's token
+    texts and kinds, or its error on a bad character, and the column it
+    finds again for a token is the one the reference kept."""
+    rng = random.Random(35)
+    bad = 0
+    for k in range(200_000):
+        line = checks.rand_line(rng)
+        col0 = 1 + k % 5
+        try:
+            ref = checks.reference_tokenize(line, 7, col0)
+        except ParseError as err:
+            assert _error(_tokens, line, 7, col0) \
+                == (err.msg, err.line, err.col), line
+            bad += 1
+            continue
+        toks = _tokens(line, 7, col0)
+        assert toks == [t.text for t in ref], line
+        assert [_kind(t) for t in toks] == [t.kind for t in ref], line
+        j = k % len(ref)
+        assert _column(line, col0, j) == ref[j].col, (line, j)
+    assert 20_000 < bad < 180_000
+
+
+_DECLARED = "dae d\nvars x, y, lam\nparams G = 1\ninput h1\n"
+# a system's own errors are reported at its last line
+_EQUATIONS = "eq e1: x = 0\neq e2: y = 0\neq e3: lam = 0\n"
+
+
+def test_front_end_errors_fall_on_reference_columns():
+    """A line that fails in parse_dae or parse_vector fails at a column
+    the reference tokens hold, or with the reference's own error."""
+    system = parse_dae(_DECLARED + _EQUATIONS)
+    rng = random.Random(36)
+    errors = 0
+    for _ in range(20_000):
+        line = checks.rand_line(rng)
+        if line.startswith("["):
+            # parse_vector strips the text, then a pair of brackets
+            body, col0 = line.strip(), 1
+            if body.endswith("]"):
+                body, col0 = body[1:-1], 2
+            got = _error(parse_vector, line, system)
+            line_no = 1
+        else:
+            head = line.split(None, 1)[0]
+            body, col0 = line.strip()[len(head):], len(head) + 1
+            got = _error(parse_dae, _DECLARED + line + "\n" + _EQUATIONS)
+            line_no = 5
+        try:
+            cols = {t.col for t in checks.reference_tokenize(body, line_no,
+                                                             col0)}
+        except ParseError as err:
+            assert got == (err.msg, err.line, err.col), line
+            continue
+        if got is None or got[1] != line_no or got[0] == "empty vector":
+            continue
+        assert got[2] in cols, (line, got)
+        errors += 1
+    assert errors > 2_000
+
+
+@pytest.mark.parametrize("line, want", [
+    # \w continues a name past ASCII, and \d reads a Unicode digit
+    ("eq f: xé1 = 0", ("unknown name 'xé1'", 3, 7)),
+    ("eq f: ٣*x + x' = 0", None),
+    # a superscript digit is no digit to \d, nor does a token start with
+    # it, but \w continues a name with it
+    ("eq f: ² + x' = 0", ("unexpected character '²'", 3, 7)),
+    ("eq f: x² + x' = 0", ("unknown name 'x²'", 3, 7)),
+    ("eq f: .5*x + x' = 0", None),
+    ("eq f: 1e5*x + 1.*x + x' = 0", None),
+    ("eq f: x'''' = 0", ("more than three primes; use diff(...,k)", 3, 8)),
+])
+def test_names_digits_and_primes_at_the_edges(line, want):
+    assert _error(parse_dae, "dae d\nvars x\n%s\n" % line) == want
+
+
+def test_an_integer_literal_is_the_interned_constant():
+    raw = parse_dae("dae d\nvars x\neq f: 3*x + 3.0 + ٣ + x' = 0\n"
+                    ).equations[0].raw
+    three = raw.children[0].children[0]
+    assert three is Const(Fraction(3)) is raw.children[1] \
+        is raw.children[2]
+    assert type(three.value) is Fraction

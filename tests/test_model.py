@@ -43,17 +43,18 @@ def test_with_equations_walks_only_the_equations_it_adds(monkeypatch):
     import daefix.model
     s = parse_dae("dae m\nvars a, b\nparams k = 2\ninput h\n"
                   "eq f1: a' + k*b - h(t) = 0\neq f2: a + b = 0\n")
-    walked = []
-    original = daefix.model.walk
+    checked = []
+    original = daefix.model.atoms
 
     def counted(e):
-        walked.append(e)
+        checked.append(e)
         return original(e)
 
-    monkeypatch.setattr(daefix.model, "walk", counted)
+    # names are checked on the atoms of each equation not kept
+    monkeypatch.setattr(daefix.model, "atoms", counted)
     new = make_equation("f2", Add((x, -y)))
     s2 = s.with_equations([s.equations[0], new])
-    assert walked == [new.raw]
+    assert checked == [new.raw]
     assert s2.equations == (s.equations[0], new)
     assert (s2.var_names, s2.params, s2.input_names) \
         == (s.var_names, s.params, s.input_names)
@@ -71,6 +72,26 @@ def test_with_equations_checks_the_equations_it_adds(text, message):
     with pytest.raises(ModelError, match=message):
         s.with_equations([make_equation("f1", wider.equations[0].raw),
                           s.equations[1]])
+
+
+@pytest.mark.parametrize("first, second, message", [
+    ("q", "r", "parameter 'q'"), ("r", "q", "parameter 'r'"),
+    ("q", "g(t)", "parameter 'q'"), ("g(t)", "q", "input 'g'"),
+    ("c'", "q", "state 2"), ("q", "c'", "parameter 'q'"),
+    ("sin(g(t)*c)", "r", "input 'g'"), ("r*sin(g(t)*c)", "1", "parameter 'r'"),
+])
+def test_the_first_undeclared_name_as_written_is_named(first, second,
+                                                       message):
+    # the atoms of an equation form a set; the error names the offender
+    # that comes first in preorder, whatever the order of that set
+    s = _sys2()
+    wider = parse_dae("dae w\nvars a, b, c\nparams q, r\ninput g\n"
+                      "eq e1: a + %s + %s = 0\neq e2: b = 0\neq e3: c = 0\n"
+                      % (first, second))
+    with pytest.raises(ModelError) as ei:
+        s.with_equations([s.equations[0],
+                          make_equation("f2", wider.equations[0].raw)])
+    assert str(ei.value) == "equation f2 uses undeclared %s" % message
 
 
 def test_with_equations_rejects_a_taken_equation_name():

@@ -121,6 +121,11 @@ _TABLE = {"entries": [[None, 1], [2, None]], "hvt": [[1, 2], [2, 1]]}
 _ROW = [1, [2, {"x": None}]]
 
 
+def _rows(sparse_rows, n, fill):
+    """A table as the writers build it: rows of n cells, fill elsewhere."""
+    return [cli._Row(row, n, fill) for row in sparse_rows]
+
+
 @pytest.mark.parametrize("doc", [
     [], {}, [[]], [{}], {"a": []}, {"a": {}}, None, True, "text", -7, 2.5,
     [None, True, False, 0, -1, -2 ** 70, 1.5, -0.0, 1e300],
@@ -134,6 +139,19 @@ _ROW = [1, [2, {"x": None}]]
     {"a": _TABLE, "b": {"c": _TABLE, "d": _TABLE}, "e": _TABLE},
     [_ROW, _ROW, [_ROW], _ROW], [[], [], {}, {}],
     {"a": _ROW, "b": [_ROW, _TABLE], "c": _ROW, "d": "text"},
+    # table rows joined from their nonzeros: all fill, n = 1, non-ASCII
+    # entries, None and "0" fill, and fills that compare equal
+    _rows([{}, {}], 3, None), _rows([{0: 4}, {}], 1, None),
+    _rows([{}], 0, None), {"t": _rows([{}, {1: 2}], 4, "0")},
+    _rows([{1: "é€", 3: "x😀"}, {0: "\n\"", 2: "0"}], 4, "0"),
+    [_rows([{0: 1, 2: -3}, {1: 2 ** 70}], 3, None),
+     _rows([{2: "sin(x1)"}], 3, "0")],
+    [_rows([{1: 1}], 2, 0), _rows([{1: 1}], 2, False),
+     _rows([{1: 1}], 2, 0.0), _rows([{0: True}], 2, 1)],
+    {"a": _rows([{1: None}], 2, None), "b": [_rows([{}], 2, "")]},
+    # short and long flat lists that mix True, 1 and 1.0
+    [True, 1, 1.0], [1, True, None, "x"], [[1.0, 1, True, False, 0, None]],
+    {"a": [1, True] * 6, "b": ["1", 1, None] * 3, "c": [1, 2.5]},
 ])
 @pytest.mark.parametrize("accelerated", (True, False))
 def test_the_writer_on_edge_values(tmp_path, monkeypatch, doc, accelerated):
@@ -158,9 +176,9 @@ def test_agreeing_modes_build_and_write_one_table(tmp_path, monkeypatch,
         built.append(sigma_json(sig))
         return built[-1]
 
-    def counted_dump(value, write, encoders, depth):
+    def counted_dump(value, write, depth):
         dumped.append(value)
-        dump(value, write, encoders, depth)
+        dump(value, write, depth)
 
     monkeypatch.setattr(cli, "_sigma_json", counted_sigma)
     monkeypatch.setattr(cli, "_dump", counted_dump)
