@@ -29,7 +29,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from .convert import (ConditionRejected, ConvertError, FixStatus, MethodKind,
+from .convert import (ConditionRejected, ConvertError, FixStatus,
                       PivotRejected, VectorRejected, analyze, fix_dae)
 from .dsl import ParseError, emit_dae, parse_dae, parse_vector
 from .expr import ZERO, format_expr, simplify
@@ -37,7 +37,7 @@ from .jacobian import JacobianClass
 from .model import ModelError
 from .nullspace import residual
 from .render import (jacobian_entries, render_equations, render_jacobian,
-                     render_scheme, render_sigma, render_step, vector_entries)
+                     render_scheme, render_sigma, render_step)
 from .structural import (degrees_of_freedom, sigma_from_rows, signature_rows,
                          solution_scheme, structural_index)
 from .zerotest import DEFAULT_BUDGET, DEFAULT_SEED, Prober
@@ -152,46 +152,11 @@ def _dump(value, write, depth):
     write(inner[:-2] + brackets[1])
 
 
-def _num(v):
-    # -inf marks a lost transversal; JSON carries null there
-    if v is None or v == float("-inf"):
-        return None
-    return v
-
-
 def _sigma_json(sig):
     entries = [_Row(row, sig.n, None) for row in sig.rows]
     hvt = [[i + 1, j + 1] for i, j in sig.hvt] if sig.hvt else None
     return {"entries": entries, "hvt": hvt,
             "value": None if not sig.swp else sig.value}
-
-
-def _scheme_json(system, scheme):
-    marked = [(st, False) for st in scheme.stages]
-    marked.append((scheme.generic, True))
-    out = []
-    for st, generic in marked:
-        out.append({
-            "k": st.k,
-            "generic": generic,
-            "solve": [[system.equations[i].name, o] for i, o in st.equations],
-            "unknowns": [[system.var_names[j], o] for j, o in st.unknowns],
-            "linear": st.linear,
-        })
-    return out
-
-
-def _system_json(system):
-    return {
-        "name": system.name,
-        "variables": list(system.var_names),
-        "equations": [{
-            "name": eq.name,
-            "expression": format_expr(eq.expr, system.var_names),
-            "origin": eq.origin,
-            "alias": eq.alias,
-        } for eq in system.equations],
-    }
 
 
 def _offsets_json(off):
@@ -247,7 +212,8 @@ def cmd_analyze(args) -> int:
           % (sig.value, structural_index(off), degrees_of_freedom(off)))
     print()
     print("solution scheme:")
-    print(render_scheme(system, scheme))
+    scheme_text, stages = render_scheme(system, scheme)
+    print(scheme_text)
     print()
     print("System Jacobian:")
     jac_entries = jacobian_entries(system, rep.matrix)
@@ -263,7 +229,7 @@ def cmd_analyze(args) -> int:
         value=sig.value,
         structural_index=structural_index(off),
         dof=degrees_of_freedom(off),
-        scheme=_scheme_json(system, scheme),
+        scheme=stages,
         jacobian=[_Row(row, system.n, "0") for row in jac_entries],
         determinant=det_str,
         classification=rep.klass.value,
@@ -280,67 +246,24 @@ def cmd_analyze(args) -> int:
 # ---------------------------------------------------------------------------
 # fix / trace
 
-def _conversion_doc(args, system, digest, report):
-    steps = []
-    before = system
-    for st in report.steps:
-        app = st.application
-        entry = {
-            "index": st.index,
-            "method": st.kind.value,
-            "pivot": st.pivot + 1,
-            "pivot_name": st.kind.pivot_name(before, st.pivot),
-            "grade": st.grade,
-            "vector": vector_entries(st.vector, before.var_names),
-            "value_before": _num(st.value_before),
-            "value_after": _num(st.value_after),
-        }
-        if st.kind is MethodKind.LC:
-            entry["replaced"] = st.system.equations[st.pivot].name
-        else:
-            entry["added"] = [{
-                "variable": rec.var_name,
-                "equation": rec.eq_name,
-                "alias": rec.alias,
-                "definition": format_expr(rec.definition, before.var_names),
-            } for rec in app.renamed]
-            entry["rewritten"] = [st.system.equations[i].name
-                                  for i in app.rewritten]
-        steps.append(entry)
-        before = st.system
-    jac = report.final.jacobian
-    final = {
-        "classification": (jac.klass.value if jac
-                           else "StructurallyIllPosed"),
-        "determinant": _det_string(report.system, jac),
-        "offsets": _offsets_json(report.final.offsets),
-        "value": _num(report.final_value),
-    }
-    return {
-        "kind": "conversion",
-        "name": system.name,
-        "input_sha256": digest,
-        "mode": args.mode,
-        "status": report.status.value,
-        "initial_value": _num(report.initial_value),
-        "final_value": _num(report.final_value),
-        "uncertain": report.uncertain,
-        "steps": steps,
-        "system": _system_json(report.system),
-        "final": final,
-    }
-
-
-def _print_fix(system, report):
+def _print_fix(args, system, digest, report):
+    """Prints the fix text and returns the fix document, both from one
+    walk over the report: each step, the resulting system and the
+    determinant are formatted once."""
     initial = report.initial
     if initial.offsets is not None:
         print(render_sigma(system, initial.signature, initial.offsets))
         print()
+    steps = []
     before = system
     for st in report.steps:
-        print(render_step(st, before))
+        text, entry = render_step(st, before)
+        print(text)
         print()
+        steps.append(entry)
         before = st.system
+    jac = report.final.jacobian
+    det_str = _det_string(report.system, jac)
     if report.status is FixStatus.SUCCESS:
         if report.steps:
             print("fixed in %d step%s, value %s -> %s"
@@ -349,7 +272,6 @@ def _print_fix(system, report):
         else:
             print("nothing to do: System Jacobian already generically "
                   "nonsingular")
-        det_str = _det_string(report.system, report.final.jacobian)
         if det_str is not None:
             print("det(J) = %s" % det_str)
     elif report.status is FixStatus.ILL_POSED:
@@ -368,9 +290,33 @@ def _print_fix(system, report):
                             "s" if len(report.steps) != 1 else ""))
     print()
     print("resulting system:")
-    print(render_equations(report.system))
+    text, equations = render_equations(report.system)
+    print(text)
     if report.uncertain:
         print("confidence: unverified (a zero test ran out of probe budget)")
+    # -inf marks a lost transversal; JSON carries null there
+    final_value = None if jac is None else report.final_value
+    return {
+        "kind": "conversion",
+        "name": system.name,
+        "input_sha256": digest,
+        "mode": args.mode,
+        "status": report.status.value,
+        "initial_value": report.initial_value,
+        "final_value": final_value,
+        "uncertain": report.uncertain,
+        "steps": steps,
+        "system": {"name": report.system.name,
+                   "variables": list(report.system.var_names),
+                   "equations": equations},
+        "final": {
+            "classification": (jac.klass.value if jac
+                               else "StructurallyIllPosed"),
+            "determinant": det_str,
+            "offsets": _offsets_json(report.final.offsets),
+            "value": final_value,
+        },
+    }
 
 
 def cmd_fix(args) -> int:
@@ -399,8 +345,7 @@ def cmd_fix(args) -> int:
                           % (k, format_expr(r, system.var_names)),
                           file=sys.stderr)
         return EXIT_USAGE
-    _print_fix(system, report)
-    _write_json(args, _conversion_doc(args, system, digest, report))
+    _write_json(args, _print_fix(args, system, digest, report))
     if args.emit:
         with open(args.emit, "w") as fh:
             fh.write(emit_dae(report.system))

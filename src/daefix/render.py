@@ -1,5 +1,9 @@
 """Plain-text tables for signature matrices, Jacobians, and fix traces.
 
+A report part that the JSON report also holds (a step, the scheme, a
+system's equations) comes from one function that returns its text and its
+JSON piece, each expression in it formatted once for both.
+
 The signature table marks one highest-value transversal with a bullet and
 brackets the entries where the offsets exceed the signature (those
 positions contribute a structural zero to the System Jacobian), with the
@@ -78,67 +82,87 @@ def _deriv_name(name: str, order: int) -> str:
     return "%s^(%d)" % (name, order)
 
 
-def render_scheme(system, scheme) -> str:
-    lines = []
+def render_scheme(system, scheme):
+    """The scheme's lines and its JSON stages, the generic stage last,
+    from one walk."""
+    lines, stages = [], []
     for st in list(scheme.stages) + [scheme.generic]:
-        eqs = ", ".join(_deriv_name(system.equations[i].name, o)
-                        for i, o in st.equations)
-        unk = ", ".join(_deriv_name(system.var_names[j], o)
-                        for j, o in st.unknowns)
+        solve = [[system.equations[i].name, o] for i, o in st.equations]
+        unknowns = [[system.var_names[j], o] for j, o in st.unknowns]
         k = "k=%d" % st.k if st.k < 0 else "k>=0"
-        note = "linear" if st.linear else "generic"
-        lines.append("  %-5s solve %s for %s  (%s)" % (k, eqs, unk, note))
-    return "\n".join(lines)
+        lines.append("  %-5s solve %s for %s  (%s)" % (
+            k, ", ".join(_deriv_name(nm, o) for nm, o in solve),
+            ", ".join(_deriv_name(nm, o) for nm, o in unknowns),
+            "linear" if st.linear else "generic"))
+        stages.append({"k": st.k,
+                       "generic": len(stages) == len(scheme.stages),
+                       "solve": solve, "unknowns": unknowns,
+                       "linear": st.linear})
+    return "\n".join(lines), stages
 
 
-def render_equations(system) -> str:
-    lines = []
+def render_equations(system):
+    """The lines of the system's equations and their JSON entries, each
+    equation formatted once for both."""
+    lines, entries = [], []
     for eq in system.equations:
+        text = format_expr(eq.expr, system.var_names)
         tag = eq.origin
         if eq.alias:
             tag += ", stands for %s" % eq.alias
         suffix = "" if tag == "original" else "   (%s)" % tag
-        lines.append("  %s: %s = 0%s"
-                     % (eq.name, format_expr(eq.expr, system.var_names), suffix))
-    return "\n".join(lines)
+        lines.append("  %s: %s = 0%s" % (eq.name, text, suffix))
+        entries.append({"name": eq.name, "expression": text,
+                        "origin": eq.origin, "alias": eq.alias})
+    return "\n".join(lines), entries
 
 
-def vector_entries(vector, var_names) -> list:
-    """The n texts of a null vector {index: entry}, "0" off its entries:
-    the list that both the step and the JSON report print."""
-    return [format_expr(vector[k], var_names) if k in vector else "0"
-            for k in range(len(var_names))]
-
-
-def render_step(step, before) -> str:
-    """One conversion step: what was rewritten, with the resulting table."""
+def render_step(step, before):
+    """One conversion step, what was rewritten with the resulting table,
+    and its JSON entry: the pivot name, the vector and each definition
+    are formatted once for both."""
     app = step.application
-    lines = ["step %d: %s, pivot %s, %s equivalence"
-             % (step.index, step.kind.value,
-                step.kind.pivot_name(before, step.pivot), step.grade)]
-    lines.append("  vector [%s]"
-                 % ", ".join(vector_entries(step.vector, before.var_names)))
-    lines.append("  value %s -> %s" % (step.value_before, step.value_after))
     after = step.system
+    pivot_name = step.kind.pivot_name(before, step.pivot)
+    # the n texts of the vector, "0" off its entries
+    vector = [format_expr(step.vector[k], before.var_names)
+              if k in step.vector else "0" for k in range(before.n)]
+    ill_posed = step.after.offsets is None
+    entry = {"index": step.index, "method": step.kind.value,
+             "pivot": step.pivot + 1, "pivot_name": pivot_name,
+             "grade": step.grade, "vector": vector,
+             "value_before": step.value_before,
+             # -inf marks a lost transversal; JSON carries null there
+             "value_after": None if ill_posed else step.value_after}
+    lines = ["step %d: %s, pivot %s, %s equivalence"
+             % (step.index, step.kind.value, pivot_name, step.grade),
+             "  vector [%s]" % ", ".join(vector),
+             "  value %s -> %s" % (step.value_before, step.value_after)]
     if step.kind is MethodKind.LC:
         eq = after.equations[step.pivot]
         lines.append("  %s = %s   (replaced)"
                      % (eq.name, format_expr(eq.expr, after.var_names)))
+        entry["replaced"] = eq.name
     else:
+        added = entry["added"] = []
         for rec in app.renamed:
+            definition = format_expr(rec.definition, before.var_names)
             lines.append("  %s (%s) stands for %s"
-                         % (rec.var_name, rec.alias,
-                            format_expr(rec.definition, before.var_names)))
+                         % (rec.var_name, rec.alias, definition))
+            added.append({"variable": rec.var_name, "equation": rec.eq_name,
+                          "alias": rec.alias, "definition": definition})
+        rewritten = entry["rewritten"] = []
         for i in app.rewritten:
             eq = after.equations[i]
             lines.append("  %s = %s   (rewritten)"
                          % (eq.name, format_expr(eq.expr, after.var_names)))
-    if step.after.offsets is not None:
+            rewritten.append(eq.name)
+    if ill_posed:
+        lines.append("  signature lost its transversal: structurally ill posed")
+    else:
         lines.append(_indent(render_sigma(after, step.after.signature,
                                           step.after.offsets)))
-    else:
-        lines.append("  signature lost its transversal: structurally ill posed")
-    return "\n".join(lines)
+    return "\n".join(lines), entry
 
 
 def _indent(text: str) -> str:
