@@ -2,8 +2,8 @@
 
 Exit codes form a small contract for CI embedding:
   0  Jacobian generically nonsingular / conversion succeeded
-  1  usage, parse, or file errors; a forced vector that fails verification;
-     an expression nested too deeply for the recursive tree functions
+  1  usage, parse or file errors, such as input nested past 200 levels;
+     a failed forced vector; a converted tree too deep to recurse over
   2  singular Jacobian (analyze), no method applies, or a forced step
      rejected by a method condition
   3  structurally ill posed input, or a conversion exposed ill-posedness
@@ -264,11 +264,11 @@ def _print_fix(args, system, digest, report):
         before = st.system
     jac = report.final.jacobian
     det_str = _det_string(report.system, jac)
+    taken = "%d step%s" % (len(steps), "" if len(steps) == 1 else "s")
     if report.status is FixStatus.SUCCESS:
-        if report.steps:
-            print("fixed in %d step%s, value %s -> %s"
-                  % (len(report.steps), "s" if len(report.steps) != 1 else "",
-                     report.initial_value, report.final_value))
+        if steps:
+            print("fixed in %s, value %s -> %s"
+                  % (taken, report.initial_value, report.final_value))
         else:
             print("nothing to do: System Jacobian already generically "
                   "nonsingular")
@@ -285,9 +285,8 @@ def _print_fix(args, system, digest, report):
         print("no method applies at step %d: neither rewrite accepts the "
               "null vectors found" % (len(report.steps) + 1))
     else:
-        print("step budget exhausted after %d step%s; Jacobian still "
-              "singular" % (len(report.steps),
-                            "s" if len(report.steps) != 1 else ""))
+        print("step budget exhausted after %s; Jacobian still singular"
+              % taken)
     print()
     print("resulting system:")
     text, equations = render_equations(report.system)
@@ -502,7 +501,8 @@ def main(argv=None) -> int:
         print("conversion failed: %s" % ex, file=sys.stderr)
         return EXIT_SINGULAR
     except RecursionError:
-        # parsing and the tree functions recurse once per nesting level
+        # the parser refuses input nested past its limit; this is the last
+        # resort for a deeper tree a conversion built
         print("error: expression is nested too deeply", file=sys.stderr)
         return EXIT_USAGE
     finally:

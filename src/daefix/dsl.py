@@ -11,6 +11,9 @@ derivatives (diff(x,k) beyond that), and driving functions always in call
 form: h1(t), h1'(t), diff(h1(t),4).  '#' starts a comment.  Decimal literals
 are read exactly (9.8 is the rational 49/5).  A line is read as the texts of
 its tokens, from one scan; a column is computed only when an error needs one.
+An expression nests at most MAX_DEPTH = 200 levels: each unary sign is one,
+and so is each parenthesis (grouping, call, diff, driving function or
+exponent).  Past that, the token that opens the next level is an error.
 """
 
 from __future__ import annotations
@@ -24,6 +27,9 @@ from .expr import (
     Pow, StateDeriv, TimeVar, format_expr, simplify, total_derivative,
 )
 from .model import RESERVED, DaeSystem, ModelError, make_equation
+
+MAX_DEPTH = 200
+_TOO_DEEP = "expression nested deeper than %d levels" % MAX_DEPTH
 
 
 class ParseError(ValueError):
@@ -86,7 +92,8 @@ class _ExprParser:
 
     names is the (variable -> index, parameter set, input set) triple of
     the names declared so far; the parser only reads it.  text is the
-    line from column col0 on, and parsing starts at its token i."""
+    line from column col0 on, and parsing starts at its token i; depth
+    counts the levels open."""
 
     def __init__(self, text: str, line: int, names, col0: int = 1,
                  i: int = 0):
@@ -95,11 +102,18 @@ class _ExprParser:
         self.line = line
         self.text, self.col0 = text, col0
         self.vars, self.params, self.inputs = names
+        self.depth = 0
 
     def fail(self, msg: str, k: Optional[int] = None):
         """Raises msg at token k, by default the next one."""
         raise ParseError(msg, self.line, _column(
             self.text, self.col0, self.i if k is None else k))
+
+    def enter(self, k: int):
+        """Opens a nesting level at token k, which fails past MAX_DEPTH."""
+        if self.depth == MAX_DEPTH:
+            self.fail(_TOO_DEEP, k)
+        self.depth += 1
 
     def expect(self, op: str):
         i = self.i
@@ -159,13 +173,16 @@ class _ExprParser:
         if j is not None:
             return StateDeriv(j, self.primes())
         if t == "(":
+            self.enter(i)
             e = self.parse()
             self.expect(")")
+            self.depth -= 1
             return e
-        if t == "-":
-            return -self.power()
-        if t == "+":
-            return self.power()
+        if t in ("-", "+"):
+            self.enter(i)
+            e = self.power()
+            self.depth -= 1
+            return -e if t == "-" else e
         kind = _kind(t)
         if kind == "num":
             return Const(int(t) if t.isdigit() else Fraction(t))
@@ -178,8 +195,10 @@ class _ExprParser:
         t = self.toks[i]
         self.i = i + 1
         if t == "(":
+            self.enter(i)
             n = self.integer_exponent()
             self.expect(")")
+            self.depth -= 1
             return n
         neg = t == "-"
         i += neg
@@ -206,14 +225,18 @@ class _ExprParser:
             return self.diff_call()
         if name in FUNCS:
             self.expect("(")
+            self.enter(self.i - 1)
             arg = self.parse()
             self.expect(")")
+            self.depth -= 1
             return Func(name, arg)
         if name in self.inputs:
             order = self.primes()
             if self.toks[self.i] != "(":
                 self.fail("driving function %s must be applied to t: %s(t)"
                           % (name, name), i)
+            if self.depth == MAX_DEPTH:
+                self.fail(_TOO_DEEP)
             self.i += 1
             if self.toks[self.i] != "t":
                 self.fail("driving functions take t only")
@@ -229,6 +252,7 @@ class _ExprParser:
 
     def diff_call(self) -> Expr:
         self.expect("(")
+        self.enter(self.i - 1)
         inner = self.parse()
         self.expect(",")
         k_start = self.i
@@ -236,6 +260,7 @@ class _ExprParser:
         if k < 0:
             self.fail("derivative order must be nonnegative", k_start)
         self.expect(")")
+        self.depth -= 1
         if isinstance(inner, StateDeriv):
             return StateDeriv(inner.index, inner.order + k)
         if isinstance(inner, DrivingFn):
@@ -297,7 +322,7 @@ def parse_dae(text: str) -> DaeSystem:
     var_names: list = []
     params: list = []
     input_names: list = []
-    equations: list = []
+    equations: dict = {}     # name -> equation
     # the parser's name tables, grown with each declaration
     names = var_table, param_table, input_table = {}, set(), set()
     for line_no, raw_line in enumerate(text.splitlines(), 1):
@@ -322,6 +347,8 @@ def parse_dae(text: str) -> DaeSystem:
             i = 0
             while toks[i]:
                 name = _declared_name(p, i, "a name")
+                if any(name in table for table in names):
+                    p.fail("name %r declared twice" % name, i)
                 i += 1
                 value = None
                 if head == "params" and toks[i] == "=":
@@ -359,6 +386,8 @@ def parse_dae(text: str) -> DaeSystem:
             p = _ExprParser(body, line_no, names, 3, 2)
             toks = p.toks
             eq_name = _declared_name(p, 0, "an equation name")
+            if eq_name in equations:
+                p.fail("equation name %r declared twice" % eq_name, 0)
             if toks[1] != ":":
                 p.fail("expected ':' after equation name", 1)
             lhs = p.parse()
@@ -373,7 +402,7 @@ def parse_dae(text: str) -> DaeSystem:
                 and _kind(rhs_start) == "num"
             raw = lhs if zero else Add((lhs, -rhs))
             try:
-                equations.append(make_equation(eq_name, raw))
+                equations[eq_name] = make_equation(eq_name, raw)
             except DomainError as err:
                 raise ParseError(str(err), line_no, _column(body, 3, 2)) from err
             continue
@@ -381,8 +410,9 @@ def parse_dae(text: str) -> DaeSystem:
     if sys_name is None:
         raise ParseError("empty input", 1, 1)
     try:
-        return DaeSystem(sys_name, tuple(var_names), tuple(equations),
-                         tuple(params), tuple(input_names))
+        return DaeSystem(sys_name, tuple(var_names),
+                         tuple(equations.values()), tuple(params),
+                         tuple(input_names))
     except ModelError as err:
         raise ParseError(str(err), len(text.splitlines()), 1) from err
 

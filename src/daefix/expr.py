@@ -287,8 +287,8 @@ MINUS_ONE = Const(Fraction(-1))
 
 
 def walk(e: Expr) -> Iterator[Expr]:
-    """Every node of e in preorder.  Iterative: the parser nests sums to
-    the left, and a recursive walk would cost size times depth."""
+    """Every node of e in preorder.  Iterative, so a tree's depth costs
+    no Python frames: a conversion can nest deeper than the parser does."""
     stack = [e]
     while stack:
         e = stack.pop()

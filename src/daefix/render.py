@@ -121,7 +121,6 @@ def render_step(step, before):
     """One conversion step, what was rewritten with the resulting table,
     and its JSON entry: the pivot name, the vector and each definition
     are formatted once for both."""
-    app = step.application
     after = step.system
     pivot_name = step.kind.pivot_name(before, step.pivot)
     # the n texts of the vector, "0" off its entries
@@ -145,14 +144,14 @@ def render_step(step, before):
         entry["replaced"] = eq.name
     else:
         added = entry["added"] = []
-        for rec in app.renamed:
+        for rec in step.application.renamed:
             definition = format_expr(rec.definition, before.var_names)
             lines.append("  %s (%s) stands for %s"
                          % (rec.var_name, rec.alias, definition))
             added.append({"variable": rec.var_name, "equation": rec.eq_name,
                           "alias": rec.alias, "definition": definition})
         rewritten = entry["rewritten"] = []
-        for i in app.rewritten:
+        for i in step.application.rewritten:
             eq = after.equations[i]
             lines.append("  %s = %s   (rewritten)"
                          % (eq.name, format_expr(eq.expr, after.var_names)))

@@ -416,3 +416,62 @@ def test_an_integer_literal_is_the_interned_constant():
     assert three is Const(Fraction(3)) is raw.children[1] \
         is raw.children[2]
     assert type(three.value) is Fraction
+
+
+@pytest.mark.parametrize("text, want", [
+    ("dae d\nvars x, x\neq f: x = 0\neq g: x = 0\n# end\n\n",
+     ("name 'x' declared twice", 2, 9)),
+    ("dae d\nvars x, k\nparams k = 1\neq f: x = 0\neq g: x' = 0\n",
+     ("name 'k' declared twice", 3, 8)),
+    ("dae d\nvars x\ninput h, h\neq f: x - h(t) = 0\n",
+     ("name 'h' declared twice", 3, 10)),
+    ("dae d\nvars x, y\neq f: x = 0\neq f: y = 0\n",
+     ("equation name 'f' declared twice", 4, 4)),
+])
+def test_a_duplicate_declaration_fails_at_its_second_occurrence(text, want):
+    assert _error(parse_dae, text) == want
+
+
+# one level of each kind: (text around the body, column of its opener)
+_LEVELS = {
+    "group": ("(%s)", 0),
+    "sign": ("-%s", 0),
+    "call": ("exp(%s)", 3),
+    "diff": ("diff(%s, 1)", 4),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_LEVELS))
+def test_nesting_is_counted_in_levels_up_to_200(kind):
+    """200 levels parse; the parenthesis or sign that opens level 201
+    fails, in parse_dae and parse_vector alike, whatever the levels
+    below it are."""
+    wrap, offset = _LEVELS[kind]
+    below = "-(" * 50 + "exp(" * 50 + "(" * 50    # 200 levels
+    above = ")" * 150
+    system = parse_dae(PENDULUM)
+    assert _error(parse_dae, "dae d\nvars x\neq f: %s + x' = 0\n"
+                  % (below + "x" + above)) is None
+    assert _error(parse_vector, below + "x" + above, system) is None
+    body = below + wrap % "x" + above
+    col = 1 + len(below) + offset
+    want = "expression nested deeper than 200 levels"
+    assert _error(parse_dae, "dae d\nvars x\neq f: %s + x' = 0\n"
+                  % body) == (want, 3, 6 + col)
+    assert _error(parse_vector, body, system) == (want, 1, col)
+
+
+@pytest.mark.parametrize("text, opener", [
+    # the exponent's fourth parenthesis, and the driving function's
+    ("x^((((2))))", 5), ("h(t)", 1),
+])
+def test_exponent_and_driving_function_parentheses_are_levels(text,
+                                                              opener):
+    levels = text.count("(")
+    for below, fails in (("(" * (200 - levels), False),
+                         ("(" * (201 - levels), True)):
+        line = "dae d\nvars x\ninput h\neq f: %s%s%s + x' = 0\n" \
+            % (below, text, ")" * len(below))
+        want = ("expression nested deeper than 200 levels", 4,
+                7 + len(below) + opener) if fails else None
+        assert _error(parse_dae, line) == want

@@ -659,3 +659,47 @@ def test_the_greedy_pass_keeps_the_blocks_and_their_parity():
         assert _odd(blocks[0], n) == _odd(blocks[1], n)
     # the draw reaches matchings the greedy pass changes
     assert 100 <= matched < 400 and differ >= 10
+
+
+_SIZE_FORK = ("ROADMAP aim 3: a block above DET_BOUND rows is only "
+              "rank-probed, which cannot prove it singular, so an "
+              "identically singular block there ends ProbablySingular")
+_SIZE_FORK_XFAIL = pytest.mark.xfail(strict=True, raises=AssertionError,
+                                     reason=_SIZE_FORK)
+
+
+def _identity_plus_shift(n):
+    """I + P for the cyclic shift P: singular exactly when n is even."""
+    one = Const(Fraction(1))
+    return tuple({i: one, (i + 1) % n: one} if i + 1 < n
+                 else {0: one, i: one} for i in range(n))
+
+
+@pytest.mark.parametrize("n", [
+    4, 8,
+    pytest.param(10, marks=_SIZE_FORK_XFAIL),
+    pytest.param(12, marks=_SIZE_FORK_XFAIL),
+])
+def test_identity_plus_cyclic_shift_is_identically_singular(n):
+    rep = classify_jacobian(_identity_plus_shift(n), Prober())
+    assert rep.klass is JacobianClass.IDENTICALLY_SINGULAR
+
+
+def _cyclic_pairs(n):
+    """f_i: x_i' + x_{i+1}' + x_i - h_i(t) = 0 with the indices cyclic:
+    its System Jacobian is I + P."""
+    xs = ", ".join("x%d" % i for i in range(1, n + 1))
+    hs = ", ".join("h%d" % i for i in range(1, n + 1))
+    eqs = "".join("eq f%d: x%d' + x%d' + x%d - h%d(t) = 0\n"
+                  % (i, i, i % n + 1, i, i) for i in range(1, n + 1))
+    return "dae cyc\nvars %s\ninput %s\n%s" % (xs, hs, eqs)
+
+
+@pytest.mark.parametrize("n", [4, 8,
+                               pytest.param(10, marks=_SIZE_FORK_XFAIL)])
+def test_analyze_of_cyclic_pairs_exits_singular(tmp_path, capsys, n):
+    path = tmp_path / "cyc.dae"
+    path.write_text(_cyclic_pairs(n))
+    rc = main(["analyze", str(path)])
+    capsys.readouterr()
+    assert rc == 2

@@ -5,7 +5,8 @@ must equal the dense tables of tests/checks.py cell for cell, and every
 --json report must be the bytes of json.dumps(doc, indent=2) and a
 newline.  Both run on the corpus, random draws 0-299 of
 checks.rand_factor_text(random.Random(1002)), pendulum chains and Brenan
-blocks, in both signature modes.
+blocks, in both signature modes.  The text of fix and its --json report
+must hold the same step vectors, definitions, equations and determinant.
 """
 
 import json
@@ -196,3 +197,51 @@ def test_agreeing_modes_build_and_write_one_table(tmp_path, monkeypatch,
         assert (doc["sigma_true"] == doc["sigma_formal"]) == (tables == 1)
         assert sum(v is t for v in dumped for t in built) == tables
     capsys.readouterr()
+
+
+def _agreement_runs():
+    rng = random.Random(1002)
+    draws = [checks.rand_factor_text(rng) for _ in range(80)]
+    for mode in MODES:
+        for name in corpus.names():
+            for method in ("lc", "es"):
+                yield corpus.source(name), ["--mode", mode, "--method", method]
+        for text in draws:
+            yield text, ["--mode", mode]
+
+
+def test_the_fix_text_and_json_say_the_same(tmp_path, capsys):
+    """Each step's vector line, each definition a substitution adds, each
+    equation of the resulting system and the determinant are the texts
+    the JSON report holds."""
+    src, out = tmp_path / "system.dae", tmp_path / "out.json"
+    steps = defined = determinants = 0
+    for text, argv in _agreement_runs():
+        src.write_text(text)
+        out.unlink(missing_ok=True)
+        main(["fix", str(src), "--json", str(out)] + argv)
+        lines = capsys.readouterr().out.split("\n")
+        if not out.exists():
+            # a step that failed its own checks: no report, no text
+            assert lines == [""], (text, argv)
+            continue
+        doc = json.loads(out.read_text())
+        head = lines[:lines.index("resulting system:")]
+        assert [ln for ln in head if ln.startswith("  vector [")] == [
+            "  vector [%s]" % ", ".join(st["vector"]) for st in doc["steps"]]
+        assert [ln for ln in head if ") stands for " in ln] == [
+            "  %s (%s) stands for %s"
+            % (a["variable"], a["alias"], a["definition"])
+            for st in doc["steps"] for a in st.get("added", ())]
+        body = lines[len(head) + 1:][:len(doc["system"]["equations"])]
+        for line, eq in zip(body, doc["system"]["equations"], strict=True):
+            assert line.startswith("  %s: %s = 0" % (eq["name"],
+                                                     eq["expression"]))
+        det = doc["final"]["determinant"]
+        assert [ln for ln in head if ln.startswith("det(J) = ")] == (
+            ["det(J) = %s" % det]
+            if det is not None and doc["status"] == "success" else [])
+        steps += len(doc["steps"])
+        defined += sum(len(st.get("added", ())) for st in doc["steps"])
+        determinants += det is not None
+    assert steps >= 40 and defined >= 10 and determinants >= 100
