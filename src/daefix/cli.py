@@ -246,7 +246,7 @@ def cmd_analyze(args) -> int:
 # ---------------------------------------------------------------------------
 # fix / trace
 
-def _print_fix(args, system, digest, report):
+def _report_fix(args, system, digest, report):
     """Prints the fix text and returns the fix document, both from one
     walk over the report: each step, the resulting system and the
     determinant are formatted once."""
@@ -266,7 +266,7 @@ def _print_fix(args, system, digest, report):
     det_str = _det_string(report.system, jac)
     taken = "%d step%s" % (len(steps), "" if len(steps) == 1 else "s")
     if report.status is FixStatus.SUCCESS:
-        if steps:
+        if report.steps:
             print("fixed in %s, value %s -> %s"
                   % (taken, report.initial_value, report.final_value))
         else:
@@ -344,7 +344,7 @@ def cmd_fix(args) -> int:
                           % (k, format_expr(r, system.var_names)),
                           file=sys.stderr)
         return EXIT_USAGE
-    _write_json(args, _print_fix(args, system, digest, report))
+    _write_json(args, _report_fix(args, system, digest, report))
     if args.emit:
         with open(args.emit, "w") as fh:
             fh.write(emit_dae(report.system))

@@ -29,7 +29,6 @@ from .expr import (
 from .model import RESERVED, DaeSystem, ModelError, make_equation
 
 MAX_DEPTH = 200
-_TOO_DEEP = "expression nested deeper than %d levels" % MAX_DEPTH
 
 
 class ParseError(ValueError):
@@ -112,7 +111,7 @@ class _ExprParser:
     def enter(self, k: int):
         """Opens a nesting level at token k, which fails past MAX_DEPTH."""
         if self.depth == MAX_DEPTH:
-            self.fail(_TOO_DEEP, k)
+            self.fail("expression nested deeper than %d levels" % MAX_DEPTH, k)
         self.depth += 1
 
     def expect(self, op: str):
@@ -235,13 +234,13 @@ class _ExprParser:
             if self.toks[self.i] != "(":
                 self.fail("driving function %s must be applied to t: %s(t)"
                           % (name, name), i)
-            if self.depth == MAX_DEPTH:
-                self.fail(_TOO_DEEP)
+            self.enter(self.i)
             self.i += 1
             if self.toks[self.i] != "t":
                 self.fail("driving functions take t only")
             self.i += 1
             self.expect(")")
+            self.depth -= 1
             return DrivingFn(name, order)
         if name in self.params:
             if self.toks[self.i][:1] == "'":

@@ -94,8 +94,7 @@ def render_scheme(system, scheme):
             k, ", ".join(_deriv_name(nm, o) for nm, o in solve),
             ", ".join(_deriv_name(nm, o) for nm, o in unknowns),
             "linear" if st.linear else "generic"))
-        stages.append({"k": st.k,
-                       "generic": len(stages) == len(scheme.stages),
+        stages.append({"k": st.k, "generic": st is scheme.generic,
                        "solve": solve, "unknowns": unknowns,
                        "linear": st.linear})
     return "\n".join(lines), stages
