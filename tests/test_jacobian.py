@@ -671,8 +671,8 @@ _SIZE_FORK_XFAIL = pytest.mark.xfail(strict=True, raises=AssertionError,
 def _identity_plus_shift(n):
     """I + P for the cyclic shift P: singular exactly when n is even."""
     one = Const(Fraction(1))
-    return tuple({i: one, (i + 1) % n: one} if i + 1 < n
-                 else {0: one, i: one} for i in range(n))
+    return tuple({i: one, i + 1: one} if i + 1 < n else {0: one, i: one}
+                 for i in range(n))
 
 
 @pytest.mark.parametrize("n", [
