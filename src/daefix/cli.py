@@ -344,10 +344,12 @@ def cmd_fix(args) -> int:
                           % (k, format_expr(r, system.var_names)),
                           file=sys.stderr)
         return EXIT_USAGE
-    _write_json(args, _report_fix(args, system, digest, report))
+    doc = _report_fix(args, system, digest, report)
+    _write_json(args, doc)
     if args.emit:
         with open(args.emit, "w") as fh:
-            fh.write(emit_dae(report.system))
+            fh.write(emit_dae(report.system, [
+                eq["expression"] for eq in doc["system"]["equations"]]))
     if report.status is FixStatus.ILL_POSED:
         return EXIT_ILL_POSED
     # a forced step that was applied is done, even if J stays singular

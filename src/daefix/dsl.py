@@ -24,7 +24,7 @@ from typing import List, Optional
 
 from .expr import (
     FUNCS, Add, Const, DomainError, DrivingFn, Expr, Func, Mul, Param,
-    Pow, StateDeriv, TimeVar, format_expr, simplify, total_derivative,
+    Pow, StateDeriv, TimeVar, simplify, total_derivative,
 )
 from .model import RESERVED, DaeSystem, ModelError, make_equation
 
@@ -328,6 +328,7 @@ def parse_dae(text: str) -> DaeSystem:
         stripped = raw_line.split("#", 1)[0].strip()
         if not stripped:
             continue
+        last = line_no  # where an error of the finished system falls
         head = stripped.split(None, 1)[0]
         if sys_name is None:
             if head != "dae":
@@ -413,15 +414,15 @@ def parse_dae(text: str) -> DaeSystem:
                          tuple(equations.values()), tuple(params),
                          tuple(input_names))
     except ModelError as err:
-        raise ParseError(str(err), len(text.splitlines()), 1) from err
+        raise ParseError(str(err), last, 1) from err
 
 
-def emit_dae(system: DaeSystem) -> str:
-    """Render a system back to the text format (normal-form right-hand sides).
-
-    parse_dae(emit_dae(s)) reproduces s up to simplification of each
-    equation.  Non-original equations carry their provenance as comments.
-    """
+def emit_dae(system: DaeSystem, expressions: List[str]) -> str:
+    """Render a system back to the text format, each equation as its
+    normal form's text in expressions (format_expr's, as the report has
+    it).  parse_dae(emit_dae(s, texts)) reproduces s up to simplification
+    of each equation.  Non-original equations carry their provenance as
+    comments."""
     lines = ["dae %s" % system.name]
     if system.var_names:
         lines.append("vars %s" % ", ".join(system.var_names))
@@ -432,12 +433,11 @@ def emit_dae(system: DaeSystem) -> str:
         lines.append("params %s" % ", ".join(parts))
     if system.input_names:
         lines.append("input %s" % ", ".join(system.input_names))
-    for eq in system.equations:
+    for eq, text in zip(system.equations, expressions):
         if eq.origin != "original":
             note = "# %s: %s" % (eq.name, eq.origin.replace("_", " "))
             if eq.alias:
                 note += " (%s)" % eq.alias
             lines.append(note)
-        lines.append("eq %s: %s = 0"
-                     % (eq.name, format_expr(eq.expr, system.var_names)))
+        lines.append("eq %s: %s = 0" % (eq.name, text))
     return "\n".join(lines) + "\n"

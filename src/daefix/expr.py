@@ -8,11 +8,15 @@ would be: -(x*y), -x^2.
 
 Everything is exact: constants are Fractions, arithmetic on trees never
 rounds.  evaluate_ex works on integer numerator/denominator pairs and makes
-one Fraction of the result.  A function value with no exact form, and an
-integer power of such a value, is rounded to _DIGITS significant digits
-and the caller is told the result is inexact: exp, ln, sqrt and powers by
-decimal's correctly rounded C functions, in a context of their own; sin
-and cos, which decimal lacks, by mpmath, imported on the first of them.
+one Fraction of the result.  A function value with no exact form is
+correctly rounded (half to even) to _DIGITS = 70 significant digits, and
+the caller is told the result is inexact: exp, ln and sqrt by decimal's C
+functions, in a context of their own, and sin and cos, which decimal
+lacks, by _trig in integer fixed point; decimal's power, which can miss
+by one unit in a last place, rounds an integer power of such a value.  A
+value of more than _VALUE_BITS = 2^20 bits, and sin or cos of an argument
+whose integer part has more than _TRIG_BITS = 65,536 bits, are a
+DomainError, so a probe draws another point.
 
 The normal form produced by simplify() is an expanded polynomial over the
 atoms (time, state derivatives, driving functions, parameters) and function
@@ -55,9 +59,9 @@ FUNCS = ("sin", "cos", "exp", "ln", "sqrt")
 # significant digits of an inexact value
 _DIGITS = 70
 
-# exp, ln, sqrt and powers of inexact values round here, never in the
-# thread's decimal context; the exponent range is decimal's widest, and an
-# overflow, a division by zero or an invalid operation raises
+# every inexact value rounds here, never in the thread's decimal context;
+# the exponent range is decimal's widest, and an overflow, a division by
+# zero or an invalid operation raises
 _CONTEXT = decimal.Context(
     prec=_DIGITS, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
     traps=[decimal.Overflow, decimal.DivisionByZero,
@@ -66,12 +70,17 @@ _CONTEXT = decimal.Context(
 _DECIMAL_FUNCS = {"exp": _CONTEXT.exp, "ln": _CONTEXT.ln,
                   "sqrt": _CONTEXT.sqrt}
 
-# the most bits (mantissa plus binary exponent, or coefficient plus
-# decimal exponent times log2 10) of an inexact value made exact for a
-# probe; past it the integer alone takes megabytes, and the Fraction
-# arithmetic after it seconds, so the probe draws another point
+# the most bits (coefficient plus decimal exponent times log2 10) of an
+# inexact value made exact for a probe; past it the integer alone takes
+# megabytes, and the Fraction arithmetic after it seconds, so the probe
+# draws another point
 _VALUE_BITS = 1 << 20
 _LOG2_10 = math.log2(10)
+
+# the most bits of the integer part of an argument of sin or cos: Machin's
+# pi at that width takes a third of a second, at 300,000 bits 7 s
+_TRIG_BITS = 1 << 16
+_PI = (0, 3)  # (w, pi * 2**w) for the widest pi asked of _pi so far
 
 # term-count ceiling when distributing products / expanding integer powers
 _TERM_CAP = 3000
@@ -810,10 +819,10 @@ def _eval(e: Expr, b) -> tuple:
 def _rounded_call(name: str, n: int, d: int) -> Fraction:
     """name(n/d) rounded to _DIGITS significant digits, made exact."""
     if name in ("sin", "cos"):
-        return _mp_trig(name, n, d)
+        return _decimal_to_fraction(_trig(name, n, d))
     try:
         r = _DECIMAL_FUNCS[name](_CONTEXT.scaleb(
-            *_rounded_quotient(n, d, 10, _DIGITS)))
+            *_rounded_quotient(n, d, _DIGITS)))
     except decimal.DecimalException:
         raise DomainError("%s of a value is out of range" % name) from None
     return _decimal_to_fraction(r)
@@ -825,42 +834,90 @@ def _rounded_pow(n: int, d: int, k: int) -> Fraction:
         return Fraction(1)  # decimal's 0**0 is an invalid operation
     try:
         r = _CONTEXT.power(_CONTEXT.scaleb(
-            *_rounded_quotient(n, d, 10, _DIGITS)), k)
+            *_rounded_quotient(n, d, _DIGITS)), k)
     except decimal.DecimalException:
         raise DomainError("a value to the power %d is out of range" % k) \
             from None
     return _decimal_to_fraction(r)
 
 
-def _mp_trig(name: str, n: int, d: int) -> Fraction:
-    import mpmath  # loaded by the first sin or cos value, and only by it
-    with mpmath.workdps(_DIGITS):
-        arg = mpmath.mpf(_rounded_quotient(n, d, 2, mpmath.mp.prec))
-        r = getattr(mpmath, name)(arg)
-        if not mpmath.isfinite(r):
-            raise DomainError("%s of a value is not finite" % name)
-        sign, man, exp, _ = r._mpf_
-    man = int(man)
-    if man == 0:
-        return Fraction(0)
-    _check_width(man.bit_length() + abs(exp))
-    v = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
-    return -v if sign else v
+def _trig(name: str, n: int, d: int) -> decimal.Decimal:
+    """sin or cos of x = n/d, n != 0 < d, correctly rounded to _DIGITS
+    digits.  At p bits, |x| >= 1/2 is k*pi/2 + r, |r| <= pi/4, with r
+    within 2 units of 2**-p (x and pi at b + 1 more bits, b those of x's
+    integer part), and the series at |r| errs by under 1.5 units in each
+    of at most p/2 + 1 terms: v, the value in units, is within p of it.
+    Ziv's test: when v - p and v + p round to the same Decimal, so does
+    the value; else p doubles.  A DomainError, so the probe draws another
+    point, for b > _TRIG_BITS and once p passes _VALUE_BITS, where sin of
+    |x| < 2**-_VALUE_BITS starts."""
+    a = abs(n)
+    if a.bit_length() - d.bit_length() > _TRIG_BITS \
+            or (b := (a // d).bit_length()) > _TRIG_BITS:
+        raise DomainError("%s of a value of more than %d integer bits"
+                          % (name, _TRIG_BITS))
+    # sin x is about x, so p counts the leading zeros of a small x too
+    p = 256 + (name == "sin") * max(0, d.bit_length() - a.bit_length())
+    while p <= _VALUE_BITS:
+        if 2 * a < d:
+            k, r = 0, (n << p) // d
+        else:
+            pi = _pi(p + b + 1)
+            y = (n << p + b + 2) // d
+            k = (2 * y + pi) // (2 * pi)
+            r = (y - k * pi) >> b + 2
+        # sin(x) = sin(r + k*pi/2) and cos(x) = sin(r + (k + 1)*pi/2)
+        k += name == "cos"
+        v = _taylor(k % 2 == 0, abs(r), p)
+        v = -v if (k % 4 > 1) != (k % 2 == 0 and r < 0) else v
+        lo, hi = (_CONTEXT.scaleb(*_rounded_quotient(v + e, 1 << p, _DIGITS))
+                  for e in (-p, p))
+        if lo == hi:
+            return lo
+        p *= 2
+    raise DomainError("%s of a value needs more than %d bits"
+                      % (name, _VALUE_BITS))
 
 
-def _rounded_quotient(n: int, d: int, radix: int, digits: int) -> tuple:
-    """(m, e), n/d cut to more than `digits` digits in radix 2 or 10 with a
-    last digit of 1 when the cut dropped anything (round to odd), so that
-    m * radix**e rounded half to even, as _CONTEXT.scaleb and mpmath.mpf do,
-    is n/d correctly rounded; d > 0.  Linear time, where making a Decimal
-    or an mpf of n or d takes time quadratic in its size."""
+def _taylor(odd: bool, r: int, p: int) -> int:
+    """sin (odd) or cos of r/2**p times 2**p, 0 <= r < 0.8 * 2**p, by
+    the Taylor series, each term floored once from the one before."""
+    r2, s, t, k = r * r >> p, 0, r if odd else 1 << p, odd
+    while t:
+        s += -t if k % 4 > 1 else t
+        t = (t * r2 >> p) // ((k + 1) * (k + 2))
+        k += 2
+    return s
+
+
+def _pi(w: int) -> int:
+    """pi * 2**w to within 2, shifted from the widest pi asked so far:
+    Machin's formula, each term floored, at guard bits, then rounded."""
+    global _PI
+    if w > _PI[0]:
+        g = w.bit_length() + 10
+        v = 0
+        for m, c in ((5, 16), (239, -4)):
+            t, k = (1 << w + g) // m, 1
+            while t:
+                v += c * (t // k)
+                t, k, c = t // (m * m), k + 2, -c
+        _PI = w, (v + (1 << g - 1)) >> g
+    return _PI[1] >> (_PI[0] - w)
+
+
+def _rounded_quotient(n: int, d: int, digits: int) -> tuple:
+    """(m, e), n/d cut to more than `digits` digits with a last digit of 1
+    when the cut dropped anything (round to odd), so that m * 10**e rounded
+    half to even, as _CONTEXT.scaleb does, is n/d correctly rounded; d > 0.
+    Linear time, where a Decimal of n or d takes time quadratic in its size."""
     if n == 0:
         return 0, 0
     # |n|/d >= 2**(bits - 1), so the quotient has at least digits + 1 digits
     e = math.floor((abs(n).bit_length() - d.bit_length() - 1)
-                   / math.log2(radix)) - digits - 1
-    q, r = divmod(abs(n) * radix ** max(0, -e), d * radix ** max(0, e))
-    return (1 if n > 0 else -1) * (q * radix + (r != 0)), e - 1
+                   / _LOG2_10) - digits - 1
+    q, r = divmod(abs(n) * 10 ** max(0, -e), d * 10 ** max(0, e))
+    return (1 if n > 0 else -1) * (q * 10 + (r != 0)), e - 1
 
 
 def _decimal_to_fraction(r: decimal.Decimal) -> Fraction:

@@ -444,6 +444,31 @@ def test_fix_emits_loadable_system(tmp_path, capsys):
     assert "nothing to do" in out
 
 
+def test_fix_formats_each_resulting_equation_once(tmp_path, monkeypatch,
+                                                 capsys):
+    # the --emit file is written from the equation texts of the report,
+    # so no module formats a resulting equation a second time
+    path = tmp_path / "brenan_x16.dae"
+    path.write_text(checks.brenan_blocks(16))
+    calls = []
+    for name, module in sorted(sys.modules.items()):
+        if name.startswith("daefix") and hasattr(module, "format_expr"):
+            def counted(*args, _format=module.format_expr):
+                calls.append(args)
+                return _format(*args)
+            monkeypatch.setattr(module, "format_expr", counted)
+    emitted = tmp_path / "fixed.dae"
+    assert main(["fix", str(path), "--json", str(tmp_path / "fix.json"),
+                 "--emit", str(emitted)]) == 0
+    assert len(calls) == 80
+    doc = json.loads((tmp_path / "fix.json").read_text())
+    texts = [eq["expression"] for eq in doc["system"]["equations"]]
+    assert [line.split(": ", 1)[1][:-len(" = 0")]
+            for line in emitted.read_text().splitlines()
+            if line.startswith("eq ")] == texts
+    capsys.readouterr()
+
+
 # ---------------------------------------------------------------------------
 # trace
 
@@ -1014,7 +1039,7 @@ def test_a_product_of_3000_factors_is_analysed(tmp_path, capsys):
 
 
 def test_analyze_power_of_an_inexact_value_is_fast(tmp_path, capsys):
-    # each probe raises a 70-digit sin value in mpmath, not as an exact
+    # each probe raises a 70-digit sin value in decimal, not as an exact
     # Fraction with 100000 times as many digits; the values fall under the
     # guard, so the verdict is unverified
     rc, took, doc = _timed_analyze(

@@ -795,7 +795,7 @@ def test_tampered_substitution_row_is_not_equivalent(which):
 
 def _inexact_combination():
     # exp(t) cancels from the combination row but not from the rows it was
-    # built from, so every probe point compares an mpmath value
+    # built from, so every probe point compares a rounded value
     s = parse_dae("""
 dae inexact
 vars x, y

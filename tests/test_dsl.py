@@ -238,9 +238,15 @@ def test_error_carries_position():
         raise AssertionError("expected ParseError")
 
 
+def _emit(s):
+    """emit_dae of s with the texts of its equations, as `fix` has them."""
+    return emit_dae(s, [format_expr(eq.expr, s.var_names)
+                        for eq in s.equations])
+
+
 def test_emit_round_trip_pendulum():
     s = parse_dae(PENDULUM)
-    text = emit_dae(s)
+    text = _emit(s)
     s2 = parse_dae(text)
     assert s2.name == s.name
     assert s2.var_names == s.var_names
@@ -255,7 +261,7 @@ def test_emit_round_trip_with_inputs_and_funcs():
            "eq f1: x1 + exp(-x1' - x2*x2'') + h1(t) = 0\n"
            "eq f2: x1 + x2*x2' + x2^2 + h2(t) = 0\n")
     s = parse_dae(src)
-    s2 = parse_dae(emit_dae(s))
+    s2 = parse_dae(_emit(s))
     for a, b in zip(s.equations, s2.equations):
         assert a.expr == b.expr
 
@@ -429,6 +435,16 @@ def test_an_integer_literal_is_the_interned_constant():
      ("equation name 'f' declared twice", 4, 4)),
 ])
 def test_a_duplicate_declaration_fails_at_its_second_occurrence(text, want):
+    assert _error(parse_dae, text) == want
+
+
+@pytest.mark.parametrize("text, want", [
+    ("dae d\nvars x, y\neq f: x = 0\n\n# trailing\n",
+     ("system must be square: 1 equations, 2 variables", 3, 1)),
+    ("dae d\n# none\n", ("system has no variables", 1, 1)),
+])
+def test_an_error_of_the_finished_system_falls_on_its_last_directive(
+        text, want):
     assert _error(parse_dae, text) == want
 
 

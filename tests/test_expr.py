@@ -1010,12 +1010,11 @@ class _NarrowContext:
         return _narrow(getattr(self._context, name))
 
 
-def test_a_huge_argument_reaches_decimal_and_mpmath_rounded(monkeypatch):
-    # converting an int of n bits to a Decimal or an mpf takes time
-    # quadratic in n; the rounded quotient takes a few hundred bits
+def test_a_huge_argument_reaches_decimal_rounded(monkeypatch):
+    # converting an int of n bits to a Decimal takes time quadratic in n;
+    # the rounded quotient takes a few hundred bits
     monkeypatch.setattr(expr_module, "_CONTEXT",
                         _NarrowContext(expr_module._CONTEXT))
-    monkeypatch.setattr(mpmath, "mpf", _narrow(mpmath.mpf))
     # (49/50)^100000 has terms of 560,000 bits; exp of it rounds to 1
     assert evaluate_ex(Func("exp", Pow(x, 100000)),
                        {x: Fraction(49, 50)}) == (1, False)
@@ -1024,24 +1023,78 @@ def test_a_huge_argument_reaches_decimal_and_mpmath_rounded(monkeypatch):
         evaluate(Func("sin", x), {x: Fraction(1, 2 ** 1048600)})
     # the quotient has digits + 1 or + 2 digits, then a sticky one
     n, d = 49 ** 100000, 50 ** 100000
-    assert len(str(expr_module._rounded_quotient(n, d, 10, 70)[0])) <= 73
-    assert expr_module._rounded_quotient(1, d, 2, 236)[0].bit_length() <= 239
+    assert len(str(expr_module._rounded_quotient(n, d, 70)[0])) <= 73
+
+
+def _mp_rounded(name, v):
+    """name(v) by mpmath at 200 digits more than v's integer part has,
+    rounded half to even to 70 significant digits."""
+    with mpmath.workdps(200 + len(str(abs(v.numerator) // v.denominator))):
+        sign, man, exp, _ = getattr(mpmath, name)(
+            mpmath.mpf(v.numerator) / v.denominator)._mpf_
+    return _round_half_even((-1) ** sign * man * Fraction(2) ** exp, 10, 70)
 
 
 def test_sin_and_cos_of_wide_arguments_keep_their_values():
-    # the argument is n/d correctly rounded to mpmath's 236 bits; the last
-    # two differ in their last bit from rounding n and d apart first
+    # sin and cos of n/d itself, correctly rounded to 70 digits
     cases = (
-        ("sin", Fraction(3 ** 200 + 1, 7 ** 150), 338,
-         25567218101950755136587363038720884474007894197316593093464892382870355),
-        ("sin", Fraction(2 ** 170 + 1, 3 ** 160 + 1), 319,
-         73158892863749761509301694108201551691321405387814831408248655148961951),
-        ("cos", Fraction(4 ** 170 + 1, 3 ** 160 + 1), 235,
-         44053952776397198490404648674281902446328541224876841964233592337642101),
+        ("sin", Fraction(3 ** 200 + 1, 7 ** 150), "4.56609498760838307173"
+         "1726146343671833712347472288208587763766410292709E-32"),
+        ("sin", Fraction(2 ** 170 + 1, 3 ** 160 + 1), "6.8501251771135413"
+         "09761973735865221322249419776848721237795213578991738E-26"),
+        ("cos", Fraction(4 ** 170 + 1, 3 ** 160 + 1), "0.7978769169936801"
+         "403705616552962598443709181739363808746789254446129023"),
     )
-    for name, v, shift, numerator in cases:
-        assert evaluate(Func(name, x), {x: v}) == Fraction(numerator,
-                                                           2 ** shift)
+    for name, v, digits in cases:
+        want = Fraction(Decimal(digits))
+        assert _mp_rounded(name, v) == want
+        assert evaluate(Func(name, x), {x: v}) == want
+
+
+def _trig_arguments(rng, count):
+    """count nonzero arguments, of five kinds in turn: probe-like p/q,
+    rationals of up to 400 bits over 400, multiples of 355/113, 1/k with
+    k of up to 3,000 bits, and 300-bit cuts of k*pi/2."""
+    kinds = (
+        lambda: Fraction(rng.randint(-50, 50) or 1, rng.randint(1, 50)),
+        lambda: Fraction(rng.choice((1, -1)) * rng.getrandbits(
+            rng.randint(1, 400)) or 1, rng.getrandbits(rng.randint(1, 400))
+            or 1),
+        lambda: 355 * Fraction(rng.randint(1, 10 ** 6), 113),
+        lambda: Fraction(rng.choice((1, -1)),
+                         rng.getrandbits(rng.randint(1, 3000)) or 1),
+        lambda: Fraction(int(mpmath.floor(mpmath.pi * rng.randint(1, 1000)
+                                          * 2 ** 299)), 2 ** 300),
+    )
+    with mpmath.workdps(200):
+        return [kinds[i % 5]() for i in range(count)]
+
+
+def test_sin_and_cos_are_correctly_rounded():
+    """On 5,000 arguments of five kinds, each sin and cos is the value
+    rounded half to even to 70 digits."""
+    for v in _trig_arguments(random.Random("trig"), 5000):
+        for name in ("sin", "cos"):
+            assert evaluate(Func(name, x), {x: v}) == _mp_rounded(name, v), \
+                (name, v)
+
+
+def test_sin_and_cos_past_their_bounds_are_domain_errors():
+    bits = expr_module._TRIG_BITS
+    for name in ("sin", "cos"):
+        # an integer part of more than _TRIG_BITS bits, and no more
+        with pytest.raises(DomainError):
+            evaluate(Func(name, x), {x: Fraction(2 ** bits * 3 + 1, 3)})
+        with pytest.raises(DomainError):
+            evaluate(Func(name, x), {x: Fraction(-2 ** (bits + 40), 7)})
+        assert abs(evaluate(Func(name, x), {x: Fraction(2 ** bits - 1)})) \
+            <= 1
+    # sin of |x| below 2**-_VALUE_BITS, before any arithmetic, and cos of
+    # it, which rounds to 1
+    tiny = Fraction(-1, 2 ** expr_module._VALUE_BITS + 1)
+    with pytest.raises(DomainError):
+        evaluate(Func("sin", x), {x: tiny})
+    assert evaluate(Func("cos", x), {x: tiny}) == 1
 
 
 def _round_half_even(v, radix, digits):
@@ -1066,21 +1119,17 @@ def test_rounded_quotient_rounds_to_the_correctly_rounded_quotient():
     for _ in range(1500):
         n = rng.choice((1, -1)) * rng.getrandbits(rng.randint(1, 600))
         d = rng.getrandbits(rng.randint(1, 600)) or 1
-        for radix, digits in ((10, 70), (2, 236), (10, 3), (2, 5)):
+        for digits in (70, 3):
             # and a tie, m + 1/2 at the scale of n/d, which goes to even
-            m = rng.randrange(radix ** (digits - 1), radix ** digits)
+            m = rng.randrange(10 ** (digits - 1), 10 ** digits)
             for a, b in ((n, d), ((2 * m + 1) * d, 2 * d)):
-                got, e = rounded_quotient(a, b, radix, digits)
-                assert (_round_half_even(got * Fraction(radix) ** e, radix,
+                got, e = rounded_quotient(a, b, digits)
+                assert (_round_half_even(got * Fraction(10) ** e, 10,
                                          digits)
-                        == _round_half_even(Fraction(a, b), radix, digits))
-        # what decimal's and mpmath's own divisions give
-        assert context.scaleb(*rounded_quotient(n, d, 10, 70)) \
+                        == _round_half_even(Fraction(a, b), 10, digits))
+        # what decimal's own division gives
+        assert context.scaleb(*rounded_quotient(n, d, 70)) \
             == context.divide(n, d)
-        if n.bit_length() <= 236 and d.bit_length() <= 236:
-            with mpmath.workdps(70):
-                m, e = rounded_quotient(n, d, 2, mpmath.mp.prec)
-                assert mpmath.mpf((m, e)) == mpmath.mpf(n) / mpmath.mpf(d)
 
 
 def _term_kind(term, atom):

@@ -1,8 +1,8 @@
 """What a CLI call loads.  `import daefix.cli` takes neither mpmath nor
 hashlib, which loads OpenSSL, nor dataclasses and the inspect, ast and dis
 modules it brings, which would generate and compile code for each record
-class; a run loads mpmath only for a sin or cos value, and the bundled
-corpus has none.
+class; a run loads none of them either, a sin or cos value included, as
+daefix has no runtime dependency.
 
 Each check of the loaded modules runs in a fresh interpreter, since this
 suite's own modules import mpmath."""
@@ -21,12 +21,14 @@ from daefix.cli import main
 _SRC = str(Path(daefix.__file__).resolve().parents[1])
 
 # runs main on each argv of sys.argv[2], a JSON list, and prints each exit
-# code, stdout, stderr and --json file, then which heavy modules it loaded;
-# with sys.argv[1] == "block", importing mpmath raises ImportError
+# code, stdout, stderr and --json file, then which heavy modules it loaded
+# and which from outside the standard library and daefix; with
+# sys.argv[1] == "block", importing mpmath raises ImportError
 _CHILD = r"""
 import contextlib, io, json, sys
 if sys.argv[1] == "block":
     sys.modules["mpmath"] = None
+before = set(sys.modules)
 from daefix.cli import main
 runs = []
 for argv in json.loads(sys.argv[2]):
@@ -36,9 +38,13 @@ for argv in json.loads(sys.argv[2]):
     with open(argv[argv.index("--json") + 1], "rb") as fh:
         report = fh.read().decode()
     runs.append([rc, out.getvalue(), err.getvalue(), report])
-loaded = [m for m in ("mpmath", "hashlib", "_hashlib", "dataclasses",
-                      "inspect", "ast", "dis")
+loaded = [m for m in ("hashlib", "_hashlib", "dataclasses", "inspect",
+                      "ast", "dis")
           if sys.modules.get(m) is not None]
+loaded += sorted(m for m in sys.modules.keys() - before
+                 if sys.modules[m] is not None
+                 and m.partition(".")[0] not in sys.stdlib_module_names
+                 and m.partition(".")[0] != "daefix")
 print(json.dumps({"runs": runs, "loaded": loaded}))
 """
 
@@ -83,15 +89,15 @@ def test_the_corpus_runs_without_mpmath(tmp_path):
     assert {rc for rc, _, _, _ in plain["runs"]} <= {0, 2, 4}
 
 
-def test_a_sin_value_loads_mpmath_and_keeps_its_answer(tmp_path, capsys):
+def test_a_sin_value_loads_nothing_and_keeps_its_answer(tmp_path, capsys):
     # det J = sin(x) - cos(y) is no monomial, so the zero test evaluates it
     path = tmp_path / "trig.dae"
     path.write_text("dae trig\nvars x, y\n"
                     "eq f1: sin(x)*x' + cos(y)*y' = 0\neq f2: x + y = 0\n")
     report = tmp_path / "trig.json"
     argv = ["analyze", str(path), "--json", str(report)]
-    child = _child([argv])
-    assert child["loaded"] == ["mpmath"]
+    child = _child([argv], block=True)
+    assert child["loaded"] == []
     # the answer of this process, where mpmath was loaded all along
     rc = main(argv)
     out, err = capsys.readouterr()
